@@ -11,9 +11,8 @@ same spec produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -87,6 +86,8 @@ class RunSpec:
                 raise InvalidSpec(f"unknown task {t!r}")
         if self.degree_cap < 4:
             raise InvalidSpec("degree cap below the quadratic relations")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidSpec(f"tolerance must be finite and > 0, got {self.tol}")
         self.params.validate(self.backend())
 
     def backend(self):
@@ -323,18 +324,15 @@ def run(spec: RunSpec):
 
 
 def sweep(points, tasks=_VERB_TASKS["sweep"], backend_name="exact",
-          tol=1e-9, degree_cap=12, max_workers=None):
-    """Run the pipeline at each point in parallel; order follows the input."""
+          tol=1e-9, degree_cap=12):
+    """Run the pipeline at each point in order; one (report, timings) each."""
     if not points:
         raise InvalidSpec("sweep needs at least one parameter point")
     specs = [RunSpec(params=p, backend_name=backend_name, tasks=tuple(tasks),
                      tol=tol, degree_cap=degree_cap) for p in points]
     for s in specs:
         s.validate()
-    workers = max_workers or min(len(specs), os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, specs))
-    return results
+    return [run(s) for s in specs]
 
 
 def sweep_csv(points, results) -> str:

@@ -24,7 +24,7 @@ from .errors import DegreeOverflow, InvalidSpec
 from .ncalg import NCPoly, basis_monomials, mono_key, mono_unit_vec
 from .quatlin import epsilon, quat_basis_product, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport
-from .scalars import Backend
+from .scalars import Backend, row_reduce
 from .spheres import SphereAlgebra
 
 H_ONE = (0, 0, 0, 0)
@@ -252,7 +252,7 @@ def check_hopf_axioms(backend: Backend) -> list:
     """Coassociativity, counit and antipode laws on generators and on all
     degree-2 products."""
     be = backend
-    tol = 0.0 if be.exact else be.tol
+    tol = be.tol
     w = [CommPoly.generator(be, i) for i in range(4)]
     elements = list(w) + [w[a] * w[b] for a in range(4) for b in range(a, 4)]
     coassoc = counit = antipode = 0.0
@@ -272,19 +272,15 @@ def check_hopf_axioms(backend: Backend) -> list:
                 key = (m1, a, bm)
                 got = right.terms.get(key)
                 right.terms[key] = c * cc if got is None else got + c * cc
-        diff = left - right
-        coassoc = max(coassoc, max((be.residual(v) for v in diff.terms.values()), default=0.0))
+        coassoc = max(coassoc, be.max_residual((left - right).terms.values()))
         # (eps (x) id) Delta = id = (id (x) eps) Delta
         lc = CommPoly.zero(be)
         rc = CommPoly.zero(be)
         for (m1, m2), c in df.terms.items():
             lc = lc + CommPoly(be, {m2: c * hopf_counit(CommPoly(be, {m1: be.one}))})
             rc = rc + CommPoly(be, {m1: c * hopf_counit(CommPoly(be, {m2: be.one}))})
-        dl = lc - f
-        dr = rc - f
-        counit = max(counit,
-                     max((be.residual(v) for v in dl.terms.values()), default=0.0),
-                     max((be.residual(v) for v in dr.terms.values()), default=0.0))
+        counit = max(counit, be.max_residual((lc - f).terms.values()),
+                     be.max_residual((rc - f).terms.values()))
         # m (S (x) id) Delta = eps(f) 1 = m (id (x) S) Delta
         sl = CommPoly.zero(be)
         sr = CommPoly.zero(be)
@@ -292,11 +288,8 @@ def check_hopf_axioms(backend: Backend) -> list:
             sl = sl + c * (hopf_antipode(CommPoly(be, {m1: be.one})) * CommPoly(be, {m2: be.one}))
             sr = sr + c * (CommPoly(be, {m1: be.one}) * hopf_antipode(CommPoly(be, {m2: be.one})))
         target = CommPoly(be, {H_ONE: hopf_counit(f)})
-        dl = sl - target
-        dr = sr - target
-        antipode = max(antipode,
-                       max((be.residual(v) for v in dl.terms.values()), default=0.0),
-                       max((be.residual(v) for v in dr.terms.values()), default=0.0))
+        antipode = max(antipode, be.max_residual((sl - target).terms.values()),
+                       be.max_residual((sr - target).terms.values()))
     return [
         ConditionReport("hopf_coassociativity", coassoc <= tol, coassoc, None),
         ConditionReport("hopf_counit", counit <= tol, counit, None),
@@ -380,8 +373,7 @@ class MixedElement:
         return MixedElement(self.sphere, out)
 
     def residual(self) -> float:
-        be = self.sphere.base.backend
-        return max((be.residual(c) for c in self.terms.values()), default=0.0)
+        return self.sphere.base.backend.max_residual(self.terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, MixedElement):
@@ -486,8 +478,7 @@ def check_comodule_algebra(co: Coaction) -> dict:
     """
     s = co.sphere
     alg = s.base
-    be = alg.backend
-    tol = 0.0 if be.exact else be.tol
+    tol = alg.backend.tol
     failures = []
     worst = 0.0
     # pairwise products: delta is well defined iff images satisfy the
@@ -554,9 +545,7 @@ def _corep_axioms_residual(co: Coaction) -> float:
                 rhs = HChain(be, 2, {})
                 for nu in range(4):
                     rhs = rhs + tensor_of(h[nu][rho], h[mu][nu])
-                diff = lhs - rhs
-                res = max(res, max((be.residual(v) for v in diff.terms.values()),
-                                   default=0.0))
+                res = max(res, be.max_residual((lhs - rhs).terms.values()))
     return res
 
 
@@ -648,33 +637,19 @@ def coinvariants(alg, degree: int, max_degree: int = 4) -> list:
 
 
 def _nullspace(rows, ncols, be):
-    """Exact nullspace basis vectors of a dense matrix over the backend."""
-    mat = [list(r) for r in rows if any(not be.is_zero(v) for v in r)]
-    pivots = {}
-    rank_rows = []
-    for row in mat:
-        row = list(row)
-        for col, prow in pivots.items():
-            if not be.is_zero(row[col]):
-                f = row[col]
-                row = [a - f * bv for a, bv in zip(row, prow)]
-        lead = next((c for c in range(ncols) if not be.is_zero(row[c])), None)
-        if lead is None:
-            continue
-        inv = row[lead].inverse() if be.exact else 1.0 / row[lead]
-        row = [inv * v for v in row]
-        for col, prow in list(pivots.items()):
-            if not be.is_zero(prow[lead]):
-                f = prow[lead]
-                pivots[col] = [a - f * bv for a, bv in zip(prow, row)]
-        pivots[lead] = row
-    free = [c for c in range(ncols) if c not in pivots]
+    """Exact nullspace basis vectors of a dense matrix over the backend.
+
+    One vector per free column fc of the reduced matrix, in increasing fc:
+    1 at fc and minus the pivot rows' fc entries at the pivot columns.
+    """
+    rows = list(rows)
+    pivots = row_reduce(rows, ncols, be)
     out = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [be.zero] * ncols
         vec[fc] = be.one
-        for col, prow in pivots.items():
-            vec[col] = -prow[fc]
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[fc]
         out.append(vec)
     return out
 
@@ -685,43 +660,27 @@ def span_contains(alg, basis_polys, f: NCPoly) -> bool:
     monos = sorted({m for p in basis_polys for m in p.terms} | set(f.terms), key=mono_key)
     rows = [[p.coefficient(m) for p in basis_polys] + [f.coefficient(m)] for m in monos]
     n = len(basis_polys)
-    rank = 0
-    work = [list(r) for r in rows]
-    for col in range(n):
-        piv = next((r for r in range(rank, len(work)) if not be.is_zero(work[r][col])), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col].inverse() if be.exact else 1.0 / work[rank][col]
-        work[rank] = [inv * v for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not be.is_zero(work[r][col]):
-                f2 = work[r][col]
-                work[r] = [a - f2 * bv for a, bv in zip(work[r], work[rank])]
-        rank += 1
-    for r in range(rank, len(work)):
-        if not be.is_zero(work[r][n]):
-            return False
-    return True
+    rank = len(row_reduce(rows, n, be))
+    return all(be.is_zero(row[n]) for row in rows[rank:])
 
 
 def derivation_reports(s: SphereAlgebra, ys) -> list:
     """Invariance of the Y system, the Leibniz rule, and the su(2) bracket."""
     alg = s.base
     be = alg.backend
-    tol = 0.0 if be.exact else be.tol
+    tol = be.tol
     inv = 0.0
     for a in (1, 2, 3):
         for f in list(ys.Y) + [ys.Y4]:
             d = derivation(alg, a, f)
-            inv = max(inv, max((be.residual(c) for c in d.terms.values()), default=0.0))
+            inv = max(inv, be.max_residual(d.terms.values()))
     # Leibniz on a pair of quadratic elements
     leib = 0.0
     f, g = ys.Y[1], ys.Y[2]
     fg = f * g
     for a in (1, 2, 3):
         d = derivation(alg, a, fg) - (derivation(alg, a, f) * g + f * derivation(alg, a, g))
-        leib = max(leib, max((be.residual(c) for c in d.terms.values()), default=0.0))
+        leib = max(leib, be.max_residual(d.terms.values()))
     # operator bracket [D_a, D_b] against the quaternion prediction.
     # On coefficient vectors D_a D_b acts as M_b M_a (reversed order), and
     # with the negated right translations [M_b, M_a] = -2 eps_{abc} M_c,
@@ -741,7 +700,7 @@ def derivation_reports(s: SphereAlgebra, ys) -> list:
                     if e:
                         rhs = rhs + (-2 * e) * derivation(alg, c, f)
                 d = lhs - rhs
-                su2 = max(su2, max((be.residual(v) for v in d.terms.values()), default=0.0))
+                su2 = max(su2, be.max_residual(d.terms.values()))
     return [
         ConditionReport("derivations_kill_y_system", inv <= tol, inv, None),
         ConditionReport("derivation_leibniz", leib <= tol, leib, None),
@@ -752,7 +711,6 @@ def derivation_reports(s: SphereAlgebra, ys) -> list:
 def coinvariant_report(s: SphereAlgebra, ys, co: Coaction | None = None) -> dict:
     """Degree-1 and degree-2 coinvariants, matched against the Y span."""
     alg = s.base
-    be = alg.backend
     k1 = coinvariants(alg, 1)
     k2 = coinvariants(alg, 2)
     expected = list(ys.Y) + [ys.Y4, alg.casimir()]
@@ -770,7 +728,7 @@ def coinvariant_report(s: SphereAlgebra, ys, co: Coaction | None = None) -> dict
         res = 0.0
         for f in k2:
             res = max(res, (co.delta(f) - MixedElement.from_poly(s, f)).residual())
-        out["delta_fixes_kernel"] = res <= (0.0 if be.exact else be.tol)
+        out["delta_fixes_kernel"] = res <= alg.backend.tol
     return out
 
 
@@ -789,7 +747,7 @@ def canonical_witness(co: Coaction) -> dict:
     s = co.sphere
     alg = s.base
     be = alg.backend
-    tol = 0.0 if be.exact else be.tol
+    tol = be.tol
     x1 = tuple(alg.x1(k) for k in range(4))
     x2 = tuple(alg.x2(k) for k in range(4))
     dx1 = [co.delta(f) for f in x1]

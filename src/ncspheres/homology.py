@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import DegreeZero, NotUnitaryEnough
 from .ncalg import NCPoly, mono_key
 from .quatlin import Mat
-from .spheres import SphereAlgebra
+from .spheres import SphereAlgebra, lambda_residuals
 
 UNIT_ID = 0
 
@@ -313,10 +313,8 @@ def chern_odd(ctx: ChainContext, U: Mat, k: int, lam=1, require_unit: bool = Fal
     Raises NotUnitaryEnough unless UU* = U*U reduces to a central multiple
     of the identity (to 1 itself when require_unit is set).
     """
-    be = ctx.backend
-    tol = 0.0 if be.exact else be.tol
     res = unitarity_report(ctx, U, require_unit)
-    if res > tol:
+    if res > ctx.backend.tol:
         raise NotUnitaryEnough(f"UU* = U*U check failed with residual {res}")
     Ud = U.dagger()
     word = []
@@ -338,22 +336,13 @@ def check_vanzz_equivalence(ctx: ChainContext, ys) -> dict:
     (b) the solved Lambda is symmetric and unitary.  The two verdicts must
     agree; the report carries both plus the agreement bit.
     """
-    be = ctx.backend
-    tol = 0.0 if be.exact else be.tol
     chain = TensorChain(ctx, 1, {})
     for mu in range(4):
         chain = chain + chain_from_slots(ctx, [ys.Ystar[mu], ys.Y[mu]])
         chain = chain - chain_from_slots(ctx, [ys.Y[mu], ys.Ystar[mu]])
     chain_zero = chain.is_zero()
-    lam = ys.lam
-    sym = max(be.residual(lam[a][b] - lam[b][a]) for a in range(4) for b in range(4))
-    uni = 0.0
-    for a in range(4):
-        for b in range(4):
-            acc = be.zero
-            for c in range(4):
-                acc = acc + lam[a][c] * lam[b][c].conjugate()
-            uni = max(uni, be.residual(acc - (be.one if a == b else be.zero)))
+    tol = ctx.backend.tol
+    sym, uni = lambda_residuals(ys.lam, ctx.backend)
     lambda_ok = sym <= tol and uni <= tol
     return {
         "chain_vanishes": chain_zero,

@@ -29,10 +29,6 @@ X2 = range(4, 8)
 ZERO8 = (0,) * 8
 
 
-def mono_degree(m) -> int:
-    return sum(m)
-
-
 def mono_word(m):
     """Expanded generator word of a normal monomial, ascending ids."""
     out = []
@@ -95,17 +91,6 @@ class Algebra:
                         if not be.is_zero(c):
                             ents.append((mu, beta, c))
                 self.cross[(alpha, lam)] = ents
-        # forward direction x1^lambda x2^alpha -> sum R^{la}_{bm} x2^beta x1^mu
-        self.forward = {}
-        for lam in range(4):
-            for alpha in range(4):
-                ents = []
-                for beta in range(4):
-                    for mu in range(4):
-                        c = R.entry(lam, alpha, beta, mu)
-                        if not be.is_zero(c):
-                            ents.append((beta, mu, c))
-                self.forward[(lam, alpha)] = ents
         self._swap_single_cache = {}
         self._swap_block_cache = {}
         self._star_cache = {}
@@ -190,9 +175,6 @@ class Algebra:
         return hit
 
     # -- polynomial constructors ---------------------------------------
-
-    def poly(self, terms=None) -> "NCPoly":
-        return NCPoly(self, terms or {})
 
     def zero(self) -> "NCPoly":
         return NCPoly(self, {})
@@ -301,11 +283,6 @@ class NCPoly:
 
     def coefficient(self, m):
         return self.terms.get(tuple(m), self.algebra.backend.zero)
-
-    def leading_monomial(self):
-        if not self.terms:
-            return None
-        return max(self.terms, key=mono_key)
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
@@ -422,15 +399,12 @@ class NCPoly:
         return f"NCPoly({format_poly(self)})"
 
 
-def is_central(alg: Algebra, f: NCPoly, through_degree: int = 1) -> bool:
+def is_central(alg: Algebra, f: NCPoly) -> bool:
     """True iff f commutes with every generator.
 
     Generators generate, so commuting with all eight of them is sufficient
-    for centrality; through_degree is accepted for interface stability but
-    degree 1 already decides the question.
+    for centrality.
     """
-    if through_degree < 1:
-        raise ValueError("through_degree must be >= 1")
     for g in range(NGEN):
         if not f.commutator(alg.generator(g)).is_zero():
             return False
@@ -571,7 +545,7 @@ class ReductionContext:
                 got = pivots.get(lead)
                 if got is None:
                     lc = top[lead]
-                    inv = lc.inverse() if be.exact else 1.0 / lc
+                    inv = 1 / lc
                     pivots[lead] = ({m: inv * c for m, c in top.items()},
                                     {m: inv * c for m, c in full.items()})
                     return
@@ -656,8 +630,7 @@ class ReductionContext:
 
     def residual(self, f: NCPoly) -> float:
         """Largest coefficient magnitude of the reduced form (0.0 if zero)."""
-        red = self.reduce_fast(f)
-        return max((self.alg.backend.residual(c) for c in red.terms.values()), default=0.0)
+        return self.alg.backend.max_residual(self.reduce_fast(f).terms.values())
 
 
 # ---------------------------------------------------------------------------

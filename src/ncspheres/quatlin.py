@@ -16,7 +16,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from .errors import CommutativityViolated
 from .scalars import EXACT, Backend
 
 
@@ -220,8 +219,7 @@ def check_quaternion_matrix_relations(backend: Backend = EXACT) -> dict:
 
     def record(ok_mat, label):
         nonlocal max_res
-        worst = max((backend.residual(e) for e in ok_mat.entries()), default=0.0)
-        max_res = max(max_res, worst)
+        max_res = max(max_res, backend.max_residual(ok_mat.entries()))
         if any(not backend.is_zero(e) for e in ok_mat.entries()):
             failures.append(label)
 
@@ -258,14 +256,3 @@ def sum_diag(m: Mat):
     for i in range(1, m.shape[0]):
         acc = acc + m.rows[i][i]
     return acc
-
-
-def check_commuting_family(mats, backend: Backend, label: str = "family"):
-    """Raise CommutativityViolated if any pair in mats fails to commute."""
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
-            if j <= i:
-                continue
-            comm = a @ b - b @ a
-            if any(not backend.is_zero(e) for e in comm.entries()):
-                raise CommutativityViolated(f"{label}: members {i} and {j} do not commute")

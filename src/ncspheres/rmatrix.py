@@ -20,7 +20,7 @@ from .errors import (
     ParamsNotOnSphere,
 )
 from .quatlin import Mat, j_plus
-from .scalars import EXACT, Backend, parse_rational
+from .scalars import EXACT, Backend, parse_rational, row_reduce
 
 N = 4  # generators per family
 
@@ -61,31 +61,31 @@ class DeformParams:
 
 
 class RTensor:
-    """Dense 4x4x4x4 coefficient tensor with a cached nonzero list."""
+    """Dense 4x4x4x4 coefficient tensor."""
 
-    __slots__ = ("data", "backend", "_items")
+    __slots__ = ("data", "backend")
 
     def __init__(self, data, backend: Backend):
         self.data = data
         self.backend = backend
-        self._items = None
 
     def entry(self, lam, alpha, beta, mu):
         return self.data[lam][alpha][beta][mu]
 
-    def items(self):
-        """Nonzero entries as ((lam, alpha, beta, mu), coeff)."""
-        if self._items is None:
-            out = []
-            for lam in range(N):
-                for alpha in range(N):
-                    for beta in range(N):
-                        for mu in range(N):
-                            c = self.data[lam][alpha][beta][mu]
-                            if not self.backend.is_zero(c):
-                                out.append(((lam, alpha, beta, mu), c))
-            self._items = out
-        return self._items
+    def items(self) -> list:
+        """Entries that are not exactly zero, as ((lam, alpha, beta, mu), coeff).
+
+        Read from data on every call, in lexicographic index order, so every
+        contraction sum runs over its contracted index in increasing order,
+        as a dense loop would, and float sums round the same way.  The zero
+        test is exact on both backends: a float entry below the tolerance is
+        still nonzero and still takes part in a contraction.
+        """
+        d = self.data
+        return [((lam, alpha, beta, mu), d[lam][alpha][beta][mu])
+                for lam in range(N) for alpha in range(N)
+                for beta in range(N) for mu in range(N)
+                if d[lam][alpha][beta][mu] != 0]
 
     def conj_entry(self, lam, alpha, beta, mu):
         return self.data[lam][alpha][beta][mu].conjugate()
@@ -281,22 +281,6 @@ class ConditionReport:
         return d
 
 
-def _nonzeros(R: RTensor) -> list:
-    """Entries of R that are not exactly zero, as ((lam, alpha, beta, mu), coeff).
-
-    Read from R.data on every call, in lexicographic index order, so every
-    contraction sum runs over its contracted index in increasing order, as a
-    dense loop would, and float sums round the same way.  The zero test is
-    exact on both backends: a float entry below the tolerance is still
-    nonzero and still takes part in a contraction.
-    """
-    d = R.data
-    return [((lam, alpha, beta, mu), d[lam][alpha][beta][mu])
-            for lam in range(N) for alpha in range(N)
-            for beta in range(N) for mu in range(N)
-            if d[lam][alpha][beta][mu] != 0]
-
-
 def _group(entries: list, *slots: int) -> dict:
     """Entries keyed by their indices at `slots`; each list keeps input order."""
     out = {}
@@ -328,7 +312,7 @@ def check_reality(R: RTensor) -> ConditionReport:
     witness is the first failing (lam, alpha, gam, nu) in lexicographic order.
     """
     be = R.backend
-    nz = _nonzeros(R)
+    nz = R.items()
     by_mu_beta = _group(nz, 0, 1)
     lhs = {}
     for (lam, alpha, beta, mu), c in nz:
@@ -346,29 +330,12 @@ def invert_16x16(R: RTensor):
     be = R.backend
     idx = [(b, m) for b in range(N) for m in range(N)]
     pos = {p: k for k, p in enumerate(idx)}
-    rows = [[R.entry(lam, alpha, beta, mu) for (beta, mu) in idx]
-            for (lam, alpha) in idx]
-    n = 16
-    aug = [rows[i] + [be.one if i == j else be.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        best = -1.0
-        for r in range(col, n):
-            mag = be.residual(aug[r][col])
-            if not be.is_zero(aug[r][col]) and mag > best:
-                piv, best = r, mag
-        if piv is None:
-            raise ZeroDivisionError("R tensor is singular as a 16x16 matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = (aug[col][col].inverse() if be.exact else 1.0 / aug[col][col])
-        aug[col] = [inv * v for v in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if be.is_zero(f):
-                continue
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    n = len(idx)
+    aug = [[R.entry(lam, alpha, beta, mu) for (beta, mu) in idx]
+           + [be.one if i == j else be.zero for j in range(n)]
+           for i, (lam, alpha) in enumerate(idx)]
+    if len(row_reduce(aug, n, be)) < n:
+        raise ZeroDivisionError("R tensor is singular as a 16x16 matrix")
     inv_rows = [row[n:] for row in aug]
 
     def rinv(beta, mu, lam, alpha):
@@ -410,7 +377,7 @@ def check_quadratic_1(R: RTensor) -> ConditionReport:
     lexicographic order.
     """
     be = R.backend
-    nz = _nonzeros(R)
+    nz = R.items()
     by_first = _group(nz, 0)
     lhs, rhs = {}, {}
     for (p, q, r, s), c in nz:
@@ -433,7 +400,7 @@ def check_quadratic_2(R: RTensor) -> ConditionReport:
     lexicographic order.
     """
     be = R.backend
-    nz = _nonzeros(R)
+    nz = R.items()
     by_second = _group(nz, 1)
     lhs, rhs = {}, {}
     for (p, q, g, s), c in nz:

@@ -79,10 +79,6 @@ class GaussRational:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_rational(q) -> "GaussRational":
-        return GaussRational(q, 0)
-
-    @staticmethod
     def parse(text: str) -> "GaussRational":
         """Parse '(re,im)' with rational components, or a bare rational."""
         s = text.strip()
@@ -201,13 +197,13 @@ class GaussRational:
         return complex(float(self.re), float(self.im))
 
 
-# The float twin of GaussRational is the builtin complex type; the backend
-# below supplies the tolerance that makes its zero test meaningful.
-FloatComplex = complex
-
-
 class Backend:
-    """A scalar domain: constructors plus the zero test the domain needs."""
+    """A scalar domain: constructors plus the zero test the domain needs.
+
+    The float twin of GaussRational is the builtin complex type; ``tol`` is
+    the zero tolerance of the domain, 0.0 on the exact backend, so a
+    residual passes a report iff it is ``<= tol`` on either backend.
+    """
 
     def __init__(self, name: str, exact: bool, tol: float = 0.0):
         self.name = name
@@ -226,11 +222,6 @@ class Backend:
         if self.exact:
             return GaussRational(q, 0)
         return complex(float(q), 0.0)
-
-    def from_pair(self, re, im):
-        if self.exact:
-            return GaussRational(re, im)
-        return complex(float(re), float(im))
 
     def convert(self, value):
         """Coerce a scalar of either backend into this one (exact->float only)."""
@@ -256,6 +247,10 @@ class Backend:
         """Magnitude used in reports; exactly 0.0 for a vanishing exact value."""
         return abs(value)
 
+    def max_residual(self, values) -> float:
+        """Largest residual among `values`; 0.0 when there are none."""
+        return max((abs(v) for v in values), default=0.0)
+
     def __repr__(self):
         return f"Backend({self.name!r})"
 
@@ -265,3 +260,37 @@ EXACT = Backend("exact", exact=True)
 
 def float_backend(tol: float = 1e-9) -> Backend:
     return Backend("float", exact=False, tol=tol)
+
+
+def row_reduce(rows: list, ncols: int, be: Backend) -> list:
+    """Gauss-Jordan elimination of `rows` in place on the first `ncols` columns.
+
+    Columns past `ncols` (augmented right-hand sides) are carried along.
+    Each pivot is the entry of largest magnitude among the entries of its
+    column, below the pivots found so far, that are not ``be.is_zero``; a
+    column without one is skipped.  The pivot row is scaled to a leading 1
+    and its column is cleared in every other row.
+
+    Returns the pivot columns in increasing order: rows[r] is the pivot row
+    of pivots[r], and every row past len(pivots) is zero, by ``be.is_zero``,
+    on the first `ncols` columns.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv, best = None, -1.0
+        for r in range(rank, len(rows)):
+            v = rows[r][col]
+            if not be.is_zero(v) and abs(v) > best:
+                piv, best = r, abs(v)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        prow = rows[rank] = [inv * v for v in rows[rank]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != rank and not be.is_zero(f):
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        pivots.append(col)
+    return pivots

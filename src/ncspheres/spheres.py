@@ -20,11 +20,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidSpec, IrrationalEigenvalue, NotCentral
+from .errors import InvalidSpec, IrrationalEigenvalue
 from .ncalg import Algebra, NCPoly, ReductionContext, is_central, mono_key
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
-from .scalars import EXACT, Backend, GaussRational, is_perfect_square, sqrt_exact
+from .scalars import (EXACT, Backend, GaussRational, is_perfect_square,
+                      row_reduce, sqrt_exact)
 
 
 @dataclass
@@ -99,17 +100,14 @@ def projection_checks(s: SphereAlgebra) -> list:
     alg = s.base
     p = build_projection(s)
     pd = p.dagger()
-    be = alg.backend
-    herm = max(
-        (_residual_exact(p.rows[a][b] - pd.rows[a][b]) for a in range(4) for b in range(4)),
-        default=0.0)
+    herm = max(_residual_exact(p.rows[a][b] - pd.rows[a][b])
+               for a in range(4) for b in range(4))
     p2 = p @ p
-    idem = max(
-        (s.residual(p2.rows[a][b] - p.rows[a][b]) for a in range(4) for b in range(4)),
-        default=0.0)
+    idem = max(s.residual(p2.rows[a][b] - p.rows[a][b])
+               for a in range(4) for b in range(4))
     tr = sum((p.rows[a][a] for a in range(4)), alg.zero())
     half_tr = s.residual(tr - 2 * alg.one())
-    tol = 0.0 if be.exact else be.tol
+    tol = alg.backend.tol
     return [
         ConditionReport("projection_hermitian", herm <= tol, herm, None),
         ConditionReport("projection_idempotent", idem <= tol, idem, None),
@@ -118,7 +116,7 @@ def projection_checks(s: SphereAlgebra) -> list:
 
 
 def _residual_exact(f: NCPoly) -> float:
-    return max((f.algebra.backend.residual(c) for c in f.terms.values()), default=0.0)
+    return f.algebra.backend.max_residual(f.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +157,14 @@ def solve_star_matrix(alg: Algebra, Y, Ystar) -> list:
     monos = sorted({m for y in Y for m in y.terms} |
                    {m for y in Ystar for m in y.terms}, key=mono_key)
     # columns: coefficients of each Y[nu]; rhs columns: each Ystar[mu]
-    A = [[Y[nu].coefficient(m) for nu in range(4)] for m in monos]
-    B = [[Ystar[mu].coefficient(m) for mu in range(4)] for m in monos]
-    rows = [A[r] + B[r] for r in range(len(monos))]
-    pivots = []
-    rank = 0
-    for col in range(4):
-        piv = next((r for r in range(rank, len(rows)) if not be.is_zero(rows[r][col])), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse() if be.exact else 1.0 / rows[rank][col]
-        rows[rank] = [inv * v for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not be.is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < 4:
+    rows = [[y.coefficient(m) for y in Y] + [y.coefficient(m) for y in Ystar]
+            for m in monos]
+    if len(row_reduce(rows, 4, be)) < 4:
         raise InvalidSpec("Y components are linearly dependent")
-    for r in range(rank, len(rows)):
-        if any(not be.is_zero(v) for v in rows[r][4:]):
-            raise InvalidSpec("no matrix Lambda satisfies the star system")
-    lam = [[be.zero] * 4 for _ in range(4)]
-    for r, col in enumerate(pivots):
-        for mu in range(4):
-            lam[mu][col] = rows[r][4 + mu]
-    return lam
+    if any(not be.is_zero(v) for row in rows[4:] for v in row[4:]):
+        raise InvalidSpec("no matrix Lambda satisfies the star system")
+    # rows[nu] is now the pivot row of column nu: (0..1..0 | lam[.][nu])
+    return [[rows[nu][4 + mu] for nu in range(4)] for mu in range(4)]
 
 
 def lambda_closed_form(params: DeformParams, backend: Backend) -> list:
@@ -205,20 +183,23 @@ def lambda_closed_form(params: DeformParams, backend: Backend) -> list:
     ]
 
 
+def lambda_residuals(lam: list, be: Backend) -> tuple:
+    """Residuals of the symmetry Lambda^T = Lambda and the unitarity
+    Lambda Lambda^dagger = 1, as (symmetric, unitary)."""
+    sym = be.max_residual(lam[a][b] - lam[b][a] for a in range(4) for b in range(4))
+    uni = be.max_residual(
+        sum((lam[a][c] * lam[b][c].conjugate() for c in range(4)), be.zero)
+        - (be.one if a == b else be.zero)
+        for a in range(4) for b in range(4))
+    return sym, uni
+
+
 def lambda_reports(alg: Algebra, ys: YSystem) -> list:
     """Symmetry, unitarity, star identity, and closed-form agreement."""
     be = alg.backend
     lam = ys.lam
-    tol = 0.0 if be.exact else be.tol
-    sym = max(be.residual(lam[a][b] - lam[b][a]) for a in range(4) for b in range(4))
-    uni = 0.0
-    for a in range(4):
-        for b in range(4):
-            acc = be.zero
-            for c in range(4):
-                acc = acc + lam[a][c] * lam[b][c].conjugate()
-            target = be.one if a == b else be.zero
-            uni = max(uni, be.residual(acc - target))
+    tol = be.tol
+    sym, uni = lambda_residuals(lam, be)
     star = 0.0
     for mu in range(4):
         diff = ys.Ystar[mu] - sum((lam[mu][nu] * ys.Y[nu] for nu in range(4)),
@@ -231,7 +212,7 @@ def lambda_reports(alg: Algebra, ys: YSystem) -> list:
     ]
     if ys.params is not None:
         closed = lambda_closed_form(ys.params, be)
-        dev = max(be.residual(lam[a][b] - closed[a][b]) for a in range(4) for b in range(4))
+        dev = be.max_residual(lam[a][b] - closed[a][b] for a in range(4) for b in range(4))
         out.append(ConditionReport("lambda_closed_form", dev <= tol, dev, None))
     return out
 
@@ -249,13 +230,15 @@ def _quat_star(ys: YSystem):
 def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     """All defining identities of the two spheres, each as a ConditionReport.
 
+    Lambda's own reports are not among them; lambda_reports gives those.
+
     Identities that hold in the quadratic algebra itself (the star forms,
     the commutation relations) are checked without any quotient; only the
     radius conditions use the sphere ideal.
     """
     alg = s.base
     be = alg.backend
-    tol = 0.0 if be.exact else be.tol
+    tol = be.tol
     one = alg.one()
     reports = []
 
@@ -378,7 +361,6 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
                 r, witness = rr, f"relation {idx + 1}"
         rep("family_commutation_relations", r, witness if r > tol else None)
 
-    reports.extend(lambda_reports(alg, ys))
     return reports
 
 
@@ -393,14 +375,12 @@ def check_normality(s: SphereAlgebra, ys: YSystem) -> dict:
     comms = [ys.Ystar[m] * ys.Y[m] - ys.Y[m] * ys.Ystar[m] for m in range(4)]
     normal = [c.is_zero() for c in comms]
     total = sum(comms, s.base.zero())
-    off_diag = max(be.residual(ys.lam[a][b]) for a in range(4) for b in range(4)
-                   if (a, b) not in ((0, 0), (1, 1), (2, 2), (3, 3)))
-    tol = 0.0 if be.exact else be.tol
+    off_diag = be.max_residual(ys.lam[a][b] for a in range(4) for b in range(4) if a != b)
     return {
         "normal": normal,
         "all_non_normal": not any(normal),
         "all_normal": all(normal),
-        "lambda_diagonal": off_diag <= tol,
+        "lambda_diagonal": off_diag <= be.tol,
         "sum_vanishes": total.is_zero(),
         "commutator_residuals": [_residual_exact(c) for c in comms],
     }
@@ -428,8 +408,7 @@ def suspension_reports(s3: SphereAlgebra, ys: YSystem) -> list:
     """Three-sphere radius in both orderings, and Y4^2 -> 0."""
     alg = s3.base
     one = alg.one()
-    be = alg.backend
-    tol = 0.0 if be.exact else be.tol
+    tol = alg.backend.tol
     s_star_y = sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())
     s_y_star = sum((ys.Y[m] * ys.Ystar[m] for m in range(4)), alg.zero())
     r1 = max(s3.residual(s_star_y - one), s3.residual(s_y_star - one))
@@ -448,8 +427,7 @@ def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
     plus-sign form of the first identity and the minus-sign form of the
     second, so the two presentations differ only by this substitution.
     """
-    be = s.base.backend
-    tol = 0.0 if be.exact else be.tol
+    tol = s.base.backend.tol
     Z = (-ys.Y[0], ys.Y[1], ys.Y[2], ys.Y[3])
     Zs = tuple(z.star() for z in Z)
     r = 0.0

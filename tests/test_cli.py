@@ -124,3 +124,16 @@ def test_json_report_validates_against_schema(tmp_path, capsys):
 def test_catalog_points_sit_on_the_sphere():
     for label in CATALOG:
         DeformParams.parse(label).validate(EXACT)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_main_rejects_bad_tolerance(tol, capsys):
+    assert main(["check", "--backend", "float", "--tol", tol, "--quiet"]) == 2
+    assert "InvalidSpec" in capsys.readouterr().err
+
+
+def test_sphere_report_names_are_unique():
+    report, _ = run(_spec(tasks=("sphere",)))
+    names = [r["name"] for r in report["tasks"]["sphere"]["reports"]]
+    assert "lambda_symmetric" in names
+    assert len(names) == len(set(names)), names

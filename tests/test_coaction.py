@@ -10,7 +10,8 @@ from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 coinvariant_report, coinvariants, derivation,
                                 derivation_reports, diagonal_coaction,
                                 hopf_antipode, hopf_counit,
-                                one_sided_left_coaction, right_corep_matrix)
+                                one_sided_left_coaction, right_corep_matrix,
+                                span_contains)
 from ncspheres.errors import DegreeOverflow
 from ncspheres.scalars import EXACT, float_backend
 
@@ -166,3 +167,11 @@ def test_float_backend_coaction_residuals(pyth):
     assert canonical_witness(co)["max_residual"] <= 1e-9
     for r in derivation_reports(s, ys):
         assert r.passed and r.max_residual <= 1e-9
+
+
+def test_span_contains_rejects_a_non_coinvariant(pyth):
+    _, alg, _, ys = pyth
+    k2 = coinvariants(alg, 2)
+    x = alg.x1(0)
+    assert not span_contains(alg, k2, x * x)
+    assert span_contains(alg, k2, ys.Y[0])

@@ -120,7 +120,6 @@ def test_perturbed_tensor_fails_yang_baxter():
     """Fault injection: a single entry off by 1/7 must be caught."""
     R = build_R_quaternionic(DeformParams.parse("3/5,4/5,0"), EXACT)
     R.data[1][2][2][1] = R.data[1][2][2][1] + GaussRational(Fraction(1, 7), 0)
-    R._items = None
     reports = check_all_conditions(R)
     assert not all(r.passed for r in reports)
     ybe = check_yang_baxter(R)
@@ -222,3 +221,30 @@ def test_float_backend_residuals_small():
     for r in check_all_conditions(R):
         assert r.passed
         assert r.max_residual <= 1e-9
+
+
+def test_items_reads_current_entries():
+    """items() sees every write to R.data, and tests zero exactly."""
+    p = DeformParams.parse("3/5,4/5,0")
+    R = build_R_quaternionic(p, EXACT)
+    before = R.items()
+    assert all(not c.is_zero() for _, c in before)
+    R.data[0][1][2][3] = GaussRational(Fraction(1, 7), 0)
+    after = R.items()
+    assert len(after) == len(before) + 1
+    assert ((0, 1, 2, 3), GaussRational(Fraction(1, 7), 0)) in after
+    R.data[0][1][2][3] = EXACT.zero
+    assert R.items() == before
+    Rf = build_R_quaternionic(p, float_backend())
+    n = len(Rf.items())
+    Rf.data[0][1][2][3] = 1e-12 + 0j
+    assert len(Rf.items()) == n + 1
+
+
+def test_invert_16x16_rejects_singular_tensor():
+    R = build_R_quaternionic(DeformParams.parse("3/5,4/5,0"), EXACT)
+    for beta in range(4):
+        for mu in range(4):
+            R.data[0][0][beta][mu] = EXACT.zero
+    with pytest.raises(ZeroDivisionError):
+        invert_16x16(R)

@@ -8,7 +8,7 @@ from ncspheres.errors import (MalformedNumber, NegativeInput,
                               NotAPerfectSquare, ZeroDenominator)
 from ncspheres.scalars import (EXACT, GaussRational, float_backend,
                                format_rational, is_perfect_square,
-                               parse_rational, sqrt_exact)
+                               parse_rational, row_reduce, sqrt_exact)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=40)
 gauss = st.builds(GaussRational, rationals, rationals)
@@ -105,3 +105,46 @@ def test_backend_conversion_agrees(re, im):
     z = GaussRational(re, im)
     fz = float_backend(1e-9).convert(z)
     assert abs(fz - complex(float(re), float(im))) < 1e-12
+
+
+def test_row_reduce_inverts_exactly():
+    g = GaussRational
+    A = [[g(2), g(1, 1), g(0)],
+         [g(0, 1), g(3), g(1)],
+         [g(1), g(0), g(Fraction(1, 2))]]
+    n = len(A)
+    rows = [A[i] + [EXACT.one if i == j else EXACT.zero for j in range(n)]
+            for i in range(n)]
+    assert row_reduce(rows, n, EXACT) == [0, 1, 2]
+    for i in range(n):
+        assert rows[i][:n] == [1 if i == j else 0 for j in range(n)]
+    inv = [row[n:] for row in rows]
+    for i in range(n):
+        for j in range(n):
+            prod = sum((A[i][k] * inv[k][j] for k in range(n)), EXACT.zero)
+            assert prod == (1 if i == j else 0)
+
+
+def test_row_reduce_rank_deficient():
+    g = GaussRational
+    rows = [[g(1), g(2), g(3), g(1)],
+            [g(2), g(4), g(6), g(2)],
+            [g(0), g(1), g(1), g(0)]]
+    assert row_reduce(rows, 3, EXACT) == [0, 1]
+    assert rows[0] == [1, 0, 1, 1]
+    assert rows[1] == [0, 1, 1, 0]
+    assert rows[2] == [0, 0, 0, 0]
+
+
+def test_row_reduce_skips_float_entries_below_tol():
+    def rows():
+        return [[1e-12 + 0j, 1 + 0j], [0j, 2 + 0j]]
+
+    coarse = rows()
+    # column 0 holds only 1e-12 <= tol: no pivot there; column 1 pivots on
+    # its largest entry, 2, and leaves the tiny entry where it was
+    assert row_reduce(coarse, 2, float_backend(1e-9)) == [1]
+    assert coarse == [[0, 1], [1e-12, 0]]
+    fine = rows()
+    assert row_reduce(fine, 2, float_backend(1e-15)) == [0, 1]
+    assert fine == [[1, 0], [0, 1]]

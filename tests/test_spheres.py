@@ -159,3 +159,17 @@ def test_float_backend_full_suite():
             + projection_checks(s):
         assert r.passed
         assert r.max_residual <= 1e-9
+
+
+def test_solve_star_matrix_rejects_dependent_y(pyth):
+    _, alg, _, ys = pyth
+    Y = (ys.Y[0], ys.Y[0], ys.Y[2], ys.Y[3])
+    with pytest.raises(InvalidSpec, match="linearly dependent"):
+        solve_star_matrix(alg, Y, ys.Ystar)
+
+
+def test_solve_star_matrix_rejects_inconsistent_system(pyth):
+    _, alg, _, ys = pyth
+    Ystar = (ys.Ystar[0] + alg.x1(0),) + tuple(ys.Ystar[1:])
+    with pytest.raises(InvalidSpec, match="no matrix Lambda"):
+        solve_star_matrix(alg, ys.Y, Ystar)
