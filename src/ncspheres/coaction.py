@@ -19,6 +19,7 @@ Leibniz rule; their joint kernels per degree are the coinvariants.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .errors import DegreeOverflow, InvalidSpec
 from .ncalg import NCPoly, basis_monomials, mono_key, mono_unit_vec
@@ -216,10 +217,20 @@ def hopf_delta_gen(backend, mu: int) -> HChain:
     return out
 
 
+_HOPF_GENS = weakref.WeakKeyDictionary()
+
+
+def _hopf_gens(backend) -> tuple:
+    """hopf_delta_gen for mu = 0..3, built once per backend; shared, so never mutated."""
+    if backend not in _HOPF_GENS:
+        _HOPF_GENS[backend] = tuple(hopf_delta_gen(backend, mu) for mu in range(4))
+    return _HOPF_GENS[backend]
+
+
 def hopf_delta(f: CommPoly) -> HChain:
     """Coproduct as an algebra map H -> H (x) H."""
     be = f.backend
-    gens = [hopf_delta_gen(be, mu) for mu in range(4)]
+    gens = _hopf_gens(be)
     unit = HChain(be, 2, {(H_ONE, H_ONE): be.one})
     out = HChain(be, 2, {})
     for m, c in f.terms.items():

@@ -1,7 +1,10 @@
 """Scalar arithmetic: exact Gaussian rationals and a float-complex twin.
 
-The exact scalar is a + b*i with a, b reduced rationals (arbitrary precision).
-The float backend mirrors the same operations on machine complex numbers with
+The exact scalar is (a + b*i)/d with a, b, d Python ints (arbitrary
+precision), d > 0 and gcd(a, b, d) == 1, so each value has one
+representation.  Each field operation multiplies ints and normalises once
+by a gcd; no Fraction is built on the arithmetic path.  The float backend
+mirrors the same operations on machine complex numbers with
 tolerance-based zero tests, so every higher layer can run on either backend
 unchanged.  GaussRational deliberately mimics the small slice of the builtin
 ``complex`` API that the rest of the package uses (``conjugate``, ``real``,
@@ -34,9 +37,13 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Inverse of parse_rational; integers print without the slash."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _format_ratio(q.numerator, q.denominator)
+
+
+def _format_ratio(n: int, d: int) -> str:
+    """n/d (d > 0) in lowest terms, as format_rational prints it."""
+    g = math.gcd(n, d)
+    return str(n // d) if g == d else f"{n // g}/{d // g}"
 
 
 def sqrt_exact(q: Fraction) -> Fraction:
@@ -63,18 +70,23 @@ def is_perfect_square(q: Fraction) -> bool:
 
 
 class GaussRational:
-    """Immutable Gaussian rational a + b*i.
+    """Immutable Gaussian rational (a + b*i)/d held as three Python ints.
 
-    Field operations are exact; hashing and equality are structural, so
-    values are safe as dict keys and across threads.
+    The invariants d > 0 and gcd(a, b, d) == 1 make the triple canonical,
+    so equality and hashing are structural and values are safe as dict
+    keys.  Every field operation does integer products and then one gcd,
+    in ``_make``; ``re``, ``im``, ``real`` and ``imag`` are Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        # object.__setattr__ not needed; slots plus convention keep this immutable
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(f"GaussRational needs int or Fraction parts, not {re!r}, {im!r}")
+        q, s = re.denominator, im.denominator
+        a, b, d = re.numerator * s, im.numerator * q, q * s
+        g = math.gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
 
     # -- constructors -------------------------------------------------
 
@@ -94,107 +106,128 @@ class GaussRational:
     # -- complex-like API ---------------------------------------------
 
     @property
-    def real(self) -> Fraction:
-        return self.re
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
     @property
-    def imag(self) -> Fraction:
-        return self.im
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    real, imag = re, im
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def norm2(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return not self._a and not self._b
 
     def inverse(self) -> "GaussRational":
-        n2 = self.norm2()
-        if not n2:
-            raise ZeroDivisionError("inverse of zero GaussRational")
-        return GaussRational(self.re / n2, -self.im / n2)
+        return 1 / self
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRational(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __add__(self, o):
+        if type(o) is not GaussRational and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _make(self._a + o._a, self._b + o._b, d)
+        return _make(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __sub__(self, o):
+        if type(o) is not GaussRational and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _make(self._a - o._a, self._b - o._b, d)
+        return _make(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(o.re - self.re, o.im - self.im)
+    def __rsub__(self, o):
+        o = _coerce(o)
+        return NotImplemented if o is None else o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __mul__(self, o):
+        if type(o) is not GaussRational and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussRational(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _make(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __truediv__(self, o):
+        if type(o) is not GaussRational and (o := _coerce(o)) is None:
             return NotImplemented
-        return self * o.inverse()
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, o._a, o._b, o._d
+        if not c and not e:
+            raise ZeroDivisionError("division by zero GaussRational")
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, self._d * (c * c + e * e))
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    def __rtruediv__(self, o):
+        o = _coerce(o)
+        return NotImplemented if o is None else o / self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __eq__(self, o):
+        if type(o) is not GaussRational and (o := _coerce(o)) is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __abs__(self) -> float:
-        return math.sqrt(float(self.norm2()))
+        # int true division is correctly rounded, as Fraction.__float__ is
+        a, b, d = self._a, self._b, self._d
+        return math.sqrt((a * a + b * b) / (d * d))
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        return f"({format_rational(self.re)},{format_rational(self.im)})"
+        return f"({_format_ratio(self._a, self._d)},{_format_ratio(self._b, self._d)})"
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
+
+
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> GaussRational:
+    """A GaussRational from a triple that already meets the invariants."""
+    z = _new(GaussRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _make(a: int, b: int, d: int) -> GaussRational:
+    """A GaussRational from any triple with d > 0: one gcd normalisation."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new(GaussRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _coerce(value):
+    """An int or Fraction as a GaussRational; None for anything else."""
+    if isinstance(value, GaussRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return _raw(value.numerator, 0, value.denominator)
+    return None
 
 
 class Backend:
@@ -226,13 +259,7 @@ class Backend:
     def convert(self, value):
         """Coerce a scalar of either backend into this one (exact->float only)."""
         if self.exact:
-            if isinstance(value, GaussRational):
-                return value
-            if isinstance(value, (int, Fraction)):
-                return GaussRational(value, 0)
-            raise TypeError(f"cannot convert {value!r} to exact scalar")
-        if isinstance(value, GaussRational):
-            return complex(value)
+            return value if isinstance(value, GaussRational) else GaussRational(value, 0)
         return complex(value)
 
     def is_zero(self, value) -> bool:

@@ -35,6 +35,12 @@ from conftest import make_point
 
 MAIN = "3/5,4/5,0"
 
+# chain digests at MAIN: (number of terms, sha256 of the canonical terms)
+CH2_DIGEST = (172032,
+              "e27a737cbc7ca2a5174382cd3e4801bd70dc0ec8c99034896532d069e2d26560")
+CH_3HALF_DIGEST = (8192,
+                   "d6b0f0010acaec829ae2730689fe5c588c0e595a97b5ea59e5f88f6463a1dcee")
+
 CONDITION_NAMES = ["reality", "symmetry_chain", "quadratic_1", "quadratic_2",
                    "involutive", "yang_baxter"]
 
@@ -134,12 +140,21 @@ def test_c6_homology_suite_at_main_point(catalog):
     assert ch0.is_zero() and ch1.is_zero()
     assert not ch2.is_zero()
     assert b_boundary(ch2).is_zero()
+    d2 = ch2.digest()
+    assert (d2["n_terms"], d2["sha256"]) == CH2_DIGEST
     ctx3 = ChainContext(three_sphere_context(s, ys))
     U = embed_M2(ys.Y, s.base.backend.i)
     assert chern_odd(ctx3, U, 0).is_zero()
     ch32 = chern_odd(ctx3, U, 1)
     assert not ch32.is_zero()
     assert b_boundary(ch32).is_zero()
+    d32 = ch32.digest()
+    assert (d32["n_terms"], d32["sha256"]) == CH_3HALF_DIGEST
+    # negative control: one perturbed coefficient is no longer a cycle
+    bad = ch32.copy()
+    key = ch32.canonical_terms()[0][0]
+    bad.terms[key] = bad.terms[key] + 1
+    assert not b_boundary(bad).is_zero()
     # transgression: both sides built from independently computed components
     assert B_boundary(ch0) == b_boundary(ch1)
     assert B_boundary(ch1) == b_boundary(ch2)

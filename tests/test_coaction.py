@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncspheres import coaction
 from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 check_comodule_algebra, check_hopf_axioms,
                                 coinvariant_report, coinvariants, derivation,
@@ -32,6 +33,24 @@ def test_hopf_axioms_exact():
 def test_hopf_axioms_float():
     for rep in check_hopf_axioms(float_backend()):
         assert rep.passed and rep.max_residual <= 1e-9
+
+
+def test_hopf_generators_are_built_once_per_backend(monkeypatch):
+    built = []
+    original = coaction.hopf_delta_gen
+
+    def counting(backend, mu):
+        built.append(mu)
+        return original(backend, mu)
+
+    monkeypatch.setattr(coaction, "hopf_delta_gen", counting)
+    be = float_backend()
+    first = check_hopf_axioms(be)
+    assert check_hopf_axioms(be) == first
+    assert sorted(built) == [0, 1, 2, 3]
+    # the shared chains are still the coproducts of the generators
+    for mu, gen in enumerate(coaction._hopf_gens(be)):
+        assert gen.terms == original(be, mu).terms
 
 
 def test_norm_relation_is_built_in():

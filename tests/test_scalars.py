@@ -1,3 +1,5 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,106 @@ def test_gauss_inverse(a):
 def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a * a.conjugate()).im == 0
+
+
+# the same operations on a (Fraction, Fraction) pair: the reference for the
+# int-triple kernel
+def _oracle_div(x, y):
+    (p, q), (r, s) = x, y
+    n = r * r + s * s
+    if not n:
+        raise ZeroDivisionError("oracle division by zero")
+    return (p * r + q * s) / n, (q * r - p * s) / n
+
+
+ORACLE = {
+    operator.add: lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    operator.sub: lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    operator.mul: lambda x, y: (x[0] * y[0] - x[1] * y[1],
+                                x[0] * y[1] + x[1] * y[0]),
+    operator.truediv: _oracle_div,
+}
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6,
+                              max_denominator=10**6)
+wide_gauss = st.builds(GaussRational, wide_rationals, wide_rationals)
+real_operands = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                          wide_rationals)
+
+
+def _pair(z):
+    if isinstance(z, GaussRational):
+        return z.re, z.im
+    return Fraction(z), Fraction(0)
+
+
+def _assert_matches(z, pair):
+    """z is canonical and agrees with the oracle pair in value, str, abs
+    and complex, bit for bit."""
+    re, im = pair
+    assert isinstance(z, GaussRational)
+    assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+    assert (z.re, z.im) == (re, im)
+    assert (z.real, z.imag) == (re, im)
+    assert str(z) == f"({format_rational(re)},{format_rational(im)})"
+    assert abs(z) == math.sqrt(float(re * re + im * im))
+    assert complex(z) == complex(float(re), float(im))
+    assert z == GaussRational(re, im)
+    assert hash(z) == hash(GaussRational(re, im))
+
+
+@given(wide_gauss, st.one_of(wide_gauss, real_operands),
+       st.sampled_from(sorted(ORACLE, key=lambda f: f.__name__)))
+def test_gauss_kernel_matches_fraction_pair_oracle(x, y, op):
+    """Both operand orders, with a GaussRational, int or Fraction on the
+    other side, so __radd__, __rsub__, __rmul__ and __rtruediv__ run too."""
+    for left, right in ((x, y), (y, x)):
+        try:
+            want = ORACLE[op](_pair(left), _pair(right))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(left, right)
+            continue
+        _assert_matches(op(left, right), want)
+
+
+@given(wide_gauss)
+def test_gauss_unary_ops_match_fraction_pair_oracle(x):
+    re, im = x.re, x.im
+    _assert_matches(x, (re, im))
+    _assert_matches(-x, (-re, -im))
+    _assert_matches(+x, (re, im))
+    _assert_matches(x.conjugate(), (re, -im))
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        n = re * re + im * im
+        _assert_matches(x.inverse(), (re / n, -im / n))
+
+
+@given(wide_gauss, wide_gauss)
+def test_equal_values_hash_equal(x, y):
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x)
+    if not y.is_zero():
+        w = (x * y) / y
+        assert w == x and hash(w) == hash(x)
+
+
+def test_inverse_of_zero_raises():
+    zero = GaussRational(0, 0)
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        1 / zero
+    with pytest.raises(ZeroDivisionError):
+        GaussRational(1, 1) / zero
+
+
+@pytest.mark.parametrize("re, im", [(0.1, 0), (0, 0.5), (1j, 0), (0, "1/2")])
+def test_gauss_rejects_non_rational_components(re, im):
+    with pytest.raises(TypeError):
+        GaussRational(re, im)
 
 
 def test_exact_backend_zero_test_is_exact():
