@@ -25,7 +25,7 @@ from .errors import DegreeOverflow, InvalidSpec
 from .ncalg import NCPoly, basis_monomials, mono_key, mono_unit_vec
 from .quatlin import epsilon, quat_basis_product, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport
-from .scalars import Backend, row_reduce
+from .scalars import Backend, Sparse, add_into, row_reduce
 from .spheres import SphereAlgebra
 
 H_ONE = (0, 0, 0, 0)
@@ -37,8 +37,7 @@ def _reduce_hmono(mono, coeff, out):
     while stack:
         m, c = stack.pop()
         if m[3] < 2:
-            got = out.get(m)
-            out[m] = c if got is None else got + c
+            add_into(out, m, c)
             continue
         base = (m[0], m[1], m[2], m[3] - 2)
         stack.append((base, c))
@@ -49,10 +48,10 @@ def _reduce_hmono(mono, coeff, out):
     return out
 
 
-class CommPoly:
+class CommPoly(Sparse):
     """Element of H: commutative polynomial in w0..w3 mod the unit norm."""
 
-    __slots__ = ("backend", "terms")
+    __slots__ = ("backend",)
 
     def __init__(self, backend: Backend, terms):
         self.backend = backend
@@ -60,6 +59,9 @@ class CommPoly:
         for m, c in terms.items():
             _reduce_hmono(m, c, acc)
         self.terms = {m: c for m, c in acc.items() if not backend.is_zero(c)}
+
+    def _new(self, terms) -> "CommPoly":
+        return CommPoly(self.backend, terms)
 
     @classmethod
     def zero(cls, backend):
@@ -74,33 +76,15 @@ class CommPoly:
         m = tuple(1 if i == mu else 0 for i in range(4))
         return cls(backend, {m: backend.one})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            got = out.get(m)
-            out[m] = c if got is None else got + c
-        return CommPoly(self.backend, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CommPoly(self.backend, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, CommPoly):
             out = {}
             for m, c in self.terms.items():
                 for n, d in other.terms.items():
                     k = (m[0] + n[0], m[1] + n[1], m[2] + n[2], m[3] + n[3])
-                    got = out.get(k)
-                    cd = c * d
-                    out[k] = cd if got is None else got + cd
+                    add_into(out, k, c * d)
             return CommPoly(self.backend, out)
-        return CommPoly(self.backend, {m: c * other for m, c in self.terms.items()})
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -120,39 +104,21 @@ class CommPoly:
             total = total + v
         return total
 
-    def __eq__(self, other):
-        if not isinstance(other, CommPoly):
-            return NotImplemented
-        return (self - other).is_zero()
 
-    __hash__ = None
-
-
-class HChain:
+class HChain(Sparse):
     """Element of H^{(x) k}, used for the Hopf-axiom checks."""
 
-    __slots__ = ("backend", "k", "terms")
+    __slots__ = ("backend",)
 
-    def __init__(self, backend, k, terms):
+    def __init__(self, backend, terms):
         self.backend = backend
-        self.k = k
         acc = {}
         for key, c in terms.items():
             _expand_reduced(key, c, acc, backend)
         self.terms = {m: c for m, c in acc.items() if not backend.is_zero(c)}
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            got = out.get(m)
-            out[m] = c if got is None else got + c
-        return HChain(self.backend, self.k, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-self.backend.one)
-
-    def scale(self, c):
-        return HChain(self.backend, self.k, {m: c * v for m, v in self.terms.items()})
+    def _new(self, terms) -> "HChain":
+        return HChain(self.backend, terms)
 
     def __mul__(self, other):
         out = {}
@@ -160,13 +126,8 @@ class HChain:
             for n, d in other.terms.items():
                 key = tuple((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
                             for a, b in zip(m, n))
-                got = out.get(key)
-                cd = c * d
-                out[key] = cd if got is None else got + cd
-        return HChain(self.backend, self.k, out)
-
-    def is_zero(self):
-        return not self.terms
+                add_into(out, key, c * d)
+        return HChain(self.backend, out)
 
 
 def _expand_reduced(key, coeff, out, backend):
@@ -177,8 +138,7 @@ def _expand_reduced(key, coeff, out, backend):
         c = coeff
         for _, v in combo:
             c = c * v
-        got = out.get(k)
-        out[k] = c if got is None else got + c
+        add_into(out, k, c)
 
 
 def tensor_of(*polys):
@@ -189,9 +149,8 @@ def tensor_of(*polys):
         c = be.one
         for _, v in combo:
             c = c * v
-        got = out.get(key)
-        out[key] = c if got is None else got + c
-    return HChain(be, len(polys), out)
+        add_into(out, key, c)
+    return HChain(be, out)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +190,8 @@ def hopf_delta(f: CommPoly) -> HChain:
     """Coproduct as an algebra map H -> H (x) H."""
     be = f.backend
     gens = _hopf_gens(be)
-    unit = HChain(be, 2, {(H_ONE, H_ONE): be.one})
-    out = HChain(be, 2, {})
+    unit = HChain(be, {(H_ONE, H_ONE): be.one})
+    out = HChain(be, {})
     for m, c in f.terms.items():
         term = unit.scale(c)
         for mu in range(4):
@@ -252,10 +211,7 @@ def hopf_antipode(f: CommPoly) -> CommPoly:
     """Quaternion conjugation: w0 -> w0, w^a -> -w^a."""
     out = {}
     for m, c in f.terms.items():
-        sign = (-1) ** (m[1] + m[2] + m[3])
-        got = out.get(m)
-        v = c if sign > 0 else -c
-        out[m] = v if got is None else got + v
+        add_into(out, m, c if (m[1] + m[2] + m[3]) % 2 == 0 else -c)
     return CommPoly(f.backend, out)
 
 
@@ -270,19 +226,15 @@ def check_hopf_axioms(backend: Backend) -> list:
     for f in elements:
         df = hopf_delta(f)
         # (Delta (x) id) Delta = (id (x) Delta) Delta
-        left = HChain(be, 3, {})
-        right = HChain(be, 3, {})
+        left = HChain(be, {})
+        right = HChain(be, {})
         for (m1, m2), c in df.terms.items():
             d1 = hopf_delta(CommPoly(be, {m1: be.one}))
             for (a, bm), cc in d1.terms.items():
-                key = (a, bm, m2)
-                got = left.terms.get(key)
-                left.terms[key] = c * cc if got is None else got + c * cc
+                add_into(left.terms, (a, bm, m2), c * cc)
             d2 = hopf_delta(CommPoly(be, {m2: be.one}))
             for (a, bm), cc in d2.terms.items():
-                key = (m1, a, bm)
-                got = right.terms.get(key)
-                right.terms[key] = c * cc if got is None else got + c * cc
+                add_into(right.terms, (m1, a, bm), c * cc)
         coassoc = max(coassoc, be.max_residual((left - right).terms.values()))
         # (eps (x) id) Delta = id = (id (x) eps) Delta
         lc = CommPoly.zero(be)
@@ -313,11 +265,11 @@ def check_hopf_axioms(backend: Backend) -> list:
 # ---------------------------------------------------------------------------
 
 
-class MixedElement:
+class MixedElement(Sparse):
     """Sparse element of A(S7_R) (x) H; A-slots sphere-reduced, H-slots
     norm-reduced."""
 
-    __slots__ = ("sphere", "terms")
+    __slots__ = ("sphere",)
 
     def __init__(self, sphere: SphereAlgebra, terms):
         self.sphere = sphere
@@ -328,6 +280,9 @@ class MixedElement:
                 _merge_mixed(acc, am2, hm, c * c2)
         self.terms = {k: v for k, v in acc.items() if not be.is_zero(v)}
 
+    def _new(self, terms) -> "MixedElement":
+        return MixedElement(self.sphere, terms)
+
     @classmethod
     def from_poly(cls, sphere, f: NCPoly, h: CommPoly | None = None):
         be = sphere.base.backend
@@ -335,29 +290,8 @@ class MixedElement:
         terms = {}
         for m, c in f.terms.items():
             for hm, hc in hterms.items():
-                got = terms.get((m, hm))
-                v = c * hc
-                terms[(m, hm)] = v if got is None else got + v
+                add_into(terms, (m, hm), c * hc)
         return cls(sphere, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            got = out.get(k)
-            out[k] = c if got is None else got + c
-        return MixedElement(self.sphere, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MixedElement(self.sphere, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        return MixedElement(self.sphere, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         alg = self.sphere.base
@@ -367,9 +301,7 @@ class MixedElement:
                 cd = c * d
                 hk = (hm[0] + hn[0], hm[1] + hn[1], hm[2] + hn[2], hm[3] + hn[3])
                 for ak, e in alg.mono_mul(am, an).items():
-                    got = out.get((ak, hk))
-                    v = cd * e
-                    out[(ak, hk)] = v if got is None else got + v
+                    add_into(out, (ak, hk), cd * e)
         return MixedElement(self.sphere, out)
 
     def star(self):
@@ -378,27 +310,16 @@ class MixedElement:
         for (am, hm), c in self.terms.items():
             cc = c.conjugate()
             for ak, e in alg.star_mono(am).items():
-                got = out.get((ak, hm))
-                v = cc * e
-                out[(ak, hm)] = v if got is None else got + v
+                add_into(out, (ak, hm), cc * e)
         return MixedElement(self.sphere, out)
 
     def residual(self) -> float:
         return self.sphere.base.backend.max_residual(self.terms.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, MixedElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
 
 def _merge_mixed(acc, am, hm, coeff):
     for hm2, c2 in _reduce_hmono(hm, coeff, {}).items():
-        k = (am, hm2)
-        got = acc.get(k)
-        acc[k] = c2 if got is None else got + c2
+        add_into(acc, (am, hm2), c2)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +474,7 @@ def _corep_axioms_residual(co: Coaction) -> float:
         for mu in range(4):
             for rho in range(4):
                 lhs = hopf_delta(h[mu][rho])
-                rhs = HChain(be, 2, {})
+                rhs = HChain(be, {})
                 for nu in range(4):
                     rhs = rhs + tensor_of(h[nu][rho], h[mu][nu])
                 res = max(res, be.max_residual((lhs - rhs).terms.values()))

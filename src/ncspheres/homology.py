@@ -24,6 +24,7 @@ from fractions import Fraction
 from .errors import DegreeZero, NotUnitaryEnough
 from .ncalg import NCPoly, mono_key
 from .quatlin import Mat
+from .scalars import Sparse, add_into
 from .spheres import SphereAlgebra, lambda_residuals
 
 UNIT_ID = 0
@@ -38,6 +39,8 @@ class ChainContext:
         self.backend = sphere.base.backend
         self._monos = [(0,) * 8]
         self._ids = {(0,) * 8: UNIT_ID}
+        # mono_key of each interned monomial, by id: the canonical sort key
+        self.mono_keys = [mono_key((0,) * 8)]
         self._poly_cache = {}
         self._pair_cache = {}
 
@@ -47,6 +50,7 @@ class ChainContext:
             got = len(self._monos)
             self._monos.append(mono)
             self._ids[mono] = got
+            self.mono_keys.append(mono_key(mono))
         return got
 
     def mono(self, mid: int):
@@ -67,8 +71,7 @@ class ChainContext:
             acc = {}
             for m, c in raw.items():
                 for mm, cc in self.sphere.context.reduce_mono(m).items():
-                    v = acc.get(mm)
-                    acc[mm] = c * cc if v is None else v + c * cc
+                    add_into(acc, mm, c * cc)
             got = tuple((self.intern(m), c) for m, c in sorted(acc.items(), key=lambda kv: mono_key(kv[0]))
                         if not be.is_zero(c))
             self._pair_cache[key] = got
@@ -80,10 +83,10 @@ class ChainContext:
         return self.backend.convert(v)
 
 
-class TensorChain:
+class TensorChain(Sparse):
     """Sparse normalized chain; backed by a ChainContext."""
 
-    __slots__ = ("ctx", "degree", "terms")
+    __slots__ = ("ctx", "degree")
 
     def __init__(self, ctx: ChainContext, degree: int, terms=None):
         self.ctx = ctx
@@ -91,8 +94,8 @@ class TensorChain:
         be = ctx.backend
         self.terms = {k: v for k, v in (terms or {}).items() if not be.is_zero(v)}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms) -> "TensorChain":
+        return TensorChain(self.ctx, self.degree, terms)
 
     def n_terms(self) -> int:
         return len(self.terms)
@@ -103,32 +106,23 @@ class TensorChain:
     def __add__(self, other: "TensorChain") -> "TensorChain":
         if other.degree != self.degree and other.terms and self.terms:
             raise ValueError("degree mismatch in chain addition")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            got = out.get(k)
-            out[k] = v if got is None else got + v
-        return TensorChain(self.ctx, self.degree if self.terms or not other.terms else other.degree, out)
+        out = super().__add__(other)
+        if other.terms and not self.terms:
+            out.degree = other.degree
+        return out
 
     def __sub__(self, other: "TensorChain") -> "TensorChain":
+        # not self + (-other): -c and (-1+0j)*c differ in the sign of a
+        # float zero, which str() and so the digest would show
         return self + other.scale(-1)
 
     def scale(self, c) -> "TensorChain":
-        c = self.ctx.scalar(c)
-        return TensorChain(self.ctx, self.degree,
-                           {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorChain):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
+        return super().scale(self.ctx.scalar(c))
 
     def canonical_terms(self):
         """Terms sorted by the slot monomials' graded-lex keys."""
-        def key(item):
-            return tuple(mono_key(self.ctx.mono(i)) for i in item[0])
-        return sorted(self.terms.items(), key=key)
+        keys = self.ctx.mono_keys
+        return sorted(self.terms.items(), key=lambda item: tuple(keys[i] for i in item[0]))
 
     def digest(self) -> dict:
         h = hashlib.sha256()
@@ -148,7 +142,6 @@ class TensorChain:
 
 def chain_from_slots(ctx: ChainContext, slots, coeff=1) -> TensorChain:
     """Multilinear expansion of a pure tensor of polynomials into a chain."""
-    be = ctx.backend
     coeff = ctx.scalar(coeff)
     expansions = []
     for pos, f in enumerate(slots):
@@ -165,8 +158,7 @@ def chain_from_slots(ctx: ChainContext, slots, coeff=1) -> TensorChain:
 
 def _expand_product(expansions, pos, prefix, coeff, out):
     if pos == len(expansions):
-        got = out.get(prefix)
-        out[prefix] = coeff if got is None else got + coeff
+        add_into(out, prefix, coeff)
         return
     for mid, c in expansions[pos]:
         _expand_product(expansions, pos + 1, prefix + (mid,), coeff * c, out)
@@ -190,15 +182,10 @@ def b_boundary(chain: TensorChain) -> TensorChain:
             for mid, c in ctx.pair_product(key[i], key[i + 1]):
                 if mid == UNIT_ID and i > 0:
                     continue
-                nk = key[:i] + (mid,) + key[i + 2:]
-                v = out.get(nk)
-                nv = sign * c if v is None else v + sign * c
-                out[nk] = nv
+                add_into(out, key[:i] + (mid,) + key[i + 2:], sign * c)
         sign = coeff if n % 2 == 0 else -coeff
         for mid, c in ctx.pair_product(key[n], key[0]):
-            nk = (mid,) + key[1:n]
-            v = out.get(nk)
-            out[nk] = sign * c if v is None else v + sign * c
+            add_into(out, (mid,) + key[1:n], sign * c)
     return TensorChain(ctx, n - 1, out)
 
 
@@ -212,10 +199,7 @@ def B_boundary(chain: TensorChain) -> TensorChain:
             rotated = key[i:] + key[:i]
             if any(mid == UNIT_ID for mid in rotated):
                 continue
-            sign = coeff if (n * i) % 2 == 0 else -coeff
-            nk = (UNIT_ID,) + rotated
-            v = out.get(nk)
-            out[nk] = sign if v is None else v + sign
+            add_into(out, (UNIT_ID,) + rotated, coeff if (n * i) % 2 == 0 else -coeff)
     return TensorChain(ctx, n + 1, out)
 
 
@@ -230,7 +214,6 @@ def trace_chain(ctx: ChainContext, mats, coeff=1) -> TensorChain:
     Each matrix is a Mat over NCPoly; the result is the degree-n chain
     sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0].
     """
-    be = ctx.backend
     coeff = ctx.scalar(coeff)
     sizes = {len(m.rows) for m in mats}
     if len(sizes) != 1:
@@ -251,8 +234,7 @@ def trace_chain(ctx: ChainContext, mats, coeff=1) -> TensorChain:
         if pos == n:
             if i_cur != i_first:
                 return
-            got = out.get(prefix)
-            out[prefix] = c if got is None else got + c
+            add_into(out, prefix, c)
             return
         row = expanded[pos][i_cur]
         for i_next in range(r):

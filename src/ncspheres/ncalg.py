@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DegreeOverflow, MalformedNumber, NotCentral, TaskFailure
 from .rmatrix import RTensor
-from .scalars import Backend, GaussRational
+from .scalars import Backend, GaussRational, Sparse, add_into
 
 NGEN = 8
 X1 = range(0, 4)
@@ -116,9 +116,7 @@ class Algebra:
                 for (tail, beta2), c2 in self._swap_single(beta, rest).items():
                     out = list(tail)
                     out[mu] += 1
-                    k = (tuple(out), beta2)
-                    v = res.get(k)
-                    res[k] = c * c2 if v is None else v + c * c2
+                    add_into(res, (tuple(out), beta2), c * c2)
             res = {k: v for k, v in res.items() if not be.is_zero(v)}
         self._swap_single_cache[key] = res
         return res
@@ -142,9 +140,7 @@ class Algebra:
                 for (fin1, fin2), c2 in self._swap_block(rest2, mid1).items():
                     out2 = list(fin2)
                     out2[beta] += 1
-                    k = (fin1, tuple(out2))
-                    v = res.get(k)
-                    res[k] = c * c2 if v is None else v + c * c2
+                    add_into(res, (fin1, tuple(out2)), c * c2)
             res = {k: v for k, v in res.items() if not be.is_zero(v)}
         self._swap_block_cache[key] = res
         return res
@@ -161,8 +157,7 @@ class Algebra:
                 m1[0] + mid1[0], m1[1] + mid1[1], m1[2] + mid1[2], m1[3] + mid1[3],
                 mid2[0] + n2[0], mid2[1] + n2[1], mid2[2] + n2[2], mid2[3] + n2[3],
             )
-            v = out.get(key)
-            out[key] = c if v is None else v + c
+            add_into(out, key, c)
         return out
 
     def star_mono(self, m):
@@ -186,9 +181,6 @@ class Algebra:
         if not 0 <= g < NGEN:
             raise ValueError(f"generator id {g} out of range")
         return NCPoly(self, {mono_unit_vec(g): self.backend.one})
-
-    def gens(self):
-        return [self.generator(g) for g in range(NGEN)]
 
     def x1(self, k: int) -> "NCPoly":
         return self.generator(k)
@@ -249,33 +241,28 @@ class Algebra:
                 m = [0] * NGEN
                 for g in w:
                     m[g] += 1
-                key = tuple(m)
-                v = done.get(key)
-                done[key] = coeff if v is None else v + coeff
+                add_into(done, tuple(m), coeff)
                 continue
             i = pos[0] if strategy == "leftmost" else pos[-1]
             for w2, c in self.rewrite_word_once(w, i):
-                v = pending.get(w2)
-                nv = coeff * c if v is None else v + coeff * c
-                if be.is_zero(nv):
-                    pending.pop(w2, None)
-                else:
-                    pending[w2] = nv
+                add_into(pending, w2, coeff * c)
+                if be.is_zero(pending[w2]):
+                    del pending[w2]
         return NCPoly(self, done)
 
 
-class NCPoly:
+class NCPoly(Sparse):
     """Sparse normal-form polynomial {8-tuple monomial: scalar coefficient}."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: Algebra, terms):
         self.algebra = algebra
         be = algebra.backend
         self.terms = {m: c for m, c in terms.items() if not be.is_zero(c)}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms) -> "NCPoly":
+        return NCPoly(self.algebra, terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -301,32 +288,18 @@ class NCPoly:
 
     def __add__(self, other):
         if isinstance(other, NCPoly):
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                v = out.get(m)
-                out[m] = c if v is None else v + c
-            return NCPoly(self.algebra, out)
+            return super().__add__(other)
         s = self._scalar(other)
         if s is None:
             return NotImplemented
         out = dict(self.terms)
-        v = out.get(ZERO8)
-        out[ZERO8] = s if v is None else v + s
+        add_into(out, ZERO8, s)
         return NCPoly(self.algebra, out)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return NCPoly(self.algebra, {m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, NCPoly):
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                v = out.get(m)
-                out[m] = -c if v is None else v - c
-            return NCPoly(self.algebra, out)
-        return self.__add__(-self._ensure(other))
+        return self + (-self._ensure(other))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -347,27 +320,12 @@ class NCPoly:
                 for n, d in other.terms.items():
                     cd = c * d
                     for k, e in alg.mono_mul(m, n).items():
-                        v = out.get(k)
-                        out[k] = cd * e if v is None else v + cd * e
+                        add_into(out, k, cd * e)
             return NCPoly(alg, out)
         s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return NCPoly(self.algebra, {m: c * s for m, c in self.terms.items()})
+        return NotImplemented if s is None else self.scale(s)
 
-    def __rmul__(self, other):
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return NCPoly(self.algebra, {m: s * c for m, c in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of NCPoly")
-        out = self.algebra.one()
-        for _ in range(n):
-            out = out * self
-        return out
+    __rmul__ = __mul__
 
     def star(self) -> "NCPoly":
         """Antilinear antihomomorphism; generators are hermitian."""
@@ -376,21 +334,16 @@ class NCPoly:
         for m, c in self.terms.items():
             cc = c.conjugate()
             for k, e in alg.star_mono(m).items():
-                v = out.get(k)
-                out[k] = cc * e if v is None else v + cc * e
+                add_into(out, k, cc * e)
         return NCPoly(alg, out)
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self
 
     def __eq__(self, other):
-        if isinstance(other, NCPoly):
-            return (self - other).is_zero()
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (NCPoly, int, Fraction)):
             return (self - other).is_zero()
         return NotImplemented
-
-    __hash__ = None
 
     def __str__(self):
         return format_poly(self)
@@ -618,8 +571,7 @@ class ReductionContext:
                 raise DegreeOverflow(
                     f"degree {sum(m)} exceeds reduction cap {self.degree_cap}")
             for mm, cc in self.reduce_mono(m).items():
-                v = out.get(mm)
-                out[mm] = c * cc if v is None else v + c * cc
+                add_into(out, mm, c * cc)
         return NCPoly(self.alg, out)
 
     def equal(self, f: NCPoly, g: NCPoly) -> bool:

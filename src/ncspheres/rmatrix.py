@@ -94,7 +94,7 @@ class RTensor:
         if not isinstance(other, RTensor):
             return NotImplemented
         return all(
-            self.backend.eq(self.data[a][b][c][d], other.data[a][b][c][d])
+            self.backend.is_zero(self.data[a][b][c][d] - other.data[a][b][c][d])
             for a in range(N) for b in range(N) for c in range(N) for d in range(N)
         )
 

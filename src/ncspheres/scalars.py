@@ -1,4 +1,5 @@
-"""Scalar arithmetic: exact Gaussian rationals and a float-complex twin.
+"""Scalar arithmetic: exact Gaussian rationals, a float-complex twin, and
+the sparse-term core that every linear combination in the package uses.
 
 The exact scalar is (a + b*i)/d with a, b, d Python ints (arbitrary
 precision), d > 0 and gcd(a, b, d) == 1, so each value has one
@@ -9,6 +10,11 @@ tolerance-based zero tests, so every higher layer can run on either backend
 unchanged.  GaussRational deliberately mimics the small slice of the builtin
 ``complex`` API that the rest of the package uses (``conjugate``, ``real``,
 ``imag``), which is what makes the backends interchangeable.
+
+Polynomials, chains and tensor elements are all {key: coefficient} dicts.
+``add_into`` is their one accumulate step, and ``Sparse`` supplies the
+linear operations they share; each subclass keeps its own key
+normalisation and zero pruning in its constructor.
 """
 
 from __future__ import annotations
@@ -267,9 +273,6 @@ class Backend:
             return value.is_zero()
         return abs(value) <= self.tol
 
-    def eq(self, a, b) -> bool:
-        return self.is_zero(a - b)
-
     def residual(self, value) -> float:
         """Magnitude used in reports; exactly 0.0 for a vanishing exact value."""
         return abs(value)
@@ -321,3 +324,51 @@ def row_reduce(rows: list, ncols: int, be: Backend) -> list:
                 rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
         pivots.append(col)
     return pivots
+
+
+def add_into(out: dict, key, value) -> None:
+    """out[key] += value, inserting `value` itself when `key` is absent.
+
+    A missing key is never filled with zero + value: that sum would cost an
+    exact gcd and could flip the sign of a float zero, which ``str`` shows.
+    """
+    got = out.get(key)
+    out[key] = value if got is None else got + value
+
+
+class Sparse:
+    """A finite linear combination held as ``terms``, {key: coefficient}.
+
+    Subclasses supply ``_new(terms)``, their own constructor, which
+    normalises the keys and prunes zero coefficients.
+    """
+
+    __slots__ = ("terms",)
+
+    def _new(self, terms: dict):
+        raise NotImplementedError
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_into(out, k, c)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._new({k: c * v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    __hash__ = None

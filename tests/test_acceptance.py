@@ -10,6 +10,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,9 @@ from ncspheres.spheres import (build_projection, check_normality,
 from conftest import make_point
 
 MAIN = "3/5,4/5,0"
+
+# canonical outputs pinned byte for byte, so a refactor cannot change them
+GOLDEN = Path(__file__).parent / "golden"
 
 # chain digests at MAIN: (number of terms, sha256 of the canonical terms)
 CH2_DIGEST = (172032,
@@ -139,7 +143,8 @@ def test_c6_homology_suite_at_main_point(catalog):
     ch2 = chern_even(ctx, p_mat, 2)
     assert ch0.is_zero() and ch1.is_zero()
     assert not ch2.is_zero()
-    assert b_boundary(ch2).is_zero()
+    b_ch2 = b_boundary(ch2)
+    assert b_ch2.is_zero()
     d2 = ch2.digest()
     assert (d2["n_terms"], d2["sha256"]) == CH2_DIGEST
     ctx3 = ChainContext(three_sphere_context(s, ys))
@@ -157,7 +162,7 @@ def test_c6_homology_suite_at_main_point(catalog):
     assert not b_boundary(bad).is_zero()
     # transgression: both sides built from independently computed components
     assert B_boundary(ch0) == b_boundary(ch1)
-    assert B_boundary(ch1) == b_boundary(ch2)
+    assert B_boundary(ch1) == b_ch2
     assert time.perf_counter() - t0 < 300.0
 
 
@@ -210,6 +215,12 @@ def test_c8_float_backend_reproduces_exact_identities():
     _collect_residuals(report, residuals)
     assert len(residuals) > 20
     assert max(residuals) <= 1e-9
+    # the digests hash str() of every float coefficient, signed zeros
+    # included, and go through no abs/hypot, so they are pinned; the float
+    # residuals do go through them and may differ in the last bit between
+    # Python versions, so they are not
+    components = canonical_json(report["tasks"]["chern"]["components"])
+    assert components == (GOLDEN / "chern_float_components.json").read_text()
 
 
 def test_c9_sweep_reports_are_byte_identical():
@@ -220,3 +231,4 @@ def test_c9_sweep_reports_are_byte_identical():
     blob1 = canonical_json([rep for rep, _ in first])
     blob2 = canonical_json([rep for rep, _ in second])
     assert blob1 == blob2
+    assert blob1 == (GOLDEN / "sweep.json").read_text()

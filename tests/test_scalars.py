@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ncspheres.errors import (MalformedNumber, NegativeInput,
                               NotAPerfectSquare, ZeroDenominator)
-from ncspheres.scalars import (EXACT, GaussRational, float_backend,
+from ncspheres.scalars import (EXACT, GaussRational, add_into, float_backend,
                                format_rational, is_perfect_square,
                                parse_rational, row_reduce, sqrt_exact)
 
@@ -250,3 +250,14 @@ def test_row_reduce_skips_float_entries_below_tol():
     fine = rows()
     assert row_reduce(fine, 2, float_backend(1e-15)) == [0, 1]
     assert fine == [[1, 0], [0, 1]]
+
+
+def test_add_into_inserts_the_value_itself():
+    # 0j + (-0.0-0.0j) would be 0j: a fresh key must keep the signed zeros
+    out = {}
+    add_into(out, "k", complex(-0.0, -0.0))
+    assert str(out["k"]) == "(-0-0j)"
+    add_into(out, "k", 2 + 1j)
+    add_into(out, "j", GaussRational(1, 2))
+    add_into(out, "j", GaussRational(Fraction(-1, 2), 0))
+    assert out == {"k": 2 + 1j, "j": GaussRational(Fraction(1, 2), 2)}
