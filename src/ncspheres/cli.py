@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import (IrrationalEigenvalue, InvalidSpec, NCSpheresError,
-                     TaskFailure)
+from .errors import IrrationalEigenvalue, InvalidSpec, NCSpheresError
 from .homology import (B_boundary, ChainContext, b_boundary, chern_even,
                        chern_odd, check_vanzz_equivalence)
 from .ncalg import Algebra, basis_size, confluence_check
@@ -259,7 +258,7 @@ def _task_coaction(spec: RunSpec, state: dict) -> dict:
     passed = (all(r.passed for r in hopf) and comodule["passed"]
               and all(r.passed for r in derivs)
               and coinv["dim_degree_2"] == 6 and coinv["equals_y_span"]
-              and coinv.get("delta_fixes_kernel", True)
+              and coinv["delta_fixes_kernel"]
               and witness["passed"])
     return {
         "passed": passed,
@@ -308,10 +307,6 @@ def run(spec: RunSpec):
         t0 = time.perf_counter()
         try:
             result = _TASK_FNS[task](spec, state)
-        except TaskFailure as exc:
-            result = {"passed": False,
-                      "error": {"type": "TaskFailure", "task": exc.task,
-                                "detail": exc.detail}}
         except NCSpheresError as exc:
             result = {"passed": False,
                       "error": {"type": type(exc).__name__, "detail": str(exc)}}
@@ -407,30 +402,33 @@ def main(argv=None) -> int:
             results = sweep(points, backend_name=args.backend, tol=args.tol,
                             degree_cap=args.degree_cap)
             print(sweep_csv(points, results), end="")
-            if args.json:
-                reports = [r for r, _ in results]
-                with open(args.json, "w") as fh:
-                    fh.write(canonical_json(reports))
             for report, timings in results:
                 for task, dt in timings.items():
                     print(f"[time] {report['spec']['params']} {task} {dt:.2f}s",
                           file=sys.stderr)
-            return 0 if all(r["passed"] for r, _ in results) else 1
-
-        spec = RunSpec(params=DeformParams.parse(args.params),
-                       backend_name=args.backend,
-                       tasks=_VERB_TASKS[args.verb],
-                       tol=args.tol,
-                       degree_cap=args.degree_cap)
-        report, timings = run(spec)
-        _emit_report(report, timings, args)
-        if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(canonical_json(report))
-        return 0 if report["passed"] else 1
+            payload = [r for r, _ in results]
+            passed = all(r["passed"] for r in payload)
+        else:
+            spec = RunSpec(params=DeformParams.parse(args.params),
+                           backend_name=args.backend,
+                           tasks=_VERB_TASKS[args.verb],
+                           tol=args.tol,
+                           degree_cap=args.degree_cap)
+            payload, timings = run(spec)
+            _emit_report(payload, timings, args)
+            passed = payload["passed"]
     except NCSpheresError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(canonical_json(payload))
+        except OSError as exc:
+            print(f"error: cannot write report to {args.json}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -640,8 +640,8 @@ def derivation_reports(s: SphereAlgebra, ys) -> list:
     ]
 
 
-def coinvariant_report(s: SphereAlgebra, ys, co: Coaction | None = None) -> dict:
-    """Degree-1 and degree-2 coinvariants, matched against the Y span."""
+def coinvariant_report(s: SphereAlgebra, ys, co: Coaction) -> dict:
+    """Degree-1 and degree-2 coinvariants, matched against the Y span and the coaction."""
     alg = s.base
     k1 = coinvariants(alg, 1)
     k2 = coinvariants(alg, 2)
@@ -649,19 +649,17 @@ def coinvariant_report(s: SphereAlgebra, ys, co: Coaction | None = None) -> dict
     contains = all(span_contains(alg, k2, f) for f in expected)
     full_match = len(k2) == 6 and contains and all(
         span_contains(alg, expected, v) for v in k2)
-    out = {
+    # finite cross-check: delta(f) = f (x) 1 for each kernel element
+    res = 0.0
+    for f in k2:
+        res = max(res, (co.delta(f) - MixedElement.from_poly(s, f)).residual())
+    return {
         "dim_degree_1": len(k1),
         "dim_degree_2": len(k2),
         "contains_y_span": contains,
         "equals_y_span": full_match,
+        "delta_fixes_kernel": res <= alg.backend.tol,
     }
-    if co is not None:
-        # finite cross-check: delta(f) = f (x) 1 for each kernel element
-        res = 0.0
-        for f in k2:
-            res = max(res, (co.delta(f) - MixedElement.from_poly(s, f)).residual())
-        out["delta_fixes_kernel"] = res <= alg.backend.tol
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,6 @@ class ParamsNotOnSphere(NCSpheresError):
     """Deformation parameters do not satisfy (u0)^2 + (u1)^2 + (u2)^2 = 1."""
 
 
-class CommutativityViolated(NCSpheresError):
-    """A matrix family that must commute element-wise does not."""
-
-
-class NormalizationViolated(NCSpheresError):
-    """A sum-of-tensors normalization identity fails."""
-
-
 class NotCentral(NCSpheresError):
     """An element assumed central fails to commute with a generator."""
 
@@ -60,11 +52,3 @@ class DegreeZero(NCSpheresError):
 class InvalidSpec(NCSpheresError):
     """A run request (CLI or library) is malformed."""
 
-
-class TaskFailure(NCSpheresError):
-    """A pipeline task failed; carries the failing task name and detail."""
-
-    def __init__(self, task: str, detail: str = ""):
-        self.task = task
-        self.detail = detail
-        super().__init__(f"task {task!r} failed: {detail}" if detail else f"task {task!r} failed")

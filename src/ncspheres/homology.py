@@ -77,11 +77,6 @@ class ChainContext:
             self._pair_cache[key] = got
         return got
 
-    def scalar(self, v):
-        if isinstance(v, (int, Fraction)):
-            return self.backend.from_fraction(Fraction(v))
-        return self.backend.convert(v)
-
 
 class TensorChain(Sparse):
     """Sparse normalized chain; backed by a ChainContext."""
@@ -100,9 +95,6 @@ class TensorChain(Sparse):
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def copy(self) -> "TensorChain":
-        return TensorChain(self.ctx, self.degree, dict(self.terms))
-
     def __add__(self, other: "TensorChain") -> "TensorChain":
         if other.degree != self.degree and other.terms and self.terms:
             raise ValueError("degree mismatch in chain addition")
@@ -117,7 +109,7 @@ class TensorChain(Sparse):
         return self + other.scale(-1)
 
     def scale(self, c) -> "TensorChain":
-        return super().scale(self.ctx.scalar(c))
+        return super().scale(self.ctx.backend.convert(c))
 
     def canonical_terms(self):
         """Terms sorted by the slot monomials' graded-lex keys."""
@@ -140,9 +132,8 @@ class TensorChain(Sparse):
         }
 
 
-def chain_from_slots(ctx: ChainContext, slots, coeff=1) -> TensorChain:
+def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
     """Multilinear expansion of a pure tensor of polynomials into a chain."""
-    coeff = ctx.scalar(coeff)
     expansions = []
     for pos, f in enumerate(slots):
         exp = ctx.expand_poly(f)
@@ -152,7 +143,7 @@ def chain_from_slots(ctx: ChainContext, slots, coeff=1) -> TensorChain:
             return TensorChain(ctx, len(slots) - 1, {})
         expansions.append(exp)
     out = {}
-    _expand_product(expansions, 0, (), coeff, out)
+    _expand_product(expansions, 0, (), ctx.backend.one, out)
     return TensorChain(ctx, len(slots) - 1, out)
 
 
@@ -208,13 +199,12 @@ def B_boundary(chain: TensorChain) -> TensorChain:
 # ---------------------------------------------------------------------------
 
 
-def trace_chain(ctx: ChainContext, mats, coeff=1) -> TensorChain:
+def trace_chain(ctx: ChainContext, mats) -> TensorChain:
     """<M0 x M1 x ... x Mn>: sum over cyclic matrix index paths.
 
     Each matrix is a Mat over NCPoly; the result is the degree-n chain
     sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0].
     """
-    coeff = ctx.scalar(coeff)
     sizes = {len(m.rows) for m in mats}
     if len(sizes) != 1:
         raise ValueError("matrix sizes differ")
@@ -247,7 +237,7 @@ def trace_chain(ctx: ChainContext, mats, coeff=1) -> TensorChain:
                 walk(pos + 1, i_first, i_next, prefix + (mid,), c * cc)
 
     for i0 in range(r):
-        walk(0, i0, i0, (), coeff)
+        walk(0, i0, i0, (), ctx.backend.one)
     return TensorChain(ctx, n - 1, out)
 
 
@@ -260,42 +250,38 @@ def matrix_half_shift(ctx: ChainContext, p: Mat) -> Mat:
     return Mat(rows)
 
 
-def chern_even(ctx: ChainContext, p: Mat, k: int, lam=1) -> TensorChain:
-    """ch_k(p) = lam <(p - 1/2) x p^{x 2k}>, a degree-2k chain."""
+def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:
+    """ch_k(p) = <(p - 1/2) x p^{x 2k}>, a degree-2k chain."""
     mats = [matrix_half_shift(ctx, p)] + [p] * (2 * k)
-    return trace_chain(ctx, mats, coeff=lam)
+    return trace_chain(ctx, mats)
 
 
-def unitarity_report(ctx: ChainContext, U: Mat, require_unit: bool) -> float:
-    """Residual of UU* = U*U (and = 1 when required) modulo the context ideal."""
+def unitarity_report(ctx: ChainContext, U: Mat) -> float:
+    """Residual of UU* = U*U = a central multiple of 1, modulo the context ideal."""
     Ud = U.dagger()
     A = U @ Ud
     Bm = Ud @ U
     r = len(U.rows)
     s = ctx.sphere
     res = 0.0
-    one = ctx.alg.one()
     for a in range(r):
         for b in range(r):
             res = max(res, s.residual(A.rows[a][b] - Bm.rows[a][b]))
             if a != b:
                 res = max(res, s.residual(A.rows[a][b]))
-        if require_unit:
-            res = max(res, s.residual(A.rows[a][a] - one))
-    if not require_unit:
-        # both diagonal entries must agree (central multiple of the identity)
-        for a in range(1, r):
-            res = max(res, s.residual(A.rows[a][a] - A.rows[0][0]))
+    # both diagonal entries must agree (central multiple of the identity)
+    for a in range(1, r):
+        res = max(res, s.residual(A.rows[a][a] - A.rows[0][0]))
     return res
 
 
-def chern_odd(ctx: ChainContext, U: Mat, k: int, lam=1, require_unit: bool = False) -> TensorChain:
+def chern_odd(ctx: ChainContext, U: Mat, k: int) -> TensorChain:
     """ch_{k+1/2}(U): alternating U, U* tensor words of length 2k+2, traced.
 
     Raises NotUnitaryEnough unless UU* = U*U reduces to a central multiple
-    of the identity (to 1 itself when require_unit is set).
+    of the identity.
     """
-    res = unitarity_report(ctx, U, require_unit)
+    res = unitarity_report(ctx, U)
     if res > ctx.backend.tol:
         raise NotUnitaryEnough(f"UU* = U*U check failed with residual {res}")
     Ud = U.dagger()
@@ -303,7 +289,7 @@ def chern_odd(ctx: ChainContext, U: Mat, k: int, lam=1, require_unit: bool = Fal
     for j in range(2 * (k + 1)):
         word.append(U if j % 2 == 0 else Ud)
     swapped = [Ud if j % 2 == 0 else U for j in range(2 * (k + 1))]
-    return trace_chain(ctx, word, coeff=lam) - trace_chain(ctx, swapped, coeff=lam)
+    return trace_chain(ctx, word) - trace_chain(ctx, swapped)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import DegreeOverflow, MalformedNumber, NotCentral, TaskFailure
+from .errors import DegreeOverflow, NotCentral
 from .rmatrix import RTensor
 from .scalars import Backend, GaussRational, Sparse, add_into
 
@@ -279,7 +279,7 @@ class NCPoly(Sparse):
     def _scalar(self, other):
         be = self.algebra.backend
         if isinstance(other, (int, Fraction)):
-            return be.from_fraction(Fraction(other))
+            return be.convert(other)
         if be.exact and isinstance(other, GaussRational):
             return other
         if not be.exact and isinstance(other, (complex, float)):
@@ -352,20 +352,13 @@ class NCPoly(Sparse):
         return f"NCPoly({format_poly(self)})"
 
 
-def is_central(alg: Algebra, f: NCPoly) -> bool:
-    """True iff f commutes with every generator.
+def central_witness(alg: Algebra, f: NCPoly):
+    """(generator id, commutator) for the first generator that f does not
+    commute with, or None.
 
     Generators generate, so commuting with all eight of them is sufficient
-    for centrality.
+    for centrality: f is central iff this returns None.
     """
-    for g in range(NGEN):
-        if not f.commutator(alg.generator(g)).is_zero():
-            return False
-    return True
-
-
-def central_witness(alg: Algebra, f: NCPoly):
-    """First generator id whose commutator with f is nonzero, or None."""
     for g in range(NGEN):
         comm = f.commutator(alg.generator(g))
         if not comm.is_zero():
@@ -410,21 +403,7 @@ def confluence_check(alg: Algebra, max_len: int = 4, trials: int = 100, seed: in
     # rewriting strictly decreases (cross-inversions, in-family inversions),
     # so local confluence certifies global confluence; normal monomials are
     # then a basis and the graded dimensions are the stars-and-bars counts
-    dims = {n: basis_size(n) for n in range(1, max_len + 1)}
-    return {"passed": True, "dims": dims, "witness": None}
-
-
-def hilbert_dimensions(alg: Algebra, max_degree: int, trials: int = 100, seed: int = 0) -> list:
-    """dim (A_R)_n for n = 1..max_degree, certified via confluence_check.
-
-    The diamond lemma turns the exhaustive local-confluence check into a
-    proof that normal monomials are linearly independent, so the dimension
-    equals the monomial count.
-    """
-    rep = confluence_check(alg, max_len=min(max_degree, 6), trials=trials, seed=seed)
-    if not rep["passed"]:
-        raise TaskFailure("confluence", f"rewriting not confluent at {rep['witness']}")
-    return [basis_size(n) for n in range(1, max_degree + 1)]
+    return {"passed": True, "witness": None}
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +421,17 @@ class ReductionContext:
     row echelon bases of the homogeneous spans {c_j * m}.
     """
 
-    def __init__(self, alg: Algebra, relations, degree_cap: int = 12, check: bool = True):
+    def __init__(self, alg: Algebra, relations, degree_cap: int = 12):
         self.alg = alg
         self.degree_cap = degree_cap
         self.relations = []
         for c, v in relations:
-            if check:
-                wit = central_witness(alg, c)
-                if wit is not None:
-                    raise NotCentral(f"relation element not central, generator {wit[0]}")
-                degs = {sum(m) for m in c.terms}
-                if len(degs) != 1:
-                    raise ValueError("relation element must be homogeneous")
+            wit = central_witness(alg, c)
+            if wit is not None:
+                raise NotCentral(f"relation element not central, generator {wit[0]}")
+            degs = {sum(m) for m in c.terms}
+            if len(degs) != 1:
+                raise ValueError("relation element must be homogeneous")
             self.relations.append((c, alg.backend.convert(v)))
         self._echelons = {}
         self._mono_cache = {}
@@ -547,13 +525,6 @@ class ReductionContext:
             else:
                 work[mm] = v
 
-    def reduce(self, f: NCPoly) -> NCPoly:
-        """Canonical representative of f modulo the ideal."""
-        if f.degree() > self.degree_cap:
-            raise DegreeOverflow(
-                f"degree {f.degree()} exceeds reduction cap {self.degree_cap}")
-        return NCPoly(self.alg, self._reduce_once(f.terms))
-
     def reduce_mono(self, m):
         """Cached canonical form of a single monomial as {monomial: coeff}."""
         hit = self._mono_cache.get(m)
@@ -563,7 +534,7 @@ class ReductionContext:
         return hit
 
     def reduce_fast(self, f: NCPoly) -> NCPoly:
-        """reduce() through the per-monomial cache; same canonical output."""
+        """Canonical representative of f modulo the ideal, via the monomial cache."""
         be = self.alg.backend
         out = {}
         for m, c in f.terms.items():
@@ -574,19 +545,13 @@ class ReductionContext:
                 add_into(out, mm, c * cc)
         return NCPoly(self.alg, out)
 
-    def equal(self, f: NCPoly, g: NCPoly) -> bool:
-        return self.reduce_fast(f - g).is_zero()
-
-    def is_zero(self, f: NCPoly) -> bool:
-        return self.reduce_fast(f).is_zero()
-
     def residual(self, f: NCPoly) -> float:
         """Largest coefficient magnitude of the reduced form (0.0 if zero)."""
         return self.alg.backend.max_residual(self.reduce_fast(f).terms.values())
 
 
 # ---------------------------------------------------------------------------
-# text round-trip
+# text rendering
 # ---------------------------------------------------------------------------
 
 _GEN_NAMES = [f"x1_{k}" for k in range(4)] + [f"x2_{k}" for k in range(4)]
@@ -605,42 +570,3 @@ def format_poly(f: NCPoly) -> str:
                 factors.append(f"{_GEN_NAMES[g]}^{m[g]}")
         parts.append("*".join(factors))
     return " + ".join(parts)
-
-
-def parse_poly(alg: Algebra, text: str) -> NCPoly:
-    """Parse the format produced by format_poly.
-
-    Terms are separated by '+' (with '-' folded into coefficients), factors
-    by '*'; coefficients are '(re,im)' pairs or bare rationals; generators
-    are x1_k / x2_k with an optional '^e'.
-    """
-    be = alg.backend
-    out = alg.zero()
-    text = text.strip()
-    if not text or text == "0":
-        return out
-    # split top-level terms on '+' only; parenthesised coefficients carry signs
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise MalformedNumber("empty term")
-        coeff = be.one
-        mono = [0] * NGEN
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise MalformedNumber(f"empty factor in {chunk!r}")
-            if factor.startswith("(") or factor[0].isdigit() or factor[0] in "+-":
-                g = GaussRational.parse(factor)
-                coeff = coeff * be.convert(g)
-                continue
-            name, _, exp = factor.partition("^")
-            if name not in _GEN_NAMES:
-                raise MalformedNumber(f"unknown generator {name!r}")
-            e = int(exp) if exp else 1
-            if e < 0:
-                raise MalformedNumber(f"negative exponent in {factor!r}")
-            mono[_GEN_NAMES.index(name)] += e
-        term = NCPoly(alg, {tuple(mono): coeff})
-        out = out + term
-    return out

@@ -4,14 +4,13 @@ Conventions fixed here and relied on everywhere else:
 
 * basis e0 = 1, e1, e2, e3 with e_a e_b = -delta_ab + eps_abc e_c and
   eps_123 = +1 (so e1 e2 = e3);
-* J+_a is the matrix of left multiplication by e_a on component columns,
-  J-_a is minus the matrix of right multiplication by e_a.  Both families
-  are real antisymmetric, mutually commuting, and each satisfies
+* J+_a is the matrix of left multiplication by e_a on component columns.
+  The family is real antisymmetric and satisfies
   J_a J_b = -delta_ab + eps_abc J_c with the same eps orientation as the
   quaternions themselves.  (A popular closed formula for these matrices
   circulates with the eps term's sign flipped; that variant breaks the
-  multiplication rule above, so we construct the matrices directly from
-  the quaternion product and test the algebra, not the formula.)
+  multiplication rule above, so the matrices are built directly from the
+  quaternion product.)
 """
 
 from __future__ import annotations
@@ -79,10 +78,6 @@ class Mat:
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
-    @staticmethod
-    def identity(n, one, zero):
-        return Mat([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def __add__(self, other):
         return Mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
@@ -139,34 +134,24 @@ class Mat:
         return f"Mat({self.rows!r})"
 
 
-def build_J(sign: str, a: int, backend: Backend = EXACT) -> Mat:
-    """The quaternion multiplication matrix J(sign)_a for sign in '+-', a in 1..3.
+def build_J(a: int, backend: Backend = EXACT) -> Mat:
+    """J+_a, the matrix of left multiplication by e_a, for a in 1..3.
 
-    Column convention: column nu holds the components of e_a * e_nu for '+'
-    (left multiplication) and of -(e_nu * e_a) for '-' (minus right
-    multiplication).
+    Column convention: column nu holds the components of e_a * e_nu.
     """
-    if sign not in ("+", "-") or a not in (1, 2, 3):
-        raise ValueError(f"build_J: bad arguments {sign!r}, {a!r}")
+    if a not in (1, 2, 3):
+        raise ValueError(f"build_J: bad index {a!r}")
     zero, one = backend.zero, backend.one
     rows = [[zero] * 4 for _ in range(4)]
     for nu in range(4):
-        if sign == "+":
-            coeff, mu = quat_basis_product(a, nu)
-        else:
-            coeff, mu = quat_basis_product(nu, a)
-            coeff = -coeff
+        coeff, mu = quat_basis_product(a, nu)
         rows[mu][nu] = one if coeff == 1 else -one
     return Mat(rows)
 
 
 def j_plus(backend: Backend = EXACT):
     """(J+_1, J+_2, J+_3)."""
-    return tuple(build_J("+", a, backend) for a in (1, 2, 3))
-
-
-def j_minus(backend: Backend = EXACT):
-    return tuple(build_J("-", a, backend) for a in (1, 2, 3))
+    return tuple(build_J(a, backend) for a in (1, 2, 3))
 
 
 def embed_M2(q, i_unit):
@@ -182,77 +167,3 @@ def embed_M2(q, i_unit):
         [q0 + q1 * i_unit, q2 + q3 * i_unit],
         [-q2 + q3 * i_unit, q0 - q1 * i_unit],
     ])
-
-
-def embed_components(m: Mat, backend: Backend = EXACT):
-    """Inverse of embed_M2: recover (q0, q1, q2, q3) from a 2x2 embedding.
-
-    Uses q0 = (m00 + m11)/2 etc.; exact on the exact backend, which is what
-    makes embed_M2 injective.
-    """
-    from fractions import Fraction
-
-    half = backend.from_fraction(Fraction(1, 2))
-    inv_i = -backend.i  # 1/i
-    m00, m01 = m.rows[0]
-    m10, m11 = m.rows[1]
-    q0 = (m00 + m11) * half
-    q1 = (m00 - m11) * half * inv_i
-    q2 = (m01 - m10) * half
-    q3 = (m01 + m10) * half * inv_i
-    return q0, q1, q2, q3
-
-
-def check_quaternion_matrix_relations(backend: Backend = EXACT) -> dict:
-    """Verify the J-matrix algebra; returns a report dict.
-
-    Checks, for all a, b in 1..3 and both signs:
-    antisymmetry, J_a J_b = -delta_ab + eps_abc J_c, commutation of the two
-    families, and the trace normalization -tr(J_a J_b)/4 = delta_ab.
-    """
-    plus, minus = j_plus(backend), j_minus(backend)
-    zero, one = backend.zero, backend.one
-    ident = Mat.identity(4, one, zero)
-    fams = {"+": plus, "-": minus}
-    failures = []
-    max_res = 0.0
-
-    def record(ok_mat, label):
-        nonlocal max_res
-        max_res = max(max_res, backend.max_residual(ok_mat.entries()))
-        if any(not backend.is_zero(e) for e in ok_mat.entries()):
-            failures.append(label)
-
-    for sign, fam in fams.items():
-        for a in range(3):
-            record(fam[a] + fam[a].transpose(), f"antisym J{sign}_{a + 1}")
-            for b in range(3):
-                prod = fam[a] @ fam[b]
-                expect = ident.scale(-one) if a == b else zero_mat(backend)
-                for c in range(3):
-                    s = epsilon(a + 1, b + 1, c + 1)
-                    if s:
-                        expect = expect + fam[c].scale(one if s == 1 else -one)
-                record(prod - expect, f"algebra J{sign}_{a + 1} J{sign}_{b + 1}")
-                tr = sum_diag(prod)
-                want = -(one + one + one + one) if a == b else zero
-                diff = tr - want
-                max_res = max(max_res, backend.residual(diff))
-                if not backend.is_zero(diff):
-                    failures.append(f"trace J{sign}_{a + 1} J{sign}_{b + 1}")
-    for a in range(3):
-        for b in range(3):
-            comm = plus[a] @ minus[b] - minus[b] @ plus[a]
-            record(comm, f"[J+_{a + 1}, J-_{b + 1}]")
-    return {"passed": not failures, "failures": failures, "max_residual": max_res}
-
-
-def zero_mat(backend: Backend, n: int = 4) -> Mat:
-    return Mat([[backend.zero] * n for _ in range(n)])
-
-
-def sum_diag(m: Mat):
-    acc = m.rows[0][0]
-    for i in range(1, m.shape[0]):
-        acc = acc + m.rows[i][i]
-    return acc

@@ -9,18 +9,13 @@ for the big 64x64 exchange operator on all eight generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    CommutativityViolated,
-    MalformedNumber,
-    NormalizationViolated,
-    ParamsNotOnSphere,
-)
-from .quatlin import Mat, j_plus
-from .scalars import EXACT, Backend, parse_rational, row_reduce
+from .errors import MalformedNumber, ParamsNotOnSphere
+from .quatlin import j_plus
+from .scalars import EXACT, Backend, add_into, parse_rational, row_reduce
 
 N = 4  # generators per family
 
@@ -51,7 +46,7 @@ class DeformParams:
                 raise ParamsNotOnSphere(f"(u0,u1,u2)={self} has norm^2 {float(s)}")
 
     def scalars(self, backend: Backend):
-        return tuple(backend.from_fraction(u) for u in (self.u0, self.u1, self.u2))
+        return tuple(backend.convert(u) for u in (self.u0, self.u1, self.u2))
 
     def label(self) -> str:
         return f"{self.u0},{self.u1},{self.u2}"
@@ -90,16 +85,6 @@ class RTensor:
     def conj_entry(self, lam, alpha, beta, mu):
         return self.data[lam][alpha][beta][mu].conjugate()
 
-    def __eq__(self, other):
-        if not isinstance(other, RTensor):
-            return NotImplemented
-        return all(
-            self.backend.is_zero(self.data[a][b][c][d] - other.data[a][b][c][d])
-            for a in range(N) for b in range(N) for c in range(N) for d in range(N)
-        )
-
-    __hash__ = None
-
 
 def _zero4(backend: Backend):
     return [[[[backend.zero for _ in range(N)] for _ in range(N)]
@@ -129,136 +114,6 @@ def build_R_quaternionic(params: DeformParams, backend: Backend = EXACT) -> RTen
                     val = val + i * J1[lam, mu] * D[alpha, beta]
                     data[lam][alpha][beta][mu] = val
     return RTensor(data, backend)
-
-
-@dataclass
-class ABCDForm:
-    """Sum-of-tensors presentation R-hat = sum A_r (x) B_r + i sum C_a (x) D_a."""
-
-    A: list
-    B: list
-    C: list
-    D: list
-    backend: Backend = field(default=EXACT)
-
-
-def check_abcd_form(form: ABCDForm) -> dict:
-    """Symmetry, antisymmetry, commuting families, and normalization.
-
-    Raises CommutativityViolated / NormalizationViolated on failure and
-    returns a report dict on success.
-    """
-    be = form.backend
-
-    def is_sym(m, s):
-        diff = m - m.transpose().scale(s)
-        return all(be.is_zero(e) for e in diff.entries())
-
-    for r, m in enumerate(form.A):
-        if not is_sym(m, be.one):
-            raise NormalizationViolated(f"A[{r}] is not symmetric")
-    for r, m in enumerate(form.B):
-        if not is_sym(m, be.one):
-            raise NormalizationViolated(f"B[{r}] is not symmetric")
-    for a, m in enumerate(form.C):
-        if not is_sym(m, -be.one):
-            raise NormalizationViolated(f"C[{a}] is not antisymmetric")
-    for a, m in enumerate(form.D):
-        if not is_sym(m, -be.one):
-            raise NormalizationViolated(f"D[{a}] is not antisymmetric")
-
-    def commuting(mats, label):
-        for i, x in enumerate(mats):
-            for j, y in enumerate(mats):
-                if j <= i:
-                    continue
-                comm = x @ y - y @ x
-                if any(not be.is_zero(e) for e in comm.entries()):
-                    raise CommutativityViolated(f"{label}[{i}] vs {label}[{j}]")
-
-    commuting(list(form.A) + list(form.C), "first-slot A/C")
-    commuting(list(form.B) + list(form.D), "second-slot B/D")
-
-    # sum_{r,s} A_r A_s (x) B_r B_s + sum_{a,b} C_a C_b (x) D_a D_b = 1 (x) 1
-    n1 = form.A[0].shape[0] if form.A else form.C[0].shape[0]
-    n2 = form.B[0].shape[0] if form.B else form.D[0].shape[0]
-    acc = [[[[be.zero for _ in range(n2)] for _ in range(n2)]
-            for _ in range(n1)] for _ in range(n1)]
-    for r in range(len(form.A)):
-        for s in range(len(form.A)):
-            AA = form.A[r] @ form.A[s]
-            BB = form.B[r] @ form.B[s]
-            for lam in range(n1):
-                for mu in range(n1):
-                    if be.is_zero(AA[lam, mu]):
-                        continue
-                    for al in range(n2):
-                        for bt in range(n2):
-                            acc[lam][mu][al][bt] = acc[lam][mu][al][bt] + AA[lam, mu] * BB[al, bt]
-    for a in range(len(form.C)):
-        for b in range(len(form.C)):
-            CC = form.C[a] @ form.C[b]
-            DD = form.D[a] @ form.D[b]
-            for lam in range(n1):
-                for mu in range(n1):
-                    if be.is_zero(CC[lam, mu]):
-                        continue
-                    for al in range(n2):
-                        for bt in range(n2):
-                            acc[lam][mu][al][bt] = acc[lam][mu][al][bt] + CC[lam, mu] * DD[al, bt]
-    worst = 0.0
-    for lam in range(n1):
-        for mu in range(n1):
-            for al in range(n2):
-                for bt in range(n2):
-                    want = be.one if (lam == mu and al == bt) else be.zero
-                    diff = acc[lam][mu][al][bt] - want
-                    worst = max(worst, be.residual(diff))
-                    if not be.is_zero(diff):
-                        raise NormalizationViolated(
-                            f"normalization fails at ({lam},{mu},{al},{bt})")
-    return {"passed": True, "max_residual": worst}
-
-
-def build_R_general(form: ABCDForm) -> RTensor:
-    """Assemble the tensor from an ABCD form after validating it."""
-    check_abcd_form(form)
-    be = form.backend
-    i = be.i
-    data = _zero4(be)
-    for lam in range(N):
-        for alpha in range(N):
-            for beta in range(N):
-                for mu in range(N):
-                    val = be.zero
-                    for r in range(len(form.A)):
-                        val = val + form.A[r][lam, mu] * form.B[r][alpha, beta]
-                    for a in range(len(form.C)):
-                        val = val + i * form.C[a][lam, mu] * form.D[a][alpha, beta]
-                    data[lam][alpha][beta][mu] = val
-    return RTensor(data, be)
-
-
-def two_deformation_form(u0, u_vec, v_vec=(1, 0, 0), backend: Backend = EXACT) -> ABCDForm:
-    """The one-A one-C family: A={1}, B={u0 1}, C={J+_v}, D={sum u_a J+_a}.
-
-    v_vec must be a unit 3-vector; the gauge-fixed case v = (1,0,0) matches
-    build_R_quaternionic.
-    """
-    vv = sum(Fraction(v) * Fraction(v) for v in v_vec)
-    if vv != 1:
-        raise ParamsNotOnSphere(f"|v|^2 = {vv} != 1")
-    Jp = j_plus(backend)
-    one, zero = backend.one, backend.zero
-    ident = Mat.identity(N, one, zero)
-    C = Jp[0].scale(backend.from_fraction(Fraction(v_vec[0])))
-    for a in (1, 2):
-        C = C + Jp[a].scale(backend.from_fraction(Fraction(v_vec[a])))
-    D = Jp[0].scale(backend.from_fraction(Fraction(u_vec[0])))
-    for a in (1, 2):
-        D = D + Jp[a].scale(backend.from_fraction(Fraction(u_vec[a])))
-    B = ident.scale(backend.from_fraction(Fraction(u0)))
-    return ABCDForm(A=[ident], B=[B], C=[C], D=[D], backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +173,7 @@ def check_reality(R: RTensor) -> ConditionReport:
     for (lam, alpha, beta, mu), c in nz:
         cc = c.conjugate()
         for (_, _, gam, nu), d in by_mu_beta.get((mu, beta), ()):
-            key = (lam, alpha, gam, nu)
-            lhs[key] = lhs.get(key, be.zero) + cc * d
+            add_into(lhs, (lam, alpha, gam, nu), cc * d)
     ident = {(lam, alpha, alpha, lam): be.one for lam in range(N) for alpha in range(N)}
     return _compare("reality", be, lhs, ident,
                     "indices (lam,alpha,gam,nu)=({},{},{},{})")
@@ -383,10 +237,8 @@ def check_quadratic_1(R: RTensor) -> ConditionReport:
     for (p, q, r, s), c in nz:
         for (_, t, u, v), d in by_first.get((s,), ()):
             prod = c * d
-            key = (p, q, r, t, u, v)
-            lhs[key] = lhs.get(key, be.zero) + prod
-            key = (p, t, u, q, r, v)
-            rhs[key] = rhs.get(key, be.zero) + prod
+            add_into(lhs, (p, q, r, t, u, v), prod)
+            add_into(rhs, (p, t, u, q, r, v), prod)
     return _compare("quadratic_1", be, lhs, rhs, "({},{},{},{},{},{})")
 
 
@@ -406,10 +258,8 @@ def check_quadratic_2(R: RTensor) -> ConditionReport:
     for (p, q, g, s), c in nz:
         for (t, _, u, v), d in by_second.get((g,), ()):
             prod = c * d
-            key = (p, q, s, t, u, v)
-            lhs[key] = lhs.get(key, be.zero) + prod
-            key = (t, q, v, p, u, s)
-            rhs[key] = rhs.get(key, be.zero) + prod
+            add_into(lhs, (p, q, s, t, u, v), prod)
+            add_into(rhs, (t, q, v, p, u, s), prod)
     return _compare("quadratic_2", be, lhs, rhs, "({},{},{},{},{},{})")
 
 
@@ -454,7 +304,7 @@ def _compose_rows(first: dict, second: dict, be: Backend) -> dict:
         acc = {}
         for mid, c in ents:
             for fin, d in second[mid]:
-                acc[fin] = acc.get(fin, be.zero) + c * d
+                add_into(acc, fin, c * d)
         out[key] = [(k, v) for k, v in acc.items() if not be.is_zero(v)]
     return out
 
@@ -480,7 +330,7 @@ def check_involutive(R: RTensor) -> ConditionReport:
     return ConditionReport("involutive", witness is None, worst, witness)
 
 
-def _lift(rows: dict, slot: int, be: Backend) -> dict:
+def _lift(rows: dict, slot: int) -> dict:
     """Lift the 2-site operator to 3 sites, acting on (slot, slot+1)."""
     out = {}
     for a in range(8):
@@ -498,8 +348,8 @@ def check_yang_baxter(R: RTensor) -> ConditionReport:
     """(BigR x 1)(1 x BigR)(BigR x 1) = (1 x BigR)(BigR x 1)(1 x BigR)."""
     be = R.backend
     rows = build_BigR(R)
-    r01 = _lift(rows, 0, be)
-    r12 = _lift(rows, 1, be)
+    r01 = _lift(rows, 0)
+    r12 = _lift(rows, 1)
     lhs = _compose_rows(_compose_rows(r01, r12, be), r01, be)
     rhs = _compose_rows(_compose_rows(r12, r01, be), r12, be)
     worst, witness = 0.0, None

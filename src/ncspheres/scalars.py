@@ -41,13 +41,8 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num))
 
 
-def format_rational(q: Fraction) -> str:
-    """Inverse of parse_rational; integers print without the slash."""
-    return _format_ratio(q.numerator, q.denominator)
-
-
 def _format_ratio(n: int, d: int) -> str:
-    """n/d (d > 0) in lowest terms, as format_rational prints it."""
+    """n/d (d > 0) in lowest terms; an integer prints without the slash."""
     g = math.gcd(n, d)
     return str(n // d) if g == d else f"{n // g}/{d // g}"
 
@@ -65,14 +60,6 @@ def sqrt_exact(q: Fraction) -> Fraction:
     if rn * rn != q.numerator or rd * rd != q.denominator:
         raise NotAPerfectSquare(f"{q} is not a rational square")
     return Fraction(rn, rd)
-
-
-def is_perfect_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    return rn * rn == q.numerator and rd * rd == q.denominator
 
 
 class GaussRational:
@@ -94,21 +81,6 @@ class GaussRational:
         g = math.gcd(a, b, d)
         self._a, self._b, self._d = a // g, b // g, d // g
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def parse(text: str) -> "GaussRational":
-        """Parse '(re,im)' with rational components, or a bare rational."""
-        s = text.strip()
-        if s.startswith("("):
-            if not s.endswith(")"):
-                raise MalformedNumber(f"unbalanced parentheses in {text!r}")
-            parts = s[1:-1].split(",")
-            if len(parts) != 2:
-                raise MalformedNumber(f"expected two components in {text!r}")
-            return GaussRational(parse_rational(parts[0]), parse_rational(parts[1]))
-        return GaussRational(parse_rational(s), 0)
-
     # -- complex-like API ---------------------------------------------
 
     @property
@@ -126,9 +98,6 @@ class GaussRational:
 
     def is_zero(self) -> bool:
         return not self._a and not self._b
-
-    def inverse(self) -> "GaussRational":
-        return 1 / self
 
     # -- arithmetic ----------------------------------------------------
 
@@ -256,11 +225,6 @@ class Backend:
             self.zero = 0j
             self.one = 1 + 0j
             self.i = 1j
-
-    def from_fraction(self, q):
-        if self.exact:
-            return GaussRational(q, 0)
-        return complex(float(q), 0.0)
 
     def convert(self, value):
         """Coerce a scalar of either backend into this one (exact->float only)."""

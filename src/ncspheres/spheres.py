@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidSpec, IrrationalEigenvalue
-from .ncalg import Algebra, NCPoly, ReductionContext, is_central, mono_key
+from .errors import InvalidSpec, IrrationalEigenvalue, NotAPerfectSquare
+from .ncalg import Algebra, NCPoly, ReductionContext, central_witness, mono_key
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
-from .scalars import (EXACT, Backend, GaussRational, is_perfect_square,
-                      row_reduce, sqrt_exact)
+from .scalars import EXACT, Backend, GaussRational, row_reduce, sqrt_exact
 
 
 @dataclass
@@ -37,9 +36,6 @@ class SphereAlgebra:
 
     def reduce(self, f: NCPoly) -> NCPoly:
         return self.context.reduce_fast(f)
-
-    def is_zero(self, f: NCPoly) -> bool:
-        return self.context.is_zero(f)
 
     def residual(self, f: NCPoly) -> float:
         return self.context.residual(f)
@@ -272,7 +268,7 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
 
     # Y4 central hermitian
     r = _residual_exact(ys.Y4 - ys.Y4.star())
-    r = max(r, 0.0 if is_central(alg, ys.Y4) else 1.0)
+    r = max(r, 0.0 if central_witness(alg, ys.Y4) is None else 1.0)
     rep("y4_central_hermitian", r)
 
     # radius conditions, as quaternion products, modulo the sphere ideal
@@ -324,7 +320,8 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     rep("four_sphere_radius", r)
 
     # both radius sums are central already in the quadratic algebra
-    r = 0.0 if (is_central(alg, s_star_y) and is_central(alg, s_y_star)) else 1.0
+    r = 0.0 if (central_witness(alg, s_star_y) is None
+                and central_witness(alg, s_y_star) is None) else 1.0
     rep("radius_sums_central", r)
 
     # product identity: both sums equal 4 ||x1||^2 ||x2||^2 exactly
@@ -464,10 +461,11 @@ def diagonalize_lambda(ys: YSystem, backend: Backend | None = None) -> dict:
     u0f, u1f, u2f = (Fraction(v) for v in (ys.params.u0, ys.params.u1, ys.params.u2))
     s2 = u1f * u1f + u2f * u2f
     if be.exact:
-        if not (is_perfect_square(s2.numerator) and is_perfect_square(s2.denominator)):
+        try:
+            sval = sqrt_exact(s2)
+        except NotAPerfectSquare:
             raise IrrationalEigenvalue(
-                f"sqrt({s2}) is irrational; no exact eigenvalue at this point")
-        sval = Fraction(sqrt_exact(s2.numerator), sqrt_exact(s2.denominator))
+                f"sqrt({s2}) is irrational; no exact eigenvalue at this point") from None
         lam_plus = GaussRational(u0f, sval)
         lam_minus = GaussRational(u0f, -sval)
         theta = lam_plus * lam_plus

@@ -10,7 +10,7 @@ import pytest
 from ncspheres import cli
 from ncspheres.cli import (CATALOG, RunSpec, canonical_json, main, run, sweep,
                            sweep_csv)
-from ncspheres.errors import InvalidSpec, ParamsNotOnSphere, TaskFailure
+from ncspheres.errors import InvalidSpec, ParamsNotOnSphere
 from ncspheres.rmatrix import DeformParams
 from ncspheres.scalars import EXACT, GaussRational
 
@@ -61,7 +61,7 @@ def test_canonical_json_renders_exact_scalars():
 
 def test_failing_task_skips_downstream(monkeypatch):
     def boom(spec, state):
-        raise TaskFailure("algebra", "forced failure")
+        raise InvalidSpec("forced failure")
 
     monkeypatch.setitem(cli._TASK_FNS, "algebra", boom)
     report, _ = run(_spec(tasks=("sphere",)))
@@ -119,6 +119,15 @@ def test_json_report_validates_against_schema(tmp_path, capsys):
     # canonical: sorted keys, trailing newline
     assert text == canonical_json(report)
     assert set(report["tasks"]) == {"conditions", "algebra", "sphere"}
+
+
+@pytest.mark.parametrize("verb", ["check", "sweep"])
+def test_unwritable_json_path_is_a_usage_error(verb, tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    assert main([verb, "--quiet", "--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write report to {path}: " in err
+    assert not path.exists()
 
 
 def test_catalog_points_sit_on_the_sphere():

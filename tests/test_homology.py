@@ -38,7 +38,7 @@ def _random_poly(alg, rng, degree=2, terms=2):
 
 def _random_chain(ctx, rng, degree):
     slots = [_random_poly(ctx.alg, rng) for _ in range(degree + 1)]
-    return chain_from_slots(ctx, slots, coeff=Fraction(rng.randint(1, 3)))
+    return chain_from_slots(ctx, slots).scale(Fraction(rng.randint(1, 3)))
 
 
 def test_boundary_identities_on_random_chains(chain_ctx):
@@ -129,15 +129,6 @@ def test_low_chern_components_vanish(pyth, chain_ctx, chain_ctx3):
     assert chern_odd(chain_ctx3, U, 0).is_zero()
 
 
-def test_chern_scale_factor_does_not_change_verdict(pyth, chain_ctx):
-    _, _, s, _ = pyth
-    p = build_projection(s)
-    a = chern_even(chain_ctx, p, 1, lam=7)
-    b = chern_even(chain_ctx, p, 1, lam=1)
-    assert a == b.scale(7)
-    assert a.is_zero() == b.is_zero()
-
-
 def test_half_shift_subtracts_half_on_diagonal(pyth, chain_ctx):
     _, alg, s, _ = pyth
     p = build_projection(s)
@@ -156,14 +147,12 @@ def test_chern_odd_rejects_triangular_matrix(pyth, chain_ctx):
         chern_odd(chain_ctx, U, 0)
 
 
-def test_chern_odd_unit_requirement_is_stricter(pyth, chain_ctx):
+def test_chern_odd_accepts_a_central_multiple_of_a_unitary(pyth, chain_ctx):
     # |x1|^2 is central but not 1 on the big sphere, so the embedded
     # first-family quaternion is unitary only up to a central factor
     _, alg, s, _ = pyth
     U = embed_M2(tuple(alg.x1(m) for m in range(4)), s.base.backend.i)
     chern_odd(chain_ctx, U, 0)
-    with pytest.raises(NotUnitaryEnough):
-        chern_odd(chain_ctx, U, 0, require_unit=True)
 
 
 def test_digest_is_canonical(chain_ctx):

@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncspheres.errors import (CommutativityViolated, MalformedNumber,
-                              ParamsNotOnSphere)
-from ncspheres.quatlin import Mat, j_plus
-from ncspheres.rmatrix import (ABCDForm, DeformParams, build_BigR,
-                               build_R_general, build_R_quaternionic,
-                               check_abcd_form, check_all_conditions,
-                               check_quadratic_1, check_quadratic_2,
-                               check_reality, check_yang_baxter,
-                               invert_16x16, two_deformation_form)
+from ncspheres.errors import MalformedNumber, ParamsNotOnSphere
+from ncspheres.rmatrix import (DeformParams, build_BigR, build_R_quaternionic,
+                               check_all_conditions, check_quadratic_1,
+                               check_quadratic_2, check_reality,
+                               check_yang_baxter, invert_16x16)
 from ncspheres.scalars import EXACT, GaussRational, float_backend
 
 CONDITION_NAMES = ("reality", "symmetry_chain", "quadratic_1", "quadratic_2",
@@ -92,28 +88,6 @@ def test_all_conditions_at_two_points():
         assert [r.name for r in reports] == list(CONDITION_NAMES)
         assert all(r.passed for r in reports)
         assert all(r.max_residual == 0.0 for r in reports)
-
-
-def test_general_builder_agrees_with_direct():
-    p = DeformParams.parse("3/5,0,4/5")
-    form = two_deformation_form(p.u0, (p.u1, p.u2, Fraction(0)))
-    R1 = build_R_general(form)
-    R2 = build_R_quaternionic(p, EXACT)
-    assert R1 == R2
-
-
-def test_abcd_form_rejects_noncommuting_family():
-    Jp = j_plus(EXACT)
-    ident = Mat.identity(4, EXACT.one, EXACT.zero)
-    bad = ABCDForm(A=[ident], B=[ident],
-                   C=[Jp[0], Jp[1]], D=[Jp[0], Jp[1]], backend=EXACT)
-    with pytest.raises(CommutativityViolated):
-        check_abcd_form(bad)
-
-
-def test_off_sphere_v_vector_rejected():
-    with pytest.raises(ParamsNotOnSphere):
-        two_deformation_form(Fraction(1), (0, 0), v_vec=(1, 1, 0))
 
 
 def test_perturbed_tensor_fails_yang_baxter():

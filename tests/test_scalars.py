@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ncspheres.errors import (MalformedNumber, NegativeInput,
                               NotAPerfectSquare, ZeroDenominator)
 from ncspheres.scalars import (EXACT, GaussRational, add_into, float_backend,
-                               format_rational, is_perfect_square,
                                parse_rational, row_reduce, sqrt_exact)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=40)
@@ -31,8 +30,8 @@ def test_parse_rational_rejects_garbage():
 
 
 @given(rationals)
-def test_format_parse_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
+def test_parse_reads_fraction_str(q):
+    assert parse_rational(str(q)) == q
 
 
 def test_sqrt_exact_values():
@@ -47,19 +46,17 @@ def test_sqrt_exact_values():
 @given(rationals)
 def test_sqrt_exact_inverts_squaring(q):
     assert sqrt_exact(q * q) == abs(q)
-    assert is_perfect_square(q * q)
 
 
 @given(st.integers(min_value=1, max_value=10**6))
 def test_between_squares_is_not_square(n):
-    assert not is_perfect_square(Fraction(n * n + 1, 1))
+    with pytest.raises(NotAPerfectSquare):
+        sqrt_exact(Fraction(n * n + 1, 1))
 
 
-def test_gauss_rational_parse_and_str():
-    z = GaussRational(Fraction(-7, 25), Fraction(24, 25))
-    assert GaussRational.parse(str(z)) == z
-    with pytest.raises(MalformedNumber):
-        GaussRational.parse("(1,2")
+def test_gauss_rational_str():
+    assert str(GaussRational(Fraction(-7, 25), Fraction(24, 25))) == "(-7/25,24/25)"
+    assert str(GaussRational(3, Fraction(-1, 2))) == "(3,-1/2)"
 
 
 @given(gauss, gauss, gauss)
@@ -74,7 +71,7 @@ def test_gauss_ring_axioms(a, b, c):
 def test_gauss_inverse(a):
     if a.is_zero():
         return
-    assert a * a.inverse() == GaussRational(1, 0)
+    assert a * (1 / a) == GaussRational(1, 0)
 
 
 @given(gauss, gauss)
@@ -121,7 +118,7 @@ def _assert_matches(z, pair):
     assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
     assert (z.re, z.im) == (re, im)
     assert (z.real, z.imag) == (re, im)
-    assert str(z) == f"({format_rational(re)},{format_rational(im)})"
+    assert str(z) == f"({re},{im})"
     assert abs(z) == math.sqrt(float(re * re + im * im))
     assert complex(z) == complex(float(re), float(im))
     assert z == GaussRational(re, im)
@@ -152,10 +149,10 @@ def test_gauss_unary_ops_match_fraction_pair_oracle(x):
     _assert_matches(x.conjugate(), (re, -im))
     if x.is_zero():
         with pytest.raises(ZeroDivisionError):
-            x.inverse()
+            1 / x
     else:
         n = re * re + im * im
-        _assert_matches(x.inverse(), (re / n, -im / n))
+        _assert_matches(1 / x, (re / n, -im / n))
 
 
 @given(wide_gauss, wide_gauss)
@@ -169,8 +166,6 @@ def test_equal_values_hash_equal(x, y):
 
 def test_inverse_of_zero_raises():
     zero = GaussRational(0, 0)
-    with pytest.raises(ZeroDivisionError):
-        zero.inverse()
     with pytest.raises(ZeroDivisionError):
         1 / zero
     with pytest.raises(ZeroDivisionError):
