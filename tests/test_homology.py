@@ -129,6 +129,16 @@ def test_low_chern_components_vanish(pyth, chain_ctx, chain_ctx3):
     assert chern_odd(chain_ctx3, U, 0).is_zero()
 
 
+def test_chern_scale_factor_does_not_change_verdict(pyth, chain_ctx):
+    _, _, s, _ = pyth
+    p = build_projection(s)
+    b = chern_even(chain_ctx, p, 1)
+    a = b.scale(7)
+    assert a.is_zero() == b.is_zero()
+    assert b_boundary(a) == b_boundary(b).scale(7)
+    assert b_boundary(a).is_zero() == b_boundary(b).is_zero()
+
+
 def test_half_shift_subtracts_half_on_diagonal(pyth, chain_ctx):
     _, alg, s, _ = pyth
     p = build_projection(s)
@@ -147,12 +157,15 @@ def test_chern_odd_rejects_triangular_matrix(pyth, chain_ctx):
         chern_odd(chain_ctx, U, 0)
 
 
-def test_chern_odd_accepts_a_central_multiple_of_a_unitary(pyth, chain_ctx):
+def test_chern_odd_unit_requirement_is_stricter(pyth, chain_ctx):
     # |x1|^2 is central but not 1 on the big sphere, so the embedded
-    # first-family quaternion is unitary only up to a central factor
+    # first-family quaternion is unitary only up to a central factor:
+    # chern_odd accepts it, while UU* = 1 fails modulo the sphere ideal
     _, alg, s, _ = pyth
     U = embed_M2(tuple(alg.x1(m) for m in range(4)), s.base.backend.i)
     chern_odd(chain_ctx, U, 0)
+    UUd = U @ U.dagger()
+    assert s.residual(UUd.rows[0][0] - alg.one()) > 0
 
 
 def test_digest_is_canonical(chain_ctx):

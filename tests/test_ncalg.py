@@ -11,7 +11,7 @@ from ncspheres.errors import DegreeOverflow, NotCentral
 from ncspheres.ncalg import (NCPoly, ReductionContext, basis_monomials,
                              basis_size, central_witness, confluence_check,
                              format_poly, mono_key)
-from ncspheres.scalars import EXACT, GaussRational
+from ncspheres.scalars import EXACT, GaussRational, parse_rational
 
 from conftest import make_point
 
@@ -175,12 +175,34 @@ def test_degree_cap_enforced(pyth):
         ctx.reduce_fast(f)
 
 
-def test_format_poly_renders_terms_in_monomial_order(pyth):
+def _read_poly(alg, text):
+    """Read format_poly's '(re,im)*x1_k*x2_k^e + ...' back into an NCPoly."""
+    terms = {}
+    if text != "0":
+        for term in text.split(" + "):
+            coeff, *factors = term.split("*")
+            re_part, im_part = coeff[1:-1].split(",")
+            mono = [0] * 8
+            for factor in factors:
+                name, _, power = factor.partition("^")
+                family, k = name.split("_")
+                mono[(0 if family == "x1" else 4) + int(k)] = int(power or 1)
+            terms[tuple(mono)] = GaussRational(parse_rational(re_part),
+                                               parse_rational(im_part))
+    return NCPoly(alg, terms)
+
+
+def test_poly_parse_format_round_trip(pyth):
     _, alg, _, _ = pyth
     f = alg.x1(0) * alg.x2(3) * GaussRational(Fraction(2, 3), Fraction(-1, 5)) \
         + alg.x1(1) * alg.x1(1) * 3 - alg.one()
-    assert format_poly(f) == "(-1,0) + (2/3,-1/5)*x1_0*x2_3 + (3,0)*x1_1^2"
+    text = format_poly(f)
+    assert text == "(-1,0) + (2/3,-1/5)*x1_0*x2_3 + (3,0)*x1_1^2"
+    assert (_read_poly(alg, text) - f).is_zero()
+    g = f * alg.casimir()
+    assert (_read_poly(alg, format_poly(g)) - g).is_zero()
     assert format_poly(alg.zero()) == "0"
+    assert _read_poly(alg, "0").is_zero()
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))

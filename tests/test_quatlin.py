@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncspheres.quatlin import (Mat, build_J, embed_M2, epsilon,
+from ncspheres.quatlin import (Mat, build_J, embed_M2, epsilon, j_plus,
                                quat_basis_product, quat_conjugate,
                                quat_multiply)
-from ncspheres.scalars import GaussRational
+from ncspheres.scalars import EXACT, GaussRational
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
 quaternions = st.tuples(rationals, rationals, rationals, rationals)
@@ -59,6 +59,18 @@ def test_conjugate_gives_norm(q):
     assert prod[1] == prod[2] == prod[3] == 0
 
 
+@given(quaternions)
+def test_embed_components_round_trip(q):
+    """q0 = (m00 + m11)/2 etc. read the four components back off embed_M2."""
+    i = GaussRational(0, 1)
+    m = embed_M2([GaussRational(v, 0) for v in q], i)
+    (m00, m01), (m10, m11) = m.rows
+    half = GaussRational(Fraction(1, 2), 0)
+    got = ((m00 + m11) * half, (m00 - m11) * half / i,
+           (m01 - m10) * half, (m01 + m10) * half / i)
+    assert got == tuple(GaussRational(v, 0) for v in q)
+
+
 def _vec(q):
     return [[v] for v in q]
 
@@ -78,6 +90,48 @@ def test_j_matrices_are_translations():
         Jp = build_J(a)
         for q in basis:
             assert _apply(Jp, q) == quat_multiply(e_a, q)
+
+
+def _scalar_mat(c):
+    return Mat([[GaussRational(c if r == k else 0, 0) for k in range(4)]
+                for r in range(4)])
+
+
+def _right_multiplication(b):
+    """Matrix of q -> q e_b, read off the frozen quaternion table."""
+    rows = [[GaussRational(0, 0)] * 4 for _ in range(4)]
+    for nu in range(4):
+        coeff, mu = MULT_TABLE[(nu, b)]
+        rows[mu][nu] = GaussRational(coeff, 0)
+    return Mat(rows)
+
+
+def test_j_matrix_relations_report():
+    """J+_a is antisymmetric, J_a J_b = -delta_ab + eps_abc J_c, and
+    -tr(J_a J_b)/4 = delta_ab."""
+    J = j_plus(EXACT)
+    for a in range(3):
+        assert J[a] + J[a].transpose() == _scalar_mat(0)
+        for b in range(3):
+            expect = _scalar_mat(-1 if a == b else 0)
+            for c in range(3):
+                s = epsilon(a + 1, b + 1, c + 1)
+                if s:
+                    expect = expect + J[c].scale(s)
+            prod = J[a] @ J[b]
+            assert prod == expect
+            assert sum(prod[k, k] for k in range(4)) == (-4 if a == b else 0)
+
+
+def test_j_plus_j_minus_commute():
+    # left translations commute with right translations
+    for b in (1, 2, 3):
+        Rb = _right_multiplication(b)
+        for q in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+            e_b = tuple(int(k == b) for k in range(4))
+            assert _apply(Rb, q) == quat_multiply(q, e_b)
+        for Ja in j_plus(EXACT):
+            assert Ja @ Rb == Rb @ Ja
 
 
 def test_build_J_validates_arguments():

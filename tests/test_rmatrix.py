@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncspheres.errors import MalformedNumber, ParamsNotOnSphere
+from ncspheres.quatlin import Mat, j_plus
 from ncspheres.rmatrix import (DeformParams, build_BigR, build_R_quaternionic,
                                check_all_conditions, check_quadratic_1,
                                check_quadratic_2, check_reality,
@@ -88,6 +89,40 @@ def test_all_conditions_at_two_points():
         assert [r.name for r in reports] == list(CONDITION_NAMES)
         assert all(r.passed for r in reports)
         assert all(r.max_residual == 0.0 for r in reports)
+
+
+def _abcd_entries(A, B, C, D):
+    """R-hat = sum A_r (x) B_r + i sum C_a (x) D_a, as {(lam, al, bt, mu): c}.
+
+    The first factor carries (lam, mu) and the second (alpha, beta).
+    """
+    i = EXACT.i
+    out = {}
+    for lam, al, bt, mu in product(range(4), repeat=4):
+        val = sum((a[lam, mu] * b[al, bt] for a, b in zip(A, B)), EXACT.zero)
+        val += sum((i * c[lam, mu] * d[al, bt] for c, d in zip(C, D)), EXACT.zero)
+        out[lam, al, bt, mu] = val
+    return out
+
+
+def test_general_builder_agrees_with_direct():
+    """The two-deformation ABCD sum with v = e_1 is build_R_quaternionic."""
+    J = j_plus(EXACT)
+    ident = Mat([[GaussRational(int(r == c), 0) for c in range(4)] for r in range(4)])
+    for label in ("3/5,0,4/5", "3/5,4/5,0", "1/3,2/3,2/3"):
+        p = DeformParams.parse(label)
+        D = J[0].scale(GaussRational(p.u1, 0)) + J[1].scale(GaussRational(p.u2, 0))
+        want = _abcd_entries([ident], [ident.scale(GaussRational(p.u0, 0))],
+                             [J[0]], [D])
+        R = build_R_quaternionic(p, EXACT)
+        assert {idx: R.entry(*idx) for idx in want} == want, label
+
+
+def test_off_sphere_v_vector_rejected():
+    # the builder validates the parameter vector before it builds anything
+    for be in (EXACT, float_backend()):
+        with pytest.raises(ParamsNotOnSphere):
+            build_R_quaternionic(DeformParams(Fraction(1), Fraction(1), Fraction(0)), be)
 
 
 def test_perturbed_tensor_fails_yang_baxter():

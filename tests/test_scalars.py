@@ -30,7 +30,7 @@ def test_parse_rational_rejects_garbage():
 
 
 @given(rationals)
-def test_parse_reads_fraction_str(q):
+def test_format_parse_round_trip(q):
     assert parse_rational(str(q)) == q
 
 
@@ -54,9 +54,15 @@ def test_between_squares_is_not_square(n):
         sqrt_exact(Fraction(n * n + 1, 1))
 
 
-def test_gauss_rational_str():
-    assert str(GaussRational(Fraction(-7, 25), Fraction(24, 25))) == "(-7/25,24/25)"
+def test_gauss_rational_parse_and_str():
+    z = GaussRational(Fraction(-7, 25), Fraction(24, 25))
+    assert str(z) == "(-7/25,24/25)"
     assert str(GaussRational(3, Fraction(-1, 2))) == "(3,-1/2)"
+    # each part of the pair reads back with the scalar parser
+    re_part, im_part = str(z)[1:-1].split(",")
+    assert GaussRational(parse_rational(re_part), parse_rational(im_part)) == z
+    with pytest.raises(MalformedNumber):
+        parse_rational("(1,2")
 
 
 @given(gauss, gauss, gauss)
