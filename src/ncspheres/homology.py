@@ -13,7 +13,10 @@ The boundary operators are the standard ones on normalized chains:
 
 The Connes-Chern components are partial matrix traces of tensor powers of
 the projection (even case) or of the coordinate quaternion and its star
-(odd case); both are built through the generic trace_chain.
+(odd case); both are built through the generic trace_chain.  Since the
+trace map is a chain map, trace_boundary takes b of a trace through the
+matrix faces, traces of one degree less; the report checks b ch2 = 0 that
+way, far cheaper than b on ch2's own terms.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ class ChainContext:
         self._ids = {(0,) * 8: UNIT_ID}
         # mono_key of each interned monomial, by id: the canonical sort key
         self.mono_keys = [mono_key((0,) * 8)]
-        self._poly_cache = {}
         self._pair_cache = {}
 
     def intern(self, mono) -> int:
@@ -52,9 +54,6 @@ class ChainContext:
             self._ids[mono] = got
             self.mono_keys.append(mono_key(mono))
         return got
-
-    def mono(self, mid: int):
-        return self._monos[mid]
 
     def expand_poly(self, f: NCPoly):
         """Sphere-reduce f and expand as a tuple of (monomial id, coeff)."""
@@ -118,12 +117,9 @@ class TensorChain(Sparse):
 
     def digest(self) -> dict:
         h = hashlib.sha256()
+        slot = [repr(m).encode() + b"|" for m in self.ctx._monos]
         for key, coeff in self.canonical_terms():
-            for mid in key:
-                h.update(repr(self.ctx.mono(mid)).encode())
-                h.update(b"|")
-            h.update(str(coeff).encode())
-            h.update(b";")
+            h.update(b"".join([slot[mid] for mid in key]) + str(coeff).encode() + b";")
         return {
             "degree": self.degree,
             "n_terms": len(self.terms),
@@ -205,6 +201,35 @@ def trace_chain(ctx: ChainContext, mats) -> TensorChain:
     Each matrix is a Mat over NCPoly; the result is the degree-n chain
     sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0].
     """
+    out = {}
+    _trace_into(ctx, mats, ctx.backend.one, out)
+    return TensorChain(ctx, len(mats) - 1, out)
+
+
+def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
+    """b<M0 x ... x Mn>, summed over matrix faces without building the chain.
+
+    The trace map is a chain map (Loday, Cyclic Homology, 1.2.2):
+        b<M0 x ... x Mn> = sum_{i<n} (-1)^i <M0 x ... x M_i M_{i+1} x ... x Mn>
+                           + (-1)^n <Mn M0 x M1 x ... x M_{n-1}>.
+    Each face is a degree-(n-1) trace of matrix products, reduced entry by
+    entry, so nothing assumes an identity such as p^2 = p.
+    """
+    mats = list(mats)
+    n = len(mats) - 1
+    if n < 1:
+        raise DegreeZero("b is undefined on degree-0 chains")
+    one = ctx.backend.one
+    out = {}
+    for i in range(n):
+        face = mats[:i] + [mats[i] @ mats[i + 1]] + mats[i + 2:]
+        _trace_into(ctx, face, one if i % 2 == 0 else -one, out)
+    _trace_into(ctx, [mats[n] @ mats[0]] + mats[1:n], one if n % 2 == 0 else -one, out)
+    return TensorChain(ctx, n - 1, out)
+
+
+def _trace_into(ctx: ChainContext, mats, coeff, out: dict) -> None:
+    """out += coeff * <M0 x ... x Mn>, walking every cyclic index path."""
     sizes = {len(m.rows) for m in mats}
     if len(sizes) != 1:
         raise ValueError("matrix sizes differ")
@@ -217,28 +242,26 @@ def trace_chain(ctx: ChainContext, mats) -> TensorChain:
             table = [[tuple(e for e in cell if e[0] != UNIT_ID) for cell in row]
                      for row in table]
         expanded.append(table)
-    out = {}
-    n = len(mats)
+    last = len(mats) - 1
 
     def walk(pos, i_first, i_cur, prefix, c):
-        if pos == n:
-            if i_cur != i_first:
-                return
-            add_into(out, prefix, c)
+        if pos == last:
+            # the last slot only closes the cycle, so add_into is written out:
+            # a walk and an add_into call per leaf made the float ch2 walk
+            # 3.9 s against 2.5 s (3/5,4/5,0, 2-core machine, CPython 3.11)
+            for mid, cc in expanded[pos][i_cur][i_first]:
+                key = prefix + (mid,)
+                v = c * cc
+                got = out.get(key)
+                out[key] = v if got is None else got + v
             return
         row = expanded[pos][i_cur]
         for i_next in range(r):
-            cell = row[i_next]
-            if not cell:
-                continue
-            if pos == n - 1 and i_next != i_first:
-                continue
-            for mid, cc in cell:
+            for mid, cc in row[i_next]:
                 walk(pos + 1, i_first, i_next, prefix + (mid,), c * cc)
 
     for i0 in range(r):
-        walk(0, i0, i0, (), ctx.backend.one)
-    return TensorChain(ctx, n - 1, out)
+        walk(0, i0, i0, (), coeff)
 
 
 def matrix_half_shift(ctx: ChainContext, p: Mat) -> Mat:
@@ -250,10 +273,14 @@ def matrix_half_shift(ctx: ChainContext, p: Mat) -> Mat:
     return Mat(rows)
 
 
+def chern_even_word(ctx: ChainContext, p: Mat, k: int) -> list:
+    """The matrix word (p - 1/2) x p^{x 2k} whose trace is ch_k(p)."""
+    return [matrix_half_shift(ctx, p)] + [p] * (2 * k)
+
+
 def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:
     """ch_k(p) = <(p - 1/2) x p^{x 2k}>, a degree-2k chain."""
-    mats = [matrix_half_shift(ctx, p)] + [p] * (2 * k)
-    return trace_chain(ctx, mats)
+    return trace_chain(ctx, chern_even_word(ctx, p, k))
 
 
 def unitarity_report(ctx: ChainContext, U: Mat) -> float:

@@ -21,7 +21,7 @@ from ncspheres.coaction import (canonical_witness, check_comodule_algebra,
                                 one_sided_left_coaction)
 from ncspheres.homology import (B_boundary, ChainContext, TensorChain,
                                 b_boundary, chain_from_slots, chern_even,
-                                chern_odd)
+                                chern_even_word, chern_odd, trace_boundary)
 from ncspheres.ncalg import basis_size, central_witness, confluence_check
 from ncspheres.quatlin import embed_M2
 from ncspheres.rmatrix import (DeformParams, build_R_quaternionic,
@@ -147,6 +147,8 @@ def test_c6_homology_suite_at_main_point(catalog):
     assert not ch2.is_zero()
     b_ch2 = b_boundary(ch2)
     assert b_ch2.is_zero()
+    # the report's route, through the matrix faces, against b on ch2 itself
+    assert trace_boundary(ctx, chern_even_word(ctx, p_mat, 2)) == b_ch2
     d2 = ch2.digest()
     assert (d2["n_terms"], d2["sha256"]) == CH2_DIGEST
     ctx3 = ChainContext(three_sphere_context(s, ys))

@@ -11,6 +11,7 @@ from ncspheres import cli
 from ncspheres.cli import (CATALOG, RunSpec, canonical_json, main, run, sweep,
                            sweep_csv)
 from ncspheres.errors import InvalidSpec, ParamsNotOnSphere
+from ncspheres.quatlin import Mat
 from ncspheres.rmatrix import DeformParams
 from ncspheres.scalars import EXACT, GaussRational
 
@@ -104,6 +105,27 @@ def test_main_returns_one_on_task_failure(monkeypatch, capsys):
         lambda spec, state: {"passed": False, "error": {"detail": "nope"}})
     assert main(["check", "--quiet"]) == 1
     capsys.readouterr()
+
+
+def test_non_idempotent_projection_fails_the_b_ch2_closure(
+        monkeypatch, tmp_path, capsys):
+    """Negative control for b(ch2) = 0: p + E_00/3 is not a projection."""
+    real = cli.build_projection
+
+    def perturbed(s):
+        p = real(s)
+        rows = [list(r) for r in p.rows]
+        rows[0][0] = rows[0][0] + s.base.scalar(Fraction(1, 3))
+        return Mat(rows)
+
+    monkeypatch.setattr(cli, "build_projection", perturbed)
+    out = tmp_path / "chern.json"
+    assert main(["chern", "--backend", "float", "--quiet",
+                 "--json", str(out)]) == 1
+    capsys.readouterr()
+    chern = json.loads(out.read_text())["tasks"]["chern"]
+    assert not chern["passed"]
+    assert chern["closures"]["b_ch2_zero"] is False
 
 
 def test_json_report_validates_against_schema(tmp_path, capsys):

@@ -8,8 +8,9 @@ import pytest
 from ncspheres.errors import DegreeZero, NotUnitaryEnough
 from ncspheres.homology import (B_boundary, ChainContext, TensorChain,
                                 b_boundary, chain_from_slots, chern_even,
-                                chern_odd, check_vanzz_equivalence,
-                                matrix_half_shift, trace_chain)
+                                chern_even_word, chern_odd,
+                                check_vanzz_equivalence, matrix_half_shift,
+                                trace_boundary, trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
 from ncspheres.spheres import build_projection, three_sphere_context
 
@@ -63,6 +64,8 @@ def test_b_rejects_degree_zero(chain_ctx):
     c = chain_from_slots(chain_ctx, [chain_ctx.alg.one()])
     with pytest.raises(DegreeZero):
         b_boundary(c)
+    with pytest.raises(DegreeZero):
+        trace_boundary(chain_ctx, [Mat([[chain_ctx.alg.one()]])])
 
 
 def test_slots_after_first_are_normalized(chain_ctx):
@@ -87,6 +90,17 @@ def test_trace_chain_matches_slotwise_expansion(chain_ctx):
     assert got == want
 
 
+def test_trace_of_one_matrix_is_its_diagonal_sum(chain_ctx):
+    """A one-matrix word closes its cycle at the first slot."""
+    alg = chain_ctx.alg
+    rng = random.Random(3)
+    A = Mat([[_random_poly(alg, rng) for _ in range(3)] for _ in range(3)])
+    got = trace_chain(chain_ctx, [A])
+    assert got.degree == 0 and not got.is_zero()
+    assert got == chain_from_slots(
+        chain_ctx, [A.rows[0][0] + A.rows[1][1] + A.rows[2][2]])
+
+
 def test_b_of_trace_contracts_matrix_products(chain_ctx):
     """b<A x B x C> = <AB x C> - <A x BC> + <CA x B>."""
     alg = chain_ctx.alg
@@ -101,6 +115,36 @@ def test_b_of_trace_contracts_matrix_products(chain_ctx):
         - trace_chain(chain_ctx, [A, B @ C]) \
         + trace_chain(chain_ctx, [C @ A, B])
     assert lhs == rhs
+    assert trace_boundary(chain_ctx, [A, B, C]) == rhs
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5])
+def test_trace_boundary_matches_b_of_the_trace(chain_ctx, length):
+    """The face sum equals b on the expanded chain, degrees 1 to 4."""
+    alg = chain_ctx.alg
+    rng = random.Random(100 + length)
+    mats = [Mat([[_random_poly(alg, rng, terms=3) for _ in range(2)]
+                 for _ in range(2)]) for _ in range(length)]
+    want = b_boundary(trace_chain(chain_ctx, mats))
+    assert not want.is_zero()
+    got = trace_boundary(chain_ctx, mats)
+    assert got.degree == want.degree == length - 2
+    assert got == want
+
+
+@pytest.mark.parametrize("point", ["pyth", "mixed"])
+def test_non_idempotent_projection_is_not_a_cycle(point, request):
+    """Negative control: off p^2 = p both routes give the same nonzero b."""
+    _, alg, s, _ = request.getfixturevalue(point)
+    ctx = ChainContext(s)
+    p = build_projection(s)
+    rows = [list(r) for r in p.rows]
+    rows[0][1] = rows[0][1] + alg.generator(2) * alg.generator(5)
+    word = chern_even_word(ctx, Mat(rows), 1)
+    faces = trace_boundary(ctx, word)
+    assert not faces.is_zero()
+    assert faces == b_boundary(trace_chain(ctx, word))
+    assert trace_boundary(ctx, chern_even_word(ctx, p, 1)).is_zero()
 
 
 def test_trace_invariant_under_constant_conjugation(chain_ctx):
