@@ -320,13 +320,13 @@ def run(spec: RunSpec):
     return report, timings
 
 
-def sweep(points, tasks=_VERB_TASKS["sweep"], backend_name="exact",
-          tol=1e-9, degree_cap=12):
+def sweep(points, backend_name="exact", tol=1e-9, degree_cap=12):
     """Run the pipeline at each point in order; one (report, timings) each."""
     if not points:
         raise InvalidSpec("sweep needs at least one parameter point")
-    specs = [RunSpec(params=p, backend_name=backend_name, tasks=tuple(tasks),
-                     tol=tol, degree_cap=degree_cap) for p in points]
+    specs = [RunSpec(params=p, backend_name=backend_name,
+                     tasks=_VERB_TASKS["sweep"], tol=tol, degree_cap=degree_cap)
+             for p in points]
     for s in specs:
         s.validate()
     return [run(s) for s in specs]

@@ -88,22 +88,6 @@ class CommPoly(Sparse):
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        """Star on H: the coordinates are real, so conjugate coefficients."""
-        return CommPoly(self.backend, {m: c.conjugate() for m, c in self.terms.items()})
-
-    def evaluate(self, point):
-        """Value at a numeric quaternion (needs no unit-norm assumption)."""
-        be = self.backend
-        total = be.zero
-        for m, c in self.terms.items():
-            v = c
-            for i in range(4):
-                for _ in range(m[i]):
-                    v = v * point[i]
-            total = total + v
-        return total
-
 
 class HChain(Sparse):
     """Element of H^{(x) k}, used for the Hopf-axiom checks."""
@@ -159,21 +143,16 @@ def tensor_of(*polys):
 
 
 def hopf_delta_gen(backend, mu: int) -> HChain:
-    """Coproduct of w^mu, dual to the quaternion product."""
-    w = [CommPoly.generator(backend, i) for i in range(4)]
-    if mu == 0:
-        out = tensor_of(w[0], w[0])
-        for a in (1, 2, 3):
-            out = out - tensor_of(w[a], w[a])
-        return out
-    out = tensor_of(w[0], w[mu]) + tensor_of(w[mu], w[0])
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            e = epsilon(a, b, mu)
-            if e:
-                t = tensor_of(w[a], w[b])
-                out = out + (t if e > 0 else t.scale(-backend.one))
-    return out
+    """Coproduct of w^mu, dual to the quaternion product: the sum of
+    +-w^a (x) w^b over the (a, b) with e_a e_b = +-e_mu."""
+    unit = [tuple(int(i == a) for i in range(4)) for a in range(4)]
+    terms = {}
+    for a in range(4):
+        for b in range(4):
+            coeff, nu = quat_basis_product(a, b)
+            if nu == mu:
+                terms[(unit[a], unit[b])] = backend.one if coeff > 0 else -backend.one
+    return HChain(backend, terms)
 
 
 _HOPF_GENS = weakref.WeakKeyDictionary()
@@ -202,9 +181,13 @@ def hopf_delta(f: CommPoly) -> HChain:
 
 
 def hopf_counit(f: CommPoly):
-    """Evaluation at the identity quaternion."""
-    be = f.backend
-    return f.evaluate((be.one, be.zero, be.zero, be.zero))
+    """Evaluation at the identity quaternion: the coefficients of the
+    monomials in w0 alone."""
+    total = f.backend.zero
+    for m, c in f.terms.items():
+        if m[1] == m[2] == m[3] == 0:
+            total = total + c
+    return total
 
 
 def hopf_antipode(f: CommPoly) -> CommPoly:
@@ -215,10 +198,19 @@ def hopf_antipode(f: CommPoly) -> CommPoly:
     return CommPoly(f.backend, out)
 
 
+_HOPF_AXIOMS = weakref.WeakKeyDictionary()
+
+
 def check_hopf_axioms(backend: Backend) -> list:
     """Coassociativity, counit and antipode laws on generators and on all
-    degree-2 products."""
-    be = backend
+    degree-2 products.  H does not depend on the point, so the reports are
+    computed once per backend; each call returns a fresh list."""
+    if backend not in _HOPF_AXIOMS:
+        _HOPF_AXIOMS[backend] = _hopf_axiom_reports(backend)
+    return list(_HOPF_AXIOMS[backend])
+
+
+def _hopf_axiom_reports(be: Backend) -> tuple:
     tol = be.tol
     w = [CommPoly.generator(be, i) for i in range(4)]
     elements = list(w) + [w[a] * w[b] for a in range(4) for b in range(a, 4)]
@@ -253,11 +245,11 @@ def check_hopf_axioms(backend: Backend) -> list:
         target = CommPoly(be, {H_ONE: hopf_counit(f)})
         antipode = max(antipode, be.max_residual((sl - target).terms.values()),
                        be.max_residual((sr - target).terms.values()))
-    return [
+    return (
         ConditionReport("hopf_coassociativity", coassoc <= tol, coassoc, None),
         ConditionReport("hopf_counit", counit <= tol, counit, None),
         ConditionReport("hopf_antipode", antipode <= tol, antipode, None),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,27 +319,15 @@ def _merge_mixed(acc, am, hm, coeff):
 # ---------------------------------------------------------------------------
 
 
-def right_corep_matrix(backend: Backend) -> list:
-    """h^mu_nu = (e_nu w)^mu in H, the right-multiplication corepresentation."""
-    h = [[CommPoly.zero(backend) for _ in range(4)] for _ in range(4)]
+def corep_matrix(backend: Backend, *, right: bool) -> list:
+    """h^mu_nu = (e_nu w)^mu in H, the right-multiplication corepresentation,
+    or with right=False (w e_nu)^mu, used only as the faulty one-sided variant."""
+    h = [[None] * 4 for _ in range(4)]
     for nu in range(4):
         for a in range(4):
-            coeff, mu = quat_basis_product(nu, a)
+            coeff, mu = quat_basis_product(nu, a) if right else quat_basis_product(a, nu)
             w = CommPoly.generator(backend, a)
-            ent = w if coeff > 0 else -w
-            h[mu][nu] = h[mu][nu] + ent
-    return h
-
-
-def left_corep_matrix(backend: Backend) -> list:
-    """h^mu_nu = (w e_nu)^mu in H, used only as the faulty one-sided variant."""
-    h = [[CommPoly.zero(backend) for _ in range(4)] for _ in range(4)]
-    for nu in range(4):
-        for a in range(4):
-            coeff, mu = quat_basis_product(a, nu)
-            w = CommPoly.generator(backend, a)
-            ent = w if coeff > 0 else -w
-            h[mu][nu] = h[mu][nu] + ent
+            h[mu][nu] = w if coeff > 0 else -w
     return h
 
 
@@ -371,33 +351,28 @@ class Coaction:
         return out
 
 
-def diagonal_coaction(s: SphereAlgebra) -> Coaction:
-    """x_i -> x_i w on both quaternions: the bundle's structure coaction."""
-    be = s.base.backend
-    h = right_corep_matrix(be)
-    images = []
-    for fam in (0, 4):
-        for mu in range(4):
-            img = MixedElement(s, {})
-            for nu in range(4):
-                img = img + MixedElement.from_poly(s, s.base.generator(fam + nu), h[mu][nu])
-            images.append(img)
-    return Coaction(s, images)
-
-
-def one_sided_left_coaction(s: SphereAlgebra) -> Coaction:
-    """x1 -> w x1, x2 -> x2: generally fails to preserve the relations."""
-    be = s.base.backend
-    h = left_corep_matrix(be)
+def _family_images(s: SphereAlgebra, h, family: int) -> list:
+    """delta(x^mu) = sum_nu x^nu (x) h^mu_nu on the generators of one family."""
     images = []
     for mu in range(4):
         img = MixedElement(s, {})
         for nu in range(4):
-            img = img + MixedElement.from_poly(s, s.base.generator(nu), h[mu][nu])
+            img = img + MixedElement.from_poly(s, s.base.generator(family * 4 + nu), h[mu][nu])
         images.append(img)
-    for mu in range(4):
-        images.append(MixedElement.from_poly(s, s.base.generator(4 + mu)))
-    return Coaction(s, images)
+    return images
+
+
+def diagonal_coaction(s: SphereAlgebra) -> Coaction:
+    """x_i -> x_i w on both quaternions: the bundle's structure coaction."""
+    h = corep_matrix(s.base.backend, right=True)
+    return Coaction(s, _family_images(s, h, 0) + _family_images(s, h, 1))
+
+
+def one_sided_left_coaction(s: SphereAlgebra) -> Coaction:
+    """x1 -> w x1, x2 -> x2: generally fails to preserve the relations."""
+    h = corep_matrix(s.base.backend, right=False)
+    fixed = [MixedElement.from_poly(s, s.base.generator(4 + mu)) for mu in range(4)]
+    return Coaction(s, _family_images(s, h, 0) + fixed)
 
 
 def check_comodule_algebra(co: Coaction) -> dict:
@@ -433,9 +408,8 @@ def check_comodule_algebra(co: Coaction) -> dict:
     for g in range(8):
         star_res = max(star_res, (co.delta(alg.generator(g)).star()
                                   - co.delta(alg.generator(g))).residual())
-    # comodule laws via the corepresentation matrix of the first family
-    corep_res = _corep_axioms_residual(co)
-    counit_res = _counit_residual(co)
+    # comodule laws via the corepresentation matrix of each family
+    corep_res, counit_res = _comodule_law_residuals(co)
     return {
         "relations_preserved": not failures,
         "max_residual": worst,
@@ -462,39 +436,27 @@ def _image_h_matrix(co: Coaction, family: int):
     return h
 
 
-def _corep_axioms_residual(co: Coaction) -> float:
-    """(delta x id) delta = (id x Delta) delta, on the generator matrix."""
+def _comodule_law_residuals(co: Coaction) -> tuple:
+    """Residuals of (delta x id) delta = (id x Delta) delta and of the counit
+    law on each family's generator matrix; (1.0, 1.0) if an image is not
+    linear in the generators."""
     be = co.sphere.base.backend
-    res = 0.0
+    coassoc = counit = 0.0
     for family in (0, 1):
         try:
             h = _image_h_matrix(co, family)
         except InvalidSpec:
-            return 1.0
+            return 1.0, 1.0
         for mu in range(4):
             for rho in range(4):
                 lhs = hopf_delta(h[mu][rho])
                 rhs = HChain(be, {})
                 for nu in range(4):
                     rhs = rhs + tensor_of(h[nu][rho], h[mu][nu])
-                res = max(res, be.max_residual((lhs - rhs).terms.values()))
-    return res
-
-
-def _counit_residual(co: Coaction) -> float:
-    be = co.sphere.base.backend
-    res = 0.0
-    for family in (0, 1):
-        try:
-            h = _image_h_matrix(co, family)
-        except InvalidSpec:
-            return 1.0
-        for mu in range(4):
-            for nu in range(4):
-                v = hopf_counit(h[mu][nu])
-                target = be.one if mu == nu else be.zero
-                res = max(res, be.residual(v - target))
-    return res
+                coassoc = max(coassoc, be.max_residual((lhs - rhs).terms.values()))
+                target = be.one if mu == rho else be.zero
+                counit = max(counit, be.residual(hopf_counit(h[mu][rho]) - target))
+    return coassoc, counit
 
 
 # ---------------------------------------------------------------------------
@@ -516,22 +478,17 @@ def derivation_matrix(a: int):
 
 
 def derivation(alg, a: int, f: NCPoly) -> NCPoly:
-    """Leibniz extension of the infinitesimal right translation."""
+    """Leibniz extension of the infinitesimal right translation; a prefix or
+    suffix of a normal word is itself a normal monomial with coefficient 1."""
     M = derivation_matrix(a)
+    one = alg.backend.one
     out = alg.zero()
     for m, c in f.terms.items():
-        word = []
-        for g in range(8):
-            word.extend([g] * m[g])
-        for pos in range(len(word)):
-            g = word[pos]
+        word = [g for g in range(8) for _ in range(m[g])]
+        for pos, g in enumerate(word):
             fam, mu = divmod(g, 4)
-            pre = alg.one()
-            for gg in word[:pos]:
-                pre = pre * alg.generator(gg)
-            post = alg.one()
-            for gg in word[pos + 1:]:
-                post = post * alg.generator(gg)
+            pre = NCPoly(alg, {tuple(word[:pos].count(k) for k in range(8)): one})
+            post = NCPoly(alg, {tuple(word[pos + 1:].count(k) for k in range(8)): one})
             for nu in range(4):
                 if M[mu][nu] == 0:
                     continue
@@ -540,14 +497,14 @@ def derivation(alg, a: int, f: NCPoly) -> NCPoly:
     return out
 
 
-def coinvariants(alg, degree: int, max_degree: int = 4) -> list:
+def coinvariants(alg, degree: int) -> list:
     """Basis of the joint kernel of D_1, D_2, D_3 on the degree-n component.
 
     Computed in the graded quadratic algebra (the derivations preserve
     degree); the quotient sphere algebra inherits each coinvariant.
     """
-    if degree > max_degree:
-        raise DegreeOverflow(f"coinvariants limited to degree {max_degree}")
+    if degree > 4:
+        raise DegreeOverflow("coinvariants limited to degree 4")
     be = alg.backend
     basis = basis_monomials(degree)
     index = {m: i for i, m in enumerate(basis)}

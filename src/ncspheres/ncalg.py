@@ -460,35 +460,26 @@ class ReductionContext:
         return {m: c for m, c in work.items() if not be.is_zero(c)}
 
     def _pivot_full_rows(self, k: int):
-        """{lead: full (c_j - v_j)*m combination row} matching _echelon(k)."""
-        key = ("full", k)
-        hit = self._echelons.get(key)
+        """{lead: (c_j - v_j)*m combination row} for degree k; each lead is its
+        row's largest monomial, and a row whose largest drops below k is spent."""
+        hit = self._echelons.get(k)
         if hit is not None:
             return hit
         be = self.alg.backend
         pivots = {}
 
-        def insert(top_row, full_row):
-            top = dict(top_row)
-            full = dict(full_row)
-            while top:
-                lead = max(top, key=mono_key)
+        def insert(full):
+            while full:
+                lead = max(full, key=mono_key)
+                if sum(lead) < k:
+                    return
                 got = pivots.get(lead)
                 if got is None:
-                    lc = top[lead]
-                    inv = 1 / lc
-                    pivots[lead] = ({m: inv * c for m, c in top.items()},
-                                    {m: inv * c for m, c in full.items()})
+                    inv = 1 / full[lead]
+                    pivots[lead] = {m: inv * c for m, c in full.items()}
                     return
-                ptop, pfull = got
-                f = top[lead]
-                for m, c in ptop.items():
-                    v = top.get(m, be.zero) - f * c
-                    if be.is_zero(v):
-                        top.pop(m, None)
-                    else:
-                        top[m] = v
-                for m, c in pfull.items():
+                f = full[lead]
+                for m, c in got.items():
                     v = full.get(m, be.zero) - f * c
                     if be.is_zero(v):
                         full.pop(m, None)
@@ -500,25 +491,19 @@ class ReductionContext:
             if k < dc:
                 continue
             for m in basis_monomials(k - dc):
-                if sum(m) != k - dc:
-                    continue
-                mono = NCPoly(self.alg, {m: be.one})
-                top = (c * mono).terms
-                full = dict(top)
-                prev = full.get(m, be.zero)
-                nv = prev - v
+                full = dict((c * NCPoly(self.alg, {m: be.one})).terms)
+                nv = full.get(m, be.zero) - v
                 if be.is_zero(nv):
                     full.pop(m, None)
                 else:
                     full[m] = nv
-                insert(top, full)
-        self._echelons[key] = pivots
+                insert(full)
+        self._echelons[k] = pivots
         return pivots
 
     def _apply_pivot(self, work: dict, m, c, k: int):
         be = self.alg.backend
-        _top, full = self._pivot_full_rows(k)[m]
-        for mm, cc in full.items():
+        for mm, cc in self._pivot_full_rows(k)[m].items():
             v = work.get(mm, be.zero) - c * cc
             if be.is_zero(v):
                 work.pop(mm, None)

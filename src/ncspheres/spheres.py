@@ -1,9 +1,8 @@
-"""Sphere and torus quotients of the quadratic algebra, and the Y system.
+"""The seven-sphere quotient of the quadratic algebra, and the Y system.
 
-The seven-sphere is the quotient by the central relation x^2 = 1; the torus
-quotients by both family norms.  On the seven-sphere the pair (x2, x1) of
-quaternion-valued generators gives the projection p = |psi><psi| and the
-degree-2 coordinate functions
+The seven-sphere is the quotient by the central relation x^2 = 1.  On it the
+pair (x2, x1) of quaternion-valued generators gives the projection
+p = |psi><psi| and the degree-2 coordinate functions
 
     Y = 2 x2 conj(x1)   (quaternion product, components Y^0..Y^3),
     Y4 = ||x2||^2 - ||x1||^2,
@@ -24,7 +23,7 @@ from .errors import InvalidSpec, IrrationalEigenvalue, NotAPerfectSquare
 from .ncalg import Algebra, NCPoly, ReductionContext, central_witness, mono_key
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
-from .scalars import EXACT, Backend, GaussRational, row_reduce, sqrt_exact
+from .scalars import Backend, GaussRational, row_reduce, sqrt_exact
 
 
 @dataclass
@@ -43,18 +42,14 @@ class SphereAlgebra:
 
 def build_sphere(alg: Algebra, kind: str, params: DeformParams | None = None,
                  degree_cap: int = 12) -> SphereAlgebra:
-    """Quotient context for 'seven_sphere' (x^2 = 1) or 'torus' (both norms 1).
+    """Quotient context for 'seven_sphere' (x^2 = 1), the one kind there is.
 
     Raises NotCentral if a relation element fails to commute with every
     generator (possible for fault-injected exchange tensors).
     """
-    if kind == "seven_sphere":
-        rels = [(alg.casimir(), 1)]
-    elif kind == "torus":
-        rels = [(alg.family_casimir(1), 1), (alg.family_casimir(2), 1)]
-    else:
+    if kind != "seven_sphere":
         raise InvalidSpec(f"unknown sphere kind {kind!r}")
-    ctx = ReductionContext(alg, rels, degree_cap=degree_cap)
+    ctx = ReductionContext(alg, [(alg.casimir(), 1)], degree_cap=degree_cap)
     return SphereAlgebra(kind, alg, ctx, params)
 
 
@@ -446,7 +441,7 @@ def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def diagonalize_lambda(ys: YSystem, backend: Backend | None = None) -> dict:
+def diagonalize_lambda(ys: YSystem, backend: Backend) -> dict:
     """Eigenvalues, deformation phase, and diagonalizing rotation of Lambda'.
 
     Lambda' = u0 + i(u1 sigma-like block + u2 off-block) has eigenvalues
@@ -457,10 +452,9 @@ def diagonalize_lambda(ys: YSystem, backend: Backend | None = None) -> dict:
     """
     if ys.params is None:
         raise InvalidSpec("parameter point required to diagonalize Lambda")
-    be = backend if backend is not None else EXACT
     u0f, u1f, u2f = (Fraction(v) for v in (ys.params.u0, ys.params.u1, ys.params.u2))
     s2 = u1f * u1f + u2f * u2f
-    if be.exact:
+    if backend.exact:
         try:
             sval = sqrt_exact(s2)
         except NotAPerfectSquare:

@@ -6,11 +6,11 @@ from ncspheres.scalars import EXACT
 from ncspheres.spheres import build_sphere, compute_Y
 
 
-def make_point(label, backend=EXACT, kind="seven_sphere"):
+def make_point(label, backend=EXACT):
     """Algebra, sphere context, and Y system at one parameter point."""
     p = DeformParams.parse(label)
     alg = Algebra(build_R_quaternionic(p, backend), backend)
-    s = build_sphere(alg, kind, params=p)
+    s = build_sphere(alg, "seven_sphere", params=p)
     ys = compute_Y(s)
     return p, alg, s, ys
 

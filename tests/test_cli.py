@@ -80,14 +80,14 @@ def test_sweep_needs_points():
 
 def test_sweep_preserves_order_and_flags():
     points = [DeformParams.parse("1,0,0"), DeformParams.parse("3/5,4/5,0")]
-    results = sweep(points, tasks=("sphere",))
+    results = sweep(points)
     assert all(r["passed"] for r, _ in results)
     assert [r["spec"]["params"] for r, _ in results] == ["1,0,0", "3/5,4/5,0"]
     csv = sweep_csv(points, results)
     lines = csv.strip().split("\n")
-    assert lines[0] == "point,commutative,conditions,algebra,sphere,theta"
-    assert lines[1].startswith('"1,0,0",commutative,pass,pass,pass')
-    assert lines[2].startswith('"3/5,4/5,0",,pass,pass,pass')
+    assert lines[0] == "point,commutative,conditions,algebra,sphere,coaction,theta"
+    assert lines[1].startswith('"1,0,0",commutative,pass,pass,pass,pass')
+    assert lines[2].startswith('"3/5,4/5,0",,pass,pass,pass,pass')
     assert '"(-7/25,24/25)"' in lines[2]
 
 

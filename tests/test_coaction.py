@@ -1,19 +1,25 @@
 """Structure Hopf algebra, bundle coaction, derivations, coinvariants."""
 
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from ncspheres import coaction
+from ncspheres.cli import main, sweep
 from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 check_comodule_algebra, check_hopf_axioms,
-                                coinvariant_report, coinvariants, derivation,
+                                coinvariant_report, coinvariants, corep_matrix,
+                                derivation, derivation_matrix,
                                 derivation_reports, diagonal_coaction,
                                 hopf_antipode, hopf_counit,
-                                one_sided_left_coaction, right_corep_matrix,
-                                span_contains)
+                                one_sided_left_coaction, span_contains,
+                                tensor_of)
 from ncspheres.errors import DegreeOverflow
+from ncspheres.quatlin import epsilon
+from ncspheres.rmatrix import DeformParams
 from ncspheres.scalars import EXACT, float_backend
 
 
@@ -53,6 +59,62 @@ def test_hopf_generators_are_built_once_per_backend(monkeypatch):
         assert gen.terms == original(be, mu).terms
 
 
+def _written_out_delta_gen(backend, mu):
+    """Oracle: the coproduct of w^mu spelled out with the Levi-Civita symbol."""
+    w = [CommPoly.generator(backend, i) for i in range(4)]
+    if mu == 0:
+        out = tensor_of(w[0], w[0])
+        for a in (1, 2, 3):
+            out = out - tensor_of(w[a], w[a])
+        return out
+    out = tensor_of(w[0], w[mu]) + tensor_of(w[mu], w[0])
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            e = epsilon(a, b, mu)
+            if e:
+                t = tensor_of(w[a], w[b])
+                out = out + (t if e > 0 else t.scale(-backend.one))
+    return out
+
+
+def test_hopf_delta_gen_matches_the_written_out_coproduct():
+    for be in (EXACT, float_backend()):
+        for mu in range(4):
+            got = coaction.hopf_delta_gen(be, mu)
+            want = _written_out_delta_gen(be, mu)
+            assert got == want
+            assert got.terms == want.terms
+
+
+def test_hopf_axioms_are_checked_once_across_a_sweep(monkeypatch):
+    runs = []
+    body = coaction._hopf_axiom_reports
+
+    def counting(be):
+        runs.append(be)
+        return body(be)
+
+    monkeypatch.setattr(coaction, "_HOPF_AXIOMS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(coaction, "_hopf_axiom_reports", counting)
+    points = [DeformParams.parse(p) for p in ("1,0,0", "3/5,4/5,0", "1/3,2/3,2/3")]
+    results = sweep(points)
+    assert all(r["passed"] for r, _ in results)
+    assert runs == [EXACT]
+    hopf = [r["tasks"]["coaction"]["hopf"] for r, _ in results]
+    assert hopf[0] == hopf[1] == hopf[2]
+    assert [h["name"] for h in hopf[0]] == [
+        "hopf_coassociativity", "hopf_counit", "hopf_antipode"]
+
+
+def test_mutating_the_returned_reports_leaves_the_next_call_alone():
+    be = float_backend()
+    first = check_hopf_axioms(be)
+    kept = list(first)
+    first.reverse()
+    first.pop()
+    assert check_hopf_axioms(be) == kept
+
+
 def test_norm_relation_is_built_in():
     w = [CommPoly.generator(EXACT, mu) for mu in range(4)]
     norm = w[0] * w[0] + w[1] * w[1] + w[2] * w[2] + w[3] * w[3]
@@ -75,7 +137,7 @@ def test_counit_is_multiplicative():
 
 
 def test_corep_entries_counit_to_kronecker():
-    h = right_corep_matrix(EXACT)
+    h = corep_matrix(EXACT, right=True)
     for mu in range(4):
         for nu in range(4):
             v = hopf_counit(h[mu][nu])
@@ -144,6 +206,47 @@ def test_derivation_on_first_family_is_pinned(pyth):
     assert (derivation(alg, 1, x[3]) - x[2]).is_zero()
 
 
+def _generator_product_derivation(alg, a, f):
+    """Oracle: the Leibniz rule with every prefix and suffix multiplied out
+    one generator at a time."""
+    M = derivation_matrix(a)
+    out = alg.zero()
+    for m, c in f.terms.items():
+        word = []
+        for g in range(8):
+            word.extend([g] * m[g])
+        for pos in range(len(word)):
+            g = word[pos]
+            fam, mu = divmod(g, 4)
+            pre = alg.one()
+            for gg in word[:pos]:
+                pre = pre * alg.generator(gg)
+            post = alg.one()
+            for gg in word[pos + 1:]:
+                post = post * alg.generator(gg)
+            for nu in range(4):
+                if M[mu][nu] == 0:
+                    continue
+                mid = alg.generator(fam * 4 + nu)
+                out = out + (pre * mid * post) * (M[mu][nu] * c)
+    return out
+
+
+@pytest.mark.parametrize("point", ["pyth", "mixed"])
+def test_derivation_matches_generator_products(point, request):
+    _, alg, _, _ = request.getfixturevalue(point)
+    rng = random.Random(13)
+    for _ in range(4):
+        f = alg.zero()
+        for _ in range(3):
+            term = alg.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                term = term * alg.generator(rng.randrange(8))
+            f = f + term
+        for a in (1, 2, 3):
+            assert derivation(alg, a, f) == _generator_product_derivation(alg, a, f)
+
+
 def test_coinvariants_match_y_span(pyth, diag):
     _, _, s, ys = pyth
     rep = coinvariant_report(s, ys, diag)
@@ -157,6 +260,29 @@ def test_coinvariants_refuse_large_degrees(pyth):
     _, alg, _, _ = pyth
     with pytest.raises(DegreeOverflow):
         coinvariants(alg, 5)
+
+
+def test_coinvariant_span_of_the_wrong_size_fails_the_report(
+        monkeypatch, tmp_path, capsys):
+    """Negative control for the coinvariants: a degree-2 span one vector short."""
+    real = coaction.coinvariants
+
+    def short(alg, degree):
+        vecs = real(alg, degree)
+        return vecs[1:] if degree == 2 else vecs
+
+    monkeypatch.setattr(coaction, "coinvariants", short)
+    out = tmp_path / "coaction.json"
+    assert main(["coaction", "--quiet", "--json", str(out)]) == 1
+    capsys.readouterr()
+    task = json.loads(out.read_text())["tasks"]["coaction"]
+    assert not task["passed"]
+    coinv = task["coinvariants"]
+    assert coinv["dim_degree_2"] == 5
+    assert coinv["equals_y_span"] is False
+    assert sorted(coinv) == ["contains_y_span", "delta_fixes_kernel",
+                             "dim_degree_1", "dim_degree_2", "equals_y_span"]
+    assert task["comodule"]["passed"] and task["canonical_witness"]["passed"]
 
 
 def test_one_sided_action_breaks_relations(pyth):

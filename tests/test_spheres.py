@@ -7,7 +7,7 @@ from ncspheres.ncalg import Algebra
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
 from ncspheres.scalars import EXACT, GaussRational, float_backend
 from ncspheres.spheres import (YSystem, build_projection, build_sphere,
-                               check_normality, compute_Y,
+                               check_normality,
                                diagonalize_lambda, lambda_closed_form,
                                lambda_reports, projection_checks,
                                solve_star_matrix, suspension_reports,
@@ -84,7 +84,7 @@ EXACT_THETAS = {
 def test_exact_eigenphases_at_pythagorean_points():
     for label, want in EXACT_THETAS.items():
         _, _, _, ys = make_point(label)
-        got = diagonalize_lambda(ys)
+        got = diagonalize_lambda(ys, EXACT)
         assert got["theta"] == want
         lam_plus, _ = got["eigenvalues"]
         # theta is the square of the normalized eigenvalue, which is unimodular
@@ -95,7 +95,7 @@ def test_exact_eigenphases_at_pythagorean_points():
 def test_irrational_point_raises_exact_but_works_float(mixed):
     _, _, _, ys = mixed
     with pytest.raises(IrrationalEigenvalue):
-        diagonalize_lambda(ys)
+        diagonalize_lambda(ys, EXACT)
     got = diagonalize_lambda(ys, float_backend(1e-9))
     assert abs(abs(got["theta"]) - 1.0) < 1e-12
 
@@ -129,16 +129,6 @@ def test_three_sphere_and_suspension(pyth):
     # Y4 squares to 1 - (radius part) and the Y norm is 1 in this quotient
     total = sum((y.star() * y for y in ys.Y), s.base.zero())
     assert s3.reduce(total - s.base.one()).is_zero()
-
-
-def test_torus_context_kills_both_norms(pyth):
-    p, alg, _, _ = pyth
-    t = build_sphere(alg, "torus", params=p)
-    assert t.reduce(alg.family_casimir(1) - alg.one()).is_zero()
-    assert t.reduce(alg.family_casimir(2) - alg.one()).is_zero()
-    # in the torus quotient Y4 = |x2|^2 - |x1|^2 reduces to zero
-    ys = compute_Y(t)
-    assert t.reduce(ys.Y4).is_zero()
 
 
 def test_projection_entries_generate_y(pyth):
