@@ -373,6 +373,10 @@ def _emit_report(report, timings, args):
                 detail = entry.get("error", {}).get("detail", "")
                 print(f"  {task}: FAIL {detail}")
         print("PASS" if report["passed"] else "FAIL")
+    _print_timings(report, timings)
+
+
+def _print_timings(report, timings):
     for task, dt in timings.items():
         print(f"[time] {report['spec']['params']} {task} {dt:.2f}s",
               file=sys.stderr)
@@ -405,9 +409,7 @@ def main(argv=None) -> int:
                             degree_cap=args.degree_cap)
             print(sweep_csv(points, results), end="")
             for report, timings in results:
-                for task, dt in timings.items():
-                    print(f"[time] {report['spec']['params']} {task} {dt:.2f}s",
-                          file=sys.stderr)
+                _print_timings(report, timings)
             payload = [r for r, _ in results]
             passed = all(r["passed"] for r in payload)
         else:

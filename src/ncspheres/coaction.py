@@ -22,11 +22,11 @@ import itertools
 import weakref
 
 from .errors import DegreeOverflow, InvalidSpec
-from .ncalg import NCPoly, basis_monomials, mono_key, mono_unit_vec
+from .ncalg import NCPoly, basis_monomials, mono_key, mono_unit_vec, mono_word
 from .quatlin import epsilon, quat_basis_product, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport
 from .scalars import Backend, Sparse, add_into, row_reduce
-from .spheres import SphereAlgebra
+from .spheres import SphereAlgebra, quaternion_generators
 
 H_ONE = (0, 0, 0, 0)
 
@@ -165,19 +165,23 @@ def _hopf_gens(backend) -> tuple:
     return _HOPF_GENS[backend]
 
 
+def _extend(terms: dict, images, unit):
+    """sum c * prod_g images[g]^{m[g]} over the terms {m: c}: the algebra map
+    fixed by its values on the generators."""
+    out = unit._new({})
+    for m, c in terms.items():
+        term = unit.scale(c)
+        for g, e in enumerate(m):
+            for _ in range(e):
+                term = term * images[g]
+        out = out + term
+    return out
+
+
 def hopf_delta(f: CommPoly) -> HChain:
     """Coproduct as an algebra map H -> H (x) H."""
     be = f.backend
-    gens = _hopf_gens(be)
-    unit = HChain(be, {(H_ONE, H_ONE): be.one})
-    out = HChain(be, {})
-    for m, c in f.terms.items():
-        term = unit.scale(c)
-        for mu in range(4):
-            for _ in range(m[mu]):
-                term = term * gens[mu]
-        out = out + term
-    return out
+    return _extend(f.terms, _hopf_gens(be), HChain(be, {(H_ONE, H_ONE): be.one}))
 
 
 def hopf_counit(f: CommPoly):
@@ -340,15 +344,7 @@ class Coaction:
 
     def delta(self, f: NCPoly) -> MixedElement:
         sphere = self.sphere
-        unit = MixedElement.from_poly(sphere, sphere.base.one())
-        out = MixedElement(sphere, {})
-        for m, c in f.terms.items():
-            term = unit.scale(c)
-            for g in range(8):
-                for _ in range(m[g]):
-                    term = term * self.images[g]
-            out = out + term
-        return out
+        return _extend(f.terms, self.images, MixedElement.from_poly(sphere, sphere.base.one()))
 
 
 def _family_images(s: SphereAlgebra, h, family: int) -> list:
@@ -484,7 +480,7 @@ def derivation(alg, a: int, f: NCPoly) -> NCPoly:
     one = alg.backend.one
     out = alg.zero()
     for m, c in f.terms.items():
-        word = [g for g in range(8) for _ in range(m[g])]
+        word = mono_word(m)
         for pos, g in enumerate(word):
             fam, mu = divmod(g, 4)
             pre = NCPoly(alg, {tuple(word[:pos].count(k) for k in range(8)): one})
@@ -635,8 +631,7 @@ def canonical_witness(co: Coaction) -> dict:
     alg = s.base
     be = alg.backend
     tol = be.tol
-    x1 = tuple(alg.x1(k) for k in range(4))
-    x2 = tuple(alg.x2(k) for k in range(4))
+    x1, x2 = quaternion_generators(alg)
     dx1 = [co.delta(f) for f in x1]
     dx2 = [co.delta(f) for f in x2]
     c1 = [MixedElement.from_poly(s, f) for f in quat_conjugate(x1)]

@@ -65,14 +65,8 @@ class ChainContext:
         key = (i, j)
         got = self._pair_cache.get(key)
         if got is None:
-            be = self.backend
-            raw = self.alg.mono_mul(self._monos[i], self._monos[j])
-            acc = {}
-            for m, c in raw.items():
-                for mm, cc in self.sphere.context.reduce_mono(m).items():
-                    add_into(acc, mm, c * cc)
-            got = tuple((self.intern(m), c) for m, c in sorted(acc.items(), key=lambda kv: mono_key(kv[0]))
-                        if not be.is_zero(c))
+            alg = self.alg
+            got = self.expand_poly(NCPoly(alg, alg.mono_mul(self._monos[i], self._monos[j])))
             self._pair_cache[key] = got
         return got
 
@@ -129,26 +123,9 @@ class TensorChain(Sparse):
 
 
 def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
-    """Multilinear expansion of a pure tensor of polynomials into a chain."""
-    expansions = []
-    for pos, f in enumerate(slots):
-        exp = ctx.expand_poly(f)
-        if pos > 0:
-            exp = tuple(e for e in exp if e[0] != UNIT_ID)
-        if not exp:
-            return TensorChain(ctx, len(slots) - 1, {})
-        expansions.append(exp)
-    out = {}
-    _expand_product(expansions, 0, (), ctx.backend.one, out)
-    return TensorChain(ctx, len(slots) - 1, out)
-
-
-def _expand_product(expansions, pos, prefix, coeff, out):
-    if pos == len(expansions):
-        add_into(out, prefix, coeff)
-        return
-    for mid, c in expansions[pos]:
-        _expand_product(expansions, pos + 1, prefix + (mid,), coeff * c, out)
+    """Multilinear expansion of a pure tensor of polynomials into a chain:
+    the trace of the word of 1x1 matrices [[f0]] x ... x [[fn]]."""
+    return trace_chain(ctx, [Mat([[f]]) for f in slots])
 
 
 # ---------------------------------------------------------------------------

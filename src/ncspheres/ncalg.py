@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import DegreeOverflow, NotCentral
-from .rmatrix import RTensor
+from .rmatrix import RTensor, build_BigR
 from .scalars import Backend, GaussRational, Sparse, add_into
 
 NGEN = 8
@@ -79,18 +79,8 @@ class Algebra:
     def __init__(self, R: RTensor, backend: Backend):
         self.R = R
         self.backend = backend
-        be = backend
-        # cross rewrite x2^alpha x1^lambda -> sum conj(R)^{la}_{bm} x1^mu x2^beta
-        self.cross = {}
-        for alpha in range(4):
-            for lam in range(4):
-                ents = []
-                for beta in range(4):
-                    for mu in range(4):
-                        c = R.conj_entry(lam, alpha, beta, mu)
-                        if not be.is_zero(c):
-                            ents.append((mu, beta, c))
-                self.cross[(alpha, lam)] = ents
+        # the rewrite rules: x^a x^b -> sum c x^c x^d, read off at each redex
+        self.exchange = build_BigR(R)
         self._swap_single_cache = {}
         self._swap_block_cache = {}
         self._star_cache = {}
@@ -112,8 +102,8 @@ class Algebra:
             rest[lam] -= 1
             rest = tuple(rest)
             res = {}
-            for mu, beta, c in self.cross[(alpha, lam)]:
-                for (tail, beta2), c2 in self._swap_single(beta, rest).items():
+            for (mu, b), c in self.exchange[(4 + alpha, lam)]:
+                for (tail, beta2), c2 in self._swap_single(b - 4, rest).items():
                     out = list(tail)
                     out[mu] += 1
                     add_into(res, (tuple(out), beta2), c * c2)
@@ -209,25 +199,14 @@ class Algebra:
 
     def word_reducible_positions(self, word):
         """Positions i where (word[i], word[i+1]) is not normal-ordered."""
-        pos = []
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if a >= 4 and b < 4:
-                pos.append(i)
-            elif (a < 4) == (b < 4) and a > b:
-                pos.append(i)
-        return pos
+        return [i for i in range(len(word) - 1) if _reducible(word, i)]
 
     def rewrite_word_once(self, word, i):
         """One rewrite at position i: list of (word', coeff)."""
-        a, b = word[i], word[i + 1]
+        if not _reducible(word, i):
+            raise ValueError("position is not reducible")
         pre, post = word[:i], word[i + 2:]
-        if a >= 4 and b < 4:
-            return [(pre + (mu, beta + 4) + post, c)
-                    for mu, beta, c in self.cross[(a - 4, b)]]
-        if (a < 4) == (b < 4) and a > b:
-            return [(pre + (b, a) + post, self.backend.one)]
-        raise ValueError("position is not reducible")
+        return [(pre + pair + post, c) for pair, c in self.exchange[(word[i], word[i + 1])]]
 
     def word_normal_form(self, word, strategy: str = "leftmost") -> "NCPoly":
         """Fully rewrite a generator word; strategy picks the redex each step."""
@@ -249,6 +228,13 @@ class Algebra:
                 if be.is_zero(pending[w2]):
                     del pending[w2]
         return NCPoly(self, done)
+
+
+def _reducible(word, i) -> bool:
+    """Whether (word[i], word[i+1]) is out of the normal order.  Every x1 id
+    is below every x2 id, so x2 x1 and a descending pair within one family
+    are exactly the descending pairs."""
+    return word[i] > word[i + 1]
 
 
 class NCPoly(Sparse):
@@ -452,9 +438,10 @@ class ReductionContext:
                 k = sum(m)
                 if k < 2:
                     continue
-                if m not in self._pivot_full_rows(k):
+                row = self._pivot_full_rows(k).get(m)
+                if row is None:
                     continue
-                self._apply_pivot(work, m, c, k)
+                _subtract_row(work, c, row, be)
                 changed = True
                 break
         return {m: c for m, c in work.items() if not be.is_zero(c)}
@@ -478,13 +465,7 @@ class ReductionContext:
                     inv = 1 / full[lead]
                     pivots[lead] = {m: inv * c for m, c in full.items()}
                     return
-                f = full[lead]
-                for m, c in got.items():
-                    v = full.get(m, be.zero) - f * c
-                    if be.is_zero(v):
-                        full.pop(m, None)
-                    else:
-                        full[m] = v
+                _subtract_row(full, full[lead], got, be)
 
         for c, v in self.relations:
             dc = next(iter({sum(m) for m in c.terms}))
@@ -500,15 +481,6 @@ class ReductionContext:
                 insert(full)
         self._echelons[k] = pivots
         return pivots
-
-    def _apply_pivot(self, work: dict, m, c, k: int):
-        be = self.alg.backend
-        for mm, cc in self._pivot_full_rows(k)[m].items():
-            v = work.get(mm, be.zero) - c * cc
-            if be.is_zero(v):
-                work.pop(mm, None)
-            else:
-                work[mm] = v
 
     def reduce_mono(self, m):
         """Cached canonical form of a single monomial as {monomial: coeff}."""
@@ -533,6 +505,16 @@ class ReductionContext:
     def residual(self, f: NCPoly) -> float:
         """Largest coefficient magnitude of the reduced form (0.0 if zero)."""
         return self.alg.backend.max_residual(self.reduce_fast(f).terms.values())
+
+
+def _subtract_row(work: dict, f, row: dict, be: Backend) -> None:
+    """work -= f * row in place, dropping the entries that become zero."""
+    for m, c in row.items():
+        v = work.get(m, be.zero) - f * c
+        if be.is_zero(v):
+            work.pop(m, None)
+        else:
+            work[m] = v
 
 
 # ---------------------------------------------------------------------------

@@ -309,25 +309,20 @@ def _compose_rows(first: dict, second: dict, be: Backend) -> dict:
     return out
 
 
+def _flat(rows: dict) -> dict:
+    """A row map as {(word, image): coeff}."""
+    return {(key, fin): c for key, ents in rows.items() for fin, c in ents}
+
+
 def check_involutive(R: RTensor) -> ConditionReport:
-    """BigR squared is the identity on the 64-dimensional degree-2 space."""
+    """BigR squared is the identity on the 64-dimensional degree-2 space.
+
+    The witness is the first failing (word, image) pair in lexicographic order.
+    """
     be = R.backend
     rows = build_BigR(R)
-    sq = _compose_rows(rows, rows, be)
-    worst, witness = 0.0, None
-    for key in rows:
-        acc = dict(sq.get(key, ()))
-        for other, c in list(acc.items()):
-            want = be.one if other == key else be.zero
-            diff = c - want
-            worst = max(worst, be.residual(diff))
-            if not be.is_zero(diff) and witness is None:
-                witness = f"{key} -> {other}"
-        if key not in acc:
-            worst = max(worst, 1.0)
-            if witness is None:
-                witness = f"{key} missing diagonal"
-    return ConditionReport("involutive", witness is None, worst, witness)
+    ident = {(key, key): be.one for key in rows}
+    return _compare("involutive", be, _flat(_compose_rows(rows, rows, be)), ident, "{} -> {}")
 
 
 def _lift(rows: dict, slot: int) -> dict:
@@ -345,23 +340,17 @@ def _lift(rows: dict, slot: int) -> dict:
 
 
 def check_yang_baxter(R: RTensor) -> ConditionReport:
-    """(BigR x 1)(1 x BigR)(BigR x 1) = (1 x BigR)(BigR x 1)(1 x BigR)."""
+    """(BigR x 1)(1 x BigR)(BigR x 1) = (1 x BigR)(BigR x 1)(1 x BigR).
+
+    The witness is the first failing (word, image) pair in lexicographic order.
+    """
     be = R.backend
     rows = build_BigR(R)
     r01 = _lift(rows, 0)
     r12 = _lift(rows, 1)
-    lhs = _compose_rows(_compose_rows(r01, r12, be), r01, be)
-    rhs = _compose_rows(_compose_rows(r12, r01, be), r12, be)
-    worst, witness = 0.0, None
-    for key in lhs:
-        la = dict(lhs[key])
-        rb = dict(rhs.get(key, ()))
-        for fin in set(la) | set(rb):
-            diff = la.get(fin, be.zero) - rb.get(fin, be.zero)
-            worst = max(worst, be.residual(diff))
-            if not be.is_zero(diff) and witness is None:
-                witness = f"{key} -> {fin}"
-    return ConditionReport("yang_baxter", witness is None, worst, witness)
+    lhs = _flat(_compose_rows(_compose_rows(r01, r12, be), r01, be))
+    rhs = _flat(_compose_rows(_compose_rows(r12, r01, be), r12, be))
+    return _compare("yang_baxter", be, lhs, rhs, "{} -> {}")
 
 
 def check_all_conditions(R: RTensor) -> list:

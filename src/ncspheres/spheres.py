@@ -87,21 +87,26 @@ def build_projection(s: SphereAlgebra) -> Mat:
 
 
 def projection_checks(s: SphereAlgebra) -> list:
-    """Hermiticity (exact), idempotency mod ideal, half-trace identity."""
+    """Hermiticity (exact), idempotency mod ideal, half-trace identity.
+
+    A failing idempotency names the first entry (a, b), in row-major order,
+    whose reduced p^2 - p is nonzero.
+    """
     alg = s.base
+    tol = alg.backend.tol
     p = build_projection(s)
     pd = p.dagger()
     herm = max(_residual_exact(p.rows[a][b] - pd.rows[a][b])
                for a in range(4) for b in range(4))
     p2 = p @ p
-    idem = max(s.residual(p2.rows[a][b] - p.rows[a][b])
-               for a in range(4) for b in range(4))
+    idem = [s.residual(p2.rows[a][b] - p.rows[a][b]) for a in range(4) for b in range(4)]
+    bad = next((k for k, r in enumerate(idem) if r > tol), None)
+    idem_at = None if bad is None else f"entry {divmod(bad, 4)}"
     tr = sum((p.rows[a][a] for a in range(4)), alg.zero())
     half_tr = s.residual(tr - 2 * alg.one())
-    tol = alg.backend.tol
     return [
         ConditionReport("projection_hermitian", herm <= tol, herm, None),
-        ConditionReport("projection_idempotent", idem <= tol, idem, None),
+        ConditionReport("projection_idempotent", bad is None, max(idem), idem_at),
         ConditionReport("projection_half_trace", half_tr <= tol, half_tr, None),
     ]
 
@@ -213,11 +218,6 @@ def lambda_reports(alg: Algebra, ys: YSystem) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _quat_star(ys: YSystem):
-    """Y^* as a quaternion: scalar part starred, imaginary parts negated."""
-    return (ys.Ystar[0], -ys.Ystar[1], -ys.Ystar[2], -ys.Ystar[3])
-
-
 def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     """All defining identities of the two spheres, each as a ConditionReport.
 
@@ -268,7 +268,7 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
 
     # radius conditions, as quaternion products, modulo the sphere ideal
     Yq = ys.Y
-    Ysq = _quat_star(ys)
+    Ysq = quat_conjugate(ys.Ystar)  # Y^* as a quaternion
     yy = quat_multiply(Yq, Ysq)
     sy = quat_multiply(Ysq, Yq)
     Y42 = ys.Y4 * ys.Y4
@@ -442,13 +442,13 @@ def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
 
 
 def diagonalize_lambda(ys: YSystem, backend: Backend) -> dict:
-    """Eigenvalues, deformation phase, and diagonalizing rotation of Lambda'.
+    """Eigenvalues and deformation phase of Lambda'.
 
     Lambda' = u0 + i(u1 sigma-like block + u2 off-block) has eigenvalues
     u0 +- i s with s = sqrt((u1)^2 + (u2)^2); after normalizing the first
     eigenvalue to 1 the remaining phase is e^{i theta} = (u0 + i s)^2.
     The exact backend requires s rational and raises IrrationalEigenvalue
-    otherwise; the rotation is always reported in floats.
+    otherwise.
     """
     if ys.params is None:
         raise InvalidSpec("parameter point required to diagonalize Lambda")
@@ -468,23 +468,4 @@ def diagonalize_lambda(ys: YSystem, backend: Backend) -> dict:
         lam_plus = complex(float(u0f), sf)
         lam_minus = complex(float(u0f), -sf)
         theta = lam_plus * lam_plus
-    rotation = _block_rotation(float(u1f), float(u2f))
-    return {
-        "eigenvalues": (lam_plus, lam_minus),
-        "theta": theta,
-        "rotation": rotation,
-    }
-
-
-def _block_rotation(u1: float, u2: float) -> list:
-    """Real rotation diagonalizing [[u1, u2], [u2, -u1]] (identity if zero)."""
-    s = math.hypot(u1, u2)
-    if s == 0.0:
-        return [[1.0, 0.0], [0.0, 1.0]]
-    vx, vy = u1 + s, u2
-    norm = math.hypot(vx, vy)
-    if norm == 0.0:
-        # u1 = -s, u2 = 0: the swap rotation
-        return [[0.0, -1.0], [1.0, 0.0]]
-    c, t = vx / norm, vy / norm
-    return [[c, -t], [t, c]]
+    return {"eigenvalues": (lam_plus, lam_minus), "theta": theta}

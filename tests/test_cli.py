@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ncspheres import cli
+from ncspheres import cli, spheres
 from ncspheres.cli import (CATALOG, RunSpec, canonical_json, main, run, sweep,
                            sweep_csv)
 from ncspheres.errors import InvalidSpec, ParamsNotOnSphere
@@ -107,18 +107,21 @@ def test_main_returns_one_on_task_failure(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_non_idempotent_projection_fails_the_b_ch2_closure(
-        monkeypatch, tmp_path, capsys):
-    """Negative control for b(ch2) = 0: p + E_00/3 is not a projection."""
-    real = cli.build_projection
-
+def _plus_e00_over_3(real):
+    """A build_projection that returns p + E_00/3, which is not a projection."""
     def perturbed(s):
         p = real(s)
         rows = [list(r) for r in p.rows]
         rows[0][0] = rows[0][0] + s.base.scalar(Fraction(1, 3))
         return Mat(rows)
 
-    monkeypatch.setattr(cli, "build_projection", perturbed)
+    return perturbed
+
+
+def test_non_idempotent_projection_fails_the_b_ch2_closure(
+        monkeypatch, tmp_path, capsys):
+    """Negative control for b(ch2) = 0: p + E_00/3 is not a projection."""
+    monkeypatch.setattr(cli, "build_projection", _plus_e00_over_3(cli.build_projection))
     out = tmp_path / "chern.json"
     assert main(["chern", "--backend", "float", "--quiet",
                  "--json", str(out)]) == 1
@@ -126,6 +129,22 @@ def test_non_idempotent_projection_fails_the_b_ch2_closure(
     chern = json.loads(out.read_text())["tasks"]["chern"]
     assert not chern["passed"]
     assert chern["closures"]["b_ch2_zero"] is False
+
+
+def test_non_idempotent_projection_fails_the_idempotency_report(
+        monkeypatch, tmp_path, capsys):
+    """Negative control for p^2 = p: the report names entry (0, 0)."""
+    monkeypatch.setattr(spheres, "build_projection",
+                        _plus_e00_over_3(spheres.build_projection))
+    out = tmp_path / "sphere.json"
+    assert main(["sphere", "--quiet", "--json", str(out)]) == 1
+    capsys.readouterr()
+    task = json.loads(out.read_text())["tasks"]["sphere"]
+    assert not task["passed"]
+    idem = next(r for r in task["reports"] if r["name"] == "projection_idempotent")
+    assert idem["passed"] is False
+    assert idem["max_residual"] > 0
+    assert "(0, 0)" in idem["witness"]
 
 
 def test_json_report_validates_against_schema(tmp_path, capsys):

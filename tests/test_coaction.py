@@ -50,6 +50,8 @@ def test_hopf_generators_are_built_once_per_backend(monkeypatch):
         return original(backend, mu)
 
     monkeypatch.setattr(coaction, "hopf_delta_gen", counting)
+    monkeypatch.setattr(coaction, "_HOPF_GENS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(coaction, "_HOPF_AXIOMS", weakref.WeakKeyDictionary())
     be = float_backend()
     first = check_hopf_axioms(be)
     assert check_hopf_axioms(be) == first
@@ -86,20 +88,42 @@ def test_hopf_delta_gen_matches_the_written_out_coproduct():
             assert got.terms == want.terms
 
 
-def test_hopf_axioms_are_checked_once_across_a_sweep(monkeypatch):
-    runs = []
+def _sweep_counting_hopf_checks(monkeypatch, backend_name):
+    """Three-point cli.sweep on cold Hopf caches; returns the results, the
+    backends the axiom-check body ran on, and the generators built."""
+    runs, built = [], []
     body = coaction._hopf_axiom_reports
+    gen = coaction.hopf_delta_gen
 
     def counting(be):
         runs.append(be)
         return body(be)
 
+    def counting_gen(be, mu):
+        built.append(mu)
+        return gen(be, mu)
+
     monkeypatch.setattr(coaction, "_HOPF_AXIOMS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(coaction, "_HOPF_GENS", weakref.WeakKeyDictionary())
     monkeypatch.setattr(coaction, "_hopf_axiom_reports", counting)
+    monkeypatch.setattr(coaction, "hopf_delta_gen", counting_gen)
     points = [DeformParams.parse(p) for p in ("1,0,0", "3/5,4/5,0", "1/3,2/3,2/3")]
-    results = sweep(points)
+    return sweep(points, backend_name=backend_name), runs, built
+
+
+def test_hopf_axioms_are_checked_once_across_a_float_sweep(monkeypatch):
+    results, runs, built = _sweep_counting_hopf_checks(monkeypatch, "float")
+    assert all(r["passed"] for r, _ in results)
+    assert runs == [float_backend()]
+    assert sorted(built) == [0, 1, 2, 3]
+    assert float_backend() is float_backend(1e-9)
+
+
+def test_hopf_axioms_are_checked_once_across_a_sweep(monkeypatch):
+    results, runs, built = _sweep_counting_hopf_checks(monkeypatch, "exact")
     assert all(r["passed"] for r, _ in results)
     assert runs == [EXACT]
+    assert sorted(built) == [0, 1, 2, 3]
     hopf = [r["tasks"]["coaction"]["hopf"] for r, _ in results]
     assert hopf[0] == hopf[1] == hopf[2]
     assert [h["name"] for h in hopf[0]] == [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -46,6 +47,23 @@ def test_cross_relation_normal_form(pyth):
                     if not EXACT.is_zero(c):
                         rhs = rhs + alg.x1(mu) * alg.x2(beta) * c
             assert (lhs - rhs).is_zero()
+
+
+def test_rewriting_agrees_with_multiplication(pyth, mixed):
+    """Every generator word of length 2 and 3 rewrites to the product of its
+    generators, and a normal-ordered position does not rewrite."""
+    for point in (pyth, mixed):
+        _, alg, _, _ = point
+        for n in (2, 3):
+            for w in itertools.product(range(8), repeat=n):
+                want = alg.one()
+                for g in w:
+                    want = want * alg.generator(g)
+                assert alg.word_normal_form(w) == want, w
+        for w in ((0, 4), (4, 4), (1, 2)):
+            assert alg.word_reducible_positions(w) == []
+            with pytest.raises(ValueError):
+                alg.rewrite_word_once(w, 0)
 
 
 def test_within_family_generators_commute(pyth):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ncspheres.errors import MalformedNumber, ParamsNotOnSphere
 from ncspheres.quatlin import Mat, j_plus
 from ncspheres.rmatrix import (DeformParams, build_BigR, build_R_quaternionic,
-                               check_all_conditions, check_quadratic_1,
-                               check_quadratic_2, check_reality,
-                               check_yang_baxter, invert_16x16)
+                               check_all_conditions, check_involutive,
+                               check_quadratic_1, check_quadratic_2,
+                               check_reality, check_yang_baxter, invert_16x16)
 from ncspheres.scalars import EXACT, GaussRational, float_backend
 
 CONDITION_NAMES = ("reality", "symmetry_chain", "quadratic_1", "quadratic_2",
@@ -59,6 +59,67 @@ def dense_contraction_oracle(R):
                 witness = fmt.format(*idx)
         out[name] = (worst, witness)
     return out
+
+
+def dense_exchange_oracle(R):
+    """Brute-force dense involutive and yang_baxter checks.
+
+    Builds the 64x64 exchange matrix straight from R's entries, squares it
+    over all 64 pairs, and applies both sides of the braid relation to each
+    of the 512 basis triples.  Every (word, image) pair, zeros included, is
+    compared in lexicographic order; returns {name: (max_residual, witness)}.
+    """
+    be, N = R.backend, 4
+    pairs = list(product(range(8), repeat=2))
+    triples = list(product(range(8), repeat=3))
+
+    def exchange(a, b, c, d):
+        """Coefficient of x^c x^d in the rewrite of x^a x^b."""
+        if (a < N) == (b < N):
+            return be.one if (c, d) == (b, a) else be.zero
+        if a < N and c >= N and d < N:        # x1^lam x2^alpha
+            return R.entry(a, b - N, c - N, d)
+        if a >= N and c < N and d >= N:       # x2^alpha x1^lam
+            return R.entry(b, a - N, d - N, c).conjugate()
+        return be.zero
+
+    big = {(p, q): exchange(*p, *q) for p in pairs for q in pairs}
+
+    def apply(vec, slot):
+        """The exchange on sites (slot, slot + 1) of a {triple: coeff} vector."""
+        out = {t: be.zero for t in triples}
+        for t, v in vec.items():
+            for q in pairs:
+                c = big[(t[slot], t[slot + 1]), q]
+                w = t[:slot] + q + t[slot + 2:]
+                out[w] = out[w] + v * c
+        return out
+
+    def report(diffs):
+        worst, witness = 0.0, None
+        for key in sorted(diffs):
+            worst = max(worst, be.residual(diffs[key]))
+            if witness is None and not be.is_zero(diffs[key]):
+                witness = "{} -> {}".format(*key)
+        return worst, witness
+
+    square = {}
+    for p in pairs:
+        for r in pairs:
+            acc = be.zero
+            for q in pairs:
+                acc = acc + big[p, q] * big[q, r]
+            square[p, r] = acc - (be.one if p == r else be.zero)
+    braid = {}
+    for t in triples:
+        lhs = rhs = {t: be.one}
+        for slot in (0, 1, 0):
+            lhs = apply({w: v for w, v in lhs.items() if not v.is_zero()}, slot)
+        for slot in (1, 0, 1):
+            rhs = apply({w: v for w, v in rhs.items() if not v.is_zero()}, slot)
+        for w in triples:
+            braid[t, w] = lhs[w] - rhs[w]
+    return {"involutive": report(square), "yang_baxter": report(braid)}
 
 
 def test_params_parse_and_validate():
@@ -156,6 +217,21 @@ def test_perturbed_entry_fails_contraction_checks(idx, was_zero):
         assert not r.passed, r.name
         assert r.max_residual > 0, r.name
         assert r.witness is not None, r.name
+        assert (r.max_residual, r.witness) == oracle[r.name]
+
+
+@pytest.mark.parametrize("idx", [(0, 1, 2, 3), (1, 2, 2, 1)],
+                         ids=["zero_entry", "nonzero_entry"])
+def test_perturbed_entry_matches_the_dense_exchange_oracle(idx):
+    """involutive and yang_baxter report the oracle's residual and its first
+    failing (word, image) pair in lexicographic order."""
+    R = build_R_quaternionic(DeformParams.parse("3/5,4/5,0"), EXACT)
+    a, b, c, d = idx
+    R.data[a][b][c][d] = R.data[a][b][c][d] + GaussRational(Fraction(1, 7), 0)
+    oracle = dense_exchange_oracle(R)
+    for check in (check_involutive, check_yang_baxter):
+        r = check(R)
+        assert not r.passed, r.name
         assert (r.max_residual, r.witness) == oracle[r.name]
 
 
