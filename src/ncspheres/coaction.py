@@ -2,9 +2,14 @@
 
 H is the commutative *-algebra of polynomial functions on unit quaternions,
 in the four real coordinates w0..w3 modulo sum (w^mu)^2 = 1.  Its Hopf
-structure is dual to quaternion multiplication.  The sphere algebra carries
-the right coaction induced by x_i -> x_i w on both generator quaternions;
-the corepresentation matrix is built directly from the quaternion product,
+structure is dual to quaternion multiplication.  One class, CommPoly, holds
+H and its tensor powers H^{(x) k}: a key lists the exponents of w0..w3 of
+each of the k factors, one block of four after another, so the product
+adds keys position by position and the tensor product concatenates them.
+
+The sphere algebra carries the right coaction induced by x_i -> x_i w on
+both generator quaternions; the corepresentation matrix is built directly
+from the quaternion product,
 
     h^mu_nu = (e_nu w)^mu  in H,   delta(x_i^mu) = sum_nu x_i^nu (x) h^mu_nu,
 
@@ -18,7 +23,7 @@ Leibniz rule; their joint kernels per degree are the coinvariants.
 
 from __future__ import annotations
 
-import itertools
+import operator
 import weakref
 
 from .errors import DegreeOverflow, InvalidSpec
@@ -32,24 +37,30 @@ H_ONE = (0, 0, 0, 0)
 
 
 def _reduce_hmono(mono, coeff, out):
-    """Push w3^2 -> 1 - w0^2 - w1^2 - w2^2 until the w3 exponent is 0 or 1."""
+    """Push w3^2 -> 1 - w0^2 - w1^2 - w2^2 in every block of four exponents
+    until each block's w3 exponent is 0 or 1."""
     stack = [(mono, coeff)]
     while stack:
         m, c = stack.pop()
-        if m[3] < 2:
-            add_into(out, m, c)
-            continue
-        base = (m[0], m[1], m[2], m[3] - 2)
-        stack.append((base, c))
-        for i in range(3):
-            lower = list(base)
-            lower[i] += 2
-            stack.append((tuple(lower), -c))
+        j = 3
+        while m[j] < 2:
+            j += 4
+            if j >= len(m):
+                add_into(out, m, c)
+                break
+        else:  # the block ending at j holds w3^2
+            base = m[:j] + (m[j] - 2,) + m[j + 1:]
+            stack.append((base, c))
+            for i in range(j - 3, j):
+                lower = list(base)
+                lower[i] += 2
+                stack.append((tuple(lower), -c))
     return out
 
 
 class CommPoly(Sparse):
-    """Element of H: commutative polynomial in w0..w3 mod the unit norm."""
+    """Element of H^{(x) k}: commutative polynomial in the w0..w3 of each of
+    k factors, modulo the unit norm in each."""
 
     __slots__ = ("backend",)
 
@@ -64,14 +75,6 @@ class CommPoly(Sparse):
         return CommPoly(self.backend, terms)
 
     @classmethod
-    def zero(cls, backend):
-        return cls(backend, {})
-
-    @classmethod
-    def one(cls, backend):
-        return cls(backend, {H_ONE: backend.one})
-
-    @classmethod
     def generator(cls, backend, mu: int):
         m = tuple(1 if i == mu else 0 for i in range(4))
         return cls(backend, {m: backend.one})
@@ -81,60 +84,19 @@ class CommPoly(Sparse):
             out = {}
             for m, c in self.terms.items():
                 for n, d in other.terms.items():
-                    k = (m[0] + n[0], m[1] + n[1], m[2] + n[2], m[3] + n[3])
-                    add_into(out, k, c * d)
+                    add_into(out, tuple(map(operator.add, m, n)), c * d)
             return CommPoly(self.backend, out)
         return self.scale(other)
 
     __rmul__ = __mul__
 
-
-class HChain(Sparse):
-    """Element of H^{(x) k}, used for the Hopf-axiom checks."""
-
-    __slots__ = ("backend",)
-
-    def __init__(self, backend, terms):
-        self.backend = backend
-        acc = {}
-        for key, c in terms.items():
-            _expand_reduced(key, c, acc, backend)
-        self.terms = {m: c for m, c in acc.items() if not backend.is_zero(c)}
-
-    def _new(self, terms) -> "HChain":
-        return HChain(self.backend, terms)
-
-    def __mul__(self, other):
+    def tensor(self, other: "CommPoly") -> "CommPoly":
+        """self (x) other: each pair of keys concatenated."""
         out = {}
         for m, c in self.terms.items():
             for n, d in other.terms.items():
-                key = tuple((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-                            for a, b in zip(m, n))
-                add_into(out, key, c * d)
-        return HChain(self.backend, out)
-
-
-def _expand_reduced(key, coeff, out, backend):
-    """Reduce every slot of an H-tensor key by the unit-norm relation."""
-    parts = [dict(_reduce_hmono(m, backend.one, {})) for m in key]
-    for combo in itertools.product(*(p.items() for p in parts)):
-        k = tuple(m for m, _ in combo)
-        c = coeff
-        for _, v in combo:
-            c = c * v
-        add_into(out, k, c)
-
-
-def tensor_of(*polys):
-    be = polys[0].backend
-    out = {}
-    for combo in itertools.product(*(p.terms.items() for p in polys)):
-        key = tuple(m for m, _ in combo)
-        c = be.one
-        for _, v in combo:
-            c = c * v
-        add_into(out, key, c)
-    return HChain(be, out)
+                add_into(out, m + n, c * d)
+        return CommPoly(self.backend, out)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +104,7 @@ def tensor_of(*polys):
 # ---------------------------------------------------------------------------
 
 
-def hopf_delta_gen(backend, mu: int) -> HChain:
+def hopf_delta_gen(backend, mu: int) -> CommPoly:
     """Coproduct of w^mu, dual to the quaternion product: the sum of
     +-w^a (x) w^b over the (a, b) with e_a e_b = +-e_mu."""
     unit = [tuple(int(i == a) for i in range(4)) for a in range(4)]
@@ -151,8 +113,8 @@ def hopf_delta_gen(backend, mu: int) -> HChain:
         for b in range(4):
             coeff, nu = quat_basis_product(a, b)
             if nu == mu:
-                terms[(unit[a], unit[b])] = backend.one if coeff > 0 else -backend.one
-    return HChain(backend, terms)
+                terms[unit[a] + unit[b]] = backend.one if coeff > 0 else -backend.one
+    return CommPoly(backend, terms)
 
 
 _HOPF_GENS = weakref.WeakKeyDictionary()
@@ -178,10 +140,10 @@ def _extend(terms: dict, images, unit):
     return out
 
 
-def hopf_delta(f: CommPoly) -> HChain:
+def hopf_delta(f: CommPoly) -> CommPoly:
     """Coproduct as an algebra map H -> H (x) H."""
     be = f.backend
-    return _extend(f.terms, _hopf_gens(be), HChain(be, {(H_ONE, H_ONE): be.one}))
+    return _extend(f.terms, _hopf_gens(be), CommPoly(be, {H_ONE + H_ONE: be.one}))
 
 
 def hopf_counit(f: CommPoly):
@@ -220,32 +182,22 @@ def _hopf_axiom_reports(be: Backend) -> tuple:
     elements = list(w) + [w[a] * w[b] for a in range(4) for b in range(a, 4)]
     coassoc = counit = antipode = 0.0
     for f in elements:
-        df = hopf_delta(f)
-        # (Delta (x) id) Delta = (id (x) Delta) Delta
-        left = HChain(be, {})
-        right = HChain(be, {})
-        for (m1, m2), c in df.terms.items():
-            d1 = hopf_delta(CommPoly(be, {m1: be.one}))
-            for (a, bm), cc in d1.terms.items():
-                add_into(left.terms, (a, bm, m2), c * cc)
-            d2 = hopf_delta(CommPoly(be, {m2: be.one}))
-            for (a, bm), cc in d2.terms.items():
-                add_into(right.terms, (m1, a, bm), c * cc)
+        left = right = lc = rc = sl = sr = CommPoly(be, {})
+        for m, c in hopf_delta(f).terms.items():
+            f1 = CommPoly(be, {m[:4]: be.one})
+            f2 = CommPoly(be, {m[4:]: be.one})
+            # (Delta (x) id) Delta = (id (x) Delta) Delta
+            left = left + c * hopf_delta(f1).tensor(f2)
+            right = right + c * f1.tensor(hopf_delta(f2))
+            # (eps (x) id) Delta = id = (id (x) eps) Delta
+            lc = lc + CommPoly(be, {m[4:]: c * hopf_counit(f1)})
+            rc = rc + CommPoly(be, {m[:4]: c * hopf_counit(f2)})
+            # m (S (x) id) Delta = eps(f) 1 = m (id (x) S) Delta
+            sl = sl + c * (hopf_antipode(f1) * f2)
+            sr = sr + c * (f1 * hopf_antipode(f2))
         coassoc = max(coassoc, be.max_residual((left - right).terms.values()))
-        # (eps (x) id) Delta = id = (id (x) eps) Delta
-        lc = CommPoly.zero(be)
-        rc = CommPoly.zero(be)
-        for (m1, m2), c in df.terms.items():
-            lc = lc + CommPoly(be, {m2: c * hopf_counit(CommPoly(be, {m1: be.one}))})
-            rc = rc + CommPoly(be, {m1: c * hopf_counit(CommPoly(be, {m2: be.one}))})
         counit = max(counit, be.max_residual((lc - f).terms.values()),
                      be.max_residual((rc - f).terms.values()))
-        # m (S (x) id) Delta = eps(f) 1 = m (id (x) S) Delta
-        sl = CommPoly.zero(be)
-        sr = CommPoly.zero(be)
-        for (m1, m2), c in df.terms.items():
-            sl = sl + c * (hopf_antipode(CommPoly(be, {m1: be.one})) * CommPoly(be, {m2: be.one}))
-            sr = sr + c * (CommPoly(be, {m1: be.one}) * hopf_antipode(CommPoly(be, {m2: be.one})))
         target = CommPoly(be, {H_ONE: hopf_counit(f)})
         antipode = max(antipode, be.max_residual((sl - target).terms.values()),
                        be.max_residual((sr - target).terms.values()))
@@ -421,7 +373,7 @@ def check_comodule_algebra(co: Coaction) -> dict:
 def _image_h_matrix(co: Coaction, family: int):
     """Read back h^mu_nu from the generator images of one family."""
     be = co.sphere.base.backend
-    h = [[CommPoly.zero(be) for _ in range(4)] for _ in range(4)]
+    h = [[CommPoly(be, {}) for _ in range(4)] for _ in range(4)]
     for mu in range(4):
         img = co.images[family * 4 + mu]
         for (am, hm), c in img.terms.items():
@@ -446,9 +398,9 @@ def _comodule_law_residuals(co: Coaction) -> tuple:
         for mu in range(4):
             for rho in range(4):
                 lhs = hopf_delta(h[mu][rho])
-                rhs = HChain(be, {})
+                rhs = CommPoly(be, {})
                 for nu in range(4):
-                    rhs = rhs + tensor_of(h[nu][rho], h[mu][nu])
+                    rhs = rhs + h[nu][rho].tensor(h[mu][nu])
                 coassoc = max(coassoc, be.max_residual((lhs - rhs).terms.values()))
                 target = be.one if mu == rho else be.zero
                 counit = max(counit, be.residual(hopf_counit(h[mu][rho]) - target))

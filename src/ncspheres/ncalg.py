@@ -285,10 +285,7 @@ class NCPoly(Sparse):
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._ensure(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+        return super().__sub__(self._ensure(other))
 
     def _ensure(self, other) -> "NCPoly":
         if isinstance(other, NCPoly):

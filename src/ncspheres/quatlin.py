@@ -84,9 +84,6 @@ class Mat:
     def __sub__(self, other):
         return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return Mat([[-a for a in r] for r in self.rows])
-
     def scale(self, c):
         return Mat([[c * a for a in r] for r in self.rows])
 

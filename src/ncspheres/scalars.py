@@ -332,7 +332,10 @@ class Sparse:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_into(out, k, -c)
+        return self._new(out)
 
     def scale(self, c):
         return self._new({k: c * v for k, v in self.terms.items()})

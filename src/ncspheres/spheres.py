@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InvalidSpec, IrrationalEigenvalue, NotAPerfectSquare
@@ -28,7 +29,6 @@ from .scalars import Backend, GaussRational, row_reduce, sqrt_exact
 
 @dataclass
 class SphereAlgebra:
-    kind: str
     base: Algebra
     context: ReductionContext
     params: DeformParams | None = None
@@ -50,7 +50,7 @@ def build_sphere(alg: Algebra, kind: str, params: DeformParams | None = None,
     if kind != "seven_sphere":
         raise InvalidSpec(f"unknown sphere kind {kind!r}")
     ctx = ReductionContext(alg, [(alg.casimir(), 1)], degree_cap=degree_cap)
-    return SphereAlgebra(kind, alg, ctx, params)
+    return SphereAlgebra(alg, ctx, params)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,19 @@ class YSystem:
     Y4: NCPoly
     lam: list
     params: DeformParams | None
+
+    @cached_property
+    def products(self) -> tuple:
+        """(Y Ybar*, Ybar* Y), with Ybar* the quaternion conjugate of the
+        componentwise star (Y^{0*}, -Y^{1*}, -Y^{2*}, -Y^{3*}).
+
+        Every radius and commutation identity of the two spheres is a
+        component of this pair: [0] are sum_mu Y^mu Y^{mu*} and
+        sum_mu Y^{mu*} Y^mu, and [1..3] are minus the 4sp2 and 4sp1
+        polynomials.
+        """
+        ybar = quat_conjugate(self.Ystar)
+        return quat_multiply(self.Y, ybar), quat_multiply(ybar, self.Y)
 
 
 def compute_Y(s: SphereAlgebra) -> YSystem:
@@ -266,70 +279,47 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     r = max(r, 0.0 if central_witness(alg, ys.Y4) is None else 1.0)
     rep("y4_central_hermitian", r)
 
-    # radius conditions, as quaternion products, modulo the sphere ideal
-    Yq = ys.Y
-    Ysq = quat_conjugate(ys.Ystar)  # Y^* as a quaternion
-    yy = quat_multiply(Yq, Ysq)
-    sy = quat_multiply(Ysq, Yq)
+    # every radius and commutation identity below is a component of the
+    # pair (Y Ybar*, Ybar* Y)
+    yy, sy = ys.products
     Y42 = ys.Y4 * ys.Y4
-    r = max(_residual_exact(c) for c in yy[1:])
-    r = max(r, max(_residual_exact(c) for c in sy[1:]))
-    rep("cond0_imaginary_parts", r)
-    r = s.residual(yy[0] + Y42 - one)
-    r = max(r, s.residual(sy[0] + Y42 - one))
-    rep("cond0_radius", r)
-    r = _residual_exact(yy[0] - sy[0])
-    rep("cond0_products_equal", r)
+    # 4sp1 is -(Ybar* Y)[k] and 4sp2 is -(Y Ybar*)[k], k = 1..3
+    sp1 = max(_residual_exact(c) for c in sy[1:])
+    sp2 = max(_residual_exact(c) for c in yy[1:])
+    rep("cond0_imaginary_parts", max(sp2, sp1))
+    # the radius, modulo the sphere ideal, in both orderings
+    radius = max(s.residual(yy[0] + Y42 - one), s.residual(sy[0] + Y42 - one))
+    rep("cond0_radius", radius)
+    # equal radius sums: their difference is the total star-commutator sum
+    total = _residual_exact(yy[0] - sy[0])
+    rep("cond0_products_equal", total)
 
     # cond00: Y4 commutes with every component and its star
     r = 0.0
-    for f in list(Yq) + list(ys.Ystar):
+    for f in list(ys.Y) + list(ys.Ystar):
         r = max(r, _residual_exact(f.commutator(ys.Y4)))
     rep("cond00_y4_commutes", r)
 
-    # 4sp1 / 4sp2 component identities (hold exactly in the algebra)
-    r1 = r2 = 0.0
-    for k in (1, 2, 3):
-        f1 = -(ys.Ystar[0] * Yq[k] - ys.Ystar[k] * Yq[0])
-        f2 = Yq[0] * ys.Ystar[k] - Yq[k] * ys.Ystar[0]
-        for m in (1, 2, 3):
-            for n in (1, 2, 3):
-                e = epsilon(k, m, n)
-                if e:
-                    f1 = f1 + e * (ys.Ystar[m] * Yq[n])
-                    f2 = f2 + e * (Yq[m] * ys.Ystar[n])
-        r1 = max(r1, _residual_exact(f1))
-        r2 = max(r2, _residual_exact(f2))
-    rep("sp_commutation_1", r1)
-    rep("sp_commutation_2", r2)
-
-    # total star-commutator sum
-    sp = sum((ys.Ystar[m] * Yq[m] - Yq[m] * ys.Ystar[m] for m in range(4)), alg.zero())
-    rep("sp_total_sum", _residual_exact(sp))
-
-    # four-sphere radius in both orderings
-    s_star_y = sum((ys.Ystar[m] * Yq[m] for m in range(4)), alg.zero())
-    s_y_star = sum((Yq[m] * ys.Ystar[m] for m in range(4)), alg.zero())
-    r = s.residual(s_star_y + Y42 - one)
-    r = max(r, s.residual(s_y_star + Y42 - one))
-    rep("four_sphere_radius", r)
+    rep("sp_commutation_1", sp1)
+    rep("sp_commutation_2", sp2)
+    rep("sp_total_sum", total)
+    rep("four_sphere_radius", radius)
 
     # both radius sums are central already in the quadratic algebra
-    r = 0.0 if (central_witness(alg, s_star_y) is None
-                and central_witness(alg, s_y_star) is None) else 1.0
+    r = 0.0 if (central_witness(alg, sy[0]) is None
+                and central_witness(alg, yy[0]) is None) else 1.0
     rep("radius_sums_central", r)
 
     # product identity: both sums equal 4 ||x1||^2 ||x2||^2 exactly
-    q1 = alg.family_casimir(1)
-    q2 = alg.family_casimir(2)
-    prod = 4 * (q1 * q2)
-    r = max(_residual_exact(s_star_y - prod), _residual_exact(s_y_star - prod))
+    prod = 4 * (alg.family_casimir(1) * alg.family_casimir(2))
+    r = max(_residual_exact(sy[0] - prod), _residual_exact(yy[0] - prod))
     rep("radius_product_identity", r)
 
     # the six explicit commutation relations of the family
     if ys.params is not None:
         u0, u1, u2 = ys.params.scalars(be)
         i = be.i
+        Yq = ys.Y
 
         def com(a, b):
             return Yq[a] * Yq[b] - Yq[b] * Yq[a]
@@ -393,17 +383,15 @@ def three_sphere_context(s: SphereAlgebra, ys: YSystem, degree_cap: int = 12) ->
     alg = s.base
     s_star_y = sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())
     ctx = ReductionContext(alg, [(alg.casimir(), 1), (s_star_y, 1)], degree_cap=degree_cap)
-    return SphereAlgebra("three_sphere", alg, ctx, s.params)
+    return SphereAlgebra(alg, ctx, s.params)
 
 
 def suspension_reports(s3: SphereAlgebra, ys: YSystem) -> list:
     """Three-sphere radius in both orderings, and Y4^2 -> 0."""
-    alg = s3.base
-    one = alg.one()
-    tol = alg.backend.tol
-    s_star_y = sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())
-    s_y_star = sum((ys.Y[m] * ys.Ystar[m] for m in range(4)), alg.zero())
-    r1 = max(s3.residual(s_star_y - one), s3.residual(s_y_star - one))
+    one = s3.base.one()
+    tol = s3.base.backend.tol
+    yy, sy = ys.products
+    r1 = max(s3.residual(sy[0] - one), s3.residual(yy[0] - one))
     r2 = s3.residual(ys.Y4 * ys.Y4)
     return [
         ConditionReport("three_sphere_radius", r1 <= tol, r1, None),
@@ -418,22 +406,14 @@ def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
     Writing Z = (-Y0, Y1, Y2, Y3), the flipped components satisfy the
     plus-sign form of the first identity and the minus-sign form of the
     second, so the two presentations differ only by this substitution.
+    Term for term, those flipped polynomials of Z are the 4sp1 and 4sp2
+    polynomials of Y: each 0-component term carries one factor Z0 = -Y0
+    (or Z0* = -Y0*), whose sign cancels the flipped sign of the term.  So
+    the residual is that of the imaginary parts of (Ybar* Y, Y Ybar*).
     """
-    tol = s.base.backend.tol
-    Z = (-ys.Y[0], ys.Y[1], ys.Y[2], ys.Y[3])
-    Zs = tuple(z.star() for z in Z)
-    r = 0.0
-    for k in (1, 2, 3):
-        f1 = Zs[0] * Z[k] - Zs[k] * Z[0]
-        f2 = -(Z[0] * Zs[k] - Z[k] * Zs[0])
-        for m in (1, 2, 3):
-            for n in (1, 2, 3):
-                e = epsilon(k, m, n)
-                if e:
-                    f1 = f1 + e * (Zs[m] * Z[n])
-                    f2 = f2 + e * (Z[m] * Zs[n])
-        r = max(r, _residual_exact(f1), _residual_exact(f2))
-    return ConditionReport("y0_flip_variant_relations", r <= tol, r, None)
+    yy, sy = ys.products
+    r = max(map(_residual_exact, yy[1:] + sy[1:]))
+    return ConditionReport("y0_flip_variant_relations", r <= s.base.backend.tol, r, None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 derivation, derivation_matrix,
                                 derivation_reports, diagonal_coaction,
                                 hopf_antipode, hopf_counit,
-                                one_sided_left_coaction, span_contains,
-                                tensor_of)
+                                hopf_delta, one_sided_left_coaction,
+                                span_contains)
 from ncspheres.errors import DegreeOverflow
 from ncspheres.quatlin import epsilon
 from ncspheres.rmatrix import DeformParams
@@ -65,16 +65,16 @@ def _written_out_delta_gen(backend, mu):
     """Oracle: the coproduct of w^mu spelled out with the Levi-Civita symbol."""
     w = [CommPoly.generator(backend, i) for i in range(4)]
     if mu == 0:
-        out = tensor_of(w[0], w[0])
+        out = w[0].tensor(w[0])
         for a in (1, 2, 3):
-            out = out - tensor_of(w[a], w[a])
+            out = out - w[a].tensor(w[a])
         return out
-    out = tensor_of(w[0], w[mu]) + tensor_of(w[mu], w[0])
+    out = w[0].tensor(w[mu]) + w[mu].tensor(w[0])
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             e = epsilon(a, b, mu)
             if e:
-                t = tensor_of(w[a], w[b])
+                t = w[a].tensor(w[b])
                 out = out + (t if e > 0 else t.scale(-backend.one))
     return out
 
@@ -142,7 +142,40 @@ def test_mutating_the_returned_reports_leaves_the_next_call_alone():
 def test_norm_relation_is_built_in():
     w = [CommPoly.generator(EXACT, mu) for mu in range(4)]
     norm = w[0] * w[0] + w[1] * w[1] + w[2] * w[2] + w[3] * w[3]
-    assert (norm - CommPoly.one(EXACT)).is_zero()
+    assert (norm - CommPoly(EXACT, {coaction.H_ONE: EXACT.one})).is_zero()
+
+
+def test_norm_relation_reduces_each_tensor_factor_on_its_own():
+    """In H (x) H, w3^2 in the second factor becomes 1 - w0^2 - w1^2 - w2^2
+    there, and the first factor is left as it is."""
+    one = EXACT.one
+    got = CommPoly(EXACT, {(1, 0, 0, 0, 0, 0, 0, 2): one})
+    assert got.terms == {(1, 0, 0, 0, 0, 0, 0, 0): one,
+                         (1, 0, 0, 0, 2, 0, 0, 0): -one,
+                         (1, 0, 0, 0, 0, 2, 0, 0): -one,
+                         (1, 0, 0, 0, 0, 0, 2, 0): -one}
+    # a w3^2 in each factor reduces in each
+    both = CommPoly(EXACT, {(0, 0, 0, 2) * 2: one})
+    assert len(both.terms) == 16
+    assert all(m[3] < 2 and m[7] < 2 for m in both.terms)
+
+
+def test_tensor_product_multiplies_factorwise():
+    """(f (x) g)(f' (x) g') = f f' (x) g g', including through the norm
+    relation."""
+    for be in (EXACT, float_backend()):
+        w = [CommPoly.generator(be, mu) for mu in range(4)]
+        f, g = w[3] + w[1] * w[2], w[0] - w[3]
+        f2, g2 = w[3] * w[0], w[3] + w[2] * be.convert(Fraction(1, 2))
+        assert f.tensor(g) * f2.tensor(g2) == (f * f2).tensor(g * g2)
+
+
+def test_coproduct_is_multiplicative_on_degree_two():
+    for be in (EXACT, float_backend()):
+        w = [CommPoly.generator(be, mu) for mu in range(4)]
+        for a in range(4):
+            for b in range(a, 4):
+                assert hopf_delta(w[a] * w[b]) == hopf_delta(w[a]) * hopf_delta(w[b])
 
 
 def test_antipode_is_an_involution():

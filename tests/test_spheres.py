@@ -4,6 +4,7 @@ import pytest
 
 from ncspheres.errors import InvalidSpec, IrrationalEigenvalue
 from ncspheres.ncalg import Algebra
+from ncspheres.quatlin import epsilon
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
 from ncspheres.scalars import EXACT, GaussRational, float_backend
 from ncspheres.spheres import (YSystem, build_projection, build_sphere,
@@ -119,6 +120,96 @@ def test_y0_flip_lands_in_variant_relations(pyth, mixed):
         rep = y0_flip_check(s, ys)
         assert rep.passed
         assert rep.max_residual == 0.0
+
+
+def _epsilon_oracle(Y, Ys):
+    """The 4sp1 and 4sp2 polynomials and the Y0 -> -Y0 variant, k = 1..3,
+    spelled out with the Levi-Civita symbol: (sp1, sp2, flip1, flip2).
+
+    The variant is taken of Z = (-Y0, Y1, Y2, Y3) with Z* = (-Y0*, Y1*,
+    Y2*, Y3*), read off the given stars Ys.
+    """
+    Z = (-Y[0], Y[1], Y[2], Y[3])
+    Zs = (-Ys[0], Ys[1], Ys[2], Ys[3])
+    out = ([], [], [], [])
+    for k in (1, 2, 3):
+        f1 = -(Ys[0] * Y[k] - Ys[k] * Y[0])
+        f2 = Y[0] * Ys[k] - Y[k] * Ys[0]
+        g1 = Zs[0] * Z[k] - Zs[k] * Z[0]
+        g2 = -(Z[0] * Zs[k] - Z[k] * Zs[0])
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                e = epsilon(k, m, n)
+                if e:
+                    f1 = f1 + e * (Ys[m] * Y[n])
+                    f2 = f2 + e * (Y[m] * Ys[n])
+                    g1 = g1 + e * (Zs[m] * Z[n])
+                    g2 = g2 + e * (Z[m] * Zs[n])
+        for acc, f in zip(out, (f1, f2, g1, g2)):
+            acc.append(f)
+    return out
+
+
+def _perturbed(alg, ys):
+    """ys with one star entry off: Ystar[1] gains x1^0 x1^2.
+
+    4sp1 has the larger residual at 3/5,4/5,0 and 4sp2 at 1/3,2/3,2/3, so
+    a report that reads only one of them fails at one of the two points.
+    """
+    Ystar = (ys.Ystar[0], ys.Ystar[1] + alg.x1(0) * alg.x1(2)) + ys.Ystar[2:]
+    return YSystem(Y=ys.Y, Ystar=Ystar, Y4=ys.Y4, lam=ys.lam, params=ys.params)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_products_match_the_epsilon_expansions(label, backend):
+    """4sp1 = -(Ybar* Y)[k], 4sp2 = -(Y Ybar*)[k], and the flipped variant
+    of Z is term for term 4sp1 and 4sp2 of Y: on the Y system itself (where
+    all of them vanish), on a perturbed star, and on the generator pair
+    (x1, x2), which satisfies none of the relations."""
+    be = EXACT if backend == "exact" else float_backend()
+    _, alg, _, ys = make_point(label, backend=be)
+    x1 = tuple(alg.x1(k) for k in range(4))
+    x2 = tuple(alg.x2(k) for k in range(4))
+    for system in (ys, _perturbed(alg, ys),
+                   YSystem(Y=x1, Ystar=x2, Y4=ys.Y4, lam=ys.lam, params=None)):
+        yy, sy = system.products
+        sp1, sp2, flip1, flip2 = _epsilon_oracle(system.Y, system.Ystar)
+        for k in range(3):
+            assert sp1[k] == -sy[k + 1] and sp2[k] == -yy[k + 1]
+            assert flip1[k] == sp1[k] and flip2[k] == sp2[k]
+            if system is ys:
+                assert sp1[k].is_zero() and sp2[k].is_zero()
+    # the oracle's Z* is the star of Z on the real Y system
+    assert (-ys.Y[0]).star() == -ys.Ystar[0]
+
+
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_perturbed_star_fails_the_folded_reports(label):
+    """Negative control for the fold: one perturbed Ystar entry makes every
+    report read off the imaginary parts FAIL, each with the residual of the
+    written-out polynomials."""
+    _, alg, s, ys = make_point(label)
+    fake = _perturbed(alg, ys)
+    sp1, sp2, flip1, flip2 = _epsilon_oracle(fake.Y, fake.Ystar)
+
+    def worst(polys):
+        return max(EXACT.max_residual(f.terms.values()) for f in polys)
+
+    reports = {r.name: r for r in verify_Y_relations(s, fake)}
+    reports["y0_flip_variant_relations"] = y0_flip_check(s, fake)
+    want = {
+        "cond0_imaginary_parts": worst(sp1 + sp2),
+        "sp_commutation_1": worst(sp1),
+        "sp_commutation_2": worst(sp2),
+        "y0_flip_variant_relations": worst(flip1 + flip2),
+    }
+    # distinct residuals, so the two commutation reports cannot be swapped
+    assert want["sp_commutation_1"] != want["sp_commutation_2"]
+    for name, residual in want.items():
+        assert residual > 0
+        assert not reports[name].passed, name
+        assert reports[name].max_residual == residual, name
 
 
 def test_three_sphere_and_suspension(pyth):
