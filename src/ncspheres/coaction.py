@@ -266,6 +266,9 @@ class MixedElement(Sparse):
 
 
 def _merge_mixed(acc, am, hm, coeff):
+    if hm[3] < 2:  # already norm-reduced, as almost every key is
+        add_into(acc, (am, hm), coeff)
+        return
     for hm2, c2 in _reduce_hmono(hm, coeff, {}).items():
         add_into(acc, (am, hm2), c2)
 

@@ -33,6 +33,10 @@ class NotCentral(NCSpheresError):
     """An element assumed central fails to commute with a generator."""
 
 
+class NotAGroebnerBasis(NCSpheresError):
+    """Central relations whose monic leads do not divide to a unique normal form."""
+
+
 class DegreeOverflow(NCSpheresError):
     """A computation exceeded the configured total-degree cap."""
 

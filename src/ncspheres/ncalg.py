@@ -10,7 +10,9 @@ casimir x^2 is (x2_3)^2.
 
 Normal forms, the star operation and ideal reduction are all exact over the
 algebra's scalar backend; the float backend reuses the same code paths with
-tolerance-based pruning.
+tolerance-based pruning.  Reduction modulo central relations (x^2 = 1, and
+the three-sphere radius on top of it) is division by the monic relations,
+whose pairwise coprime leads make them a Groebner basis.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import DegreeOverflow, NotCentral
+from .errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
 from .rmatrix import RTensor, build_BigR
 from .scalars import Backend, GaussRational, Sparse, add_into
 
@@ -390,102 +392,92 @@ def confluence_check(alg: Algebra, max_len: int = 4, trials: int = 100, seed: in
 
 
 # ---------------------------------------------------------------------------
-# reduction modulo central relations (filtered linear algebra)
+# reduction modulo central relations (division by a Groebner basis)
 # ---------------------------------------------------------------------------
 
 
 class ReductionContext:
-    """Equality test modulo an ideal generated by central elements c_j - v_j.
+    """Normal forms modulo an ideal generated by central elements c_j - v_j.
 
-    Each c_j must be homogeneous and central, with scalar value v_j.  The
-    degree-d piece of the ideal equals sum_j (c_j - v_j) V_{d - deg c_j}
-    (the symbols form a regular sequence in the commutative associated
-    graded), so reduction runs degree by degree against lazily built exact
-    row echelon bases of the homogeneous spans {c_j * m}.
+    Each c_j must be homogeneous and central, with scalar value v_j.  Relation
+    j is reduced modulo relations 0..j-1 and made monic.  The algebra is of
+    solvable type (Kandri-Rody and Weispfenning, J. Symbolic Comput. 9, 1990),
+    so lead(q * g) = q * lead(g); with pairwise coprime leads the monic
+    relations are a Groebner basis (Bergman's diamond lemma), and dividing a
+    monomial by the first relation whose lead divides it, recursing on the
+    lower terms, gives the unique normal form.  A relation that keeps no lead
+    or shares a generator with an earlier lead, and a product whose lead is
+    not the divided monomial with coefficient 1, raise NotAGroebnerBasis.
     """
 
     def __init__(self, alg: Algebra, relations, degree_cap: int = 12):
         self.alg = alg
         self.degree_cap = degree_cap
-        self.relations = []
+        be = alg.backend
+        self._relations = []  # (lead, monic terms), normal modulo the earlier ones
+        self._memo = [{}]  # [k]: {monomial: normal form modulo the first k relations}
         for c, v in relations:
             wit = central_witness(alg, c)
             if wit is not None:
                 raise NotCentral(f"relation element not central, generator {wit[0]}")
-            degs = {sum(m) for m in c.terms}
-            if len(degs) != 1:
+            if len({sum(m) for m in c.terms}) != 1:
                 raise ValueError("relation element must be homogeneous")
-            self.relations.append((c, alg.backend.convert(v)))
-        self._echelons = {}
-        self._mono_cache = {}
+            g = self._reduce_terms({**c.terms, ZERO8: -be.convert(v)}, len(self._relations))
+            lead = max(g, key=mono_key, default=ZERO8)
+            if lead == ZERO8:
+                raise NotAGroebnerBasis("relation keeps no lead modulo the earlier ones")
+            for earlier, _ in self._relations:
+                if any(a and b for a, b in zip(lead, earlier)):
+                    raise NotAGroebnerBasis(
+                        f"leads {mono_word(earlier)} and {mono_word(lead)} share a generator")
+            inv = 1 / g[lead]
+            self._relations.append((lead, {m: inv * c for m, c in g.items()} | {lead: be.one}))
+            self._memo.append({})
 
-    def _reduce_once(self, terms: dict) -> dict:
-        """Subtract ideal rows until no monomial is a pivot lead (all degrees)."""
+    def _reduce_terms(self, terms: dict, k: int) -> dict:
+        """Normal form of {monomial: coeff} modulo the first k relations."""
         be = self.alg.backend
-        work = dict(terms)
-        # process monomials from the top of the order downwards
-        changed = True
-        while changed:
-            changed = False
-            for m in sorted(work, key=mono_key, reverse=True):
-                c = work.get(m)
-                if c is None or be.is_zero(c):
-                    work.pop(m, None)
-                    continue
-                k = sum(m)
-                if k < 2:
-                    continue
-                row = self._pivot_full_rows(k).get(m)
-                if row is None:
-                    continue
-                _subtract_row(work, c, row, be)
-                changed = True
-                break
-        return {m: c for m, c in work.items() if not be.is_zero(c)}
+        if k:
+            out = {}
+            for m, c in terms.items():
+                for n, d in self._normal_form(m, k).items():
+                    add_into(out, n, c * d)
+            terms = out
+        return {m: c for m, c in terms.items() if not be.is_zero(c)}
 
-    def _pivot_full_rows(self, k: int):
-        """{lead: (c_j - v_j)*m combination row} for degree k; each lead is its
-        row's largest monomial, and a row whose largest drops below k is spent."""
-        hit = self._echelons.get(k)
-        if hit is not None:
-            return hit
-        be = self.alg.backend
-        pivots = {}
-
-        def insert(full):
-            while full:
-                lead = max(full, key=mono_key)
-                if sum(lead) < k:
-                    return
-                got = pivots.get(lead)
-                if got is None:
-                    inv = 1 / full[lead]
-                    pivots[lead] = {m: inv * c for m, c in full.items()}
-                    return
-                _subtract_row(full, full[lead], got, be)
-
-        for c, v in self.relations:
-            dc = next(iter({sum(m) for m in c.terms}))
-            if k < dc:
+    def _divide(self, m, k):
+        """The lower terms of m - q * g_j for the first of the first k relations
+        whose lead divides m = q * lead(g_j); None if m is normal."""
+        alg = self.alg
+        for j, (lead, g) in enumerate(self._relations[:k]):
+            q = tuple(a - b for a, b in zip(m, lead))
+            if min(q) < 0:
                 continue
-            for m in basis_monomials(k - dc):
-                full = dict((c * NCPoly(self.alg, {m: be.one})).terms)
-                nv = full.get(m, be.zero) - v
-                if be.is_zero(nv):
-                    full.pop(m, None)
-                else:
-                    full[m] = nv
-                insert(full)
-        self._echelons[k] = pivots
-        return pivots
+            prod = {}
+            for n, c in g.items():
+                for n2, e in alg.mono_mul(q, n).items():
+                    add_into(prod, n2, c * e)
+            prod = self._reduce_terms(prod, j)  # g_j is central only modulo 0..j-1
+            top = max(prod, key=mono_key, default=None)
+            if top != m or not alg.backend.is_zero(prod.pop(m) - 1):
+                raise NotAGroebnerBasis(
+                    f"lead of the product for {mono_word(m)} is not that monomial")
+            return {n: -c for n, c in prod.items()}
+        return None
+
+    def _normal_form(self, m, k: int) -> dict:
+        """Memoized division of m by the first k relations."""
+        memo = self._memo[k]
+        hit = memo.get(m)
+        if hit is None:
+            step = self._divide(m, k)
+            hit = {m: self.alg.backend.one} if step is None else self._reduce_terms(step, k)
+            memo[m] = hit
+        return hit
 
     def reduce_mono(self, m):
         """Cached canonical form of a single monomial as {monomial: coeff}."""
-        hit = self._mono_cache.get(m)
-        if hit is None:
-            hit = self._reduce_once({m: self.alg.backend.one})
-            self._mono_cache[m] = hit
-        return hit
+        return self._normal_form(m, len(self._relations))
 
     def reduce_fast(self, f: NCPoly) -> NCPoly:
         """Canonical representative of f modulo the ideal, via the monomial cache."""
@@ -502,16 +494,6 @@ class ReductionContext:
     def residual(self, f: NCPoly) -> float:
         """Largest coefficient magnitude of the reduced form (0.0 if zero)."""
         return self.alg.backend.max_residual(self.reduce_fast(f).terms.values())
-
-
-def _subtract_row(work: dict, f, row: dict, be: Backend) -> None:
-    """work -= f * row in place, dropping the entries that become zero."""
-    for m, c in row.items():
-        v = work.get(m, be.zero) - f * c
-        if be.is_zero(v):
-            work.pop(m, None)
-        else:
-            work[m] = v
 
 
 # ---------------------------------------------------------------------------

@@ -376,8 +376,9 @@ def check_normality(s: SphereAlgebra, ys: YSystem) -> dict:
 def three_sphere_context(s: SphereAlgebra, ys: YSystem, degree_cap: int = 12) -> SphereAlgebra:
     """Quotient by x^2 = 1 together with sum Y^{mu*} Y^mu = 1.
 
-    The radius sum is central and homogeneous of degree 4, so the same
-    filtered reduction applies; the central coordinate Y4 becomes nilpotent
+    The radius sum is central and homogeneous of degree 4; reduced modulo
+    x^2 = 1 its lead is (x1_3)^4, coprime to the casimir's (x2_3)^2, so the
+    same division applies.  The central coordinate Y4 becomes nilpotent
     (its square lies in the ideal) which realizes the equatorial sphere.
     """
     alg = s.base

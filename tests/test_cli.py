@@ -12,7 +12,7 @@ from ncspheres.cli import (CATALOG, RunSpec, canonical_json, main, run, sweep,
                            sweep_csv)
 from ncspheres.errors import InvalidSpec, ParamsNotOnSphere
 from ncspheres.quatlin import Mat
-from ncspheres.rmatrix import DeformParams
+from ncspheres.rmatrix import DeformParams, build_R_quaternionic
 from ncspheres.scalars import EXACT, GaussRational
 
 
@@ -187,3 +187,22 @@ def test_sphere_report_names_are_unique():
     names = [r["name"] for r in report["tasks"]["sphere"]["reports"]]
     assert "lambda_symmetric" in names
     assert len(names) == len(set(names)), names
+
+
+def test_perturbed_tensor_fails_the_symmetry_chain_report(
+        monkeypatch, tmp_path, capsys):
+    """The check verb exits 1 on a tensor with one entry off by 1/7, and the
+    symmetry_chain report names that entry."""
+    def perturbed(params, backend):
+        R = build_R_quaternionic(params, backend)
+        R.data[2][0][0][2] = R.data[2][0][0][2] + GaussRational(Fraction(1, 7), 0)
+        return R
+
+    monkeypatch.setattr(cli, "build_R_quaternionic", perturbed)
+    out = tmp_path / "check.json"
+    assert main(["check", "--quiet", "--json", str(out)]) == 1
+    reports = {r["name"]: r for r in
+               json.loads(out.read_text())["tasks"]["conditions"]["reports"]}
+    chain = reports["symmetry_chain"]
+    assert not chain["passed"] and chain["max_residual"] > 0
+    assert chain["witness"] == "inverse at (2,0,0,2)"

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncspheres.coaction import span_contains
-from ncspheres.errors import DegreeOverflow, NotCentral
-from ncspheres.ncalg import (NCPoly, ReductionContext, basis_monomials,
-                             basis_size, central_witness, confluence_check,
-                             format_poly, mono_key)
-from ncspheres.scalars import EXACT, GaussRational, parse_rational
+from ncspheres.errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
+from ncspheres.ncalg import (Algebra, NCPoly, ReductionContext,
+                             basis_monomials, basis_size, central_witness,
+                             confluence_check, format_poly, mono_key)
+from ncspheres.rmatrix import DeformParams, build_R_quaternionic
+from ncspheres.scalars import EXACT, GaussRational, float_backend, parse_rational
+from ncspheres.spheres import three_sphere_context
 
 from conftest import make_point
 
@@ -191,6 +193,180 @@ def test_degree_cap_enforced(pyth):
         f = f * alg.x1(1)
     with pytest.raises(DegreeOverflow):
         ctx.reduce_fast(f)
+
+
+class EchelonOracle:
+    """Reduction modulo central relations c_j - v_j by filtered linear algebra.
+
+    The degree-k piece of the ideal is sum_j (c_j - v_j) V_{k - deg c_j}, so
+    reduction runs degree by degree against lazily built sparse row echelon
+    bases of the spans {(c_j - v_j) * m}.  Built from products in the algebra
+    alone, it is the oracle for ReductionContext's division.
+    """
+
+    def __init__(self, alg, relations):
+        self.alg = alg
+        be = alg.backend
+        self.relations = [(c, be.convert(v)) for c, v in relations]
+        self._echelons = {}
+
+    def reduce_mono(self, m):
+        """Subtract pivot rows until no monomial is a pivot lead."""
+        be = self.alg.backend
+        work = {m: be.one}
+        changed = True
+        while changed:
+            changed = False
+            for n in sorted(work, key=mono_key, reverse=True):
+                c = work.get(n)
+                if c is None or be.is_zero(c):
+                    work.pop(n, None)
+                    continue
+                if sum(n) < 2:
+                    continue
+                row = self._pivot_rows(sum(n)).get(n)
+                if row is None:
+                    continue
+                _subtract_row(work, c, row, be)
+                changed = True
+                break
+        return {n: c for n, c in work.items() if not be.is_zero(c)}
+
+    def _pivot_rows(self, k):
+        """{lead: row} for degree k; each lead is its row's largest monomial,
+        and a row whose largest monomial drops below degree k is spent."""
+        hit = self._echelons.get(k)
+        if hit is not None:
+            return hit
+        be = self.alg.backend
+        pivots = {}
+
+        def insert(full):
+            while full:
+                lead = max(full, key=mono_key)
+                if sum(lead) < k:
+                    return
+                got = pivots.get(lead)
+                if got is None:
+                    inv = 1 / full[lead]
+                    pivots[lead] = {n: inv * c for n, c in full.items()}
+                    return
+                _subtract_row(full, full[lead], got, be)
+
+        for c, v in self.relations:
+            dc = next(iter({sum(n) for n in c.terms}))
+            if k < dc:
+                continue
+            for n in basis_monomials(k - dc):
+                full = dict((c * NCPoly(self.alg, {n: be.one})).terms)
+                nv = full.get(n, be.zero) - v
+                if be.is_zero(nv):
+                    full.pop(n, None)
+                else:
+                    full[n] = nv
+                insert(full)
+        self._echelons[k] = pivots
+        return pivots
+
+
+def _subtract_row(work, f, row, be):
+    """work -= f * row in place, dropping the entries that become zero."""
+    for n, c in row.items():
+        v = work.get(n, be.zero) - f * c
+        if be.is_zero(v):
+            work.pop(n, None)
+        else:
+            work[n] = v
+
+
+def _sphere_relations(s, ys):
+    """(name, context, relations) of the seven- and three-sphere quotients."""
+    alg = s.base
+    s7 = [(alg.casimir(), 1)]
+    s3 = s7 + [(sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero()), 1)]
+    return [("S7", s.context, s7), ("S3", three_sphere_context(s, ys).context, s3)]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_division_matches_the_echelon_oracle(label, backend, request):
+    """reduce_mono agrees with the echelon on every monomial through degree 8,
+    for both sphere quotients: by == on the exact backend; on the float
+    backend with the same keys and every coefficient within tol."""
+    if backend == "exact":  # the session's points, whose caches later tests reuse
+        be = EXACT
+        _, alg, s, ys = request.getfixturevalue(
+            "pyth" if label == "3/5,4/5,0" else "mixed")
+    else:
+        be = float_backend()
+        _, alg, s, ys = make_point(label, be)
+    monos = [m for k in range(9) for m in basis_monomials(k)]
+    assert len(monos) == 12870
+    for name, ctx, relations in _sphere_relations(s, ys):
+        oracle = EchelonOracle(alg, relations)
+        for m in monos:
+            got, want = ctx.reduce_mono(m), oracle.reduce_mono(m)
+            if be.exact:
+                assert got == want, (name, m)
+            else:
+                assert got.keys() == want.keys(), (name, m)
+                assert all(abs(got[n] - want[n]) <= be.tol for n in got), (name, m)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_normal_monomials_follow_the_leads(label, backend):
+    """Through degree 6 an S7 monomial is its own normal form iff its x2_3
+    exponent is at most 1, and an S3 monomial iff in addition its x1_3
+    exponent is at most 3: the Hilbert series the division relies on."""
+    be = EXACT if backend == "exact" else float_backend()
+    _, alg, s, ys = make_point(label, be)
+    (_, s7, _), (_, s3, _) = _sphere_relations(s, ys)
+    for k in range(7):
+        for m in basis_monomials(k):
+            assert (s7.reduce_mono(m) == {m: be.one}) == (m[7] <= 1), m
+            assert (s3.reduce_mono(m) == {m: be.one}) == (m[7] <= 1 and m[3] <= 3), m
+
+
+def test_degree_twelve_reduces_and_is_idempotent(pyth):
+    """x2_3^12 divides down through long chains of lower monomials."""
+    _, alg, _, _ = pyth
+    ctx = ReductionContext(alg, [(alg.casimir(), 1)])
+    m = (0,) * 7 + (12,)
+    nf = NCPoly(alg, ctx.reduce_mono(m))
+    assert nf.degree() == 12 and m not in nf.terms
+    assert all(n[7] <= 1 for n in nf.terms)
+    assert ctx.reduce_fast(nf) == nf
+
+
+def test_relation_that_keeps_no_lead_is_rejected(pyth):
+    """The casimir passed twice, or its square, adds nothing new: refused,
+    never a normal form."""
+    _, alg, _, _ = pyth
+    for again in (alg.casimir(), alg.casimir() * alg.casimir()):
+        with pytest.raises(NotAGroebnerBasis, match="no lead"):
+            ReductionContext(alg, [(alg.casimir(), 1), (again, 1)])
+
+
+def test_leads_that_share_a_generator_are_rejected(classical):
+    """At the commutative point every element is central; x1_0 x2_3 has a lead
+    that shares x2_3 with the casimir's lead x2_3^2."""
+    _, alg, _, _ = classical
+    rel = alg.x1(0) * alg.x2(3)
+    assert central_witness(alg, rel) is None
+    with pytest.raises(NotAGroebnerBasis, match="share a generator"):
+        ReductionContext(alg, [(alg.casimir(), 1), (rel, 0)])
+
+
+def test_product_with_a_wrong_lead_is_rejected():
+    """Products whose lead coefficient is not 1 raise, never a normal form."""
+    be = EXACT
+    alg = Algebra(build_R_quaternionic(DeformParams.parse("3/5,4/5,0"), be), be)
+    ctx = ReductionContext(alg, [(alg.casimir(), 1)])
+    plain = alg.mono_mul
+    alg.mono_mul = lambda m, n: {k: 2 * c for k, c in plain(m, n).items()}
+    with pytest.raises(NotAGroebnerBasis, match="lead of the product"):
+        ctx.reduce_mono((0, 1, 0, 0, 0, 0, 0, 2))
 
 
 def _read_poly(alg, text):

@@ -10,7 +10,8 @@ from ncspheres.quatlin import Mat, j_plus
 from ncspheres.rmatrix import (DeformParams, build_BigR, build_R_quaternionic,
                                check_all_conditions, check_involutive,
                                check_quadratic_1, check_quadratic_2,
-                               check_reality, check_yang_baxter, invert_16x16)
+                               check_reality, check_symmetry_chain,
+                               check_yang_baxter, invert_16x16)
 from ncspheres.scalars import EXACT, GaussRational, float_backend
 
 CONDITION_NAMES = ("reality", "symmetry_chain", "quadratic_1", "quadratic_2",
@@ -233,6 +234,27 @@ def test_perturbed_entry_matches_the_dense_exchange_oracle(idx):
         r = check(R)
         assert not r.passed, r.name
         assert (r.max_residual, r.witness) == oracle[r.name]
+
+
+@pytest.mark.parametrize("idx, delta, tag", [
+    ((2, 0, 0, 2), GaussRational(Fraction(1, 7), 0), "inverse"),
+    ((2, 0, 0, 2), GaussRational(0, Fraction(1, 7)), "conjugate"),
+    ((1, 2, 2, 3), GaussRational(Fraction(1, 7), 0), "exchange"),
+], ids=["real_shift", "imaginary_shift", "zero_entry"])
+def test_perturbed_entry_fails_symmetry_chain(idx, delta, tag):
+    """Fault injection: one entry off by 1/7 or i/7 fails symmetry_chain, and
+    the witness names the perturbed index (lam,beta,alpha,mu) with the first
+    link of the chain that breaks there; the unperturbed tensor passes."""
+    p = DeformParams.parse("3/5,4/5,0")
+    clean = check_symmetry_chain(build_R_quaternionic(p, EXACT))
+    assert clean.passed and clean.max_residual == 0.0 and clean.witness is None
+    R = build_R_quaternionic(p, EXACT)
+    a, b, c, d = idx
+    R.data[a][b][c][d] = R.data[a][b][c][d] + delta
+    r = check_symmetry_chain(R)
+    assert not r.passed
+    assert r.max_residual >= abs(delta)
+    assert r.witness == f"{tag} at ({a},{b},{c},{d})"
 
 
 def test_entry_below_tolerance_takes_part_in_contractions():
