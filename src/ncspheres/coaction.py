@@ -27,7 +27,7 @@ import operator
 import weakref
 
 from .errors import DegreeOverflow, InvalidSpec
-from .ncalg import NCPoly, basis_monomials, mono_key, mono_unit_vec, mono_word
+from .ncalg import NCPoly, basis_monomials, mono_key, mono_unit_vec
 from .quatlin import epsilon, quat_basis_product, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport
 from .scalars import Backend, Sparse, add_into, row_reduce
@@ -429,23 +429,21 @@ def derivation_matrix(a: int):
 
 
 def derivation(alg, a: int, f: NCPoly) -> NCPoly:
-    """Leibniz extension of the infinitesimal right translation; a prefix or
-    suffix of a normal word is itself a normal monomial with coefficient 1."""
+    """Leibniz extension of the infinitesimal right translation.  D_a turns an
+    x^mu into sum_nu M[mu][nu] x^nu of the same family, and each family
+    commutes, so each occurrence moves one exponent of a normal monomial."""
     M = derivation_matrix(a)
-    one = alg.backend.one
-    out = alg.zero()
+    out = {}
     for m, c in f.terms.items():
-        word = mono_word(m)
-        for pos, g in enumerate(word):
-            fam, mu = divmod(g, 4)
-            pre = NCPoly(alg, {tuple(word[:pos].count(k) for k in range(8)): one})
-            post = NCPoly(alg, {tuple(word[pos + 1:].count(k) for k in range(8)): one})
-            for nu in range(4):
-                if M[mu][nu] == 0:
-                    continue
-                mid = alg.generator(fam * 4 + nu)
-                out = out + (pre * mid * post) * (M[mu][nu] * c)
-    return out
+        for g in range(8):
+            for _ in range(m[g]):
+                for nu, k in enumerate(M[g % 4]):
+                    if k:
+                        img = list(m)
+                        img[g] -= 1
+                        img[g - g % 4 + nu] += 1
+                        add_into(out, tuple(img), k * c)
+    return NCPoly(alg, out)
 
 
 def coinvariants(alg, degree: int) -> list:

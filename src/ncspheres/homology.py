@@ -25,7 +25,7 @@ import hashlib
 from fractions import Fraction
 
 from .errors import DegreeZero, NotUnitaryEnough
-from .ncalg import NCPoly, mono_key
+from .ncalg import NCPoly, format_poly, mono_key
 from .quatlin import Mat
 from .scalars import Sparse, add_into
 from .spheres import SphereAlgebra, lambda_residuals
@@ -108,6 +108,13 @@ class TensorChain(Sparse):
         """Terms sorted by the slot monomials' graded-lex keys."""
         keys = self.ctx.mono_keys
         return sorted(self.terms.items(), key=lambda item: tuple(keys[i] for i in item[0]))
+
+    def first_term(self) -> str:
+        """The first canonical term as c*m0 (x) m1 (x) ..., each slot by format_poly."""
+        key, coeff = self.canonical_terms()[0]
+        ctx, one = self.ctx, self.ctx.backend.one
+        return " (x) ".join(format_poly(NCPoly(ctx.alg, {ctx._monos[i]: one if pos else coeff}))
+                            for pos, i in enumerate(key))
 
     def digest(self) -> dict:
         h = hashlib.sha256()

@@ -6,7 +6,9 @@ residual 0.0, float-backend residuals are bounded by 1e-9, and the three
 heavyweight suites carry explicit wall-clock budgets.
 """
 
+import functools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -34,6 +36,7 @@ from ncspheres.spheres import (build_projection, check_normality,
                                y0_flip_check)
 
 from conftest import make_point
+from test_ncalg import word_normal_form
 
 MAIN = "3/5,4/5,0"
 
@@ -70,12 +73,25 @@ def test_c1_exchange_tensor_conditions_hold_exactly():
 def test_c2_graded_dimensions_and_reduction_confluence(catalog):
     t0 = time.perf_counter()
     want = [math.comb(n + 7, 7) for n in range(1, 6)]
-    # 100 random leftmost-vs-rightmost comparisons per point, 200 in total,
-    # on top of the exhaustive overlap check
+    # the exhaustive certificate, then 100 random words per point, 200 in
+    # total: leftmost and rightmost rewriting and both bracketings of the
+    # product all give the same normal form
     for label in (MAIN, "1/3,2/3,2/3"):
         _, alg, _, _ = catalog[label]
-        assert confluence_check(alg, max_len=5, trials=100, seed=2024)["passed"]
+        assert confluence_check(alg)["passed"]
         assert [basis_size(n) for n in range(1, 6)] == want
+        x = [alg.generator(g) for g in range(8)]
+        rng = random.Random(2024)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            w = tuple(rng.randrange(8) for _ in range(n))
+            left = word_normal_form(alg, w, "leftmost")
+            assert left == word_normal_form(alg, w, "rightmost"), (label, w)
+            assert left == functools.reduce(operator.mul, (x[g] for g in w)), (label, w)
+            right_fold = x[w[-1]]
+            for g in reversed(w[:-1]):
+                right_fold = x[g] * right_fold
+            assert left == right_fold, (label, w)
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -126,9 +126,22 @@ def test_non_idempotent_projection_fails_the_b_ch2_closure(
     assert main(["chern", "--backend", "float", "--quiet",
                  "--json", str(out)]) == 1
     capsys.readouterr()
-    chern = json.loads(out.read_text())["tasks"]["chern"]
+    report = json.loads(out.read_text())
+    chern = report["tasks"]["chern"]
     assert not chern["passed"]
     assert chern["closures"]["b_ch2_zero"] is False
+    # every failing zero-verdict, and only those, names the first term of
+    # its chain: for b(ch2), -1/3 (x) x1_0^2 (x) x1_0^2 (x) x1_0^2
+    failing = {name for verdicts in (chern["vanishing"], chern["closures"])
+               for name, ok in verdicts.items() if not ok}
+    assert set(chern["witnesses"]) == failing
+    coeff, *slots = chern["witnesses"]["b_ch2_zero"].split(" (x) ")
+    assert abs(complex(coeff) + 1 / 3) < 1e-9
+    assert slots == ["(1+0j)*x1_0^2"] * 3
+    schema = json.loads(resources.files("ncspheres")
+                        .joinpath("schema/run_report.schema.json")
+                        .read_text())
+    jsonschema.validate(report, schema)
 
 
 def test_non_idempotent_projection_fails_the_idempotency_report(

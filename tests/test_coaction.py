@@ -18,9 +18,12 @@ from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 hopf_delta, one_sided_left_coaction,
                                 span_contains)
 from ncspheres.errors import DegreeOverflow
+from ncspheres.ncalg import NCPoly, basis_monomials
 from ncspheres.quatlin import epsilon
 from ncspheres.rmatrix import DeformParams
 from ncspheres.scalars import EXACT, float_backend
+
+from conftest import make_point
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +305,26 @@ def test_derivation_matches_generator_products(point, request):
             f = f + term
         for a in (1, 2, 3):
             assert derivation(alg, a, f) == _generator_product_derivation(alg, a, f)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_derivation_matches_generator_products_on_the_basis(label, backend, request):
+    """Exponent arithmetic gives the Leibniz image formed from generator
+    products, with the same coefficients, on every basis monomial of degree
+    <= 4."""
+    if backend == "exact":
+        _, alg, _, _ = request.getfixturevalue("pyth" if label == "3/5,4/5,0" else "mixed")
+    else:
+        _, alg, _, _ = make_point(label, float_backend())
+    one = alg.backend.one
+    monos = [m for k in range(5) for m in basis_monomials(k)]
+    assert len(monos) == 495
+    for m in monos:
+        f = NCPoly(alg, {m: one})
+        for a in (1, 2, 3):
+            want = _generator_product_derivation(alg, a, f)
+            assert derivation(alg, a, f).terms == want.terms, (a, m)
 
 
 def test_coinvariants_match_y_span(pyth, diag):
