@@ -23,7 +23,7 @@ from .errors import IrrationalEigenvalue, InvalidSpec, NCSpheresError
 from .homology import (B_boundary, ChainContext, b_boundary, chern_even,
                        chern_even_word, chern_odd, check_vanzz_equivalence,
                        trace_boundary)
-from .ncalg import Algebra, basis_size, confluence_check
+from .ncalg import DEGREE_CAP, Algebra, basis_size, confluence_check
 from .quatlin import embed_M2
 from .rmatrix import DeformParams, build_R_quaternionic, check_all_conditions
 from .scalars import EXACT, GaussRational, float_backend
@@ -74,7 +74,6 @@ class RunSpec:
     backend_name: str = "exact"
     tasks: tuple = ("conditions",)
     tol: float = 1e-9
-    degree_cap: int = 12
 
     def validate(self) -> None:
         if self.backend_name not in ("exact", "float"):
@@ -84,8 +83,6 @@ class RunSpec:
         for t in self.tasks:
             if t not in TASKS:
                 raise InvalidSpec(f"unknown task {t!r}")
-        if self.degree_cap < 4:
-            raise InvalidSpec("degree cap below the quadratic relations")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise InvalidSpec(f"tolerance must be finite and > 0, got {self.tol}")
         self.params.validate(self.backend())
@@ -106,31 +103,21 @@ class RunSpec:
             "backend": self.backend_name,
             "tasks": list(self.closure()),
             "tol": self.tol,
-            "degree_cap": self.degree_cap,
+            "degree_cap": DEGREE_CAP,
         }
 
 
-def _jsonable(value):
-    """Render report payloads with exact scalars as canonical strings."""
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, GaussRational):
-        return str(value)
-    if isinstance(value, Fraction):
+def _scalar_json(value):
+    """Exact scalars as canonical strings, float complex as [re, im]."""
+    if isinstance(value, (GaussRational, Fraction)):
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
+    raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
-def canonical_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+def canonical_json(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, default=_scalar_json) + "\n"
 
 
 def _report_list(reports) -> list:
@@ -155,8 +142,7 @@ def _task_algebra(spec: RunSpec, state: dict) -> dict:
 
 def _task_sphere(spec: RunSpec, state: dict) -> dict:
     alg = state["alg"]
-    s = build_sphere(alg, "seven_sphere", params=spec.params,
-                     degree_cap=spec.degree_cap)
+    s = build_sphere(alg, "seven_sphere", params=spec.params)
     state["sphere"] = s
     ys = compute_Y(s)
     state["ys"] = ys
@@ -165,7 +151,7 @@ def _task_sphere(spec: RunSpec, state: dict) -> dict:
     reports.extend(verify_Y_relations(s, ys))
     reports.extend(lambda_reports(alg, ys))
     reports.append(y0_flip_check(s, ys))
-    s3 = three_sphere_context(s, ys, degree_cap=spec.degree_cap)
+    s3 = three_sphere_context(s, ys)
     state["s3"] = s3
     reports.extend(suspension_reports(s3, ys))
     norm = check_normality(s, ys)
@@ -188,7 +174,6 @@ def _task_sphere(spec: RunSpec, state: dict) -> dict:
     except IrrationalEigenvalue:
         out["theta"] = None
         out["theta_note"] = "eigenphase irrational at this point"
-    state["theta"] = out["theta"]
     return out
 
 
@@ -324,12 +309,12 @@ def run(spec: RunSpec):
     return report, timings
 
 
-def sweep(points, backend_name="exact", tol=1e-9, degree_cap=12):
+def sweep(points, backend_name="exact", tol=1e-9):
     """Run the pipeline at each point in order; one (report, timings) each."""
     if not points:
         raise InvalidSpec("sweep needs at least one parameter point")
     specs = [RunSpec(params=p, backend_name=backend_name,
-                     tasks=_VERB_TASKS["sweep"], tol=tol, degree_cap=degree_cap)
+                     tasks=_VERB_TASKS["sweep"], tol=tol)
              for p in points]
     for s in specs:
         s.validate()
@@ -398,8 +383,6 @@ def main(argv=None) -> int:
                         choices=("exact", "float"))
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="float-backend zero tolerance")
-    parser.add_argument("--degree-cap", type=int, default=12,
-                        help="largest degree the reduction contexts accept")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the canonical JSON report here")
     parser.add_argument("--quiet", action="store_true",
@@ -409,8 +392,7 @@ def main(argv=None) -> int:
     try:
         if args.verb == "sweep":
             points = [DeformParams.parse(lbl) for lbl in CATALOG]
-            results = sweep(points, backend_name=args.backend, tol=args.tol,
-                            degree_cap=args.degree_cap)
+            results = sweep(points, backend_name=args.backend, tol=args.tol)
             print(sweep_csv(points, results), end="")
             for report, timings in results:
                 _print_timings(report, timings)
@@ -420,8 +402,7 @@ def main(argv=None) -> int:
             spec = RunSpec(params=DeformParams.parse(args.params),
                            backend_name=args.backend,
                            tasks=_VERB_TASKS[args.verb],
-                           tol=args.tol,
-                           degree_cap=args.degree_cap)
+                           tol=args.tol)
             payload, timings = run(spec)
             _emit_report(payload, timings, args)
             passed = payload["passed"]

@@ -33,6 +33,9 @@ X2 = range(4, 8)
 
 ZERO8 = (0,) * 8
 
+# reduce_fast refuses monomials above this degree; the tasks reduce at most degree 4
+DEGREE_CAP = 12
+
 
 def mono_word(m):
     """Expanded generator word of a normal monomial, ascending ids."""
@@ -146,14 +149,10 @@ class Algebra:
         n1, n2 = n[:4], n[4:]
         if not any(m2) or not any(n1):
             return {tuple(a + b for a, b in zip(m, n)): self.backend.one}
-        out = {}
-        for (mid1, mid2), c in self._swap_block(m2, n1).items():
-            key = (
-                m1[0] + mid1[0], m1[1] + mid1[1], m1[2] + mid1[2], m1[3] + mid1[3],
-                mid2[0] + n2[0], mid2[1] + n2[1], mid2[2] + n2[2], mid2[3] + n2[3],
-            )
-            add_into(out, key, c)
-        return out
+        # distinct (mid1, mid2) give distinct products, so nothing accumulates
+        return {(m1[0] + mid1[0], m1[1] + mid1[1], m1[2] + mid1[2], m1[3] + mid1[3],
+                 mid2[0] + n2[0], mid2[1] + n2[1], mid2[2] + n2[2], mid2[3] + n2[3]): c
+                for (mid1, mid2), c in self._swap_block(m2, n1).items()}
 
     def star_mono(self, m):
         """Star of a normal monomial: reverse the word, generators hermitian."""
@@ -354,9 +353,8 @@ class ReductionContext:
     not the divided monomial with coefficient 1, raise NotAGroebnerBasis.
     """
 
-    def __init__(self, alg: Algebra, relations, degree_cap: int = 12):
+    def __init__(self, alg: Algebra, relations):
         self.alg = alg
-        self.degree_cap = degree_cap
         be = alg.backend
         self._relations = []  # (lead, monic terms), normal modulo the earlier ones
         self._memo = [{}]  # [k]: {monomial: normal form modulo the first k relations}
@@ -425,19 +423,13 @@ class ReductionContext:
 
     def reduce_fast(self, f: NCPoly) -> NCPoly:
         """Canonical representative of f modulo the ideal, via the monomial cache."""
-        be = self.alg.backend
         out = {}
         for m, c in f.terms.items():
-            if sum(m) > self.degree_cap:
-                raise DegreeOverflow(
-                    f"degree {sum(m)} exceeds reduction cap {self.degree_cap}")
+            if sum(m) > DEGREE_CAP:
+                raise DegreeOverflow(f"degree {sum(m)} exceeds reduction cap {DEGREE_CAP}")
             for mm, cc in self.reduce_mono(m).items():
                 add_into(out, mm, c * cc)
         return NCPoly(self.alg, out)
-
-    def residual(self, f: NCPoly) -> float:
-        """Largest coefficient magnitude of the reduced form (0.0 if zero)."""
-        return self.alg.backend.max_residual(self.reduce_fast(f).terms.values())
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,6 @@ class RTensor:
                 for beta in range(N) for mu in range(N)
                 if d[lam][alpha][beta][mu] != 0]
 
-    def conj_entry(self, lam, alpha, beta, mu):
-        return self.data[lam][alpha][beta][mu].conjugate()
-
 
 def _zero4(backend: Backend):
     return [[[[backend.zero for _ in range(N)] for _ in range(N)]
@@ -153,7 +150,7 @@ def _compare(name: str, be: Backend, lhs: dict, rhs: dict, fmt: str) -> Conditio
     worst, witness = 0.0, None
     for key in sorted(lhs.keys() | rhs.keys()):
         diff = lhs.get(key, be.zero) - rhs.get(key, be.zero)
-        worst = max(worst, be.residual(diff))
+        worst = max(worst, abs(diff))
         if not be.is_zero(diff) and witness is None:
             witness = fmt.format(*key)
     return ConditionReport(name, witness is None, worst, witness)
@@ -210,12 +207,12 @@ def check_symmetry_chain(R: RTensor) -> ConditionReport:
                     v = R.entry(lam, beta, alpha, mu)
                     others = (
                         ("exchange", R.entry(mu, alpha, beta, lam)),
-                        ("conjugate", R.conj_entry(mu, beta, alpha, lam)),
+                        ("conjugate", R.entry(mu, beta, alpha, lam).conjugate()),
                         ("inverse", rinv(beta, mu, lam, alpha)),
                     )
                     for tag, w in others:
                         diff = v - w
-                        worst = max(worst, be.residual(diff))
+                        worst = max(worst, abs(diff))
                         if not be.is_zero(diff) and witness is None:
                             witness = f"{tag} at ({lam},{beta},{alpha},{mu})"
     return ConditionReport("symmetry_chain", witness is None, worst, witness)
@@ -268,32 +265,17 @@ def build_BigR(R: RTensor) -> dict:
 
     Returns {(a, b): [((c, d), coeff), ...]} meaning
     x^a x^b = sum coeff * x^c x^d.  Within-family blocks are the flip;
-    cross blocks carry R and conj(R).
+    cross blocks carry R and conj(R), read off R.items(), so each cross
+    row lists its entries in (beta, mu) order and takes exactly the
+    entries the contraction checks take.
     """
-    be = R.backend
-    rows = {}
-    for a in range(8):
-        for b in range(8):
-            if (a < N) == (b < N):
-                rows[(a, b)] = [((b, a), be.one)]
-            elif a < N:                       # x1^lam x2^alpha
-                lam, alpha = a, b - N
-                ents = []
-                for beta in range(N):
-                    for mu in range(N):
-                        c = R.entry(lam, alpha, beta, mu)
-                        if not be.is_zero(c):
-                            ents.append(((beta + N, mu), c))
-                rows[(a, b)] = ents
-            else:                             # x2^alpha x1^lam
-                alpha, lam = a - N, b
-                ents = []
-                for beta in range(N):
-                    for mu in range(N):
-                        c = R.conj_entry(lam, alpha, beta, mu)
-                        if not be.is_zero(c):
-                            ents.append(((mu, beta + N), c))
-                rows[(a, b)] = ents
+    one = R.backend.one
+    rows = {(a, b): [((b, a), one)] if (a < N) == (b < N) else []
+            for a in range(8) for b in range(8)}
+    for (lam, alpha, beta, mu), c in R.items():
+        # x1^lam x2^alpha carries R, x2^alpha x1^lam carries conj(R)
+        rows[(lam, alpha + N)].append(((beta + N, mu), c))
+        rows[(alpha + N, lam)].append(((mu, beta + N), c.conjugate()))
     return rows
 
 

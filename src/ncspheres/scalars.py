@@ -12,8 +12,9 @@ unchanged.  GaussRational deliberately mimics the small slice of the builtin
 ``imag``), which is what makes the backends interchangeable.
 
 Polynomials, chains and tensor elements are all {key: coefficient} dicts.
-``add_into`` is their one accumulate step, and ``Sparse`` supplies the
-linear operations they share; each subclass keeps its own key
+``add_into`` is their one accumulate step, ``max_residual`` the one
+residual measure of every report, and ``Sparse`` supplies the linear
+operations they share; each subclass keeps its own key
 normalisation and zero pruning in its constructor.
 """
 
@@ -237,14 +238,6 @@ class Backend:
             return value.is_zero()
         return abs(value) <= self.tol
 
-    def residual(self, value) -> float:
-        """Magnitude used in reports; exactly 0.0 for a vanishing exact value."""
-        return abs(value)
-
-    def max_residual(self, values) -> float:
-        """Largest residual among `values`; 0.0 when there are none."""
-        return max((abs(v) for v in values), default=0.0)
-
     def __repr__(self):
         return f"Backend({self.name!r})"
 
@@ -297,6 +290,12 @@ def row_reduce(rows: list, ncols: int, be: Backend) -> list:
     return pivots
 
 
+def max_residual(values) -> float:
+    """The one residual measure: the largest ``abs`` among `values`, 0.0
+    when there are none.  A report passes iff its residual is ``<= tol``."""
+    return max((abs(v) for v in values), default=0.0)
+
+
 def add_into(out: dict, key, value) -> None:
     """out[key] += value, inserting `value` itself when `key` is absent.
 
@@ -321,6 +320,9 @@ class Sparse:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def residual(self) -> float:
+        return max_residual(self.terms.values())
 
     def __add__(self, other):
         out = dict(self.terms)

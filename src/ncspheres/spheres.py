@@ -24,7 +24,7 @@ from .errors import InvalidSpec, IrrationalEigenvalue, NotAPerfectSquare
 from .ncalg import Algebra, NCPoly, ReductionContext, central_witness, mono_key
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
-from .scalars import Backend, GaussRational, row_reduce, sqrt_exact
+from .scalars import Backend, GaussRational, max_residual, row_reduce, sqrt_exact
 
 
 @dataclass
@@ -37,11 +37,11 @@ class SphereAlgebra:
         return self.context.reduce_fast(f)
 
     def residual(self, f: NCPoly) -> float:
-        return self.context.residual(f)
+        """The residual of f modulo the ideal."""
+        return self.reduce(f).residual()
 
 
-def build_sphere(alg: Algebra, kind: str, params: DeformParams | None = None,
-                 degree_cap: int = 12) -> SphereAlgebra:
+def build_sphere(alg: Algebra, kind: str, params: DeformParams | None = None) -> SphereAlgebra:
     """Quotient context for 'seven_sphere' (x^2 = 1), the one kind there is.
 
     Raises NotCentral if a relation element fails to commute with every
@@ -49,7 +49,7 @@ def build_sphere(alg: Algebra, kind: str, params: DeformParams | None = None,
     """
     if kind != "seven_sphere":
         raise InvalidSpec(f"unknown sphere kind {kind!r}")
-    ctx = ReductionContext(alg, [(alg.casimir(), 1)], degree_cap=degree_cap)
+    ctx = ReductionContext(alg, [(alg.casimir(), 1)])
     return SphereAlgebra(alg, ctx, params)
 
 
@@ -96,7 +96,7 @@ def projection_checks(s: SphereAlgebra) -> list:
     tol = alg.backend.tol
     p = build_projection(s)
     pd = p.dagger()
-    herm = max(_residual_exact(p.rows[a][b] - pd.rows[a][b])
+    herm = max((p.rows[a][b] - pd.rows[a][b]).residual()
                for a in range(4) for b in range(4))
     p2 = p @ p
     idem = [s.residual(p2.rows[a][b] - p.rows[a][b]) for a in range(4) for b in range(4)]
@@ -109,10 +109,6 @@ def projection_checks(s: SphereAlgebra) -> list:
         ConditionReport("projection_idempotent", bad is None, max(idem), idem_at),
         ConditionReport("projection_half_trace", half_tr <= tol, half_tr, None),
     ]
-
-
-def _residual_exact(f: NCPoly) -> float:
-    return f.algebra.backend.max_residual(f.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +191,8 @@ def lambda_closed_form(params: DeformParams, backend: Backend) -> list:
 def lambda_residuals(lam: list, be: Backend) -> tuple:
     """Residuals of the symmetry Lambda^T = Lambda and the unitarity
     Lambda Lambda^dagger = 1, as (symmetric, unitary)."""
-    sym = be.max_residual(lam[a][b] - lam[b][a] for a in range(4) for b in range(4))
-    uni = be.max_residual(
+    sym = max_residual(lam[a][b] - lam[b][a] for a in range(4) for b in range(4))
+    uni = max_residual(
         sum((lam[a][c] * lam[b][c].conjugate() for c in range(4)), be.zero)
         - (be.one if a == b else be.zero)
         for a in range(4) for b in range(4))
@@ -213,7 +209,7 @@ def lambda_reports(alg: Algebra, ys: YSystem) -> list:
     for mu in range(4):
         diff = ys.Ystar[mu] - sum((lam[mu][nu] * ys.Y[nu] for nu in range(4)),
                                   alg.zero())
-        star = max(star, _residual_exact(diff))
+        star = max(star, diff.residual())
     out = [
         ConditionReport("lambda_symmetric", sym <= tol, sym, None),
         ConditionReport("lambda_unitary", uni <= tol, uni, None),
@@ -221,7 +217,7 @@ def lambda_reports(alg: Algebra, ys: YSystem) -> list:
     ]
     if ys.params is not None:
         closed = lambda_closed_form(ys.params, be)
-        dev = be.max_residual(lam[a][b] - closed[a][b] for a in range(4) for b in range(4))
+        dev = max_residual(lam[a][b] - closed[a][b] for a in range(4) for b in range(4))
         out.append(ConditionReport("lambda_closed_form", dev <= tol, dev, None))
     return out
 
@@ -252,7 +248,7 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     x1, x2 = quaternion_generators(alg)
 
     # closed forms of the components and their stars
-    r = _residual_exact(ys.Y[0] - 2 * sum((x2[m] * x1[m] for m in range(4)), alg.zero()))
+    r = (ys.Y[0] - 2 * sum((x2[m] * x1[m] for m in range(4)), alg.zero())).residual()
     for k in (1, 2, 3):
         f = x2[k] * x1[0] - x2[0] * x1[k]
         for n in (1, 2, 3):
@@ -260,10 +256,10 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
                 e = epsilon(k, n, m)
                 if e:
                     f = f - e * (x2[n] * x1[m])
-        r = max(r, _residual_exact(ys.Y[k] - 2 * f))
+        r = max(r, (ys.Y[k] - 2 * f).residual())
     rep("y_closed_form", r)
 
-    r = _residual_exact(ys.Ystar[0] - 2 * sum((x1[m] * x2[m] for m in range(4)), alg.zero()))
+    r = (ys.Ystar[0] - 2 * sum((x1[m] * x2[m] for m in range(4)), alg.zero())).residual()
     for k in (1, 2, 3):
         f = x1[0] * x2[k] - x1[k] * x2[0]
         for n in (1, 2, 3):
@@ -271,11 +267,11 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
                 e = epsilon(k, n, m)
                 if e:
                     f = f + e * (x1[n] * x2[m])
-        r = max(r, _residual_exact(ys.Ystar[k] - 2 * f))
+        r = max(r, (ys.Ystar[k] - 2 * f).residual())
     rep("ystar_closed_form", r)
 
     # Y4 central hermitian
-    r = _residual_exact(ys.Y4 - ys.Y4.star())
+    r = (ys.Y4 - ys.Y4.star()).residual()
     r = max(r, 0.0 if central_witness(alg, ys.Y4) is None else 1.0)
     rep("y4_central_hermitian", r)
 
@@ -284,20 +280,20 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     yy, sy = ys.products
     Y42 = ys.Y4 * ys.Y4
     # 4sp1 is -(Ybar* Y)[k] and 4sp2 is -(Y Ybar*)[k], k = 1..3
-    sp1 = max(_residual_exact(c) for c in sy[1:])
-    sp2 = max(_residual_exact(c) for c in yy[1:])
+    sp1 = max(c.residual() for c in sy[1:])
+    sp2 = max(c.residual() for c in yy[1:])
     rep("cond0_imaginary_parts", max(sp2, sp1))
     # the radius, modulo the sphere ideal, in both orderings
     radius = max(s.residual(yy[0] + Y42 - one), s.residual(sy[0] + Y42 - one))
     rep("cond0_radius", radius)
     # equal radius sums: their difference is the total star-commutator sum
-    total = _residual_exact(yy[0] - sy[0])
+    total = (yy[0] - sy[0]).residual()
     rep("cond0_products_equal", total)
 
     # cond00: Y4 commutes with every component and its star
     r = 0.0
     for f in list(ys.Y) + list(ys.Ystar):
-        r = max(r, _residual_exact(f.commutator(ys.Y4)))
+        r = max(r, f.commutator(ys.Y4).residual())
     rep("cond00_y4_commutes", r)
 
     rep("sp_commutation_1", sp1)
@@ -312,7 +308,7 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
 
     # product identity: both sums equal 4 ||x1||^2 ||x2||^2 exactly
     prod = 4 * (alg.family_casimir(1) * alg.family_casimir(2))
-    r = max(_residual_exact(sy[0] - prod), _residual_exact(yy[0] - prod))
+    r = max((sy[0] - prod).residual(), (yy[0] - prod).residual())
     rep("radius_product_identity", r)
 
     # the six explicit commutation relations of the family
@@ -338,7 +334,7 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
         r = 0.0
         witness = None
         for idx, rel in enumerate(rels):
-            rr = _residual_exact(rel)
+            rr = rel.residual()
             if rr > r:
                 r, witness = rr, f"relation {idx + 1}"
         rep("family_commutation_relations", r, witness if r > tol else None)
@@ -357,14 +353,14 @@ def check_normality(s: SphereAlgebra, ys: YSystem) -> dict:
     comms = [ys.Ystar[m] * ys.Y[m] - ys.Y[m] * ys.Ystar[m] for m in range(4)]
     normal = [c.is_zero() for c in comms]
     total = sum(comms, s.base.zero())
-    off_diag = be.max_residual(ys.lam[a][b] for a in range(4) for b in range(4) if a != b)
+    off_diag = max_residual(ys.lam[a][b] for a in range(4) for b in range(4) if a != b)
     return {
         "normal": normal,
         "all_non_normal": not any(normal),
         "all_normal": all(normal),
         "lambda_diagonal": off_diag <= be.tol,
         "sum_vanishes": total.is_zero(),
-        "commutator_residuals": [_residual_exact(c) for c in comms],
+        "commutator_residuals": [c.residual() for c in comms],
     }
 
 
@@ -373,7 +369,7 @@ def check_normality(s: SphereAlgebra, ys: YSystem) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def three_sphere_context(s: SphereAlgebra, ys: YSystem, degree_cap: int = 12) -> SphereAlgebra:
+def three_sphere_context(s: SphereAlgebra, ys: YSystem) -> SphereAlgebra:
     """Quotient by x^2 = 1 together with sum Y^{mu*} Y^mu = 1.
 
     The radius sum is central and homogeneous of degree 4; reduced modulo
@@ -383,7 +379,7 @@ def three_sphere_context(s: SphereAlgebra, ys: YSystem, degree_cap: int = 12) ->
     """
     alg = s.base
     s_star_y = sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())
-    ctx = ReductionContext(alg, [(alg.casimir(), 1), (s_star_y, 1)], degree_cap=degree_cap)
+    ctx = ReductionContext(alg, [(alg.casimir(), 1), (s_star_y, 1)])
     return SphereAlgebra(alg, ctx, s.params)
 
 
@@ -413,7 +409,7 @@ def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
     the residual is that of the imaginary parts of (Ybar* Y, Y Ybar*).
     """
     yy, sy = ys.products
-    r = max(map(_residual_exact, yy[1:] + sy[1:]))
+    r = max(f.residual() for f in yy[1:] + sy[1:])
     return ConditionReport("y0_flip_variant_relations", r <= s.base.backend.tol, r, None)
 
 

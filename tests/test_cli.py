@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -27,8 +28,6 @@ def test_spec_validation_rejects_bad_input():
         _spec(tasks=("conditions", "frobnicate")).validate()
     with pytest.raises(InvalidSpec):
         _spec(backend_name="quantum").validate()
-    with pytest.raises(InvalidSpec):
-        _spec(degree_cap=3).validate()
     with pytest.raises(ParamsNotOnSphere):
         _spec("1/2,0,0").validate()
 
@@ -173,6 +172,15 @@ def test_json_report_validates_against_schema(tmp_path, capsys):
     # canonical: sorted keys, trailing newline
     assert text == canonical_json(report)
     assert set(report["tasks"]) == {"conditions", "algebra", "sphere"}
+
+
+def test_exact_chern_report_at_the_commutative_point_is_pinned(tmp_path, capsys):
+    """The whole exact chern report at 1,0,0 (ch2 of 129 024 terms), byte for byte."""
+    out = tmp_path / "chern.json"
+    assert main(["chern", "--params", "1,0,0", "--quiet", "--json", str(out)]) == 0
+    capsys.readouterr()
+    golden = Path(__file__).parent / "golden" / "chern_exact_1_0_0.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("verb", ["check", "sweep"])
