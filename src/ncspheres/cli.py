@@ -193,7 +193,7 @@ def _task_chern(spec: RunSpec, state: dict) -> dict:
         "ch0_zero": ch0,
         "ch_half_zero": chh,
         "ch1_zero": ch1,
-        # through the matrix faces: about 4x cheaper than b on ch2's terms
+        # through the matrix faces: about 12x cheaper than b on ch2's terms
         "b_ch2_zero": trace_boundary(ctx, chern_even_word(ctx, p, 2)),
         "b_ch32_zero": b_boundary(ch32),
         "B_ch0_equals_b_ch1": B_boundary(ch0) - b_boundary(ch1),

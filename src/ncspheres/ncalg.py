@@ -261,8 +261,10 @@ class NCPoly(Sparse):
             for m, c in self.terms.items():
                 for n, d in other.terms.items():
                     cd = c * d
+                    # add_into written out: 260 k of 304 k calls in a profiled sphere run
                     for k, e in alg.mono_mul(m, n).items():
-                        add_into(out, k, cd * e)
+                        got = out.get(k)
+                        out[k] = cd * e if got is None else got + cd * e
             return NCPoly(alg, out)
         s = self._scalar(other)
         return NotImplemented if s is None else self.scale(s)

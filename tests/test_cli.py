@@ -183,6 +183,24 @@ def test_exact_chern_report_at_the_commutative_point_is_pinned(tmp_path, capsys)
     assert out.read_bytes() == golden.read_bytes()
 
 
+# ch0..ch_3half (n_terms, sha256) of the exact chern task at the catalog
+# points that no byte-for-byte report pins, generated before the factored
+# trace map replaced the index-path walk
+CHERN_COMPONENTS = json.loads(
+    (Path(__file__).parent / "golden" / "chern_exact_components.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(CHERN_COMPONENTS))
+def test_exact_chern_components_are_pinned(label):
+    """Two points with u2 != 0 and two with u2 = 0; ch2 has up to 602 112 terms."""
+    report, _ = run(_spec(label, tasks=("chern",)))
+    chern = report["tasks"]["chern"]
+    assert chern["passed"]
+    got = {name: {"n_terms": d["n_terms"], "sha256": d["sha256"]}
+           for name, d in chern["components"].items()}
+    assert got == CHERN_COMPONENTS[label]
+
+
 @pytest.mark.parametrize("verb", ["check", "sweep"])
 def test_unwritable_json_path_is_a_usage_error(verb, tmp_path, capsys):
     path = tmp_path / "missing" / "r.json"

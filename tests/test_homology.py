@@ -1,18 +1,22 @@
 """Chain complex sanity: boundary identities, traces, Chern components."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ncspheres.errors import DegreeZero, NotUnitaryEnough
-from ncspheres.homology import (B_boundary, ChainContext, TensorChain,
+from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, TensorChain,
                                 b_boundary, chain_from_slots, chern_even,
                                 chern_even_word, chern_odd,
                                 check_vanzz_equivalence, matrix_half_shift,
                                 trace_boundary, trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
+from ncspheres.scalars import add_into, float_backend
 from ncspheres.spheres import build_projection, three_sphere_context
+
+from conftest import make_point
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +239,101 @@ def test_vanzz_equivalence_agrees(pyth, classical, chain_ctx):
     _, _, s0, ys0 = classical
     rep0 = check_vanzz_equivalence(ChainContext(s0), ys0)
     assert rep0["agree"] and rep0["chain_vanishes"]
+
+
+# ---------------------------------------------------------------------------
+# the factored trace map against the brute-force index-path walk
+# ---------------------------------------------------------------------------
+
+
+def _walk_trace(ctx, mats):
+    """Oracle for trace_chain: one product per cyclic index path and per
+    choice of one monomial in each entry on the path."""
+    r, n = len(mats[0].rows), len(mats) - 1
+    # slots >= 1 live in A / C1, so their entries lose the unit monomial
+    cells = [[[tuple(e for e in ctx.expand_poly(f) if not (pos and e[0] == UNIT_ID))
+               for f in row] for row in m.rows] for pos, m in enumerate(mats)]
+    out = {}
+    for path in itertools.product(range(r), repeat=n + 1):
+        entries = [cells[pos][path[pos]][path[(pos + 1) % (n + 1)]]
+                   for pos in range(n + 1)]
+        for choice in itertools.product(*entries):
+            coeff = ctx.backend.one
+            for _, c in choice:
+                coeff = coeff * c
+            add_into(out, tuple(mid for mid, _ in choice), coeff)
+    return TensorChain(ctx, n, out)
+
+
+def _oracle_words(ctx, rng):
+    """(name, word): sizes 1, 2 and 4 at degrees 0-4, units and zero entries,
+    linearly dependent entries, a non-idempotent p and repeated matrices."""
+    alg = ctx.alg
+    one, zero = alg.one(), alg.zero()
+
+    def rand(r, terms):  # a generator in each entry keeps slots >= 1 nonzero
+        return Mat([[_random_poly(alg, rng, terms=terms) + alg.generator(rng.randrange(8))
+                     for _ in range(r)] for _ in range(r)])
+
+    words = [(f"random {r}x{r} of degree {n}", [rand(r, terms) for _ in range(n + 1)])
+             for r, terms in ((1, 2), (2, 2), (4, 1)) for n in range(5)]
+    f, g = _random_poly(alg, rng, terms=3), _random_poly(alg, rng, terms=3)
+    dependent = Mat([[f, g], [f + g, f - g * 3]])  # four entries, rank two
+    units = Mat([[one, zero], [alg.x1(0) + one, alg.x2(1) * 2 - one]])
+    rows = [list(r) for r in build_projection(ctx.sphere).rows]
+    rows[0][0] = rows[0][0] + alg.scalar(Fraction(1, 3))
+    return words + [
+        ("dependent entries, one object thrice", [dependent] * 3),
+        ("units and zeros", [units, rand(2, 2), units, units, rand(2, 2)]),
+        ("p + E_00/3", chern_even_word(ctx, Mat(rows), 1)),
+    ]
+
+
+@pytest.mark.parametrize("point", ["pyth", "mixed"])
+def test_factored_trace_equals_the_index_path_walk(point, request):
+    """Exact: trace_chain is the walk and trace_boundary is b of the walk."""
+    _, _, s, _ = request.getfixturevalue(point)
+    ctx = ChainContext(s)
+    words = _oracle_words(ctx, random.Random(4))
+    nonzero = 0
+    for name, word in words:
+        want = _walk_trace(ctx, word)
+        assert trace_chain(ctx, word) == want, name
+        nonzero += not want.is_zero()
+        if len(word) > 1:
+            assert trace_boundary(ctx, word) == b_boundary(want), name
+    assert nonzero == len(words)
+
+
+def _agree_within_tol(got, want):
+    """The same terms, named by their monomials, each coefficient within tol."""
+    def named(chain):
+        return {tuple(chain.ctx._monos[i] for i in key): complex(v)
+                for key, v in chain.terms.items()}
+    got, want = named(got), named(want)
+    assert set(got) == set(want)
+    assert max((abs(got[k] - want[k]) for k in got), default=0.0) <= float_backend().tol
+
+
+def test_factored_trace_matches_the_walk_on_floats():
+    _, _, s, _ = make_point("1/3,2/3,2/3", float_backend())
+    ctx = ChainContext(s)
+    for name, word in _oracle_words(ctx, random.Random(4)):
+        want = _walk_trace(ctx, word)
+        _agree_within_tol(trace_chain(ctx, word), want)
+        if len(word) > 1:
+            _agree_within_tol(trace_boundary(ctx, word), b_boundary(want))
+
+
+def test_float_chern_components_agree_with_the_exact_chains(pyth):
+    """ch2 and ch_3half at the main point: the exact chain's keys, within tol."""
+    def components(s, ys):
+        ctx3 = ChainContext(three_sphere_context(s, ys))
+        U = embed_M2(ys.Y, s.base.backend.i)
+        return chern_even(ChainContext(s), build_projection(s), 2), chern_odd(ctx3, U, 1)
+
+    exact = components(*pyth[2:])
+    floats = components(*make_point("3/5,4/5,0", float_backend())[2:])
+    for got, want in zip(floats, exact):
+        assert not want.is_zero()
+        _agree_within_tol(got, want)
