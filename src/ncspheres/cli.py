@@ -16,7 +16,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .errors import IrrationalEigenvalue, InvalidSpec, NCSpheresError
@@ -85,7 +84,7 @@ class RunSpec:
                 raise InvalidSpec(f"unknown task {t!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise InvalidSpec(f"tolerance must be finite and > 0, got {self.tol}")
-        self.params.validate(self.backend())
+        self.params.validate()
 
     def backend(self):
         return EXACT if self.backend_name == "exact" else float_backend(self.tol)
@@ -109,7 +108,7 @@ class RunSpec:
 
 def _scalar_json(value):
     """Exact scalars as canonical strings, float complex as [re, im]."""
-    if isinstance(value, (GaussRational, Fraction)):
+    if isinstance(value, GaussRational):
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -327,7 +326,8 @@ def sweep_csv(points, results) -> str:
                        key=TASKS.index)
     lines = ["point,commutative," + ",".join(task_cols) + ",theta"]
     for p, (report, _) in zip(points, results):
-        commutative = "commutative" if (p.u1 == 0 and p.u2 == 0) else ""
+        # R is the flip at u0 = 1; at u0 = -1 the two families anticommute
+        commutative = "commutative" if p.u0 == 1 else ""
         bits = []
         for t in task_cols:
             entry = report["tasks"].get(t)

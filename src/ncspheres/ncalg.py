@@ -231,29 +231,6 @@ class NCPoly(Sparse):
             return complex(other)
         return None
 
-    def __add__(self, other):
-        if isinstance(other, NCPoly):
-            return super().__add__(other)
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        out = dict(self.terms)
-        add_into(out, ZERO8, s)
-        return NCPoly(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return super().__sub__(self._ensure(other))
-
-    def _ensure(self, other) -> "NCPoly":
-        if isinstance(other, NCPoly):
-            return other
-        s = self._scalar(other)
-        if s is None:
-            raise TypeError(f"cannot coerce {other!r} into NCPoly")
-        return NCPoly(self.algebra, {ZERO8: s})
-
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             alg = self.algebra
@@ -283,11 +260,6 @@ class NCPoly(Sparse):
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self
-
-    def __eq__(self, other):
-        if isinstance(other, (NCPoly, int, Fraction)):
-            return (self - other).is_zero()
-        return NotImplemented
 
     def __str__(self):
         return format_poly(self)
@@ -342,12 +314,12 @@ def confluence_check(alg: Algebra) -> dict:
 
 
 class ReductionContext:
-    """Normal forms modulo an ideal generated by central elements c_j - v_j.
+    """Normal forms modulo the ideal generated by c_j - 1, c_j central.
 
-    Each c_j must be homogeneous and central, with scalar value v_j.  Relation
-    j is reduced modulo relations 0..j-1 and made monic.  The algebra is of
-    solvable type (Kandri-Rody and Weispfenning, J. Symbolic Comput. 9, 1990),
-    so lead(q * g) = q * lead(g); with pairwise coprime leads the monic
+    Each c_j must be homogeneous and central.  Relation c_j - 1 is reduced
+    modulo relations 0..j-1 and made monic.  The algebra is of solvable type
+    (Kandri-Rody and Weispfenning, J. Symbolic Comput. 9, 1990), so
+    lead(q * g) = q * lead(g); with pairwise coprime leads the monic
     relations are a Groebner basis (Bergman's diamond lemma), and dividing a
     monomial by the first relation whose lead divides it, recursing on the
     lower terms, gives the unique normal form.  A relation that keeps no lead
@@ -360,13 +332,13 @@ class ReductionContext:
         be = alg.backend
         self._relations = []  # (lead, monic terms), normal modulo the earlier ones
         self._memo = [{}]  # [k]: {monomial: normal form modulo the first k relations}
-        for c, v in relations:
+        for c in relations:
             wit = central_witness(alg, c)
             if wit is not None:
                 raise NotCentral(f"relation element not central, generator {wit[0]}")
             if len({sum(m) for m in c.terms}) != 1:
                 raise ValueError("relation element must be homogeneous")
-            g = self._reduce_terms({**c.terms, ZERO8: -be.convert(v)}, len(self._relations))
+            g = self._reduce_terms({**c.terms, ZERO8: -be.one}, len(self._relations))
             lead = max(g, key=mono_key, default=ZERO8)
             if lead == ZERO8:
                 raise NotAGroebnerBasis("relation keeps no lead modulo the earlier ones")

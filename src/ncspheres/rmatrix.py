@@ -36,14 +36,14 @@ class DeformParams:
         u0, u1, u2 = (parse_rational(p) for p in parts)
         return DeformParams(u0, u1, u2)
 
-    def validate(self, backend: Backend = EXACT) -> None:
+    def validate(self) -> None:
+        """Raise ParamsNotOnSphere unless u0^2 + u1^2 + u2^2 = 1 exactly.
+
+        The point is rational, so the test is exact on either backend.
+        """
         s = self.u0 * self.u0 + self.u1 * self.u1 + self.u2 * self.u2
-        if backend.exact:
-            if s != 1:
-                raise ParamsNotOnSphere(f"(u0,u1,u2)={self} has norm^2 {s}")
-        else:
-            if abs(float(s) - 1.0) > backend.tol:
-                raise ParamsNotOnSphere(f"(u0,u1,u2)={self} has norm^2 {float(s)}")
+        if s != 1:
+            raise ParamsNotOnSphere(f"(u0,u1,u2)={self} has norm^2 {s}")
 
     def scalars(self, backend: Backend):
         return tuple(backend.convert(u) for u in (self.u0, self.u1, self.u2))
@@ -95,7 +95,7 @@ def build_R_quaternionic(params: DeformParams, backend: Backend = EXACT) -> RTen
     rewrite of x1^lam x2^alpha, so the first J factor carries (lam, mu) and
     the second (alpha, beta).
     """
-    params.validate(backend)
+    params.validate()
     u0, u1, u2 = params.scalars(backend)
     J1, J2, _ = j_plus(backend)
     D = J1.scale(u1) + J2.scale(u2)

@@ -31,7 +31,7 @@ from .scalars import Backend, GaussRational, max_residual, row_reduce, sqrt_exac
 class SphereAlgebra:
     base: Algebra
     context: ReductionContext
-    params: DeformParams | None = None
+    params: DeformParams
 
     def reduce(self, f: NCPoly) -> NCPoly:
         return self.context.reduce_fast(f)
@@ -41,15 +41,16 @@ class SphereAlgebra:
         return self.reduce(f).residual()
 
 
-def build_sphere(alg: Algebra, kind: str, params: DeformParams | None = None) -> SphereAlgebra:
-    """Quotient context for 'seven_sphere' (x^2 = 1), the one kind there is.
+def build_sphere(alg: Algebra, kind: str, params: DeformParams) -> SphereAlgebra:
+    """Quotient context for 'seven_sphere' (x^2 = 1), the one kind there is,
+    at the parameter point that built alg's exchange tensor.
 
     Raises NotCentral if a relation element fails to commute with every
     generator (possible for fault-injected exchange tensors).
     """
     if kind != "seven_sphere":
         raise InvalidSpec(f"unknown sphere kind {kind!r}")
-    ctx = ReductionContext(alg, [(alg.casimir(), 1)])
+    ctx = ReductionContext(alg, [alg.casimir()])
     return SphereAlgebra(alg, ctx, params)
 
 
@@ -122,7 +123,7 @@ class YSystem:
     Ystar: tuple
     Y4: NCPoly
     lam: list
-    params: DeformParams | None
+    params: DeformParams
 
     @cached_property
     def products(self) -> tuple:
@@ -215,10 +216,9 @@ def lambda_reports(alg: Algebra, ys: YSystem) -> list:
         ConditionReport("lambda_unitary", uni <= tol, uni, None),
         ConditionReport("lambda_star_identity", star <= tol, star, None),
     ]
-    if ys.params is not None:
-        closed = lambda_closed_form(ys.params, be)
-        dev = max_residual(lam[a][b] - closed[a][b] for a in range(4) for b in range(4))
-        out.append(ConditionReport("lambda_closed_form", dev <= tol, dev, None))
+    closed = lambda_closed_form(ys.params, be)
+    dev = max_residual(lam[a][b] - closed[a][b] for a in range(4) for b in range(4))
+    out.append(ConditionReport("lambda_closed_form", dev <= tol, dev, None))
     return out
 
 
@@ -312,32 +312,31 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     rep("radius_product_identity", r)
 
     # the six explicit commutation relations of the family
-    if ys.params is not None:
-        u0, u1, u2 = ys.params.scalars(be)
-        i = be.i
-        Yq = ys.Y
+    u0, u1, u2 = ys.params.scalars(be)
+    i = be.i
+    Yq = ys.Y
 
-        def com(a, b):
-            return Yq[a] * Yq[b] - Yq[b] * Yq[a]
+    def com(a, b):
+        return Yq[a] * Yq[b] - Yq[b] * Yq[a]
 
-        def anti(a, b):
-            return Yq[a] * Yq[b] + Yq[b] * Yq[a]
+    def anti(a, b):
+        return Yq[a] * Yq[b] + Yq[b] * Yq[a]
 
-        rels = [
-            (u0 + i * u1) * com(1, 0) + (i * u2) * (Yq[1] * Yq[3] - Yq[0] * Yq[2]),
-            (u0 - i * u1) * com(3, 2) + (i * u2) * (Yq[3] * Yq[1] - Yq[2] * Yq[0]),
-            u0 * com(2, 0) - i * u1 * anti(1, 3) + i * u2 * (Yq[1] * Yq[0] - Yq[3] * Yq[2]),
-            u0 * com(3, 1) - i * u1 * anti(0, 2) + i * u2 * (Yq[0] * Yq[1] - Yq[2] * Yq[3]),
-            u0 * com(3, 0) + i * u1 * anti(1, 2) + i * u2 * (Yq[2] * Yq[2] - Yq[1] * Yq[1]),
-            u0 * com(2, 1) + i * u1 * anti(0, 3) + i * u2 * (Yq[3] * Yq[3] - Yq[0] * Yq[0]),
-        ]
-        r = 0.0
-        witness = None
-        for idx, rel in enumerate(rels):
-            rr = rel.residual()
-            if rr > r:
-                r, witness = rr, f"relation {idx + 1}"
-        rep("family_commutation_relations", r, witness if r > tol else None)
+    rels = [
+        (u0 + i * u1) * com(1, 0) + (i * u2) * (Yq[1] * Yq[3] - Yq[0] * Yq[2]),
+        (u0 - i * u1) * com(3, 2) + (i * u2) * (Yq[3] * Yq[1] - Yq[2] * Yq[0]),
+        u0 * com(2, 0) - i * u1 * anti(1, 3) + i * u2 * (Yq[1] * Yq[0] - Yq[3] * Yq[2]),
+        u0 * com(3, 1) - i * u1 * anti(0, 2) + i * u2 * (Yq[0] * Yq[1] - Yq[2] * Yq[3]),
+        u0 * com(3, 0) + i * u1 * anti(1, 2) + i * u2 * (Yq[2] * Yq[2] - Yq[1] * Yq[1]),
+        u0 * com(2, 1) + i * u1 * anti(0, 3) + i * u2 * (Yq[3] * Yq[3] - Yq[0] * Yq[0]),
+    ]
+    r = 0.0
+    witness = None
+    for idx, rel in enumerate(rels):
+        rr = rel.residual()
+        if rr > r:
+            r, witness = rr, f"relation {idx + 1}"
+    rep("family_commutation_relations", r, witness if r > tol else None)
 
     return reports
 
@@ -379,7 +378,7 @@ def three_sphere_context(s: SphereAlgebra, ys: YSystem) -> SphereAlgebra:
     """
     alg = s.base
     s_star_y = sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())
-    ctx = ReductionContext(alg, [(alg.casimir(), 1), (s_star_y, 1)])
+    ctx = ReductionContext(alg, [alg.casimir(), s_star_y])
     return SphereAlgebra(alg, ctx, s.params)
 
 
@@ -427,8 +426,6 @@ def diagonalize_lambda(ys: YSystem, backend: Backend) -> dict:
     The exact backend requires s rational and raises IrrationalEigenvalue
     otherwise.
     """
-    if ys.params is None:
-        raise InvalidSpec("parameter point required to diagonalize Lambda")
     u0f, u1f, u2f = (Fraction(v) for v in (ys.params.u0, ys.params.u1, ys.params.u2))
     s2 = u1f * u1f + u2f * u2f
     if backend.exact:

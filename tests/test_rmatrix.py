@@ -131,6 +131,9 @@ def test_params_parse_and_validate():
         DeformParams.parse("1,2")
     with pytest.raises(ParamsNotOnSphere):
         DeformParams.parse("1,1,0").validate()
+    # off the sphere by 10^-24, far below any float tolerance: exact refusal
+    with pytest.raises(ParamsNotOnSphere):
+        DeformParams.parse("3/5,4/5,1/1000000000000").validate()
 
 
 def test_classical_tensor_is_the_identity_exchange():

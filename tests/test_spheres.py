@@ -19,9 +19,9 @@ from conftest import make_point
 
 
 def test_build_sphere_rejects_unknown_kind(pyth):
-    _, alg, _, _ = pyth
+    p, alg, _, _ = pyth
     with pytest.raises(InvalidSpec):
-        build_sphere(alg, "moebius")
+        build_sphere(alg, "moebius", params=p)
 
 
 def test_projection_checks(pyth, mixed, classical):
@@ -172,7 +172,7 @@ def test_products_match_the_epsilon_expansions(label, backend):
     x1 = tuple(alg.x1(k) for k in range(4))
     x2 = tuple(alg.x2(k) for k in range(4))
     for system in (ys, _perturbed(alg, ys),
-                   YSystem(Y=x1, Ystar=x2, Y4=ys.Y4, lam=ys.lam, params=None)):
+                   YSystem(Y=x1, Ystar=x2, Y4=ys.Y4, lam=ys.lam, params=ys.params)):
         yy, sy = system.products
         sp1, sp2, flip1, flip2 = _epsilon_oracle(system.Y, system.Ystar)
         for k in range(3):
