@@ -30,7 +30,7 @@ from .errors import DegreeOverflow, InvalidSpec
 from .ncalg import NCPoly, basis_monomials, mono_key, mono_unit_vec
 from .quatlin import epsilon, quat_basis_product, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport
-from .scalars import Backend, Sparse, add_into, row_reduce
+from .scalars import Backend, Sparse, add_into, all_zero, max_residual, row_reduce
 from .spheres import SphereAlgebra, quaternion_generators
 
 H_ONE = (0, 0, 0, 0)
@@ -177,10 +177,9 @@ def check_hopf_axioms(backend: Backend) -> list:
 
 
 def _hopf_axiom_reports(be: Backend) -> tuple:
-    tol = be.tol
     w = [CommPoly.generator(be, i) for i in range(4)]
     elements = list(w) + [w[a] * w[b] for a in range(4) for b in range(a, 4)]
-    coassoc = counit = antipode = 0.0
+    coassoc, counit, antipode = [], [], []
     for f in elements:
         left = right = lc = rc = sl = sr = CommPoly(be, {})
         for m, c in hopf_delta(f).terms.items():
@@ -195,14 +194,14 @@ def _hopf_axiom_reports(be: Backend) -> tuple:
             # m (S (x) id) Delta = eps(f) 1 = m (id (x) S) Delta
             sl = sl + c * (hopf_antipode(f1) * f2)
             sr = sr + c * (f1 * hopf_antipode(f2))
-        coassoc = max(coassoc, (left - right).residual())
-        counit = max(counit, (lc - f).residual(), (rc - f).residual())
+        coassoc.append(left - right)
+        counit += [lc - f, rc - f]
         target = CommPoly(be, {H_ONE: hopf_counit(f)})
-        antipode = max(antipode, (sl - target).residual(), (sr - target).residual())
+        antipode += [sl - target, sr - target]
     return (
-        ConditionReport("hopf_coassociativity", coassoc <= tol, coassoc, None),
-        ConditionReport("hopf_counit", counit <= tol, counit, None),
-        ConditionReport("hopf_antipode", antipode <= tol, antipode, None),
+        ConditionReport.judge("hopf_coassociativity", be, coassoc, None),
+        ConditionReport.judge("hopf_counit", be, counit, None),
+        ConditionReport.judge("hopf_antipode", be, antipode, None),
     )
 
 
@@ -331,40 +330,33 @@ def check_comodule_algebra(co: Coaction) -> dict:
     """
     s = co.sphere
     alg = s.base
-    tol = alg.backend.tol
-    failures = []
-    worst = 0.0
+    be = alg.backend
     # pairwise products: delta is well defined iff images satisfy the
     # normal-ordering relations
-    for gi in range(8):
-        for gj in range(8):
-            lhs = co.images[gi] * co.images[gj]
-            rhs = co.delta(alg.generator(gi) * alg.generator(gj))
-            r = (lhs - rhs).residual()
-            worst = max(worst, r)
-            if r > tol:
-                failures.append({"relation": f"g{gi}*g{gj}", "residual": r})
+    relations = {f"g{gi}*g{gj}": co.images[gi] * co.images[gj]
+                 - co.delta(alg.generator(gi) * alg.generator(gj))
+                 for gi in range(8) for gj in range(8)}
     # sphere relation
-    r = (co.delta(alg.casimir()) - MixedElement.from_poly(s, alg.one())).residual()
-    worst = max(worst, r)
-    if r > tol:
-        failures.append({"relation": "x^2 - 1", "residual": r})
+    relations["x^2 - 1"] = co.delta(alg.casimir()) - MixedElement.from_poly(s, alg.one())
+    failures = [{"relation": name, "residual": diff.residual()}
+                for name, diff in relations.items() if not diff.is_zero()]
     # star compatibility on generators
-    star_res = 0.0
-    for g in range(8):
-        star_res = max(star_res, (co.delta(alg.generator(g)).star()
-                                  - co.delta(alg.generator(g))).residual())
+    star_ok = all_zero(be, [co.delta(alg.generator(g)).star() - co.delta(alg.generator(g))
+                            for g in range(8)])
     # comodule laws via the corepresentation matrix of each family
-    corep_res, counit_res = _comodule_law_residuals(co)
+    try:
+        coassoc, counit = _comodule_law_defects(co)
+        coassoc_ok, counit_ok = all_zero(be, coassoc), all_zero(be, counit)
+    except InvalidSpec:
+        coassoc_ok = counit_ok = False
     return {
         "relations_preserved": not failures,
-        "max_residual": worst,
+        "max_residual": max_residual(relations.values()),
         "failures": failures[:4],
-        "star_compatible": star_res <= tol,
-        "coassociative": corep_res <= tol,
-        "counit_law": counit_res <= tol,
-        "passed": (not failures) and star_res <= tol and corep_res <= tol
-                  and counit_res <= tol,
+        "star_compatible": star_ok,
+        "coassociative": coassoc_ok,
+        "counit_law": counit_ok,
+        "passed": not failures and star_ok and coassoc_ok and counit_ok,
     }
 
 
@@ -382,26 +374,21 @@ def _image_h_matrix(co: Coaction, family: int):
     return h
 
 
-def _comodule_law_residuals(co: Coaction) -> tuple:
-    """Residuals of (delta x id) delta = (id x Delta) delta and of the counit
-    law on each family's generator matrix; (1.0, 1.0) if an image is not
-    linear in the generators."""
+def _comodule_law_defects(co: Coaction) -> tuple:
+    """The sides' differences of (delta x id) delta = (id x Delta) delta and
+    of the counit law on each family's generator matrix, as (coassociative,
+    counit); raises InvalidSpec if an image is not linear in the generators."""
     be = co.sphere.base.backend
-    coassoc = counit = 0.0
+    coassoc, counit = [], []
     for family in (0, 1):
-        try:
-            h = _image_h_matrix(co, family)
-        except InvalidSpec:
-            return 1.0, 1.0
+        h = _image_h_matrix(co, family)
         for mu in range(4):
             for rho in range(4):
-                lhs = hopf_delta(h[mu][rho])
                 rhs = CommPoly(be, {})
                 for nu in range(4):
                     rhs = rhs + h[nu][rho].tensor(h[mu][nu])
-                coassoc = max(coassoc, (lhs - rhs).residual())
-                target = be.one if mu == rho else be.zero
-                counit = max(counit, abs(hopf_counit(h[mu][rho]) - target))
+                coassoc.append(hopf_delta(h[mu][rho]) - rhs)
+                counit.append(hopf_counit(h[mu][rho]) - (be.one if mu == rho else be.zero))
     return coassoc, counit
 
 
@@ -501,24 +488,17 @@ def derivation_reports(s: SphereAlgebra, ys) -> list:
     """Invariance of the Y system, the Leibniz rule, and the su(2) bracket."""
     alg = s.base
     be = alg.backend
-    tol = be.tol
-    inv = 0.0
-    for a in (1, 2, 3):
-        for f in list(ys.Y) + [ys.Y4]:
-            d = derivation(alg, a, f)
-            inv = max(inv, d.residual())
+    inv = [derivation(alg, a, f) for a in (1, 2, 3) for f in list(ys.Y) + [ys.Y4]]
     # Leibniz on a pair of quadratic elements
-    leib = 0.0
     f, g = ys.Y[1], ys.Y[2]
     fg = f * g
-    for a in (1, 2, 3):
-        d = derivation(alg, a, fg) - (derivation(alg, a, f) * g + f * derivation(alg, a, g))
-        leib = max(leib, d.residual())
+    leib = [derivation(alg, a, fg) - (derivation(alg, a, f) * g + f * derivation(alg, a, g))
+            for a in (1, 2, 3)]
     # operator bracket [D_a, D_b] against the quaternion prediction.
     # On coefficient vectors D_a D_b acts as M_b M_a (reversed order), and
     # with the negated right translations [M_b, M_a] = -2 eps_{abc} M_c,
     # so the operator bracket is -2 eps_{abc} D_c.
-    su2 = 0.0
+    su2 = []
     probes = [alg.generator(g) for g in range(8)] + [ys.Y[0], ys.Y[3]]
     for a in (1, 2, 3):
         for b in (1, 2, 3):
@@ -532,12 +512,11 @@ def derivation_reports(s: SphereAlgebra, ys) -> list:
                     e = epsilon(a, b, c)
                     if e:
                         rhs = rhs + (-2 * e) * derivation(alg, c, f)
-                d = lhs - rhs
-                su2 = max(su2, d.residual())
+                su2.append(lhs - rhs)
     return [
-        ConditionReport("derivations_kill_y_system", inv <= tol, inv, None),
-        ConditionReport("derivation_leibniz", leib <= tol, leib, None),
-        ConditionReport("derivation_su2_bracket", su2 <= tol, su2, None),
+        ConditionReport.judge("derivations_kill_y_system", be, inv, None),
+        ConditionReport.judge("derivation_leibniz", be, leib, None),
+        ConditionReport.judge("derivation_su2_bracket", be, su2, None),
     ]
 
 
@@ -551,15 +530,13 @@ def coinvariant_report(s: SphereAlgebra, ys, co: Coaction) -> dict:
     full_match = len(k2) == 6 and contains and all(
         span_contains(alg, expected, v) for v in k2)
     # finite cross-check: delta(f) = f (x) 1 for each kernel element
-    res = 0.0
-    for f in k2:
-        res = max(res, (co.delta(f) - MixedElement.from_poly(s, f)).residual())
+    fixed = all_zero(alg.backend, [co.delta(f) - MixedElement.from_poly(s, f) for f in k2])
     return {
         "dim_degree_1": len(k1),
         "dim_degree_2": len(k2),
         "contains_y_span": contains,
         "equals_y_span": full_match,
-        "delta_fixes_kernel": res <= alg.backend.tol,
+        "delta_fixes_kernel": fixed,
     }
 
 
@@ -578,22 +555,16 @@ def canonical_witness(co: Coaction) -> dict:
     s = co.sphere
     alg = s.base
     be = alg.backend
-    tol = be.tol
     x1, x2 = quaternion_generators(alg)
     dx1 = [co.delta(f) for f in x1]
     dx2 = [co.delta(f) for f in x2]
     c1 = [MixedElement.from_poly(s, f) for f in quat_conjugate(x1)]
     c2 = [MixedElement.from_poly(s, f) for f in quat_conjugate(x2)]
     T = [a + b for a, b in zip(quat_multiply(c2, dx2), quat_multiply(c1, dx1))]
-    res = 0.0
-    witness = []
-    for mu in range(4):
-        target = MixedElement.from_poly(s, alg.one(), CommPoly.generator(be, mu))
-        r = (T[mu] - target).residual()
-        res = max(res, r)
-        witness.append(r)
+    diffs = [T[mu] - MixedElement.from_poly(s, alg.one(), CommPoly.generator(be, mu))
+             for mu in range(4)]
     return {
-        "passed": res <= tol,
-        "max_residual": res,
-        "component_residuals": witness,
+        "passed": all_zero(be, diffs),
+        "max_residual": max_residual(diffs),
+        "component_residuals": [d.residual() for d in diffs],
     }

@@ -46,7 +46,7 @@ class IrrationalEigenvalue(NCSpheresError):
 
 
 class NotUnitaryEnough(NCSpheresError):
-    """A matrix fails its unitarity check beyond tolerance."""
+    """A matrix fails its unitarity check: UU* = U*U is not a multiple of 1."""
 
 
 class DegreeZero(NCSpheresError):

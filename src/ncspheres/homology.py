@@ -23,7 +23,8 @@ constant coefficient matrices E_a: the index paths are walked over the few
 constant coordinates, and only the contracted tensor c[a0..an] is expanded
 into monomials.  Since the trace map is a chain map, trace_boundary takes b
 of a trace through the matrix faces, traces of one degree less; the report
-checks b ch2 = 0 that way, far cheaper than b on ch2's own terms.
+checks b ch2 = 0 and b ch_3half = 0 that way, far cheaper than b on the
+chains' own terms.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from fractions import Fraction
 from .errors import DegreeZero, NotUnitaryEnough
 from .ncalg import NCPoly, format_poly, mono_key
 from .quatlin import Mat
-from .scalars import Sparse, add_into, row_reduce
-from .spheres import SphereAlgebra, lambda_residuals
+from .scalars import Sparse, add_into, all_zero, max_residual, row_reduce
+from .spheres import SphereAlgebra, lambda_defects
 
 UNIT_ID = 0
 
@@ -92,6 +93,8 @@ class TensorChain(Sparse):
         return len(self.terms)
 
     def __add__(self, other: "TensorChain") -> "TensorChain":
+        if not isinstance(other, TensorChain):
+            return NotImplemented
         if other.degree != self.degree and other.terms and self.terms:
             raise ValueError("degree mismatch in chain addition")
         out = super().__add__(other)
@@ -102,7 +105,7 @@ class TensorChain(Sparse):
     def __sub__(self, other: "TensorChain") -> "TensorChain":
         # not self + (-other): -c and (-1+0j)*c differ in the sign of a
         # float zero, which str() and so the digest would show
-        return self + other.scale(-1)
+        return self + other.scale(-1) if isinstance(other, TensorChain) else NotImplemented
 
     def scale(self, c) -> "TensorChain":
         return super().scale(self.ctx.backend.convert(c))
@@ -282,14 +285,15 @@ def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:
     return trace_chain(ctx, chern_even_word(ctx, p, k))
 
 
-def unitarity_report(ctx: ChainContext, U: Mat) -> float:
-    """Residual of UU* = U*U = a central multiple of 1, modulo the context ideal."""
+def unitarity_report(ctx: ChainContext, U: Mat) -> list:
+    """The entries of UU* - U*U and of UU* minus a multiple of 1, modulo the
+    context ideal: UU* = U*U is a multiple of 1 iff all of them are zero."""
     Ud = U.dagger()
     A, Bm, r = U @ Ud, Ud @ U, len(U.rows)
     # UU* = U*U; off the diagonal UU* is 0, on it every entry equals the first
-    return max(ctx.sphere.residual(f) for a in range(r) for b in range(r)
-               for f in (A.rows[a][b] - Bm.rows[a][b],
-                         A.rows[a][b] if a != b else A.rows[a][a] - A.rows[0][0]))
+    return [ctx.sphere.reduce(f) for a in range(r) for b in range(r)
+            for f in (A.rows[a][b] - Bm.rows[a][b],
+                      A.rows[a][b] if a != b else A.rows[a][a] - A.rows[0][0])]
 
 
 def chern_odd(ctx: ChainContext, U: Mat, k: int) -> TensorChain:
@@ -298,9 +302,9 @@ def chern_odd(ctx: ChainContext, U: Mat, k: int) -> TensorChain:
     Raises NotUnitaryEnough unless UU* = U*U reduces to a central multiple
     of the identity.
     """
-    res = unitarity_report(ctx, U)
-    if res > ctx.backend.tol:
-        raise NotUnitaryEnough(f"UU* = U*U check failed with residual {res}")
+    defects = unitarity_report(ctx, U)
+    if not all_zero(ctx.backend, defects):
+        raise NotUnitaryEnough(f"UU* = U*U check failed with residual {max_residual(defects)}")
     Ud = U.dagger()
     return trace_chain(ctx, [U, Ud] * (k + 1)) - trace_chain(ctx, [Ud, U] * (k + 1))
 
@@ -322,8 +326,7 @@ def check_vanzz_equivalence(ctx: ChainContext, ys) -> dict:
         chain = chain + chain_from_slots(ctx, [ys.Ystar[mu], ys.Y[mu]])
         chain = chain - chain_from_slots(ctx, [ys.Y[mu], ys.Ystar[mu]])
     chain_zero = chain.is_zero()
-    tol = ctx.backend.tol
-    sym, uni = lambda_residuals(ys.lam, ctx.backend)
-    lambda_ok = sym <= tol and uni <= tol
+    sym, uni = lambda_defects(ys.lam, ctx.backend)
+    lambda_ok = all_zero(ctx.backend, sym + uni)
     return {"chain_vanishes": chain_zero, "lambda_symmetric_unitary": lambda_ok,
             "agree": chain_zero == lambda_ok, "chain_terms": chain.n_terms()}

@@ -15,7 +15,8 @@ from typing import Optional
 
 from .errors import MalformedNumber, ParamsNotOnSphere
 from .quatlin import j_plus
-from .scalars import EXACT, Backend, add_into, parse_rational, row_reduce
+from .scalars import (EXACT, Backend, add_into, all_zero, max_residual, parse_rational,
+                      row_reduce)
 
 N = 4  # generators per family
 
@@ -125,9 +126,16 @@ class ConditionReport:
     max_residual: float
     witness: Optional[str] = None
 
+    @classmethod
+    def judge(cls, name: str, be: Backend, values, witness: Optional[str]) -> "ConditionReport":
+        """The report on `values`: passed iff every one is zero by the backend's
+        zero test (``all_zero``); ``max_residual`` is only displayed.  A caller
+        that names a witness names the first value that is not zero."""
+        values = list(values)
+        return cls(name, all_zero(be, values), max_residual(values), witness)
+
     def to_dict(self) -> dict:
-        d = {"name": self.name, "passed": self.passed,
-             "max_residual": 0.0 if (self.passed and self.max_residual == 0) else self.max_residual}
+        d = {"name": self.name, "passed": self.passed, "max_residual": self.max_residual}
         if self.witness is not None:
             d["witness"] = self.witness
         return d
@@ -147,13 +155,11 @@ def _compare(name: str, be: Backend, lhs: dict, rhs: dict, fmt: str) -> Conditio
     A key on neither side has lhs = rhs = 0 there, so it can neither fail nor
     raise the residual; the first failing key is the witness.
     """
-    worst, witness = 0.0, None
-    for key in sorted(lhs.keys() | rhs.keys()):
-        diff = lhs.get(key, be.zero) - rhs.get(key, be.zero)
-        worst = max(worst, abs(diff))
-        if not be.is_zero(diff) and witness is None:
-            witness = fmt.format(*key)
-    return ConditionReport(name, witness is None, worst, witness)
+    keys = sorted(lhs.keys() | rhs.keys())
+    diffs = [lhs.get(key, be.zero) - rhs.get(key, be.zero) for key in keys]
+    witness = next((fmt.format(*key) for key, diff in zip(keys, diffs)
+                    if not be.is_zero(diff)), None)
+    return ConditionReport.judge(name, be, diffs, witness)
 
 
 def check_reality(R: RTensor) -> ConditionReport:
@@ -199,7 +205,7 @@ def check_symmetry_chain(R: RTensor) -> ConditionReport:
     """R^{lb}_{am} = R^{ma}_{bl} = conj(R^{mb}_{al}) = (R^-1)^{bm}_{la}."""
     be = R.backend
     rinv = invert_16x16(R)
-    worst, witness = 0.0, None
+    diffs = {}
     for lam in range(N):
         for beta in range(N):
             for alpha in range(N):
@@ -211,11 +217,10 @@ def check_symmetry_chain(R: RTensor) -> ConditionReport:
                         ("inverse", rinv(beta, mu, lam, alpha)),
                     )
                     for tag, w in others:
-                        diff = v - w
-                        worst = max(worst, abs(diff))
-                        if not be.is_zero(diff) and witness is None:
-                            witness = f"{tag} at ({lam},{beta},{alpha},{mu})"
-    return ConditionReport("symmetry_chain", witness is None, worst, witness)
+                        diffs[tag, lam, beta, alpha, mu] = v - w
+    witness = next(("{} at ({},{},{},{})".format(*key) for key, diff in diffs.items()
+                    if not be.is_zero(diff)), None)
+    return ConditionReport.judge("symmetry_chain", be, diffs.values(), witness)
 
 
 def check_quadratic_1(R: RTensor) -> ConditionReport:

@@ -12,10 +12,10 @@ unchanged.  GaussRational deliberately mimics the small slice of the builtin
 ``imag``), which is what makes the backends interchangeable.
 
 Polynomials, chains and tensor elements are all {key: coefficient} dicts.
-``add_into`` is their one accumulate step, ``max_residual`` the one
-residual measure of every report, and ``Sparse`` supplies the linear
-operations they share; each subclass keeps its own key
-normalisation and zero pruning in its constructor.
+``add_into`` is their one accumulate step, ``all_zero`` the one pass rule
+of every verdict, ``max_residual`` the number a report displays, and
+``Sparse`` supplies the linear operations they share; each subclass keeps
+its own key normalisation and zero pruning in its constructor.
 """
 
 from __future__ import annotations
@@ -163,9 +163,9 @@ class GaussRational:
         return bool(self._a or self._b)
 
     def __abs__(self) -> float:
-        # int true division is correctly rounded, as Fraction.__float__ is
-        a, b, d = self._a, self._b, self._d
-        return math.sqrt((a * a + b * b) / (d * d))
+        # int true division is correctly rounded, as Fraction.__float__ is;
+        # squaring the ratio first would underflow to 0.0 below ~1e-162
+        return math.hypot(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -210,8 +210,9 @@ class Backend:
     """A scalar domain: constructors plus the zero test the domain needs.
 
     The float twin of GaussRational is the builtin complex type; ``tol`` is
-    the zero tolerance of the domain, 0.0 on the exact backend, so a
-    residual passes a report iff it is ``<= tol`` on either backend.
+    the zero tolerance of the float domain and unused on the exact one.  A
+    verdict passes iff every value it measures is zero by ``is_zero``
+    (``all_zero``); ``max_residual`` is reported only.
     """
 
     def __init__(self, name: str, exact: bool, tol: float = 0.0):
@@ -290,10 +291,22 @@ def row_reduce(rows: list, ncols: int, be: Backend) -> list:
     return pivots
 
 
+def all_zero(be: Backend, values) -> bool:
+    """The one pass rule: a verdict passes iff every value it measures is
+    zero by ``be.is_zero``.
+
+    A Sparse value has already pruned each coefficient that ``be.is_zero``,
+    so it is zero iff it has no terms; a scalar is tested directly.
+    """
+    return all(v.is_zero() if isinstance(v, Sparse) else be.is_zero(v) for v in values)
+
+
 def max_residual(values) -> float:
-    """The one residual measure: the largest ``abs`` among `values`, 0.0
-    when there are none.  A report passes iff its residual is ``<= tol``."""
-    return max((abs(v) for v in values), default=0.0)
+    """The largest ``abs`` among `values`, a Sparse value counting as the
+    largest ``abs`` of its coefficients; 0.0 when there are none.  It is
+    reported only: whether a verdict passes is ``all_zero``'s to say."""
+    return max((v.residual() if isinstance(v, Sparse) else abs(v) for v in values),
+               default=0.0)
 
 
 def add_into(out: dict, key, value) -> None:
@@ -325,6 +338,8 @@ class Sparse:
         return max_residual(self.terms.values())
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             add_into(out, k, c)
@@ -334,6 +349,8 @@ class Sparse:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             add_into(out, k, -c)

@@ -21,10 +21,10 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import InvalidSpec, IrrationalEigenvalue, NotAPerfectSquare
-from .ncalg import Algebra, NCPoly, ReductionContext, central_witness, mono_key
+from .ncalg import NGEN, Algebra, NCPoly, ReductionContext, mono_key
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
-from .scalars import Backend, GaussRational, max_residual, row_reduce, sqrt_exact
+from .scalars import Backend, GaussRational, all_zero, row_reduce, sqrt_exact
 
 
 @dataclass
@@ -35,10 +35,6 @@ class SphereAlgebra:
 
     def reduce(self, f: NCPoly) -> NCPoly:
         return self.context.reduce_fast(f)
-
-    def residual(self, f: NCPoly) -> float:
-        """The residual of f modulo the ideal."""
-        return self.reduce(f).residual()
 
 
 def build_sphere(alg: Algebra, kind: str, params: DeformParams) -> SphereAlgebra:
@@ -94,21 +90,19 @@ def projection_checks(s: SphereAlgebra) -> list:
     whose reduced p^2 - p is nonzero.
     """
     alg = s.base
-    tol = alg.backend.tol
+    be = alg.backend
     p = build_projection(s)
     pd = p.dagger()
-    herm = max((p.rows[a][b] - pd.rows[a][b]).residual()
-               for a in range(4) for b in range(4))
+    herm = [p.rows[a][b] - pd.rows[a][b] for a in range(4) for b in range(4)]
     p2 = p @ p
-    idem = [s.residual(p2.rows[a][b] - p.rows[a][b]) for a in range(4) for b in range(4)]
-    bad = next((k for k, r in enumerate(idem) if r > tol), None)
+    idem = [s.reduce(p2.rows[a][b] - p.rows[a][b]) for a in range(4) for b in range(4)]
+    bad = next((k for k, r in enumerate(idem) if not r.is_zero()), None)
     idem_at = None if bad is None else f"entry {divmod(bad, 4)}"
     tr = sum((p.rows[a][a] for a in range(4)), alg.zero())
-    half_tr = s.residual(tr - 2 * alg.one())
     return [
-        ConditionReport("projection_hermitian", herm <= tol, herm, None),
-        ConditionReport("projection_idempotent", bad is None, max(idem), idem_at),
-        ConditionReport("projection_half_trace", half_tr <= tol, half_tr, None),
+        ConditionReport.judge("projection_hermitian", be, herm, None),
+        ConditionReport.judge("projection_idempotent", be, idem, idem_at),
+        ConditionReport.judge("projection_half_trace", be, [s.reduce(tr - 2 * alg.one())], None),
     ]
 
 
@@ -189,14 +183,13 @@ def lambda_closed_form(params: DeformParams, backend: Backend) -> list:
     ]
 
 
-def lambda_residuals(lam: list, be: Backend) -> tuple:
-    """Residuals of the symmetry Lambda^T = Lambda and the unitarity
-    Lambda Lambda^dagger = 1, as (symmetric, unitary)."""
-    sym = max_residual(lam[a][b] - lam[b][a] for a in range(4) for b in range(4))
-    uni = max_residual(
-        sum((lam[a][c] * lam[b][c].conjugate() for c in range(4)), be.zero)
-        - (be.one if a == b else be.zero)
-        for a in range(4) for b in range(4))
+def lambda_defects(lam: list, be: Backend) -> tuple:
+    """The entries of Lambda^T - Lambda and of Lambda Lambda^dagger - 1, as
+    (symmetric, unitary): Lambda is symmetric unitary iff all are zero."""
+    sym = [lam[a][b] - lam[b][a] for a in range(4) for b in range(4)]
+    uni = [sum((lam[a][c] * lam[b][c].conjugate() for c in range(4)), be.zero)
+           - (be.one if a == b else be.zero)
+           for a in range(4) for b in range(4)]
     return sym, uni
 
 
@@ -204,22 +197,18 @@ def lambda_reports(alg: Algebra, ys: YSystem) -> list:
     """Symmetry, unitarity, star identity, and closed-form agreement."""
     be = alg.backend
     lam = ys.lam
-    tol = be.tol
-    sym, uni = lambda_residuals(lam, be)
-    star = 0.0
-    for mu in range(4):
-        diff = ys.Ystar[mu] - sum((lam[mu][nu] * ys.Y[nu] for nu in range(4)),
-                                  alg.zero())
-        star = max(star, diff.residual())
-    out = [
-        ConditionReport("lambda_symmetric", sym <= tol, sym, None),
-        ConditionReport("lambda_unitary", uni <= tol, uni, None),
-        ConditionReport("lambda_star_identity", star <= tol, star, None),
-    ]
+    sym, uni = lambda_defects(lam, be)
+    star = [ys.Ystar[mu] - sum((lam[mu][nu] * ys.Y[nu] for nu in range(4)), alg.zero())
+            for mu in range(4)]
     closed = lambda_closed_form(ys.params, be)
-    dev = max_residual(lam[a][b] - closed[a][b] for a in range(4) for b in range(4))
-    out.append(ConditionReport("lambda_closed_form", dev <= tol, dev, None))
-    return out
+    return [
+        ConditionReport.judge("lambda_symmetric", be, sym, None),
+        ConditionReport.judge("lambda_unitary", be, uni, None),
+        ConditionReport.judge("lambda_star_identity", be, star, None),
+        ConditionReport.judge("lambda_closed_form", be,
+                              (lam[a][b] - closed[a][b] for a in range(4) for b in range(4)),
+                              None),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +227,21 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     """
     alg = s.base
     be = alg.backend
-    tol = be.tol
     one = alg.one()
+    gens = [alg.generator(g) for g in range(NGEN)]
     reports = []
 
-    def rep(name, residual, witness=None):
-        reports.append(ConditionReport(name, residual <= tol, residual, witness))
+    def rep(name, values, witness=None):
+        reports.append(ConditionReport.judge(name, be, values, witness))
+
+    def commutators(f):
+        """f commutes with every generator iff all of these are zero."""
+        return [f.commutator(g) for g in gens]
 
     x1, x2 = quaternion_generators(alg)
 
     # closed forms of the components and their stars
-    r = (ys.Y[0] - 2 * sum((x2[m] * x1[m] for m in range(4)), alg.zero())).residual()
+    diffs = [ys.Y[0] - 2 * sum((x2[m] * x1[m] for m in range(4)), alg.zero())]
     for k in (1, 2, 3):
         f = x2[k] * x1[0] - x2[0] * x1[k]
         for n in (1, 2, 3):
@@ -256,10 +249,10 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
                 e = epsilon(k, n, m)
                 if e:
                     f = f - e * (x2[n] * x1[m])
-        r = max(r, (ys.Y[k] - 2 * f).residual())
-    rep("y_closed_form", r)
+        diffs.append(ys.Y[k] - 2 * f)
+    rep("y_closed_form", diffs)
 
-    r = (ys.Ystar[0] - 2 * sum((x1[m] * x2[m] for m in range(4)), alg.zero())).residual()
+    diffs = [ys.Ystar[0] - 2 * sum((x1[m] * x2[m] for m in range(4)), alg.zero())]
     for k in (1, 2, 3):
         f = x1[0] * x2[k] - x1[k] * x2[0]
         for n in (1, 2, 3):
@@ -267,34 +260,28 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
                 e = epsilon(k, n, m)
                 if e:
                     f = f + e * (x1[n] * x2[m])
-        r = max(r, (ys.Ystar[k] - 2 * f).residual())
-    rep("ystar_closed_form", r)
+        diffs.append(ys.Ystar[k] - 2 * f)
+    rep("ystar_closed_form", diffs)
 
     # Y4 central hermitian
-    r = (ys.Y4 - ys.Y4.star()).residual()
-    r = max(r, 0.0 if central_witness(alg, ys.Y4) is None else 1.0)
-    rep("y4_central_hermitian", r)
+    rep("y4_central_hermitian", [ys.Y4 - ys.Y4.star()] + commutators(ys.Y4))
 
     # every radius and commutation identity below is a component of the
     # pair (Y Ybar*, Ybar* Y)
     yy, sy = ys.products
     Y42 = ys.Y4 * ys.Y4
     # 4sp1 is -(Ybar* Y)[k] and 4sp2 is -(Y Ybar*)[k], k = 1..3
-    sp1 = max(c.residual() for c in sy[1:])
-    sp2 = max(c.residual() for c in yy[1:])
-    rep("cond0_imaginary_parts", max(sp2, sp1))
+    sp1, sp2 = list(sy[1:]), list(yy[1:])
+    rep("cond0_imaginary_parts", sp2 + sp1)
     # the radius, modulo the sphere ideal, in both orderings
-    radius = max(s.residual(yy[0] + Y42 - one), s.residual(sy[0] + Y42 - one))
+    radius = [s.reduce(yy[0] + Y42 - one), s.reduce(sy[0] + Y42 - one)]
     rep("cond0_radius", radius)
     # equal radius sums: their difference is the total star-commutator sum
-    total = (yy[0] - sy[0]).residual()
+    total = [yy[0] - sy[0]]
     rep("cond0_products_equal", total)
 
     # cond00: Y4 commutes with every component and its star
-    r = 0.0
-    for f in list(ys.Y) + list(ys.Ystar):
-        r = max(r, f.commutator(ys.Y4).residual())
-    rep("cond00_y4_commutes", r)
+    rep("cond00_y4_commutes", [f.commutator(ys.Y4) for f in list(ys.Y) + list(ys.Ystar)])
 
     rep("sp_commutation_1", sp1)
     rep("sp_commutation_2", sp2)
@@ -302,14 +289,11 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     rep("four_sphere_radius", radius)
 
     # both radius sums are central already in the quadratic algebra
-    r = 0.0 if (central_witness(alg, sy[0]) is None
-                and central_witness(alg, yy[0]) is None) else 1.0
-    rep("radius_sums_central", r)
+    rep("radius_sums_central", commutators(sy[0]) + commutators(yy[0]))
 
     # product identity: both sums equal 4 ||x1||^2 ||x2||^2 exactly
     prod = 4 * (alg.family_casimir(1) * alg.family_casimir(2))
-    r = max((sy[0] - prod).residual(), (yy[0] - prod).residual())
-    rep("radius_product_identity", r)
+    rep("radius_product_identity", [sy[0] - prod, yy[0] - prod])
 
     # the six explicit commutation relations of the family
     u0, u1, u2 = ys.params.scalars(be)
@@ -330,13 +314,8 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
         u0 * com(3, 0) + i * u1 * anti(1, 2) + i * u2 * (Yq[2] * Yq[2] - Yq[1] * Yq[1]),
         u0 * com(2, 1) + i * u1 * anti(0, 3) + i * u2 * (Yq[3] * Yq[3] - Yq[0] * Yq[0]),
     ]
-    r = 0.0
-    witness = None
-    for idx, rel in enumerate(rels):
-        rr = rel.residual()
-        if rr > r:
-            r, witness = rr, f"relation {idx + 1}"
-    rep("family_commutation_relations", r, witness if r > tol else None)
+    rep("family_commutation_relations", rels,
+        next((f"relation {k + 1}" for k, rel in enumerate(rels) if not rel.is_zero()), None))
 
     return reports
 
@@ -352,12 +331,12 @@ def check_normality(s: SphereAlgebra, ys: YSystem) -> dict:
     comms = [ys.Ystar[m] * ys.Y[m] - ys.Y[m] * ys.Ystar[m] for m in range(4)]
     normal = [c.is_zero() for c in comms]
     total = sum(comms, s.base.zero())
-    off_diag = max_residual(ys.lam[a][b] for a in range(4) for b in range(4) if a != b)
+    off_diag = [ys.lam[a][b] for a in range(4) for b in range(4) if a != b]
     return {
         "normal": normal,
         "all_non_normal": not any(normal),
         "all_normal": all(normal),
-        "lambda_diagonal": off_diag <= be.tol,
+        "lambda_diagonal": all_zero(be, off_diag),
         "sum_vanishes": total.is_zero(),
         "commutator_residuals": [c.residual() for c in comms],
     }
@@ -385,13 +364,12 @@ def three_sphere_context(s: SphereAlgebra, ys: YSystem) -> SphereAlgebra:
 def suspension_reports(s3: SphereAlgebra, ys: YSystem) -> list:
     """Three-sphere radius in both orderings, and Y4^2 -> 0."""
     one = s3.base.one()
-    tol = s3.base.backend.tol
+    be = s3.base.backend
     yy, sy = ys.products
-    r1 = max(s3.residual(sy[0] - one), s3.residual(yy[0] - one))
-    r2 = s3.residual(ys.Y4 * ys.Y4)
     return [
-        ConditionReport("three_sphere_radius", r1 <= tol, r1, None),
-        ConditionReport("suspension_y4_squared", r2 <= tol, r2, None),
+        ConditionReport.judge("three_sphere_radius", be,
+                              [s3.reduce(sy[0] - one), s3.reduce(yy[0] - one)], None),
+        ConditionReport.judge("suspension_y4_squared", be, [s3.reduce(ys.Y4 * ys.Y4)], None),
     ]
 
 
@@ -408,8 +386,8 @@ def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
     the residual is that of the imaginary parts of (Ybar* Y, Y Ybar*).
     """
     yy, sy = ys.products
-    r = max(f.residual() for f in yy[1:] + sy[1:])
-    return ConditionReport("y0_flip_variant_relations", r <= s.base.backend.tol, r, None)
+    return ConditionReport.judge("y0_flip_variant_relations", s.base.backend,
+                                 yy[1:] + sy[1:], None)
 
 
 # ---------------------------------------------------------------------------

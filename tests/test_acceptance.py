@@ -172,7 +172,11 @@ def test_c6_homology_suite_at_main_point(catalog):
     assert chern_odd(ctx3, U, 0).is_zero()
     ch32 = chern_odd(ctx3, U, 1)
     assert not ch32.is_zero()
-    assert b_boundary(ch32).is_zero()
+    b_ch32 = b_boundary(ch32)
+    assert b_ch32.is_zero()
+    # the report's route for b(ch_3half), through the faces of both words
+    Ud = U.dagger()
+    assert trace_boundary(ctx3, [U, Ud] * 2) - trace_boundary(ctx3, [Ud, U] * 2) == b_ch32
     d32 = ch32.digest()
     assert (d32["n_terms"], d32["sha256"]) == CH_3HALF_DIGEST
     # negative control: one perturbed coefficient is no longer a cycle

@@ -105,9 +105,10 @@ def _is_rational_square(q: Fraction) -> bool:
 def test_sweep_tasks_pass_at_generic_rational_points():
     """Ten points u = (1 - s^2 - t^2, 2s, 2t) / (1 + s^2 + t^2) with random
     rationals s, t of both signs (t = 0 at every third point), denominators
-    up to about 10^17: every sweep task passes, normality holds exactly
-    where u2 = 0, and the eigenphase is called irrational exactly where
-    u1^2 + u2^2 is not a rational square."""
+    up to about 10^17, and one with s = 0, t = 10^163, where u2 ~ 2e-163 is
+    below what a squared float ratio can hold: every sweep task passes,
+    normality holds exactly where u2 = 0, and the eigenphase is called
+    irrational exactly where u1^2 + u2^2 is not a rational square."""
     rng = random.Random(15)
 
     def draw():
@@ -119,6 +120,8 @@ def test_sweep_tasks_pass_at_generic_rational_points():
         s, t = draw(), (Fraction(0) if k % 3 == 0 else draw())
         d = 1 + s * s + t * t
         points.append(DeformParams((1 - s * s - t * t) / d, 2 * s / d, 2 * t / d))
+    q = Fraction(10**163)
+    points.append(DeformParams((q * q - 1) / (q * q + 1), Fraction(0), 2 * q / (q * q + 1)))
     assert {p.u1 > 0 for p in points} == {p.u2 > 0 for p in points if p.u2} == {True, False}
     for p, (report, _) in zip(points, sweep(points)):
         sphere = report["tasks"]["sphere"]
@@ -150,12 +153,17 @@ def test_main_returns_one_on_task_failure(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _plus_e00_over_3(real):
-    """A build_projection that returns p + E_00/3, which is not a projection."""
+def _schema():
+    return json.loads(resources.files("ncspheres")
+                      .joinpath("schema/run_report.schema.json").read_text())
+
+
+def _plus_e00(real, c):
+    """A build_projection that returns p + c E_00, which is not a projection."""
     def perturbed(s):
         p = real(s)
         rows = [list(r) for r in p.rows]
-        rows[0][0] = rows[0][0] + s.base.scalar(Fraction(1, 3))
+        rows[0][0] = rows[0][0] + s.base.scalar(c)
         return Mat(rows)
 
     return perturbed
@@ -164,7 +172,8 @@ def _plus_e00_over_3(real):
 def test_non_idempotent_projection_fails_the_b_ch2_closure(
         monkeypatch, tmp_path, capsys):
     """Negative control for b(ch2) = 0: p + E_00/3 is not a projection."""
-    monkeypatch.setattr(cli, "build_projection", _plus_e00_over_3(cli.build_projection))
+    monkeypatch.setattr(cli, "build_projection",
+                        _plus_e00(cli.build_projection, Fraction(1, 3)))
     out = tmp_path / "chern.json"
     assert main(["chern", "--backend", "float", "--quiet",
                  "--json", str(out)]) == 1
@@ -181,26 +190,51 @@ def test_non_idempotent_projection_fails_the_b_ch2_closure(
     coeff, *slots = chern["witnesses"]["b_ch2_zero"].split(" (x) ")
     assert abs(complex(coeff) + 1 / 3) < 1e-9
     assert slots == ["(1+0j)*x1_0^2"] * 3
-    schema = json.loads(resources.files("ncspheres")
-                        .joinpath("schema/run_report.schema.json")
-                        .read_text())
-    jsonschema.validate(report, schema)
+    jsonschema.validate(report, _schema())
+
+
+def test_constant_projection_and_unitary_fail_the_nonzero_verdicts(
+        monkeypatch, tmp_path, capsys):
+    """Negative controls for ch2 != 0 and ch_3half != 0: the constant
+    idempotent E_00 and the constant unitary 1 have no component of degree
+    >= 1 in normalized chains, so both verdicts are false and chern exits 1."""
+    def e00(s):
+        return Mat([[s.base.one() if a == b == 0 else s.base.zero() for b in range(4)]
+                    for a in range(4)])
+
+    def identity(Y, i):
+        alg = Y[0].algebra
+        return Mat([[alg.one() if a == b else alg.zero() for b in range(2)] for a in range(2)])
+
+    monkeypatch.setattr(cli, "build_projection", e00)
+    monkeypatch.setattr(cli, "embed_M2", identity)
+    out = tmp_path / "chern.json"
+    assert main(["chern", "--quiet", "--json", str(out)]) == 1
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    chern = report["tasks"]["chern"]
+    assert not chern["passed"]
+    assert chern["vanishing"]["ch2_nonzero"] is False
+    assert chern["vanishing"]["ch_3half_nonzero"] is False
+    jsonschema.validate(report, _schema())
 
 
 def test_non_idempotent_projection_fails_the_idempotency_report(
         monkeypatch, tmp_path, capsys):
-    """Negative control for p^2 = p: the report names entry (0, 0)."""
-    monkeypatch.setattr(spheres, "build_projection",
-                        _plus_e00_over_3(spheres.build_projection))
-    out = tmp_path / "sphere.json"
-    assert main(["sphere", "--quiet", "--json", str(out)]) == 1
-    capsys.readouterr()
-    task = json.loads(out.read_text())["tasks"]["sphere"]
-    assert not task["passed"]
-    idem = next(r for r in task["reports"] if r["name"] == "projection_idempotent")
-    assert idem["passed"] is False
-    assert idem["max_residual"] > 0
-    assert "(0, 0)" in idem["witness"]
+    """Negative control for p^2 = p: the report names entry (0, 0), also when
+    the defect, 10^-170, is below what squaring a float could represent."""
+    real = spheres.build_projection
+    for c in (Fraction(1, 3), Fraction(1, 10**170)):
+        monkeypatch.setattr(spheres, "build_projection", _plus_e00(real, c))
+        out = tmp_path / "sphere.json"
+        assert main(["sphere", "--quiet", "--json", str(out)]) == 1, c
+        capsys.readouterr()
+        task = json.loads(out.read_text())["tasks"]["sphere"]
+        assert not task["passed"]
+        idem = next(r for r in task["reports"] if r["name"] == "projection_idempotent")
+        assert idem["passed"] is False
+        assert idem["max_residual"] > 0
+        assert "(0, 0)" in idem["witness"]
 
 
 def test_json_report_validates_against_schema(tmp_path, capsys):
@@ -209,10 +243,7 @@ def test_json_report_validates_against_schema(tmp_path, capsys):
     capsys.readouterr()
     text = out.read_text()
     report = json.loads(text)
-    schema = json.loads(resources.files("ncspheres")
-                        .joinpath("schema/run_report.schema.json")
-                        .read_text())
-    jsonschema.validate(report, schema)
+    jsonschema.validate(report, _schema())
     # canonical: sorted keys, trailing newline
     assert text == canonical_json(report)
     assert set(report["tasks"]) == {"conditions", "algebra", "sphere"}

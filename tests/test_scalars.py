@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncspheres.coaction import H_ONE, CommPoly
 from ncspheres.errors import (MalformedNumber, NegativeInput,
                               NotAPerfectSquare, ZeroDenominator)
-from ncspheres.scalars import (EXACT, GaussRational, add_into, float_backend,
-                               parse_rational, row_reduce, sqrt_exact)
+from ncspheres.scalars import (EXACT, GaussRational, add_into, all_zero,
+                               float_backend, max_residual, parse_rational,
+                               row_reduce, sqrt_exact)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=40)
 gauss = st.builds(GaussRational, rationals, rationals)
@@ -125,7 +127,7 @@ def _assert_matches(z, pair):
     assert (z.re, z.im) == (re, im)
     assert (z.real, z.imag) == (re, im)
     assert str(z) == f"({re},{im})"
-    assert abs(z) == math.sqrt(float(re * re + im * im))
+    assert abs(z) == math.hypot(float(re), float(im))
     assert complex(z) == complex(float(re), float(im))
     assert z == GaussRational(re, im)
     assert hash(z) == hash(GaussRational(re, im))
@@ -189,6 +191,40 @@ def test_exact_backend_zero_test_is_exact():
     assert not EXACT.is_zero(tiny)
     assert EXACT.is_zero(tiny - tiny)
     assert abs(tiny - tiny) == 0.0
+
+
+def test_exact_abs_does_not_underflow():
+    """|v| of a nonzero exact value below ~1e-162 is not 0.0: the ratio is
+    not squared before it is taken."""
+    for v in (GaussRational(Fraction(1, 10**170), 0),
+              GaussRational(0, Fraction(-1, 10**170))):
+        assert abs(v) == 1e-170
+    assert math.isclose(abs(GaussRational(Fraction(3, 10**200), Fraction(4, 10**200))), 5e-200)
+
+
+@pytest.mark.parametrize("be", [EXACT, float_backend(1e-9)], ids=["exact", "float"])
+def test_all_zero_is_the_backend_zero_test(be):
+    """One pass rule on both backends: a scalar by be.is_zero, a Sparse value
+    by having no terms; max_residual only displays."""
+    tiny = be.convert(Fraction(1, 10**170))
+    empty, full = CommPoly(be, {}), CommPoly(be, {H_ONE: be.one})
+    assert all_zero(be, []) and all_zero(be, [be.zero, empty])
+    assert not all_zero(be, [be.zero, full]) and not all_zero(be, [be.one])
+    # below 1e-162: zero within the float tolerance, never on the exact backend
+    assert all_zero(be, [tiny]) is not be.exact
+    assert all_zero(be, [CommPoly(be, {H_ONE: tiny})]) is not be.exact
+    assert max_residual([tiny]) == 1e-170
+    assert max_residual([tiny, empty, full]) == 1.0
+    assert max_residual([]) == 0.0
+
+
+def test_sparse_arithmetic_rejects_a_scalar_operand():
+    p = CommPoly(EXACT, {H_ONE: EXACT.one})
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(p, 1)
+        with pytest.raises(TypeError):
+            op(1, p)
 
 
 def test_float_backend_tolerance():
