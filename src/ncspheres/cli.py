@@ -218,9 +218,13 @@ def _task_chern(spec: RunSpec, state: dict) -> dict:
     vanzz = check_vanzz_equivalence(ctx, ys)
     passed = (all(vanishing.values()) and all(closures.values())
               and vanzz["agree"])
-    # each failing zero-verdict names the first term of its chain
+    # each failing zero-verdict names the first term of its chain, each
+    # failing nonzero verdict says that its chain is empty
     witnesses = {name: chain.first_term()
                  for name, chain in should_vanish.items() if not chain.is_zero()}
+    witnesses.update((name, "the chain has no terms")
+                     for name, chain in (("ch2_nonzero", ch2), ("ch_3half_nonzero", ch32))
+                     if chain.is_zero())
     return {
         "passed": passed,
         "components": components,

@@ -21,6 +21,7 @@ whose pairwise coprime leads make them a Groebner basis.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
@@ -32,6 +33,7 @@ X1 = range(0, 4)
 X2 = range(4, 8)
 
 ZERO8 = (0,) * 8
+_UNIT4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 # reduce_fast refuses monomials above this degree; the tasks reduce at most degree 4
 DEGREE_CAP = 12
@@ -89,58 +91,38 @@ class Algebra:
         self.backend = backend
         # the rewrite rules: x^a x^b -> sum c x^c x^d, read off at each redex
         self.exchange = build_BigR(R)
-        self._swap_single_cache = {}
-        self._swap_block_cache = {}
+        self._swap_cache = {}
         self._star_cache = {}
 
     # -- monomial multiplication --------------------------------------
 
-    def _swap_single(self, alpha: int, x1part):
-        """x2^alpha * x1^{x1part} as {(x1part', beta): coeff}."""
-        key = (alpha, x1part)
-        hit = self._swap_single_cache.get(key)
-        if hit is not None:
-            return hit
-        be = self.backend
-        if not any(x1part):
-            res = {(x1part, alpha): be.one}
-        else:
-            lam = next(g for g in range(4) if x1part[g])
-            rest = list(x1part)
-            rest[lam] -= 1
-            rest = tuple(rest)
-            res = {}
-            for (mu, b), c in self.exchange[(4 + alpha, lam)]:
-                for (tail, beta2), c2 in self._swap_single(b - 4, rest).items():
-                    out = list(tail)
-                    out[mu] += 1
-                    add_into(res, (tuple(out), beta2), c * c2)
-            res = {k: v for k, v in res.items() if not be.is_zero(v)}
-        self._swap_single_cache[key] = res
-        return res
+    def _swap(self, x2part, x1part):
+        """x2^{x2part} * x1^{x1part} as {(x1part', x2part'): coeff}.
 
-    def _swap_block(self, x2part, x1part):
-        """x2^{x2part} * x1^{x1part} as {(x1part', x2part'): coeff}."""
+        A one-generator x2 block passes x1's first generator by the exchange
+        rows; a longer block first passes its last generator through."""
         key = (x2part, x1part)
-        hit = self._swap_block_cache.get(key)
+        hit = self._swap_cache.get(key)
         if hit is not None:
             return hit
         be = self.backend
+        res = {}
         if not any(x2part) or not any(x1part):
-            res = {(x1part, x2part): be.one}
+            res[x1part, x2part] = be.one
+        elif sum(x2part) == 1:
+            lam = next(g for g in range(4) if x1part[g])
+            rest = tuple(map(operator.sub, x1part, _UNIT4[lam]))
+            for (mu, b), c in self.exchange[(4 + x2part.index(1), lam)]:
+                for (tail, fin2), c2 in self._swap(_UNIT4[b - 4], rest).items():
+                    add_into(res, (tuple(map(operator.add, tail, _UNIT4[mu])), fin2), c * c2)
         else:
             alpha = next(g for g in range(3, -1, -1) if x2part[g])
-            rest2 = list(x2part)
-            rest2[alpha] -= 1
-            rest2 = tuple(rest2)
-            res = {}
-            for (mid1, beta), c in self._swap_single(alpha, x1part).items():
-                for (fin1, fin2), c2 in self._swap_block(rest2, mid1).items():
-                    out2 = list(fin2)
-                    out2[beta] += 1
-                    add_into(res, (fin1, tuple(out2)), c * c2)
-            res = {k: v for k, v in res.items() if not be.is_zero(v)}
-        self._swap_block_cache[key] = res
+            rest2 = tuple(map(operator.sub, x2part, _UNIT4[alpha]))
+            for (mid1, beta), c in self._swap(_UNIT4[alpha], x1part).items():
+                for (fin1, fin2), c2 in self._swap(rest2, mid1).items():
+                    add_into(res, (fin1, tuple(map(operator.add, fin2, beta))), c * c2)
+        res = {k: v for k, v in res.items() if not be.is_zero(v)}
+        self._swap_cache[key] = res
         return res
 
     def mono_mul(self, m, n):
@@ -152,14 +134,14 @@ class Algebra:
         # distinct (mid1, mid2) give distinct products, so nothing accumulates
         return {(m1[0] + mid1[0], m1[1] + mid1[1], m1[2] + mid1[2], m1[3] + mid1[3],
                  mid2[0] + n2[0], mid2[1] + n2[1], mid2[2] + n2[2], mid2[3] + n2[3]): c
-                for (mid1, mid2), c in self._swap_block(m2, n1).items()}
+                for (mid1, mid2), c in self._swap(m2, n1).items()}
 
     def star_mono(self, m):
         """Star of a normal monomial: reverse the word, generators hermitian."""
         hit = self._star_cache.get(m)
         if hit is None:
             # (x1^a x2^b)* = x2^b x1^a since each family is commutative
-            hit = {f1 + f2: c for (f1, f2), c in self._swap_block(m[4:], m[:4]).items()}
+            hit = {f1 + f2: c for (f1, f2), c in self._swap(m[4:], m[:4]).items()}
             self._star_cache[m] = hit
         return hit
 

@@ -163,9 +163,12 @@ class GaussRational:
         return bool(self._a or self._b)
 
     def __abs__(self) -> float:
+        """|v| as a float, never 0.0 for a nonzero value: one whose modulus
+        underflows a double reads as the smallest subnormal, math.ulp(0.0)."""
         # int true division is correctly rounded, as Fraction.__float__ is;
         # squaring the ratio first would underflow to 0.0 below ~1e-162
-        return math.hypot(self._a / self._d, self._b / self._d)
+        r = math.hypot(self._a / self._d, self._b / self._d)
+        return r if r or not (self._a or self._b) else math.ulp(0.0)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"

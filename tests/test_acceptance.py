@@ -247,12 +247,15 @@ def test_c8_float_backend_reproduces_exact_identities():
     assert components == (GOLDEN / "chern_float_components.json").read_text()
 
 
-def test_c9_sweep_reports_are_byte_identical():
+@pytest.mark.parametrize("backend_name, golden",
+                         [("exact", "sweep.json"), ("float", "sweep_float.json")],
+                         ids=["exact", "float"])
+def test_c9_sweep_reports_are_byte_identical(backend_name, golden):
     points = [DeformParams.parse(label) for label in CATALOG]
-    first = sweep(points)
-    second = sweep(points)
+    first = sweep(points, backend_name=backend_name)
+    second = sweep(points, backend_name=backend_name)
     assert all(rep["passed"] for rep, _ in first)
     blob1 = canonical_json([rep for rep, _ in first])
     blob2 = canonical_json([rep for rep, _ in second])
     assert blob1 == blob2
-    assert blob1 == (GOLDEN / "sweep.json").read_text()
+    assert blob1 == (GOLDEN / golden).read_text()

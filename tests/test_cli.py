@@ -197,7 +197,8 @@ def test_constant_projection_and_unitary_fail_the_nonzero_verdicts(
         monkeypatch, tmp_path, capsys):
     """Negative controls for ch2 != 0 and ch_3half != 0: the constant
     idempotent E_00 and the constant unitary 1 have no component of degree
-    >= 1 in normalized chains, so both verdicts are false and chern exits 1."""
+    >= 1 in normalized chains, so both verdicts are false, each with a
+    witness that says its chain is empty, and chern exits 1."""
     def e00(s):
         return Mat([[s.base.one() if a == b == 0 else s.base.zero() for b in range(4)]
                     for a in range(4)])
@@ -216,6 +217,8 @@ def test_constant_projection_and_unitary_fail_the_nonzero_verdicts(
     assert not chern["passed"]
     assert chern["vanishing"]["ch2_nonzero"] is False
     assert chern["vanishing"]["ch_3half_nonzero"] is False
+    assert chern["witnesses"]["ch2_nonzero"] == "the chain has no terms"
+    assert chern["witnesses"]["ch_3half_nonzero"] == "the chain has no terms"
     jsonschema.validate(report, _schema())
 
 

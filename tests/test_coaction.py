@@ -2,7 +2,6 @@
 
 import json
 import random
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -53,12 +52,13 @@ def test_hopf_generators_are_built_once_per_backend(monkeypatch):
         return original(backend, mu)
 
     monkeypatch.setattr(coaction, "hopf_delta_gen", counting)
-    monkeypatch.setattr(coaction, "_HOPF_GENS", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(coaction, "_HOPF_AXIOMS", weakref.WeakKeyDictionary())
+    coaction._hopf_gens.cache_clear()
+    coaction._hopf_axiom_reports.cache_clear()
     be = float_backend()
     first = check_hopf_axioms(be)
     assert check_hopf_axioms(be) == first
     assert sorted(built) == [0, 1, 2, 3]
+    assert coaction._hopf_gens.cache_info().misses == 1
     # the shared chains are still the coproducts of the generators
     for mu, gen in enumerate(coaction._hopf_gens(be)):
         assert gen.terms == original(be, mu).terms
@@ -91,41 +91,40 @@ def test_hopf_delta_gen_matches_the_written_out_coproduct():
             assert got.terms == want.terms
 
 
-def _sweep_counting_hopf_checks(monkeypatch, backend_name):
+def _sweep_counting_hopf_checks(monkeypatch, backend_name, be):
     """Three-point cli.sweep on cold Hopf caches; returns the results, the
-    backends the axiom-check body ran on, and the generators built."""
-    runs, built = [], []
-    body = coaction._hopf_axiom_reports
+    number of times the axiom-check body ran, and the generators built.
+    Afterwards a check on `be` must hit the cache, so the body ran on it."""
+    built = []
     gen = coaction.hopf_delta_gen
-
-    def counting(be):
-        runs.append(be)
-        return body(be)
 
     def counting_gen(be, mu):
         built.append(mu)
         return gen(be, mu)
 
-    monkeypatch.setattr(coaction, "_HOPF_AXIOMS", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(coaction, "_HOPF_GENS", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(coaction, "_hopf_axiom_reports", counting)
+    coaction._hopf_axiom_reports.cache_clear()
+    coaction._hopf_gens.cache_clear()
     monkeypatch.setattr(coaction, "hopf_delta_gen", counting_gen)
     points = [DeformParams.parse(p) for p in ("1,0,0", "3/5,4/5,0", "1/3,2/3,2/3")]
-    return sweep(points, backend_name=backend_name), runs, built
+    results = sweep(points, backend_name=backend_name)
+    runs = coaction._hopf_axiom_reports.cache_info().misses
+    check_hopf_axioms(be)
+    assert coaction._hopf_axiom_reports.cache_info().misses == runs
+    return results, runs, built
 
 
 def test_hopf_axioms_are_checked_once_across_a_float_sweep(monkeypatch):
-    results, runs, built = _sweep_counting_hopf_checks(monkeypatch, "float")
+    results, runs, built = _sweep_counting_hopf_checks(monkeypatch, "float", float_backend())
     assert all(r["passed"] for r, _ in results)
-    assert runs == [float_backend()]
+    assert runs == 1
     assert sorted(built) == [0, 1, 2, 3]
     assert float_backend() is float_backend(1e-9)
 
 
 def test_hopf_axioms_are_checked_once_across_a_sweep(monkeypatch):
-    results, runs, built = _sweep_counting_hopf_checks(monkeypatch, "exact")
+    results, runs, built = _sweep_counting_hopf_checks(monkeypatch, "exact", EXACT)
     assert all(r["passed"] for r, _ in results)
-    assert runs == [EXACT]
+    assert runs == 1
     assert sorted(built) == [0, 1, 2, 3]
     hopf = [r["tasks"]["coaction"]["hopf"] for r, _ in results]
     assert hopf[0] == hopf[1] == hopf[2]
@@ -211,6 +210,22 @@ def test_diagonal_coaction_is_a_comodule_algebra(diag):
     assert rep["relations_preserved"] and not rep["failures"]
     assert rep["star_compatible"] and rep["coassociative"] and rep["counit_law"]
     assert rep["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("build", [diagonal_coaction, one_sided_left_coaction],
+                         ids=["diagonal", "one_sided"])
+@pytest.mark.parametrize("be", [EXACT, float_backend()], ids=["exact", "float"])
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_ordered_generator_pairs_preserve_the_relations_by_construction(label, be, build):
+    """check_comodule_algebra skips the pairs gi <= gj: x_gi x_gj is already
+    normal, and delta multiplies the images in ascending generator order, so
+    images[gi] * images[gj] - delta(x_gi x_gj) has no terms."""
+    _, alg, s, _ = make_point(label, backend=be)
+    co = build(s)
+    for gi in range(8):
+        for gj in range(gi, 8):
+            diff = co.images[gi] * co.images[gj] - co.delta(alg.generator(gi) * alg.generator(gj))
+            assert not diff.terms, (gi, gj)
 
 
 def test_delta_is_multiplicative_on_random_polys(pyth, diag):

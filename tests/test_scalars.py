@@ -195,11 +195,14 @@ def test_exact_backend_zero_test_is_exact():
 
 def test_exact_abs_does_not_underflow():
     """|v| of a nonzero exact value below ~1e-162 is not 0.0: the ratio is
-    not squared before it is taken."""
+    not squared before it is taken, and a modulus below what a double holds
+    reads as the smallest subnormal."""
     for v in (GaussRational(Fraction(1, 10**170), 0),
               GaussRational(0, Fraction(-1, 10**170))):
         assert abs(v) == 1e-170
     assert math.isclose(abs(GaussRational(Fraction(3, 10**200), Fraction(4, 10**200))), 5e-200)
+    # below the smallest subnormal the ratio itself underflows
+    assert abs(GaussRational(Fraction(1, 10**330))) == math.ulp(0.0)
 
 
 @pytest.mark.parametrize("be", [EXACT, float_backend(1e-9)], ids=["exact", "float"])
