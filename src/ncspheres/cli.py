@@ -1,11 +1,11 @@
 """Command-line driver: catalog points, verification pipelines, reports.
 
 Tasks run in dependency order (conditions -> algebra -> sphere -> {chern,
-coaction}); prerequisites are added to a run automatically and a failing
-prerequisite skips everything downstream, with the failure recorded in the
-report.  Exact-mode reports are canonical: sorted keys, exact scalars
-rendered as strings, no timings (those go to stderr), so two runs over the
-same spec produce byte-identical JSON.
+coaction}); prerequisites are added to a run automatically, and a failing
+task skips only the tasks that list it as a prerequisite, with the failure
+recorded in the report.  Exact-mode reports are canonical: sorted keys,
+exact scalars rendered as strings, no timings (those go to stderr), so two
+runs over the same spec produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -33,17 +33,6 @@ from .spheres import (build_projection, build_sphere, check_normality,
 
 SCHEMA_VERSION = 1
 
-TASKS = ("conditions", "algebra", "sphere", "chern", "coaction")
-
-# prerequisites per task, in execution order
-_REQUIRES = {
-    "conditions": (),
-    "algebra": ("conditions",),
-    "sphere": ("conditions", "algebra"),
-    "chern": ("conditions", "algebra", "sphere"),
-    "coaction": ("conditions", "algebra", "sphere"),
-}
-
 # rational points on the parameter sphere; the Pythagorean ones also admit
 # an exact eigenphase
 CATALOG = (
@@ -54,16 +43,6 @@ CATALOG = (
     "7/25,24/25,0",
     "4/5,3/5,0",
 )
-
-_VERB_TASKS = {
-    "check": ("conditions",),
-    "sphere": ("sphere",),
-    "chern": ("chern",),
-    "coaction": ("coaction",),
-    "report": TASKS,
-    "sweep": ("conditions", "algebra", "sphere", "coaction"),
-}
-
 
 @dataclass
 class RunSpec:
@@ -93,7 +72,7 @@ class RunSpec:
         """Requested tasks plus their prerequisites, in execution order."""
         wanted = set(self.tasks)
         for t in self.tasks:
-            wanted.update(_REQUIRES[t])
+            wanted.update(_TASKS[t][1])
         return tuple(t for t in TASKS if t in wanted)
 
     def echo(self) -> dict:
@@ -182,52 +161,37 @@ def _task_chern(spec: RunSpec, state: dict) -> dict:
     ctx = ChainContext(s)
     ctx3 = ChainContext(state["s3"])
     p = build_projection(s)
-    ch0 = chern_even(ctx, p, 0)
-    ch1 = chern_even(ctx, p, 1)
-    ch2 = chern_even(ctx, p, 2)
     U = embed_M2(ys.Y, s.base.backend.i)
     Ud = U.dagger()
-    chh = chern_odd(ctx3, U, 0)
-    ch32 = chern_odd(ctx3, U, 1)
-    should_vanish = {
-        "ch0_zero": ch0,
-        "ch_half_zero": chh,
-        "ch1_zero": ch1,
+    ch = {
+        "ch0": chern_even(ctx, p, 0),
+        "ch1": chern_even(ctx, p, 1),
+        "ch2": chern_even(ctx, p, 2),
+        "ch_half": chern_odd(ctx3, U, 0),
+        "ch_3half": chern_odd(ctx3, U, 1),
+    }
+    zero = {"ch0_zero": ch["ch0"], "ch_half_zero": ch["ch_half"], "ch1_zero": ch["ch1"]}
+    closing = {
         # through the matrix faces: about 12x cheaper than b on the chains'
         # terms; ch_3half is <U x U* x U x U*> - <U* x U x U* x U>
         "b_ch2_zero": trace_boundary(ctx, chern_even_word(ctx, p, 2)),
         "b_ch32_zero": trace_boundary(ctx3, [U, Ud] * 2) - trace_boundary(ctx3, [Ud, U] * 2),
-        "B_ch0_equals_b_ch1": B_boundary(ch0) - b_boundary(ch1),
+        "B_ch0_equals_b_ch1": B_boundary(ch["ch0"]) - b_boundary(ch["ch1"]),
     }
-    closures = {name: should_vanish[name].is_zero()
-                for name in ("b_ch2_zero", "b_ch32_zero", "B_ch0_equals_b_ch1")}
-    components = {
-        "ch0": ch0.digest(),
-        "ch_half": chh.digest(),
-        "ch1": ch1.digest(),
-        "ch2": ch2.digest(),
-        "ch_3half": ch32.digest(),
-    }
-    vanishing = {
-        "ch0_zero": ch0.is_zero(),
-        "ch_half_zero": chh.is_zero(),
-        "ch1_zero": ch1.is_zero(),
-        "ch2_nonzero": not ch2.is_zero(),
-        "ch_3half_nonzero": not ch32.is_zero(),
-    }
+    top = {"ch2_nonzero": ch["ch2"], "ch_3half_nonzero": ch["ch_3half"]}
+    vanishing = {name: chain.is_zero() for name, chain in zero.items()}
+    vanishing.update((name, not chain.is_zero()) for name, chain in top.items())
+    closures = {name: chain.is_zero() for name, chain in closing.items()}
     vanzz = check_vanzz_equivalence(ctx, ys)
-    passed = (all(vanishing.values()) and all(closures.values())
-              and vanzz["agree"])
     # each failing zero-verdict names the first term of its chain, each
     # failing nonzero verdict says that its chain is empty
     witnesses = {name: chain.first_term()
-                 for name, chain in should_vanish.items() if not chain.is_zero()}
+                 for name, chain in {**zero, **closing}.items() if not chain.is_zero()}
     witnesses.update((name, "the chain has no terms")
-                     for name, chain in (("ch2_nonzero", ch2), ("ch_3half_nonzero", ch32))
-                     if chain.is_zero())
+                     for name, chain in top.items() if chain.is_zero())
     return {
-        "passed": passed,
-        "components": components,
+        "passed": all(vanishing.values()) and all(closures.values()) and vanzz["agree"],
+        "components": {name: chain.digest() for name, chain in ch.items()},
         "vanishing": vanishing,
         "closures": closures,
         "star_chain_equivalence": vanzz,
@@ -270,12 +234,23 @@ def _task_coaction(spec: RunSpec, state: dict) -> dict:
     }
 
 
-_TASK_FNS = {
-    "conditions": _task_conditions,
-    "algebra": _task_algebra,
-    "sphere": _task_sphere,
-    "chern": _task_chern,
-    "coaction": _task_coaction,
+# every task with its prerequisites, in execution order
+_TASKS = {
+    "conditions": (_task_conditions, ()),
+    "algebra": (_task_algebra, ("conditions",)),
+    "sphere": (_task_sphere, ("conditions", "algebra")),
+    "chern": (_task_chern, ("conditions", "algebra", "sphere")),
+    "coaction": (_task_coaction, ("conditions", "algebra", "sphere")),
+}
+TASKS = tuple(_TASKS)
+
+_VERB_TASKS = {
+    "check": ("conditions",),
+    "sphere": ("sphere",),
+    "chern": ("chern",),
+    "coaction": ("coaction",),
+    "report": TASKS,
+    "sweep": ("conditions", "algebra", "sphere", "coaction"),
 }
 
 
@@ -291,18 +266,17 @@ def run(spec: RunSpec):
     }
     timings = {}
     state: dict = {}
-    failed_at = None
     for task in spec.closure():
-        if failed_at is not None:
-            report["tasks"][task] = {
-                "skipped": True,
-                "reason": f"prerequisite {failed_at!r} failed",
-            }
+        fn, requires = _TASKS[task]
+        blocked = next((r for r in requires if not report["tasks"][r].get("passed")), None)
+        if blocked is not None:
+            report["tasks"][task] = {"skipped": True,
+                                     "reason": f"prerequisite {blocked!r} failed"}
             report["passed"] = False
             continue
         t0 = time.perf_counter()
         try:
-            result = _TASK_FNS[task](spec, state)
+            result = fn(spec, state)
         except NCSpheresError as exc:
             result = {"passed": False,
                       "error": {"type": type(exc).__name__, "detail": str(exc)}}
@@ -310,7 +284,6 @@ def run(spec: RunSpec):
         report["tasks"][task] = result
         if not result["passed"]:
             report["passed"] = False
-            failed_at = task
     return report, timings
 
 
@@ -328,22 +301,14 @@ def sweep(points, backend_name="exact", tol=1e-9):
 
 def sweep_csv(points, results) -> str:
     """Summary table: point, commutative flag, pass/fail bits, theta."""
-    task_cols = sorted({t for report, _ in results for t in report["tasks"]},
-                       key=TASKS.index)
+    task_cols = _VERB_TASKS["sweep"]
     lines = ["point,commutative," + ",".join(task_cols) + ",theta"]
     for p, (report, _) in zip(points, results):
         # R is the flip at u0 = 1; at u0 = -1 the two families anticommute
         commutative = "commutative" if p.u0 == 1 else ""
-        bits = []
-        for t in task_cols:
-            entry = report["tasks"].get(t)
-            if entry is None:
-                bits.append("")
-            elif entry.get("skipped"):
-                bits.append("skipped")
-            else:
-                bits.append("pass" if entry["passed"] else "fail")
-        theta = report["tasks"].get("sphere", {}).get("theta")
+        bits = ["skipped" if e.get("skipped") else "pass" if e["passed"] else "fail"
+                for e in (report["tasks"][t] for t in task_cols)]
+        theta = report["tasks"]["sphere"].get("theta")
         if theta is None:
             theta_txt = ""
         elif isinstance(theta, complex):

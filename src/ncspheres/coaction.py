@@ -324,20 +324,20 @@ def check_comodule_algebra(co: Coaction) -> dict:
     """Relation preservation, star compatibility, coassociativity, counit.
 
     Relation preservation: delta is well defined iff the images satisfy the
-    normal-ordering relations.  For each out-of-order generator pair gi > gj
-    the coaction applied to the normal form of x_gi x_gj must equal the
-    product of the images; for gi <= gj that word is already normal and
-    delta multiplies the same images in the same order, so those pairs are
-    not formed.  With the sphere relation x^2 -> 1 (x) 1.  Star
-    compatibility is checked on the generator images and the comodule laws
-    on the two tables.
+    normal-ordering relations.  For x2 generator gi and x1 generator gj the
+    coaction applied to the normal form of x_gi x_gj must equal the product
+    of the images.  No other pair is formed: for gi <= gj the word is normal
+    and delta multiplies the same images in the same order, and a family's
+    images lie in that family (x) H, where both factors commute.  With the
+    sphere relation x^2 -> 1 (x) 1.  Star compatibility is checked on the
+    generator images and the comodule laws on the two tables.
     """
     s = co.sphere
     alg = s.base
     be = alg.backend
     relations = {f"g{gi}*g{gj}": co.images[gi] * co.images[gj]
                  - co.delta(alg.generator(gi) * alg.generator(gj))
-                 for gi in range(8) for gj in range(gi)}
+                 for gi in range(4, 8) for gj in range(4)}
     relations["x^2 - 1"] = co.delta(alg.casimir()) - MixedElement.from_poly(s, alg.one())
     failures = [{"relation": name, "residual": diff.residual()}
                 for name, diff in relations.items() if not diff.is_zero()]

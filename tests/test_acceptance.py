@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from ncspheres.cli import CATALOG, RunSpec, canonical_json, run, sweep
+from ncspheres.cli import (CATALOG, RunSpec, canonical_json, run, sweep,
+                           sweep_csv)
 from ncspheres.coaction import (canonical_witness, check_comodule_algebra,
                                 coinvariant_report, derivation,
                                 derivation_reports, diagonal_coaction,
@@ -247,10 +248,11 @@ def test_c8_float_backend_reproduces_exact_identities():
     assert components == (GOLDEN / "chern_float_components.json").read_text()
 
 
-@pytest.mark.parametrize("backend_name, golden",
-                         [("exact", "sweep.json"), ("float", "sweep_float.json")],
+@pytest.mark.parametrize("backend_name, golden, golden_csv",
+                         [("exact", "sweep.json", "sweep.csv"),
+                          ("float", "sweep_float.json", "sweep_float.csv")],
                          ids=["exact", "float"])
-def test_c9_sweep_reports_are_byte_identical(backend_name, golden):
+def test_c9_sweep_reports_are_byte_identical(backend_name, golden, golden_csv):
     points = [DeformParams.parse(label) for label in CATALOG]
     first = sweep(points, backend_name=backend_name)
     second = sweep(points, backend_name=backend_name)
@@ -259,3 +261,4 @@ def test_c9_sweep_reports_are_byte_identical(backend_name, golden):
     blob2 = canonical_json([rep for rep, _ in second])
     assert blob1 == blob2
     assert blob1 == (GOLDEN / golden).read_text()
+    assert sweep_csv(points, first) == (GOLDEN / golden_csv).read_text()

@@ -67,13 +67,30 @@ def test_failing_task_skips_downstream(monkeypatch):
     def boom(spec, state):
         raise InvalidSpec("forced failure")
 
-    monkeypatch.setitem(cli._TASK_FNS, "algebra", boom)
+    monkeypatch.setitem(cli._TASKS, "algebra", (boom, cli._TASKS["algebra"][1]))
     report, _ = run(_spec(tasks=("sphere",)))
     assert not report["passed"]
     assert report["tasks"]["conditions"]["passed"]
     assert report["tasks"]["algebra"]["error"]["detail"] == "forced failure"
     assert report["tasks"]["sphere"] == {
         "skipped": True, "reason": "prerequisite 'algebra' failed"}
+
+
+def test_failing_task_skips_only_the_tasks_that_list_it(monkeypatch, capsys):
+    """coaction does not list chern as a prerequisite, so it runs and passes
+    when chern fails; the report and the report verb still fail."""
+    def boom(spec, state):
+        raise InvalidSpec("forced chern failure")
+
+    monkeypatch.setitem(cli._TASKS, "chern", (boom, cli._TASKS["chern"][1]))
+    report, _ = run(_spec("1,0,0", tasks=cli.TASKS))
+    assert not report["passed"]
+    assert report["tasks"]["chern"] == {
+        "passed": False,
+        "error": {"type": "InvalidSpec", "detail": "forced chern failure"}}
+    assert report["tasks"]["coaction"]["passed"]
+    assert main(["report", "--params", "1,0,0", "--quiet"]) == 1
+    capsys.readouterr()
 
 
 def test_sweep_needs_points():
@@ -147,8 +164,8 @@ def test_main_exit_codes(capsys):
 
 def test_main_returns_one_on_task_failure(monkeypatch, capsys):
     monkeypatch.setitem(
-        cli._TASK_FNS, "conditions",
-        lambda spec, state: {"passed": False, "error": {"detail": "nope"}})
+        cli._TASKS, "conditions",
+        (lambda spec, state: {"passed": False, "error": {"detail": "nope"}}, ()))
     assert main(["check", "--quiet"]) == 1
     capsys.readouterr()
 
@@ -217,6 +234,9 @@ def test_constant_projection_and_unitary_fail_the_nonzero_verdicts(
     assert not chern["passed"]
     assert chern["vanishing"]["ch2_nonzero"] is False
     assert chern["vanishing"]["ch_3half_nonzero"] is False
+    failing = {name for verdicts in (chern["vanishing"], chern["closures"])
+               for name, ok in verdicts.items() if not ok}
+    assert set(chern["witnesses"]) == failing
     assert chern["witnesses"]["ch2_nonzero"] == "the chain has no terms"
     assert chern["witnesses"]["ch_3half_nonzero"] == "the chain has no terms"
     jsonschema.validate(report, _schema())
