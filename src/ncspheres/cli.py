@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .homology import (B_boundary, ChainContext, b_boundary, chern_even,
 from .ncalg import DEGREE_CAP, Algebra, basis_size, confluence_check
 from .quatlin import embed_M2
 from .rmatrix import DeformParams, build_R_quaternionic, check_all_conditions
-from .scalars import EXACT, GaussRational, float_backend
+from .scalars import EXACT, FLOAT, GaussRational
 from .spheres import (build_projection, build_sphere, check_normality,
                       compute_Y, diagonalize_lambda, lambda_reports,
                       projection_checks, suspension_reports,
@@ -51,7 +50,6 @@ class RunSpec:
     params: DeformParams
     backend_name: str = "exact"
     tasks: tuple = ("conditions",)
-    tol: float = 1e-9
 
     def validate(self) -> None:
         if self.backend_name not in ("exact", "float"):
@@ -61,12 +59,10 @@ class RunSpec:
         for t in self.tasks:
             if t not in TASKS:
                 raise InvalidSpec(f"unknown task {t!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidSpec(f"tolerance must be finite and > 0, got {self.tol}")
         self.params.validate()
 
     def backend(self):
-        return EXACT if self.backend_name == "exact" else float_backend(self.tol)
+        return EXACT if self.backend_name == "exact" else FLOAT
 
     def closure(self) -> tuple:
         """Requested tasks plus their prerequisites, in execution order."""
@@ -80,7 +76,7 @@ class RunSpec:
             "params": self.params.label(),
             "backend": self.backend_name,
             "tasks": list(self.closure()),
-            "tol": self.tol,
+            "tol": FLOAT.tol,
             "degree_cap": DEGREE_CAP,
         }
 
@@ -287,16 +283,21 @@ def run(spec: RunSpec):
     return report, timings
 
 
-def sweep(points, backend_name="exact", tol=1e-9):
+def sweep(points, backend_name="exact"):
     """Run the pipeline at each point in order; one (report, timings) each."""
     if not points:
         raise InvalidSpec("sweep needs at least one parameter point")
     specs = [RunSpec(params=p, backend_name=backend_name,
-                     tasks=_VERB_TASKS["sweep"], tol=tol)
+                     tasks=_VERB_TASKS["sweep"])
              for p in points]
     for s in specs:
         s.validate()
     return [run(s) for s in specs]
+
+
+def _status(entry) -> str:
+    """A task entry's status: skipped, pass or fail."""
+    return "skipped" if entry.get("skipped") else "pass" if entry["passed"] else "fail"
 
 
 def sweep_csv(points, results) -> str:
@@ -306,8 +307,7 @@ def sweep_csv(points, results) -> str:
     for p, (report, _) in zip(points, results):
         # R is the flip at u0 = 1; at u0 = -1 the two families anticommute
         commutative = "commutative" if p.u0 == 1 else ""
-        bits = ["skipped" if e.get("skipped") else "pass" if e["passed"] else "fail"
-                for e in (report["tasks"][t] for t in task_cols)]
+        bits = [_status(report["tasks"][t]) for t in task_cols]
         theta = report["tasks"]["sphere"].get("theta")
         if theta is None:
             theta_txt = ""
@@ -325,13 +325,10 @@ def _emit_report(report, timings, args):
         spec = report["spec"]
         print(f"point {spec['params']}  backend {spec['backend']}")
         for task, entry in report["tasks"].items():
-            if entry.get("skipped"):
-                print(f"  {task}: SKIPPED ({entry['reason']})")
-            elif entry["passed"]:
-                print(f"  {task}: PASS")
-            else:
-                detail = entry.get("error", {}).get("detail", "")
-                print(f"  {task}: FAIL {detail}")
+            status = _status(entry)
+            detail = {"skipped": f" ({entry.get('reason')})",
+                      "fail": " " + entry.get("error", {}).get("detail", "")}.get(status, "")
+            print(f"  {task}: {status.upper()}{detail}")
         print("PASS" if report["passed"] else "FAIL")
     _print_timings(report, timings)
 
@@ -349,11 +346,10 @@ def main(argv=None) -> int:
     parser.add_argument("verb", choices=sorted(_VERB_TASKS),
                         help="which pipeline to run")
     parser.add_argument("--params", default="3/5,4/5,0",
-                        help="parameter point u0,u1,u2 (rationals)")
+                        help="parameter point u0,u1,u2 (rationals); write "
+                             "--params=-1,0,0 when u0 is negative")
     parser.add_argument("--backend", default="exact",
                         choices=("exact", "float"))
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="float-backend zero tolerance")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the canonical JSON report here")
     parser.add_argument("--quiet", action="store_true",
@@ -363,7 +359,7 @@ def main(argv=None) -> int:
     try:
         if args.verb == "sweep":
             points = [DeformParams.parse(lbl) for lbl in CATALOG]
-            results = sweep(points, backend_name=args.backend, tol=args.tol)
+            results = sweep(points, backend_name=args.backend)
             print(sweep_csv(points, results), end="")
             for report, timings in results:
                 _print_timings(report, timings)
@@ -372,8 +368,7 @@ def main(argv=None) -> int:
         else:
             spec = RunSpec(params=DeformParams.parse(args.params),
                            backend_name=args.backend,
-                           tasks=_VERB_TASKS[args.verb],
-                           tol=args.tol)
+                           tasks=_VERB_TASKS[args.verb])
             payload, timings = run(spec)
             _emit_report(payload, timings, args)
             passed = payload["passed"]

@@ -92,7 +92,6 @@ class Algebra:
         # the rewrite rules: x^a x^b -> sum c x^c x^d, read off at each redex
         self.exchange = build_BigR(R)
         self._swap_cache = {}
-        self._star_cache = {}
 
     # -- monomial multiplication --------------------------------------
 
@@ -138,12 +137,8 @@ class Algebra:
 
     def star_mono(self, m):
         """Star of a normal monomial: reverse the word, generators hermitian."""
-        hit = self._star_cache.get(m)
-        if hit is None:
-            # (x1^a x2^b)* = x2^b x1^a since each family is commutative
-            hit = {f1 + f2: c for (f1, f2), c in self._swap(m[4:], m[:4]).items()}
-            self._star_cache[m] = hit
-        return hit
+        # (x1^a x2^b)* = x2^b x1^a since each family is commutative
+        return {f1 + f2: c for (f1, f2), c in self._swap(m[4:], m[:4]).items()}
 
     # -- polynomial constructors ---------------------------------------
 

@@ -247,17 +247,7 @@ class Backend:
 
 
 EXACT = Backend("exact", exact=True)
-
-
-_FLOAT_BACKENDS = {}
-
-
-def float_backend(tol: float = 1e-9) -> Backend:
-    """The one float backend per tol value, so per-backend caches hit."""
-    be = _FLOAT_BACKENDS.get(tol)
-    if be is None:
-        be = _FLOAT_BACKENDS[tol] = Backend("float", exact=False, tol=tol)
-    return be
+FLOAT = Backend("float", exact=False, tol=1e-9)
 
 
 def row_reduce(rows: list, ncols: int, be: Backend) -> list:

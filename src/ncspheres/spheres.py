@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from .errors import InvalidSpec, IrrationalEigenvalue, NotAPerfectSquare
 from .ncalg import NGEN, Algebra, NCPoly, ReductionContext, mono_key
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
-from .scalars import Backend, GaussRational, all_zero, row_reduce, sqrt_exact
+from .scalars import Backend, all_zero, row_reduce, sqrt_exact
 
 
 @dataclass
@@ -240,28 +239,23 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
 
     x1, x2 = quaternion_generators(alg)
 
-    # closed forms of the components and their stars
-    diffs = [ys.Y[0] - 2 * sum((x2[m] * x1[m] for m in range(4)), alg.zero())]
-    for k in (1, 2, 3):
-        f = x2[k] * x1[0] - x2[0] * x1[k]
-        for n in (1, 2, 3):
-            for m in (1, 2, 3):
-                e = epsilon(k, n, m)
-                if e:
-                    f = f - e * (x2[n] * x1[m])
-        diffs.append(ys.Y[k] - 2 * f)
-    rep("y_closed_form", diffs)
+    def expansion(a, b):
+        """2 a conj(b), each component written out with epsilon."""
+        out = [2 * sum((a[m] * b[m] for m in range(4)), alg.zero())]
+        for k in (1, 2, 3):
+            f = a[k] * b[0] - a[0] * b[k]
+            for n in (1, 2, 3):
+                for m in (1, 2, 3):
+                    e = epsilon(k, n, m)
+                    if e:
+                        f = f - e * (a[n] * b[m])
+            out.append(2 * f)
+        return out
 
-    diffs = [ys.Ystar[0] - 2 * sum((x1[m] * x2[m] for m in range(4)), alg.zero())]
-    for k in (1, 2, 3):
-        f = x1[0] * x2[k] - x1[k] * x2[0]
-        for n in (1, 2, 3):
-            for m in (1, 2, 3):
-                e = epsilon(k, n, m)
-                if e:
-                    f = f + e * (x1[n] * x2[m])
-        diffs.append(ys.Ystar[k] - 2 * f)
-    rep("ystar_closed_form", diffs)
+    # closed forms of the components and their stars
+    rep("y_closed_form", [y - c for y, c in zip(ys.Y, expansion(x2, x1))])
+    rep("ystar_closed_form",
+        [y - c for y, c in zip(ys.Ystar, quat_conjugate(expansion(x1, x2)))])
 
     # Y4 central hermitian
     rep("y4_central_hermitian", [ys.Y4 - ys.Y4.star()] + commutators(ys.Y4))
@@ -404,20 +398,13 @@ def diagonalize_lambda(ys: YSystem, backend: Backend) -> dict:
     The exact backend requires s rational and raises IrrationalEigenvalue
     otherwise.
     """
-    u0f, u1f, u2f = (Fraction(v) for v in (ys.params.u0, ys.params.u1, ys.params.u2))
-    s2 = u1f * u1f + u2f * u2f
-    if backend.exact:
-        try:
-            sval = sqrt_exact(s2)
-        except NotAPerfectSquare:
-            raise IrrationalEigenvalue(
-                f"sqrt({s2}) is irrational; no exact eigenvalue at this point") from None
-        lam_plus = GaussRational(u0f, sval)
-        lam_minus = GaussRational(u0f, -sval)
-        theta = lam_plus * lam_plus
-    else:
-        sf = math.sqrt(float(s2))
-        lam_plus = complex(float(u0f), sf)
-        lam_minus = complex(float(u0f), -sf)
-        theta = lam_plus * lam_plus
-    return {"eigenvalues": (lam_plus, lam_minus), "theta": theta}
+    params = ys.params
+    s2 = params.u1 * params.u1 + params.u2 * params.u2
+    try:
+        s = sqrt_exact(s2) if backend.exact else math.sqrt(s2)
+    except NotAPerfectSquare:
+        raise IrrationalEigenvalue(
+            f"sqrt({s2}) is irrational; no exact eigenvalue at this point") from None
+    u0, i_s = backend.convert(params.u0), backend.i * backend.convert(s)
+    lam_plus = u0 + i_s
+    return {"eigenvalues": (lam_plus, u0 - i_s), "theta": lam_plus * lam_plus}

@@ -20,7 +20,7 @@ from ncspheres.errors import DegreeOverflow
 from ncspheres.ncalg import NCPoly, basis_monomials
 from ncspheres.quatlin import epsilon
 from ncspheres.rmatrix import DeformParams
-from ncspheres.scalars import EXACT, float_backend
+from ncspheres.scalars import EXACT, FLOAT
 
 from conftest import make_point
 
@@ -39,7 +39,7 @@ def test_hopf_axioms_exact():
 
 
 def test_hopf_axioms_float():
-    for rep in check_hopf_axioms(float_backend()):
+    for rep in check_hopf_axioms(FLOAT):
         assert rep.passed and rep.max_residual <= 1e-9
 
 
@@ -54,7 +54,7 @@ def test_hopf_generators_are_built_once_per_backend(monkeypatch):
     monkeypatch.setattr(coaction, "hopf_delta_gen", counting)
     coaction._hopf_gens.cache_clear()
     coaction._hopf_axiom_reports.cache_clear()
-    be = float_backend()
+    be = FLOAT
     first = check_hopf_axioms(be)
     assert check_hopf_axioms(be) == first
     assert sorted(built) == [0, 1, 2, 3]
@@ -83,7 +83,7 @@ def _written_out_delta_gen(backend, mu):
 
 
 def test_hopf_delta_gen_matches_the_written_out_coproduct():
-    for be in (EXACT, float_backend()):
+    for be in (EXACT, FLOAT):
         for mu in range(4):
             got = coaction.hopf_delta_gen(be, mu)
             want = _written_out_delta_gen(be, mu)
@@ -114,11 +114,10 @@ def _sweep_counting_hopf_checks(monkeypatch, backend_name, be):
 
 
 def test_hopf_axioms_are_checked_once_across_a_float_sweep(monkeypatch):
-    results, runs, built = _sweep_counting_hopf_checks(monkeypatch, "float", float_backend())
+    results, runs, built = _sweep_counting_hopf_checks(monkeypatch, "float", FLOAT)
     assert all(r["passed"] for r, _ in results)
     assert runs == 1
     assert sorted(built) == [0, 1, 2, 3]
-    assert float_backend() is float_backend(1e-9)
 
 
 def test_hopf_axioms_are_checked_once_across_a_sweep(monkeypatch):
@@ -133,7 +132,7 @@ def test_hopf_axioms_are_checked_once_across_a_sweep(monkeypatch):
 
 
 def test_mutating_the_returned_reports_leaves_the_next_call_alone():
-    be = float_backend()
+    be = FLOAT
     first = check_hopf_axioms(be)
     kept = list(first)
     first.reverse()
@@ -165,7 +164,7 @@ def test_norm_relation_reduces_each_tensor_factor_on_its_own():
 def test_tensor_product_multiplies_factorwise():
     """(f (x) g)(f' (x) g') = f f' (x) g g', including through the norm
     relation."""
-    for be in (EXACT, float_backend()):
+    for be in (EXACT, FLOAT):
         w = [CommPoly.generator(be, mu) for mu in range(4)]
         f, g = w[3] + w[1] * w[2], w[0] - w[3]
         f2, g2 = w[3] * w[0], w[3] + w[2] * be.convert(Fraction(1, 2))
@@ -173,7 +172,7 @@ def test_tensor_product_multiplies_factorwise():
 
 
 def test_coproduct_is_multiplicative_on_degree_two():
-    for be in (EXACT, float_backend()):
+    for be in (EXACT, FLOAT):
         w = [CommPoly.generator(be, mu) for mu in range(4)]
         for a in range(4):
             for b in range(a, 4):
@@ -214,7 +213,7 @@ def test_diagonal_coaction_is_a_comodule_algebra(diag):
 
 @pytest.mark.parametrize("build", [diagonal_coaction, one_sided_left_coaction],
                          ids=["diagonal", "one_sided"])
-@pytest.mark.parametrize("be", [EXACT, float_backend()], ids=["exact", "float"])
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
 @pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
 def test_ordered_generator_pairs_preserve_the_relations_by_construction(label, be, build):
     """check_comodule_algebra skips the pairs gi <= gj, where x_gi x_gj is
@@ -335,7 +334,7 @@ def test_derivation_matches_generator_products_on_the_basis(label, backend, requ
     if backend == "exact":
         _, alg, _, _ = request.getfixturevalue("pyth" if label == "3/5,4/5,0" else "mixed")
     else:
-        _, alg, _, _ = make_point(label, float_backend())
+        _, alg, _, _ = make_point(label, FLOAT)
     one = alg.backend.one
     monos = [m for k in range(5) for m in basis_monomials(k)]
     assert len(monos) == 495
@@ -404,7 +403,7 @@ def test_one_sided_action_fails_even_when_commutative(classical):
 
 def test_float_backend_coaction_residuals(pyth):
     from conftest import make_point
-    _, _, s, ys = make_point("3/5,4/5,0", backend=float_backend())
+    _, _, s, ys = make_point("3/5,4/5,0", backend=FLOAT)
     co = diagonal_coaction(s)
     rep = check_comodule_algebra(co)
     assert rep["passed"] and rep["max_residual"] <= 1e-9

@@ -14,7 +14,7 @@ from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, TensorChain,
                                 check_vanzz_equivalence, matrix_half_shift,
                                 trace_boundary, trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
-from ncspheres.scalars import add_into, float_backend
+from ncspheres.scalars import FLOAT, add_into
 from ncspheres.spheres import build_projection, three_sphere_context
 
 from conftest import make_point
@@ -322,11 +322,11 @@ def _agree_within_tol(got, want):
                 for key, v in chain.terms.items()}
     got, want = named(got), named(want)
     assert set(got) == set(want)
-    assert max((abs(got[k] - want[k]) for k in got), default=0.0) <= float_backend().tol
+    assert max((abs(got[k] - want[k]) for k in got), default=0.0) <= FLOAT.tol
 
 
 def test_factored_trace_matches_the_walk_on_floats():
-    _, _, s, _ = make_point("1/3,2/3,2/3", float_backend())
+    _, _, s, _ = make_point("1/3,2/3,2/3", FLOAT)
     ctx = ChainContext(s)
     for name, word in _oracle_words(ctx, random.Random(4)):
         want = _walk_trace(ctx, word)
@@ -343,7 +343,7 @@ def test_float_chern_components_agree_with_the_exact_chains(pyth):
         return chern_even(ChainContext(s), build_projection(s), 2), chern_odd(ctx3, U, 1)
 
     exact = components(*pyth[2:])
-    floats = components(*make_point("3/5,4/5,0", float_backend())[2:])
+    floats = components(*make_point("3/5,4/5,0", FLOAT)[2:])
     for got, want in zip(floats, exact):
         assert not want.is_zero()
         _agree_within_tol(got, want)

@@ -13,7 +13,7 @@ from ncspheres.ncalg import (Algebra, NCPoly, ReductionContext,
                              basis_monomials, basis_size, central_witness,
                              confluence_check, format_poly, mono_key)
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
-from ncspheres.scalars import (EXACT, GaussRational, add_into, float_backend,
+from ncspheres.scalars import (EXACT, FLOAT, GaussRational, add_into,
                                parse_rational)
 from ncspheres.spheres import three_sphere_context
 
@@ -122,7 +122,7 @@ def test_perturbed_tensor_fails_the_confluence_certificate(label, entry, witness
     """Negative control: one R entry off by 1/7 breaks associativity on the
     generators, and the first failing triple is the witness (the witnesses
     are the ones the leftmost/rightmost word rewriter gave)."""
-    be = EXACT if backend == "exact" else float_backend()
+    be = EXACT if backend == "exact" else FLOAT
     R = build_R_quaternionic(DeformParams.parse(label), be)
     lam, alpha, beta, mu = entry
     R.data[lam][alpha][beta][mu] += be.convert(Fraction(1, 7))
@@ -347,7 +347,7 @@ def test_division_matches_the_echelon_oracle(label, backend, request):
         _, alg, s, ys = request.getfixturevalue(
             "pyth" if label == "3/5,4/5,0" else "mixed")
     else:
-        be = float_backend()
+        be = FLOAT
         _, alg, s, ys = make_point(label, be)
     monos = [m for k in range(9) for m in basis_monomials(k)]
     assert len(monos) == 12870
@@ -368,7 +368,7 @@ def test_normal_monomials_follow_the_leads(label, backend):
     """Through degree 6 an S7 monomial is its own normal form iff its x2_3
     exponent is at most 1, and an S3 monomial iff in addition its x1_3
     exponent is at most 3: the Hilbert series the division relies on."""
-    be = EXACT if backend == "exact" else float_backend()
+    be = EXACT if backend == "exact" else FLOAT
     _, alg, s, ys = make_point(label, be)
     (_, s7, _), (_, s3, _) = _sphere_relations(s, ys)
     for k in range(7):

@@ -12,7 +12,7 @@ from ncspheres.rmatrix import (DeformParams, build_BigR, build_R_quaternionic,
                                check_quadratic_1, check_quadratic_2,
                                check_reality, check_symmetry_chain,
                                check_yang_baxter, invert_16x16)
-from ncspheres.scalars import EXACT, GaussRational, float_backend
+from ncspheres.scalars import EXACT, FLOAT, GaussRational
 
 CONDITION_NAMES = ("reality", "symmetry_chain", "quadratic_1", "quadratic_2",
                    "involutive", "yang_baxter")
@@ -185,7 +185,7 @@ def test_general_builder_agrees_with_direct():
 
 def test_off_sphere_v_vector_rejected():
     # the builder validates the parameter vector before it builds anything
-    for be in (EXACT, float_backend()):
+    for be in (EXACT, FLOAT):
         with pytest.raises(ParamsNotOnSphere):
             build_R_quaternionic(DeformParams(Fraction(1), Fraction(1), Fraction(0)), be)
 
@@ -263,7 +263,7 @@ def test_perturbed_entry_fails_symmetry_chain(idx, delta, tag):
 def test_entry_below_tolerance_takes_part_in_contractions():
     """A float entry that is nonzero but below tol still enters the sums,
     and the exchange rows, which read the same entries."""
-    be = float_backend(1e-9)
+    be = FLOAT
     R = build_R_quaternionic(DeformParams.parse("3/5,4/5,0"), be)
     assert R.data[0][1][2][3] == 0
     R.data[0][1][2][3] = 1e-12
@@ -328,7 +328,7 @@ def test_conditions_on_random_circle_points(p):
 
 
 def test_float_backend_residuals_small():
-    be = float_backend(1e-9)
+    be = FLOAT
     R = build_R_quaternionic(DeformParams.parse("3/5,4/5,0"), be)
     for r in check_all_conditions(R):
         assert r.passed
@@ -347,7 +347,7 @@ def test_items_reads_current_entries():
     assert ((0, 1, 2, 3), GaussRational(Fraction(1, 7), 0)) in after
     R.data[0][1][2][3] = EXACT.zero
     assert R.items() == before
-    Rf = build_R_quaternionic(p, float_backend())
+    Rf = build_R_quaternionic(p, FLOAT)
     n = len(Rf.items())
     Rf.data[0][1][2][3] = 1e-12 + 0j
     assert len(Rf.items()) == n + 1

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from ncspheres.coaction import H_ONE, CommPoly
 from ncspheres.errors import (MalformedNumber, NegativeInput,
                               NotAPerfectSquare, ZeroDenominator)
-from ncspheres.scalars import (EXACT, GaussRational, add_into, all_zero,
-                               float_backend, max_residual, parse_rational,
+from ncspheres.scalars import (EXACT, FLOAT, Backend, GaussRational, add_into,
+                               all_zero, max_residual, parse_rational,
                                row_reduce, sqrt_exact)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=40)
@@ -205,7 +205,7 @@ def test_exact_abs_does_not_underflow():
     assert abs(GaussRational(Fraction(1, 10**330))) == math.ulp(0.0)
 
 
-@pytest.mark.parametrize("be", [EXACT, float_backend(1e-9)], ids=["exact", "float"])
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
 def test_all_zero_is_the_backend_zero_test(be):
     """One pass rule on both backends: a scalar by be.is_zero, a Sparse value
     by having no terms; max_residual only displays."""
@@ -231,7 +231,7 @@ def test_sparse_arithmetic_rejects_a_scalar_operand():
 
 
 def test_float_backend_tolerance():
-    be = float_backend(1e-9)
+    be = FLOAT
     assert be.is_zero(1e-12 + 0j)
     assert not be.is_zero(1e-6 + 0j)
     assert be.convert(GaussRational(Fraction(1, 2), Fraction(-1, 4))) == 0.5 - 0.25j
@@ -245,7 +245,7 @@ def test_exact_backend_rejects_floats():
 @given(rationals, rationals)
 def test_backend_conversion_agrees(re, im):
     z = GaussRational(re, im)
-    fz = float_backend(1e-9).convert(z)
+    fz = FLOAT.convert(z)
     assert abs(fz - complex(float(re), float(im))) < 1e-12
 
 
@@ -285,10 +285,10 @@ def test_row_reduce_skips_float_entries_below_tol():
     coarse = rows()
     # column 0 holds only 1e-12 <= tol: no pivot there; column 1 pivots on
     # its largest entry, 2, and leaves the tiny entry where it was
-    assert row_reduce(coarse, 2, float_backend(1e-9)) == [1]
+    assert row_reduce(coarse, 2, FLOAT) == [1]
     assert coarse == [[0, 1], [1e-12, 0]]
     fine = rows()
-    assert row_reduce(fine, 2, float_backend(1e-15)) == [0, 1]
+    assert row_reduce(fine, 2, Backend("float", exact=False, tol=1e-15)) == [0, 1]
     assert fine == [[1, 0], [0, 1]]
 
 

@@ -6,7 +6,7 @@ from ncspheres.errors import InvalidSpec, IrrationalEigenvalue
 from ncspheres.ncalg import Algebra
 from ncspheres.quatlin import epsilon
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
-from ncspheres.scalars import EXACT, GaussRational, float_backend
+from ncspheres.scalars import EXACT, FLOAT, GaussRational
 from ncspheres.spheres import (YSystem, build_projection, build_sphere,
                                check_normality,
                                diagonalize_lambda, lambda_closed_form,
@@ -87,18 +87,21 @@ def test_exact_eigenphases_at_pythagorean_points():
         _, _, _, ys = make_point(label)
         got = diagonalize_lambda(ys, EXACT)
         assert got["theta"] == want
-        lam_plus, _ = got["eigenvalues"]
+        lam_plus, lam_minus = got["eigenvalues"]
         # theta is the square of the normalized eigenvalue, which is unimodular
         assert lam_plus * lam_plus == want
         assert (lam_plus * lam_plus.conjugate()).re == 1
+        assert lam_minus == lam_plus.conjugate()
 
 
 def test_irrational_point_raises_exact_but_works_float(mixed):
     _, _, _, ys = mixed
     with pytest.raises(IrrationalEigenvalue):
         diagonalize_lambda(ys, EXACT)
-    got = diagonalize_lambda(ys, float_backend(1e-9))
+    got = diagonalize_lambda(ys, FLOAT)
     assert abs(abs(got["theta"]) - 1.0) < 1e-12
+    lam_plus, lam_minus = got["eigenvalues"]
+    assert lam_minus == lam_plus.conjugate()
 
 
 def test_normality_boundary():
@@ -167,7 +170,7 @@ def test_products_match_the_epsilon_expansions(label, backend):
     of Z is term for term 4sp1 and 4sp2 of Y: on the Y system itself (where
     all of them vanish), on a perturbed star, and on the generator pair
     (x1, x2), which satisfies none of the relations."""
-    be = EXACT if backend == "exact" else float_backend()
+    be = EXACT if backend == "exact" else FLOAT
     _, alg, _, ys = make_point(label, backend=be)
     x1 = tuple(alg.x1(k) for k in range(4))
     x2 = tuple(alg.x2(k) for k in range(4))
@@ -234,7 +237,7 @@ def test_projection_entries_generate_y(pyth):
 
 
 def test_float_backend_full_suite():
-    be = float_backend(1e-9)
+    be = FLOAT
     _, alg, s, ys = make_point("3/5,4/5,0", backend=be)
     for r in verify_Y_relations(s, ys) + lambda_reports(alg, ys) \
             + projection_checks(s):
