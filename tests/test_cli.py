@@ -329,6 +329,16 @@ def test_catalog_points_sit_on_the_sphere():
         DeformParams.parse(label).validate()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "1e-9"])
+def test_main_rejects_bad_tolerance(tol, capsys):
+    """The float tolerance is fixed at FLOAT.tol: any --tol, even the old
+    default, is a usage error, never a run that silently ignores it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--backend", "float", "--tol", tol, "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_sphere_report_names_are_unique():
     report, _ = run(_spec(tasks=("sphere",)))
     names = [r["name"] for r in report["tasks"]["sphere"]["reports"]]
