@@ -12,9 +12,9 @@ from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, TensorChain,
                                 b_boundary, chain_from_slots, chern_even,
                                 chern_even_word, chern_odd,
                                 check_vanzz_equivalence, matrix_half_shift,
-                                trace_boundary, trace_chain)
+                                trace_boundary, trace_chain, _trace_into)
 from ncspheres.quatlin import Mat, embed_M2
-from ncspheres.scalars import FLOAT, add_into
+from ncspheres.scalars import EXACT, FLOAT, add_into
 from ncspheres.spheres import build_projection, three_sphere_context
 
 from conftest import make_point
@@ -313,6 +313,34 @@ def test_factored_trace_equals_the_index_path_walk(point, request):
         if len(word) > 1:
             assert trace_boundary(ctx, word) == b_boundary(want), name
     assert nonzero == len(words)
+
+
+def test_canonical_order_is_the_order_of_the_mono_key_tuples(pyth):
+    """The integer rank key sorts as the tuples of slot mono_keys, on every
+    oracle word and on ch_3half at the main point."""
+    _, _, s, ys = pyth
+    ctx, ctx3 = ChainContext(s), ChainContext(three_sphere_context(s, ys))
+    chains = [trace_chain(ctx, word) for _, word in _oracle_words(ctx, random.Random(4))]
+    chains.append(chern_odd(ctx3, embed_M2(ys.Y, s.base.backend.i), 1))
+    for chain in chains:
+        keys = chain.ctx.mono_keys
+        want = sorted(chain.terms, key=lambda k: tuple(keys[i] for i in k))
+        assert [k for k, _ in chain.canonical_terms()] == want
+
+
+@pytest.mark.parametrize("label, backend, n_terms", [
+    ("3/5,4/5,0", EXACT, 172032), ("3/5,4/5,0", FLOAT, 172032), ("1/3,2/3,2/3", EXACT, 602112)],
+    ids=["exact-3/5,4/5,0", "float-3/5,4/5,0", "exact-1/3,2/3,2/3"])
+def test_trace_expands_only_the_surviving_entries_of_c(label, backend, n_terms):
+    """_trace_into writes exactly the terms of ch2, each of which survives the
+    chain's zero filter; expanding the cancelled entries of c as well would
+    write 783 616 keys at 3/5,4/5,0 and 1 565 952 at 1/3,2/3,2/3."""
+    _, _, s, _ = make_point(label, backend)
+    ctx = ChainContext(s)
+    out = {}
+    _trace_into(ctx, chern_even_word(ctx, build_projection(s), 2), ctx.backend.one, out)
+    assert len(out) == n_terms
+    assert TensorChain(ctx, 4, out).n_terms() == n_terms
 
 
 def _agree_within_tol(got, want):
