@@ -17,14 +17,6 @@ class ZeroDenominator(NCSpheresError):
     """A rational literal had denominator zero."""
 
 
-class NotAPerfectSquare(NCSpheresError):
-    """Exact square root requested of a non-square rational."""
-
-
-class NegativeInput(NCSpheresError):
-    """Exact square root requested of a negative rational."""
-
-
 class ParamsNotOnSphere(NCSpheresError):
     """Deformation parameters do not satisfy (u0)^2 + (u1)^2 + (u2)^2 = 1."""
 

@@ -109,10 +109,8 @@ class TensorChain(Sparse):
     def __sub__(self, other: "TensorChain") -> "TensorChain":
         # not self + (-other): -c and (-1+0j)*c differ in the sign of a
         # float zero, which str() and so the digest would show
-        return self + other.scale(-1) if isinstance(other, TensorChain) else NotImplemented
-
-    def scale(self, c) -> "TensorChain":
-        return super().scale(self.ctx.backend.convert(c))
+        return (self + other.scale(self.ctx.backend.convert(-1))
+                if isinstance(other, TensorChain) else NotImplemented)
 
     def _order(self):
         """Sort key of a term: its slots' ranks by the injective mono_key as the

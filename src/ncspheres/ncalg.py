@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 
 from .errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
 from .rmatrix import RTensor, build_BigR
-from .scalars import Backend, GaussRational, Sparse, add_into
+from .scalars import Backend, Sparse, add_into, row_reduce
 
 NGEN = 8
 X1 = range(0, 4)
@@ -198,16 +197,6 @@ class NCPoly(Sparse):
 
     # -- ring operations ------------------------------------------------
 
-    def _scalar(self, other):
-        be = self.algebra.backend
-        if isinstance(other, (int, Fraction)):
-            return be.convert(other)
-        if be.exact and isinstance(other, GaussRational):
-            return other
-        if not be.exact and isinstance(other, (complex, float)):
-            return complex(other)
-        return None
-
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             alg = self.algebra
@@ -220,8 +209,7 @@ class NCPoly(Sparse):
                         got = out.get(k)
                         out[k] = cd * e if got is None else got + cd * e
             return NCPoly(alg, out)
-        s = self._scalar(other)
-        return NotImplemented if s is None else self.scale(s)
+        return self.scale(self.algebra.backend.convert(other))
 
     __rmul__ = __mul__
 
@@ -257,6 +245,20 @@ def central_witness(alg: Algebra, f: NCPoly):
         if not comm.is_zero():
             return g, comm
     return None
+
+
+def span_solve(alg: Algebra, basis, targets) -> tuple:
+    """(pivots, coords) of one row_reduce of [basis | targets] over the sorted
+    union of their monomials; pivots lie in basis columns and each column is
+    updated alone, so coords[t] depends on target t's own column only: its
+    coefficients on basis[pivots[r]], or None outside the span."""
+    be, n = alg.backend, len(basis)
+    polys = list(basis) + list(targets)
+    monos = sorted({m for p in polys for m in p.terms}, key=mono_key)
+    rows = [[p.coefficient(m) for p in polys] for m in monos]
+    pivots = row_reduce(rows, n, be)
+    return pivots, [None if any(not be.is_zero(row[t]) for row in rows[len(pivots):])
+                    else [row[t] for row in rows[:len(pivots)]] for t in range(n, len(polys))]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import math
 import re as _re
 from fractions import Fraction
 
-from .errors import MalformedNumber, NegativeInput, NotAPerfectSquare, ZeroDenominator
+from .errors import MalformedNumber, ZeroDenominator
 
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -46,21 +46,6 @@ def _format_ratio(n: int, d: int) -> str:
     """n/d (d > 0) in lowest terms; an integer prints without the slash."""
     g = math.gcd(n, d)
     return str(n // d) if g == d else f"{n // g}/{d // g}"
-
-
-def sqrt_exact(q: Fraction) -> Fraction:
-    """Exact square root of a nonnegative rational, or raise.
-
-    Both numerator and denominator must be perfect squares (the input is
-    already reduced, so they are coprime and can be tested independently).
-    """
-    if q < 0:
-        raise NegativeInput(f"sqrt of negative rational {q}")
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        raise NotAPerfectSquare(f"{q} is not a rational square")
-    return Fraction(rn, rd)
 
 
 class GaussRational:
@@ -232,7 +217,8 @@ class Backend:
             self.i = 1j
 
     def convert(self, value):
-        """Coerce a scalar of either backend into this one (exact->float only)."""
+        """The one coercion of a number into this backend: an int, a Fraction,
+        or a GaussRational (exact->float only), as NCPoly * number does."""
         if self.exact:
             return value if isinstance(value, GaussRational) else GaussRational(value, 0)
         return complex(value)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvalidSpec, IrrationalEigenvalue, NotAPerfectSquare
-from .ncalg import NGEN, Algebra, NCPoly, ReductionContext, mono_key
+from .errors import InvalidSpec, IrrationalEigenvalue
+from .ncalg import NGEN, Algebra, NCPoly, ReductionContext, span_solve
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
-from .scalars import Backend, all_zero, row_reduce, sqrt_exact
+from .scalars import Backend, all_zero
 
 
 @dataclass
@@ -152,18 +153,12 @@ def compute_Y(s: SphereAlgebra) -> YSystem:
 
 def solve_star_matrix(alg: Algebra, Y, Ystar) -> list:
     """Solve Ystar[mu] = sum_nu lam[mu][nu] Y[nu] exactly; raise if impossible."""
-    be = alg.backend
-    monos = sorted({m for y in Y for m in y.terms} |
-                   {m for y in Ystar for m in y.terms}, key=mono_key)
-    # columns: coefficients of each Y[nu]; rhs columns: each Ystar[mu]
-    rows = [[y.coefficient(m) for y in Y] + [y.coefficient(m) for y in Ystar]
-            for m in monos]
-    if len(row_reduce(rows, 4, be)) < 4:
+    pivots, lam = span_solve(alg, Y, Ystar)
+    if len(pivots) < 4:
         raise InvalidSpec("Y components are linearly dependent")
-    if any(not be.is_zero(v) for row in rows[4:] for v in row[4:]):
+    if None in lam:
         raise InvalidSpec("no matrix Lambda satisfies the star system")
-    # rows[nu] is now the pivot row of column nu: (0..1..0 | lam[.][nu])
-    return [[rows[nu][4 + mu] for nu in range(4)] for mu in range(4)]
+    return lam
 
 
 def lambda_closed_form(params: DeformParams, backend: Backend) -> list:
@@ -400,11 +395,10 @@ def diagonalize_lambda(ys: YSystem, backend: Backend) -> dict:
     """
     params = ys.params
     s2 = params.u1 * params.u1 + params.u2 * params.u2
-    try:
-        s = sqrt_exact(s2) if backend.exact else math.sqrt(s2)
-    except NotAPerfectSquare:
-        raise IrrationalEigenvalue(
-            f"sqrt({s2}) is irrational; no exact eigenvalue at this point") from None
+    root = Fraction(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
+    if backend.exact and root * root != s2:
+        raise IrrationalEigenvalue(f"sqrt({s2}) is irrational; no exact eigenvalue at this point")
+    s = root if backend.exact else math.sqrt(s2)
     u0, i_s = backend.convert(params.u0), backend.i * backend.convert(s)
     lam_plus = u0 + i_s
     return {"eigenvalues": (lam_plus, u0 - i_s), "theta": lam_plus * lam_plus}

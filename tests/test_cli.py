@@ -1,5 +1,6 @@
 """Driver pipeline: spec validation, reports, sweeps, exit codes."""
 
+import hashlib
 import json
 import math
 import random
@@ -223,6 +224,11 @@ def test_non_idempotent_projection_fails_the_b_ch2_closure(
     coeff, *slots = chern["witnesses"]["b_ch2_zero"].split(" (x) ")
     assert abs(complex(coeff) + 1 / 3) < 1e-9
     assert slots == ["(1+0j)*x1_0^2"] * 3
+    # B(ch0) = b(ch1) fails too: 1/3 (x) x1_0^2 is left over
+    assert chern["closures"]["B_ch0_equals_b_ch1"] is False
+    coeff, *slots = chern["witnesses"]["B_ch0_equals_b_ch1"].split(" (x) ")
+    assert abs(complex(coeff) - 1 / 3) < 1e-9
+    assert slots == ["(1+0j)*x1_0^2"]
     jsonschema.validate(report, _schema())
 
 
@@ -295,6 +301,19 @@ def test_exact_chern_report_at_the_commutative_point_is_pinned(tmp_path, capsys)
     capsys.readouterr()
     golden = Path(__file__).parent / "golden" / "chern_exact_1_0_0.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("backend, sha256", [
+    ("exact", "5a472b0a26699e0b2539dc8e7e57ba67f392ac8b0190bfc922c16699ba146af3"),
+    ("float", "3214c6724c79fbad9885a50a85fb2a9858e9857449b037ef30a65ebd034cf691"),
+])
+def test_main_report_is_pinned(backend, sha256, tmp_path, capsys):
+    """The whole report at 3/5,4/5,0 on each backend, byte for byte."""
+    out = tmp_path / "report.json"
+    assert main(["report", "--backend", backend, "--params", "3/5,4/5,0", "--quiet",
+                 "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 # ch0..ch_3half (n_terms, sha256) of the exact chern task at the catalog

@@ -17,7 +17,7 @@ from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 hopf_delta, one_sided_left_coaction,
                                 span_contains)
 from ncspheres.errors import DegreeOverflow
-from ncspheres.ncalg import NCPoly, basis_monomials
+from ncspheres.ncalg import NCPoly, basis_monomials, span_solve
 from ncspheres.quatlin import epsilon
 from ncspheres.rmatrix import DeformParams
 from ncspheres.scalars import EXACT, FLOAT
@@ -416,5 +416,32 @@ def test_span_contains_rejects_a_non_coinvariant(pyth):
     _, alg, _, ys = pyth
     k2 = coinvariants(alg, 2)
     x = alg.x1(0)
-    assert not span_contains(alg, k2, x * x)
-    assert span_contains(alg, k2, ys.Y[0])
+    assert not span_contains(alg, k2, [x * x])
+    assert span_contains(alg, k2, [ys.Y[0]])
+
+
+def test_span_contains_fails_when_one_of_several_targets_is_outside(pyth):
+    _, alg, _, ys = pyth
+    k2 = coinvariants(alg, 2)
+    inside = list(ys.Y) + [ys.Y4, alg.casimir()]
+    assert span_contains(alg, k2, inside)
+    for pos in range(len(inside) + 1):
+        targets = inside[:pos] + [alg.x1(0) * alg.x2(1)] + inside[pos:]
+        assert not span_contains(alg, k2, targets)
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_span_solve_solves_each_target_as_if_alone(be):
+    """Over the same rows, one elimination for several targets gives each
+    target what an elimination for it alone gives, bit for bit on floats."""
+    _, alg, _, ys = make_point("1/3,2/3,2/3", backend=be)
+    k2 = coinvariants(alg, 2)
+    targets = list(ys.Ystar) + [alg.x1(0) * alg.x1(0), ys.Y4]
+    assert {m for f in targets for m in f.terms} <= {m for v in k2 for m in v.terms}
+    pivots, coords = span_solve(alg, k2, targets)
+    assert len(pivots) == 6
+    assert [c is None for c in coords] == [False] * 4 + [True, False]
+    for f, got in zip(targets, coords):
+        alone_pivots, (alone,) = span_solve(alg, k2, [f])
+        assert alone_pivots == pivots
+        assert repr(alone) == repr(got)

@@ -232,7 +232,7 @@ def test_reduction_subtracts_only_ideal_elements(pyth):
         ideal = [rel * NCPoly(alg, {m: EXACT.one})
                  for k in range(max(map(sum, f.terms)) - 1)
                  for m in basis_monomials(k)]
-        assert span_contains(alg, ideal, f - rf)
+        assert span_contains(alg, ideal, [f - rf])
 
 
 def test_degree_cap_enforced(pyth):

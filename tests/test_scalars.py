@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncspheres.coaction import H_ONE, CommPoly
-from ncspheres.errors import (MalformedNumber, NegativeInput,
-                              NotAPerfectSquare, ZeroDenominator)
+from ncspheres.errors import MalformedNumber, ZeroDenominator
 from ncspheres.scalars import (EXACT, FLOAT, Backend, GaussRational, add_into,
                                all_zero, max_residual, parse_rational,
-                               row_reduce, sqrt_exact)
+                               row_reduce)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=40)
 gauss = st.builds(GaussRational, rationals, rationals)
@@ -34,26 +33,6 @@ def test_parse_rational_rejects_garbage():
 @given(rationals)
 def test_format_parse_round_trip(q):
     assert parse_rational(str(q)) == q
-
-
-def test_sqrt_exact_values():
-    assert sqrt_exact(Fraction(16, 25)) == Fraction(4, 5)
-    assert sqrt_exact(Fraction(0)) == 0
-    with pytest.raises(NotAPerfectSquare):
-        sqrt_exact(Fraction(2))
-    with pytest.raises(NegativeInput):
-        sqrt_exact(Fraction(-4))
-
-
-@given(rationals)
-def test_sqrt_exact_inverts_squaring(q):
-    assert sqrt_exact(q * q) == abs(q)
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-def test_between_squares_is_not_square(n):
-    with pytest.raises(NotAPerfectSquare):
-        sqrt_exact(Fraction(n * n + 1, 1))
 
 
 def test_gauss_rational_parse_and_str():

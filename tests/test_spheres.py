@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncspheres.errors import InvalidSpec, IrrationalEigenvalue
 from ncspheres.ncalg import Algebra
@@ -102,6 +104,42 @@ def test_irrational_point_raises_exact_but_works_float(mixed):
     assert abs(abs(got["theta"]) - 1.0) < 1e-12
     lam_plus, lam_minus = got["eigenvalues"]
     assert lam_minus == lam_plus.conjugate()
+
+
+def _at(u0, u1, u2) -> YSystem:
+    """A Y system carrying only the point, all that diagonalize_lambda reads."""
+    p = DeformParams(u0, u1, u2)
+    p.validate()
+    return YSystem(Y=(), Ystar=(), Y4=None, lam=[], params=p)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=40)
+
+
+@given(rationals, rationals)
+def test_exact_eigenvalues_where_u1_u2_radius_is_a_rational_square(t, r):
+    """(u0, s) and (u1, u2)/s are rational points of the unit circle, so
+    (u1)^2 + (u2)^2 = s^2 and the eigenvalues u0 +- i|s| are exact."""
+    u0, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    u1, u2 = s * (1 - r * r) / (1 + r * r), s * 2 * r / (1 + r * r)
+    got = diagonalize_lambda(_at(u0, u1, u2), EXACT)
+    lam_plus = GaussRational(u0, abs(s))
+    assert got["eigenvalues"] == (lam_plus, lam_plus.conjugate())
+    assert got["theta"] == lam_plus * lam_plus
+
+
+@given(st.integers(min_value=1, max_value=10**6))
+def test_irrational_eigenvalue_where_u1_u2_radius_is_not_a_square(k):
+    """With n = 2k and m = n^2/2 + 1 the point (n^2/2, n, 1)/m is on the
+    sphere and (u1)^2 + (u2)^2 = (n^2 + 1)/m^2 in lowest terms, whose
+    numerator lies strictly between two squares."""
+    n = 2 * k
+    m = n * n // 2 + 1
+    ys = _at(Fraction(n * n // 2, m), Fraction(n, m), Fraction(1, m))
+    assert ys.params.u1 ** 2 + ys.params.u2 ** 2 == Fraction(n * n + 1, m * m)
+    with pytest.raises(IrrationalEigenvalue):
+        diagonalize_lambda(ys, EXACT)
+    assert abs(abs(diagonalize_lambda(ys, FLOAT)["theta"]) - 1.0) < 1e-12
 
 
 def test_normality_boundary():
