@@ -345,8 +345,9 @@ def main(argv=None) -> int:
         description="Exact verification of the deformed-sphere algebras.")
     parser.add_argument("verb", choices=sorted(_VERB_TASKS),
                         help="which pipeline to run")
-    parser.add_argument("--params", default="3/5,4/5,0",
-                        help="parameter point u0,u1,u2 (rationals); write "
+    parser.add_argument("--params", default=None,
+                        help="parameter point u0,u1,u2 (rationals, default "
+                             "3/5,4/5,0; sweep takes none); write "
                              "--params=-1,0,0 when u0 is negative")
     parser.add_argument("--backend", default="exact",
                         choices=("exact", "float"))
@@ -358,6 +359,8 @@ def main(argv=None) -> int:
 
     try:
         if args.verb == "sweep":
+            if args.params is not None:
+                raise InvalidSpec("sweep runs the catalog points and takes no --params")
             points = [DeformParams.parse(lbl) for lbl in CATALOG]
             results = sweep(points, backend_name=args.backend)
             print(sweep_csv(points, results), end="")
@@ -366,7 +369,8 @@ def main(argv=None) -> int:
             payload = [r for r, _ in results]
             passed = all(r["passed"] for r in payload)
         else:
-            spec = RunSpec(params=DeformParams.parse(args.params),
+            label = "3/5,4/5,0" if args.params is None else args.params
+            spec = RunSpec(params=DeformParams.parse(label),
                            backend_name=args.backend,
                            tasks=_VERB_TASKS[args.verb])
             payload, timings = run(spec)

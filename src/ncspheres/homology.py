@@ -97,14 +97,9 @@ class TensorChain(Sparse):
         return len(self.terms)
 
     def __add__(self, other: "TensorChain") -> "TensorChain":
-        if not isinstance(other, TensorChain):
-            return NotImplemented
-        if other.degree != self.degree and other.terms and self.terms:
+        if isinstance(other, TensorChain) and other.degree != self.degree:
             raise ValueError("degree mismatch in chain addition")
-        out = super().__add__(other)
-        if other.terms and not self.terms:
-            out.degree = other.degree
-        return out
+        return super().__add__(other)
 
     def __sub__(self, other: "TensorChain") -> "TensorChain":
         # not self + (-other): -c and (-1+0j)*c differ in the sign of a

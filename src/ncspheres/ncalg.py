@@ -56,14 +56,10 @@ def mono_unit_vec(g):
 
 
 def basis_monomials(n: int):
-    """All degree-n normal monomials, sorted ascending in the monomial order."""
-    out = []
-    for k in range(n + 1):
-        for m1 in _compositions(k, 4):
-            for m2 in _compositions(n - k, 4):
-                out.append(m1 + m2)
-    out.sort(key=mono_key)
-    return out
+    """All degree-n normal monomials, sorted ascending in the monomial order:
+    one per multiset of n generator ids, that is, per nondecreasing word."""
+    words = itertools.combinations_with_replacement(range(NGEN), n)
+    return sorted((tuple(map(w.count, range(NGEN))) for w in words), key=mono_key)
 
 
 def basis_size(n: int) -> int:
@@ -71,15 +67,6 @@ def basis_size(n: int) -> int:
     import math
 
     return math.comb(n + NGEN - 1, NGEN - 1)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 class Algebra:
@@ -159,10 +146,8 @@ class Algebra:
         return self.generator(4 + k)
 
     def casimir(self) -> "NCPoly":
-        """x^2 = sum_g (x_g)^2, the full quadratic casimir."""
-        be = self.backend
-        return NCPoly(self, {tuple(2 if i == g else 0 for i in range(NGEN)): be.one
-                             for g in range(NGEN)})
+        """x^2 = (x1)^2 + (x2)^2, the full quadratic casimir."""
+        return self.family_casimir(1) + self.family_casimir(2)
 
     def family_casimir(self, family: int) -> "NCPoly":
         """(x1)^2 or (x2)^2 for family 1 or 2."""
@@ -376,13 +361,10 @@ class ReductionContext:
 
     def reduce_fast(self, f: NCPoly) -> NCPoly:
         """Canonical representative of f modulo the ideal, via the monomial cache."""
-        out = {}
-        for m, c in f.terms.items():
+        for m in f.terms:
             if sum(m) > DEGREE_CAP:
                 raise DegreeOverflow(f"degree {sum(m)} exceeds reduction cap {DEGREE_CAP}")
-            for mm, cc in self.reduce_mono(m).items():
-                add_into(out, mm, c * cc)
-        return NCPoly(self.alg, out)
+        return NCPoly(self.alg, self._reduce_terms(f.terms, len(self._relations)))
 
 
 # ---------------------------------------------------------------------------

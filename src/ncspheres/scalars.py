@@ -26,15 +26,21 @@ from fractions import Fraction
 
 from .errors import MalformedNumber, ZeroDenominator
 
-_RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = _re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+# CPython's default limit on the digits int() converts from a string
+MAX_DIGITS = 4300
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into a reduced Fraction with positive denominator."""
+    """Parse 'p' or 'p/q', ASCII digits only and at most MAX_DIGITS of them in
+    p and in q, into a reduced Fraction with positive denominator."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise MalformedNumber(f"not a rational literal: {text!r}")
     num, _, den = s.partition("/")
+    if max(len(num.lstrip("+-")), len(den)) > MAX_DIGITS:
+        raise MalformedNumber(f"a rational literal has more than {MAX_DIGITS} digits"
+                              " in its numerator or denominator")
     if den:
         if int(den) == 0:
             raise ZeroDenominator(f"zero denominator in {text!r}")

@@ -284,24 +284,17 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     prod = 4 * (alg.family_casimir(1) * alg.family_casimir(2))
     rep("radius_product_identity", [sy[0] - prod, yy[0] - prod])
 
-    # the six explicit commutation relations of the family
+    # the six explicit commutation relations, over the 16 products Y^a Y^b
     u0, u1, u2 = ys.params.scalars(be)
     i = be.i
-    Yq = ys.Y
-
-    def com(a, b):
-        return Yq[a] * Yq[b] - Yq[b] * Yq[a]
-
-    def anti(a, b):
-        return Yq[a] * Yq[b] + Yq[b] * Yq[a]
-
+    P = [[ya * yb for yb in ys.Y] for ya in ys.Y]
     rels = [
-        (u0 + i * u1) * com(1, 0) + (i * u2) * (Yq[1] * Yq[3] - Yq[0] * Yq[2]),
-        (u0 - i * u1) * com(3, 2) + (i * u2) * (Yq[3] * Yq[1] - Yq[2] * Yq[0]),
-        u0 * com(2, 0) - i * u1 * anti(1, 3) + i * u2 * (Yq[1] * Yq[0] - Yq[3] * Yq[2]),
-        u0 * com(3, 1) - i * u1 * anti(0, 2) + i * u2 * (Yq[0] * Yq[1] - Yq[2] * Yq[3]),
-        u0 * com(3, 0) + i * u1 * anti(1, 2) + i * u2 * (Yq[2] * Yq[2] - Yq[1] * Yq[1]),
-        u0 * com(2, 1) + i * u1 * anti(0, 3) + i * u2 * (Yq[3] * Yq[3] - Yq[0] * Yq[0]),
+        (u0 + i * u1) * (P[1][0] - P[0][1]) + (i * u2) * (P[1][3] - P[0][2]),
+        (u0 - i * u1) * (P[3][2] - P[2][3]) + (i * u2) * (P[3][1] - P[2][0]),
+        u0 * (P[2][0] - P[0][2]) - i * u1 * (P[1][3] + P[3][1]) + i * u2 * (P[1][0] - P[3][2]),
+        u0 * (P[3][1] - P[1][3]) - i * u1 * (P[0][2] + P[2][0]) + i * u2 * (P[0][1] - P[2][3]),
+        u0 * (P[3][0] - P[0][3]) + i * u1 * (P[1][2] + P[2][1]) + i * u2 * (P[2][2] - P[1][1]),
+        u0 * (P[2][1] - P[1][2]) + i * u1 * (P[0][3] + P[3][0]) + i * u2 * (P[3][3] - P[0][0]),
     ]
     rep("family_commutation_relations", rels,
         next((f"relation {k + 1}" for k, rel in enumerate(rels) if not rel.is_zero()), None))

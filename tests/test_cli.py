@@ -176,6 +176,17 @@ def test_main_exit_codes(capsys):
         assert main([verb, "--backend", "float", "--quiet",
                      "--params", "3/5,4/5,1/1000000000000"]) == 2
         assert "ParamsNotOnSphere" in capsys.readouterr().err
+    # one error line, never a traceback: a literal past the 4300-digit limit
+    # of int(), a digit that is not ASCII, and any --params given to sweep
+    big = "1" + "0" * 5000
+    for argv, why in ((["check", "--params", f"{big},0,0"], "more than 4300 digits"),
+                      (["check", "--params", f"1/{big},0,0"], "more than 4300 digits"),
+                      (["check", "--params", "\u0663/5,4/5,0"], "not a rational literal"),
+                      (["sweep", "--params", "abc"], "sweep runs the catalog points"),
+                      (["sweep", "--params", "3/5,4/5,0"], "sweep runs the catalog points")):
+        assert main(argv + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and why in err
     capsys.readouterr()
 
 

@@ -82,6 +82,17 @@ def test_slots_after_first_are_normalized(chain_ctx):
     assert c.n_terms() == 1
 
 
+def test_chain_addition_refuses_unequal_degrees_even_when_empty(chain_ctx):
+    """An empty chain keeps its degree: it does not take the other operand's."""
+    c = chain_from_slots(chain_ctx, [chain_ctx.alg.x1(0), chain_ctx.alg.x2(1)])
+    assert c.degree == 1 and not c.is_zero()
+    for a, b in ((TensorChain(chain_ctx, 2, {}), c), (c, TensorChain(chain_ctx, 2, {}))):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            a + b
+        with pytest.raises(ValueError, match="degree mismatch"):
+            a - b
+
+
 def test_chain_arithmetic_rejects_a_scalar_operand(chain_ctx):
     c = chain_from_slots(chain_ctx, [chain_ctx.alg.x1(0)])
     for op in (operator.add, operator.sub):

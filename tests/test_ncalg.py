@@ -31,9 +31,15 @@ def _random_poly(alg, rng, degree=2, terms=3):
 
 
 def test_basis_size_is_stars_and_bars():
-    for n in range(7):
+    """With the count, degree n and a strictly increasing mono_key pin both
+    the set and the order of the basis monomials."""
+    for n in range(9):
+        monos = basis_monomials(n)
         assert basis_size(n) == math.comb(n + 7, 7)
-        assert len(basis_monomials(n)) == basis_size(n)
+        assert len(monos) == basis_size(n)
+        assert all(len(m) == 8 and sum(m) == n for m in monos)
+        keys = [mono_key(m) for m in monos]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_cross_relation_normal_form(pyth):

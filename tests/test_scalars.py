@@ -20,10 +20,14 @@ def test_parse_rational_forms():
     assert parse_rational("3/5") == Fraction(3, 5)
     assert parse_rational(" -7 ") == Fraction(-7)
     assert parse_rational("-24/25") == Fraction(-24, 25)
+    # at most 4300 digits in each integer, the default limit of int()
+    assert parse_rational("-" + "9" * 4300) == -(10 ** 4300 - 1)
+    assert parse_rational("1/" + "0" * 4299 + "7") == Fraction(1, 7)
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "x", "1.5", "3//5", "1/2/3"):
+    for bad in ("", "x", "1.5", "3//5", "1/2/3", "1" * 4301, "1/" + "1" * 4301,
+                "\u0663/5", "3/\uff15"):
         with pytest.raises(MalformedNumber):
             parse_rational(bad)
     with pytest.raises(ZeroDenominator):
