@@ -28,7 +28,7 @@ import operator
 
 from .errors import DegreeOverflow
 from .ncalg import NCPoly, basis_monomials, span_solve
-from .quatlin import epsilon, quat_basis_product, quat_conjugate, quat_multiply
+from .quatlin import epsilon, quat_conjugate, quat_multiply, translation
 from .rmatrix import ConditionReport
 from .scalars import Backend, Sparse, add_into, all_zero, max_residual, row_reduce
 from .spheres import SphereAlgebra, quaternion_generators
@@ -106,14 +106,14 @@ class CommPoly(Sparse):
 
 def hopf_delta_gen(backend, mu: int) -> CommPoly:
     """Coproduct of w^mu, dual to the quaternion product: the sum of
-    +-w^a (x) w^b over the (a, b) with e_a e_b = +-e_mu."""
+    +-w^a (x) w^b over the (a, b) with e_a e_b = +-e_mu: row mu of the
+    left translations."""
     unit = [tuple(int(i == a) for i in range(4)) for a in range(4)]
     terms = {}
     for a in range(4):
-        for b in range(4):
-            coeff, nu = quat_basis_product(a, b)
-            if nu == mu:
-                terms[unit[a] + unit[b]] = backend.one if coeff > 0 else -backend.one
+        for b, k in enumerate(translation(a)[mu]):
+            if k:
+                terms[unit[a] + unit[b]] = backend.one if k > 0 else -backend.one
     return CommPoly(backend, terms)
 
 
@@ -268,11 +268,12 @@ def corep_matrix(backend: Backend, *, right: bool) -> list:
     """h^mu_nu = (e_nu w)^mu in H, the right-multiplication corepresentation,
     or with right=False (w e_nu)^mu, used only as the faulty one-sided variant."""
     h = [[None] * 4 for _ in range(4)]
-    for nu in range(4):
-        for a in range(4):
-            coeff, mu = quat_basis_product(nu, a) if right else quat_basis_product(a, nu)
-            w = CommPoly.generator(backend, a)
-            h[mu][nu] = w if coeff > 0 else -w
+    for a in range(4):
+        w = CommPoly.generator(backend, a)
+        for mu, row in enumerate(translation(a, right)):
+            for nu, k in enumerate(row):
+                if k:
+                    h[mu][nu] = w if k > 0 else -w
     return h
 
 
@@ -382,11 +383,7 @@ def derivation_matrix(a: int):
     M is the negated right-translation matrix (x -> -x e_a), the sign that
     makes D_1(x1^0) = +x1^1; the joint kernels are insensitive to it.
     """
-    M = [[0] * 4 for _ in range(4)]
-    for nu in range(4):
-        coeff, mu = quat_basis_product(nu, a)
-        M[mu][nu] -= coeff
-    return M
+    return [[-k for k in row] for row in translation(a, right=True)]
 
 
 def derivation(alg, a: int, f: NCPoly) -> NCPoly:

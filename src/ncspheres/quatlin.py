@@ -1,21 +1,22 @@
-"""Quaternion linear algebra: multiplication matrices, embeddings, Mat helper.
+"""Quaternion linear algebra: the translation table, embeddings, Mat helper.
 
 Conventions fixed here and relied on everywhere else:
 
 * basis e0 = 1, e1, e2, e3 with e_a e_b = -delta_ab + eps_abc e_c and
   eps_123 = +1 (so e1 e2 = e3);
-* J+_a is the matrix of left multiplication by e_a on component columns.
-  The family is real antisymmetric and satisfies
-  J_a J_b = -delta_ab + eps_abc J_c with the same eps orientation as the
-  quaternions themselves.  (A popular closed formula for these matrices
-  circulates with the eps term's sign flipped; that variant breaks the
-  multiplication rule above, so the matrices are built directly from the
-  quaternion product.)
+* ``translation(a)`` is the matrix of left multiplication by e_a on
+  component columns, ``translation(a, right=True)`` that of right
+  multiplication; the exchange tensor, the corepresentation, the
+  derivations and the coproduct are all read off this one table;
+* J+_a = translation(a) for a in 1..3.  The family is real antisymmetric
+  and satisfies J_a J_b = -delta_ab + eps_abc J_c with the same eps
+  orientation as the quaternions themselves.  (A popular closed formula for
+  these matrices circulates with the eps term's sign flipped; that variant
+  breaks the multiplication rule above, so the matrices are built directly
+  from the quaternion product.)
 """
 
 from __future__ import annotations
-
-from .scalars import EXACT, Backend
 
 
 def epsilon(a: int, b: int, c: int) -> int:
@@ -29,6 +30,8 @@ def epsilon(a: int, b: int, c: int) -> int:
 
 def quat_basis_product(a: int, b: int):
     """(coeff, index) of e_a * e_b in the e basis; coeff is a plain int."""
+    if a not in range(4) or b not in range(4):
+        raise ValueError(f"quaternion basis index out of 0..3 in e_{a!r} e_{b!r}")
     if a == 0:
         return 1, b
     if b == 0:
@@ -39,7 +42,18 @@ def quat_basis_product(a: int, b: int):
         s = epsilon(a, b, c)
         if s:
             return s, c
-    raise AssertionError("unreachable")
+
+
+def translation(a: int, right: bool = False) -> list:
+    """Integer 4x4 matrix of q -> e_a q, or of q -> q e_a when `right` is set.
+
+    Column nu holds the components of e_a e_nu (of e_nu e_a when right).
+    """
+    M = [[0] * 4 for _ in range(4)]
+    for nu in range(4):
+        coeff, mu = quat_basis_product(nu, a) if right else quat_basis_product(a, nu)
+        M[mu][nu] = coeff
+    return M
 
 
 def quat_multiply(p, q):
@@ -64,7 +78,7 @@ def quat_conjugate(q):
 
 
 class Mat:
-    """Small dense matrix over any ring with + - * (scalars or polynomials)."""
+    """Small dense matrix over the algebra: product and adjoint."""
 
     __slots__ = ("rows",)
 
@@ -77,15 +91,6 @@ class Mat:
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
-
-    def __add__(self, other):
-        return Mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def scale(self, c):
-        return Mat([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
         n, k = self.shape
@@ -102,19 +107,9 @@ class Mat:
             out.append(row)
         return Mat(out)
 
-    def transpose(self):
-        n, m = self.shape
-        return Mat([[self.rows[i][j] for i in range(n)] for j in range(m)])
-
-    def map(self, fn):
-        return Mat([[fn(a) for a in r] for r in self.rows])
-
     def dagger(self):
-        """Conjugate transpose; entries star() if present, else conjugate()."""
-        def adj(a):
-            star = getattr(a, "star", None)
-            return star() if star is not None else a.conjugate()
-        return self.transpose().map(adj)
+        """Conjugate transpose: the transpose of the entries' star()."""
+        return Mat([[r[j].star() for r in self.rows] for j in range(self.shape[1])])
 
     def entries(self):
         for r in self.rows:
@@ -129,26 +124,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows!r})"
-
-
-def build_J(a: int, backend: Backend = EXACT) -> Mat:
-    """J+_a, the matrix of left multiplication by e_a, for a in 1..3.
-
-    Column convention: column nu holds the components of e_a * e_nu.
-    """
-    if a not in (1, 2, 3):
-        raise ValueError(f"build_J: bad index {a!r}")
-    zero, one = backend.zero, backend.one
-    rows = [[zero] * 4 for _ in range(4)]
-    for nu in range(4):
-        coeff, mu = quat_basis_product(a, nu)
-        rows[mu][nu] = one if coeff == 1 else -one
-    return Mat(rows)
-
-
-def j_plus(backend: Backend = EXACT):
-    """(J+_1, J+_2, J+_3)."""
-    return tuple(build_J(a, backend) for a in (1, 2, 3))
 
 
 def embed_M2(q, i_unit):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import MalformedNumber, ParamsNotOnSphere
-from .quatlin import j_plus
+from .quatlin import translation
 from .scalars import (EXACT, Backend, add_into, all_zero, max_residual, parse_rational,
                       row_reduce)
 
@@ -84,11 +84,6 @@ class RTensor:
                 if d[lam][alpha][beta][mu] != 0]
 
 
-def _zero4(backend: Backend):
-    return [[[[backend.zero for _ in range(N)] for _ in range(N)]
-             for _ in range(N)] for _ in range(N)]
-
-
 def build_R_quaternionic(params: DeformParams, backend: Backend = EXACT) -> RTensor:
     """R = u0 * flip-identity + i * J+_1 (x) (u1 J+_1 + u2 J+_2).
 
@@ -98,19 +93,15 @@ def build_R_quaternionic(params: DeformParams, backend: Backend = EXACT) -> RTen
     """
     params.validate()
     u0, u1, u2 = params.scalars(backend)
-    J1, J2, _ = j_plus(backend)
-    D = J1.scale(u1) + J2.scale(u2)
-    i = backend.i
-    data = _zero4(backend)
-    for lam in range(N):
-        for alpha in range(N):
-            for beta in range(N):
-                for mu in range(N):
-                    val = backend.zero
-                    if lam == mu and alpha == beta:
-                        val = val + u0
-                    val = val + i * J1[lam, mu] * D[alpha, beta]
-                    data[lam][alpha][beta][mu] = val
+    zero, one, i = backend.zero, backend.one, backend.i
+    lift = {0: zero, 1: one, -1: -one}
+    J1, J2 = ([[lift[k] for k in row] for row in translation(a)] for a in (1, 2))
+    D = [[u1 * a + u2 * b for a, b in zip(r1, r2)] for r1, r2 in zip(J1, J2)]
+    # zero (+ u0), then + the J term: this order fixes the sign of float zeros
+    data = [[[[(zero + u0 if lam == mu and alpha == beta else zero)
+               + i * J1[lam][mu] * D[alpha][beta]
+               for mu in range(N)] for beta in range(N)] for alpha in range(N)]
+            for lam in range(N)]
     return RTensor(data, backend)
 
 
@@ -141,12 +132,19 @@ class ConditionReport:
         return d
 
 
-def _group(entries: list, *slots: int) -> dict:
-    """Entries keyed by their indices at `slots`; each list keeps input order."""
-    out = {}
-    for idx, c in entries:
-        out.setdefault(tuple(idx[s] for s in slots), []).append((idx, c))
-    return out
+def _pairs(R: RTensor, left: tuple, right: tuple):
+    """(idx, c, jdx, d) for each pair of nonzero entries R[idx] = c and
+    R[jdx] = d whose indices at `left` and at `right` agree: the one join
+    of the two-factor contractions.  idx runs in lexicographic order and,
+    for each idx, so does jdx, so every sum adds its terms in a fixed order.
+    """
+    nz = R.items()
+    by_key = {}
+    for jdx, d in nz:
+        by_key.setdefault(tuple(jdx[s] for s in right), []).append((jdx, d))
+    for idx, c in nz:
+        for jdx, d in by_key.get(tuple(idx[s] for s in left), ()):
+            yield idx, c, jdx, d
 
 
 def _compare(name: str, be: Backend, lhs: dict, rhs: dict, fmt: str) -> ConditionReport:
@@ -170,13 +168,9 @@ def check_reality(R: RTensor) -> ConditionReport:
     witness is the first failing (lam, alpha, gam, nu) in lexicographic order.
     """
     be = R.backend
-    nz = R.items()
-    by_mu_beta = _group(nz, 0, 1)
     lhs = {}
-    for (lam, alpha, beta, mu), c in nz:
-        cc = c.conjugate()
-        for (_, _, gam, nu), d in by_mu_beta.get((mu, beta), ()):
-            add_into(lhs, (lam, alpha, gam, nu), cc * d)
+    for (lam, alpha, _, _), c, (_, _, gam, nu), d in _pairs(R, (3, 2), (0, 1)):
+        add_into(lhs, (lam, alpha, gam, nu), c.conjugate() * d)
     ident = {(lam, alpha, alpha, lam): be.one for lam in range(N) for alpha in range(N)}
     return _compare("reality", be, lhs, ident,
                     "indices (lam,alpha,gam,nu)=({},{},{},{})")
@@ -233,14 +227,11 @@ def check_quadratic_1(R: RTensor) -> ConditionReport:
     lexicographic order.
     """
     be = R.backend
-    nz = R.items()
-    by_first = _group(nz, 0)
     lhs, rhs = {}, {}
-    for (p, q, r, s), c in nz:
-        for (_, t, u, v), d in by_first.get((s,), ()):
-            prod = c * d
-            add_into(lhs, (p, q, r, t, u, v), prod)
-            add_into(rhs, (p, t, u, q, r, v), prod)
+    for (p, q, r, _), c, (_, t, u, v), d in _pairs(R, (3,), (0,)):
+        prod = c * d
+        add_into(lhs, (p, q, r, t, u, v), prod)
+        add_into(rhs, (p, t, u, q, r, v), prod)
     return _compare("quadratic_1", be, lhs, rhs, "({},{},{},{},{},{})")
 
 
@@ -254,14 +245,11 @@ def check_quadratic_2(R: RTensor) -> ConditionReport:
     lexicographic order.
     """
     be = R.backend
-    nz = R.items()
-    by_second = _group(nz, 1)
     lhs, rhs = {}, {}
-    for (p, q, g, s), c in nz:
-        for (t, _, u, v), d in by_second.get((g,), ()):
-            prod = c * d
-            add_into(lhs, (p, q, s, t, u, v), prod)
-            add_into(rhs, (t, q, v, p, u, s), prod)
+    for (p, q, _, s), c, (t, _, u, v), d in _pairs(R, (2,), (1,)):
+        prod = c * d
+        add_into(lhs, (p, q, s, t, u, v), prod)
+        add_into(rhs, (t, q, v, p, u, s), prod)
     return _compare("quadratic_2", be, lhs, rhs, "({},{},{},{},{},{})")
 
 

@@ -7,9 +7,9 @@ representation.  Each field operation multiplies ints and normalises once
 by a gcd; no Fraction is built on the arithmetic path.  The float backend
 mirrors the same operations on machine complex numbers with
 tolerance-based zero tests, so every higher layer can run on either backend
-unchanged.  GaussRational deliberately mimics the small slice of the builtin
-``complex`` API that the rest of the package uses (``conjugate``, ``real``,
-``imag``), which is what makes the backends interchangeable.
+unchanged.  GaussRational deliberately mimics the slice of the builtin
+``complex`` API that the rest of the package uses (arithmetic, ``abs`` and
+``conjugate``), which is what makes the backends interchangeable.
 
 Polynomials, chains and tensor elements are all {key: coefficient} dicts.
 ``add_into`` is their one accumulate step, ``all_zero`` the one pass rule
@@ -27,8 +27,9 @@ from fractions import Fraction
 from .errors import MalformedNumber, ZeroDenominator
 
 _RATIONAL_RE = _re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
-# CPython's default limit on the digits int() converts from a string
-MAX_DIGITS = 4300
+# digits in a literal's numerator or denominator: printed values grow to about
+# twice that, inside CPython's 4300-digit limit on int <-> str
+MAX_DIGITS = 2000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -60,7 +61,7 @@ class GaussRational:
     The invariants d > 0 and gcd(a, b, d) == 1 make the triple canonical,
     so equality and hashing are structural and values are safe as dict
     keys.  Every field operation does integer products and then one gcd,
-    in ``_make``; ``re``, ``im``, ``real`` and ``imag`` are Fractions.
+    in ``_make``; ``re`` and ``im`` are Fractions.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -82,8 +83,6 @@ class GaussRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    real, imag = re, im
 
     def conjugate(self) -> "GaussRational":
         return _raw(self._a, -self._b, self._d)

@@ -166,7 +166,7 @@ def test_sweep_tasks_pass_at_generic_rational_points():
         assert (sphere["theta"] is None) == irrational, p.label()
 
 
-def test_main_exit_codes(capsys):
+def test_main_exit_codes(tmp_path, capsys):
     assert main(["check", "--quiet"]) == 0
     assert main(["check", "--backend", "float", "--quiet"]) == 0
     assert main(["check", "--params", "frog"]) == 2
@@ -176,11 +176,19 @@ def test_main_exit_codes(capsys):
         assert main([verb, "--backend", "float", "--quiet",
                      "--params", "3/5,4/5,1/1000000000000"]) == 2
         assert "ParamsNotOnSphere" in capsys.readouterr().err
-    # one error line, never a traceback: a literal past the 4300-digit limit
-    # of int(), a digit that is not ASCII, and any --params given to sweep
+    # one error line, never a traceback: a literal past the 2000-digit limit
+    # (past it, an off-sphere norm^2 in the error and, at the 2153-digit point
+    # on the sphere, the eigenphase in the JSON report would not print),
+    # a digit that is not ASCII, and any --params given to sweep
     big = "1" + "0" * 5000
-    for argv, why in ((["check", "--params", f"{big},0,0"], "more than 4300 digits"),
-                      (["check", "--params", f"1/{big},0,0"], "more than 4300 digits"),
+    m, n = 10 ** 1076 + 7, 3 * 10 ** 1075 + 1
+    c = m * m + n * n
+    on_sphere = f"{m * m - n * n}/{c},{2 * m * n}/{c},0"
+    for argv, why in ((["check", "--params", f"{big},0,0"], "more than 2000 digits"),
+                      (["check", "--params", f"1/{big},0,0"], "more than 2000 digits"),
+                      (["check", "--params", "1" + "0" * 3000 + ",0,0"], "more than 2000 digits"),
+                      (["sphere", "--json", str(tmp_path / "r.json"), "--params", on_sphere],
+                       "more than 2000 digits"),
                       (["check", "--params", "\u0663/5,4/5,0"], "not a rational literal"),
                       (["sweep", "--params", "abc"], "sweep runs the catalog points"),
                       (["sweep", "--params", "3/5,4/5,0"], "sweep runs the catalog points")):

@@ -2,12 +2,13 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncspheres.quatlin import (Mat, build_J, embed_M2, epsilon, j_plus,
-                               quat_basis_product, quat_conjugate,
-                               quat_multiply)
+from ncspheres.ncalg import Algebra
+from ncspheres.quatlin import (Mat, embed_M2, epsilon, quat_basis_product,
+                               quat_conjugate, quat_multiply, translation)
+from ncspheres.rmatrix import DeformParams, build_R_quaternionic
 from ncspheres.scalars import EXACT, GaussRational
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
@@ -71,74 +72,61 @@ def test_embed_components_round_trip(q):
     assert got == tuple(GaussRational(v, 0) for v in q)
 
 
-def _vec(q):
-    return [[v] for v in q]
+def _unit(a):
+    return tuple(int(k == a) for k in range(4))
 
 
-def _apply(m, q):
-    out = m @ Mat(_vec(q))
-    return tuple(out[k, 0] for k in range(4))
+def _column(M, nu):
+    return tuple(M[mu][nu] for mu in range(4))
 
 
-def test_j_matrices_are_translations():
-    """J+_a is left multiplication by e_a."""
-    one = GaussRational(1, 0)
-    basis = [tuple(one if k == mu else GaussRational(0, 0) for k in range(4))
-             for mu in range(4)]
-    for a in (1, 2, 3):
-        e_a = basis[a]
-        Jp = build_J(a)
-        for q in basis:
-            assert _apply(Jp, q) == quat_multiply(e_a, q)
+def test_translation_columns_are_basis_products():
+    """Column nu of translation(a) is e_a e_nu, and e_nu e_a when right."""
+    for a in range(4):
+        left, right = translation(a), translation(a, right=True)
+        for nu in range(4):
+            assert _column(left, nu) == quat_multiply(_unit(a), _unit(nu))
+            assert _column(right, nu) == quat_multiply(_unit(nu), _unit(a))
 
 
-def _scalar_mat(c):
-    return Mat([[GaussRational(c if r == k else 0, 0) for k in range(4)]
-                for r in range(4)])
-
-
-def _right_multiplication(b):
-    """Matrix of q -> q e_b, read off the frozen quaternion table."""
-    rows = [[GaussRational(0, 0)] * 4 for _ in range(4)]
-    for nu in range(4):
-        coeff, mu = MULT_TABLE[(nu, b)]
-        rows[mu][nu] = GaussRational(coeff, 0)
-    return Mat(rows)
+def test_translation_matches_frozen_table():
+    for (a, b), (coeff, mu) in MULT_TABLE.items():
+        assert translation(a)[mu][b] == coeff
+        assert translation(b, right=True)[mu][a] == coeff
 
 
 def test_j_matrix_relations_report():
-    """J+_a is antisymmetric, J_a J_b = -delta_ab + eps_abc J_c, and
-    -tr(J_a J_b)/4 = delta_ab."""
-    J = j_plus(EXACT)
+    """J+_a = translation(a) is antisymmetric, J_a J_b = -delta_ab + eps_abc J_c,
+    and -tr(J_a J_b)/4 = delta_ab."""
+    J = [Mat(translation(a)) for a in (1, 2, 3)]
     for a in range(3):
-        assert J[a] + J[a].transpose() == _scalar_mat(0)
+        assert all(J[a][i, k] == -J[a][k, i] for i in range(4) for k in range(4))
         for b in range(3):
-            expect = _scalar_mat(-1 if a == b else 0)
+            expect = [[-1 if a == b and i == k else 0 for k in range(4)] for i in range(4)]
             for c in range(3):
                 s = epsilon(a + 1, b + 1, c + 1)
-                if s:
-                    expect = expect + J[c].scale(s)
+                for i in range(4):
+                    for k in range(4):
+                        expect[i][k] += s * J[c][i, k]
             prod = J[a] @ J[b]
-            assert prod == expect
+            assert prod == Mat(expect)
             assert sum(prod[k, k] for k in range(4)) == (-4 if a == b else 0)
 
 
-def test_j_plus_j_minus_commute():
-    # left translations commute with right translations
-    for b in (1, 2, 3):
-        Rb = _right_multiplication(b)
-        for q in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-            e_b = tuple(int(k == b) for k in range(4))
-            assert _apply(Rb, q) == quat_multiply(q, e_b)
-        for Ja in j_plus(EXACT):
-            assert Ja @ Rb == Rb @ Ja
+def test_left_and_right_translations_commute():
+    for a in range(4):
+        for b in range(4):
+            L, R = Mat(translation(a)), Mat(translation(b, right=True))
+            assert L @ R == R @ L
 
 
-def test_build_J_validates_arguments():
-    with pytest.raises(ValueError):
-        build_J(0)
-    with pytest.raises(ValueError):
-        build_J(4)
+def test_translation_validates_arguments():
+    assert translation(0) == [[int(i == k) for k in range(4)] for i in range(4)]
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match=str(bad)):
+            translation(bad)
+        with pytest.raises(ValueError):
+            translation(bad, right=True)
 
 
 @given(quaternions, quaternions)
@@ -152,14 +140,24 @@ def test_mat_algebra_against_naive(p, q):
             want = sum((A[r, k] * B[k, c] for k in range(2)),
                        GaussRational(0, 0))
             assert prod[r, c] == want
-    assert list((A - A).entries()) == [GaussRational(0, 0)] * 4
 
 
-@given(quaternions)
-def test_dagger_matches_conjugate_transpose(q):
-    i = GaussRational(0, 1)
-    A = embed_M2([GaussRational(v, 0) for v in q], i)
+# one algebra for the dagger properties: a matrix over NCPoly
+ALG = Algebra(build_R_quaternionic(DeformParams.parse("3/5,4/5,0")), EXACT)
+gauss = st.builds(GaussRational, rationals, rationals)
+polys = st.builds(lambda c, d, g: ALG.scalar(c) * ALG.generator(g) + ALG.scalar(d),
+                  gauss, gauss, st.integers(0, 7))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(polys, min_size=6, max_size=6), st.lists(polys, min_size=6, max_size=6))
+def test_dagger_matches_conjugate_transpose(a, b):
+    """The dagger of a 2x3 NCPoly matrix is the transpose of the entries'
+    star, and (A B)^dagger = B^dagger A^dagger."""
+    A, B = Mat([a[:3], a[3:]]), Mat([b[0:2], b[2:4], b[4:]])
     D = A.dagger()
-    for r in range(2):
+    assert D.shape == (3, 2)
+    for r in range(3):
         for c in range(2):
-            assert D[r, c] == A[c, r].conjugate()
+            assert D[r, c] == A[c, r].star()
+    assert (A @ B).dagger() == B.dagger() @ D

@@ -1,12 +1,15 @@
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncspheres.cli import CATALOG
 from ncspheres.errors import MalformedNumber, ParamsNotOnSphere
-from ncspheres.quatlin import Mat, j_plus
+from ncspheres.quatlin import Mat, translation
 from ncspheres.rmatrix import (DeformParams, build_BigR, build_R_quaternionic,
                                check_all_conditions, check_involutive,
                                check_quadratic_1, check_quadratic_2,
@@ -172,13 +175,13 @@ def _abcd_entries(A, B, C, D):
 
 def test_general_builder_agrees_with_direct():
     """The two-deformation ABCD sum with v = e_1 is build_R_quaternionic."""
-    J = j_plus(EXACT)
-    ident = Mat([[GaussRational(int(r == c), 0) for c in range(4)] for r in range(4)])
+    ident, J1, J2 = (Mat(translation(a)) for a in (0, 1, 2))
     for label in ("3/5,0,4/5", "3/5,4/5,0", "1/3,2/3,2/3"):
         p = DeformParams.parse(label)
-        D = J[0].scale(GaussRational(p.u1, 0)) + J[1].scale(GaussRational(p.u2, 0))
-        want = _abcd_entries([ident], [ident.scale(GaussRational(p.u0, 0))],
-                             [J[0]], [D])
+        D = Mat([[p.u1 * a + p.u2 * b for a, b in zip(r1, r2)]
+                 for r1, r2 in zip(J1.rows, J2.rows)])
+        want = _abcd_entries([ident], [Mat([[p.u0 * k for k in row] for row in ident.rows])],
+                             [J1], [D])
         R = build_R_quaternionic(p, EXACT)
         assert {idx: R.entry(*idx) for idx in want} == want, label
 
@@ -188,6 +191,16 @@ def test_off_sphere_v_vector_rejected():
     for be in (EXACT, FLOAT):
         with pytest.raises(ParamsNotOnSphere):
             build_R_quaternionic(DeformParams(Fraction(1), Fraction(1), Fraction(0)), be)
+
+
+def test_float_tensor_matches_golden_reprs():
+    """Every float entry at every catalog point keeps its repr, so a sign
+    flipped on a zero part, which == cannot see, fails here."""
+    golden = json.loads((Path(__file__).parent / "golden" / "r_float.json").read_text())
+    assert list(golden) == list(CATALOG)
+    for label, want in golden.items():
+        R = build_R_quaternionic(DeformParams.parse(label), FLOAT)
+        assert [repr(R.entry(*idx)) for idx in product(range(4), repeat=4)] == want, label
 
 
 def test_perturbed_tensor_fails_yang_baxter():

@@ -20,13 +20,13 @@ def test_parse_rational_forms():
     assert parse_rational("3/5") == Fraction(3, 5)
     assert parse_rational(" -7 ") == Fraction(-7)
     assert parse_rational("-24/25") == Fraction(-24, 25)
-    # at most 4300 digits in each integer, the default limit of int()
-    assert parse_rational("-" + "9" * 4300) == -(10 ** 4300 - 1)
-    assert parse_rational("1/" + "0" * 4299 + "7") == Fraction(1, 7)
+    # at most 2000 digits in each integer (scalars.MAX_DIGITS)
+    assert parse_rational("-" + "9" * 2000) == -(10 ** 2000 - 1)
+    assert parse_rational("1/" + "0" * 1999 + "7") == Fraction(1, 7)
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "x", "1.5", "3//5", "1/2/3", "1" * 4301, "1/" + "1" * 4301,
+    for bad in ("", "x", "1.5", "3//5", "1/2/3", "1" * 2001, "1/" + "1" * 2001,
                 "\u0663/5", "3/\uff15"):
         with pytest.raises(MalformedNumber):
             parse_rational(bad)
@@ -108,7 +108,6 @@ def _assert_matches(z, pair):
     assert isinstance(z, GaussRational)
     assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
     assert (z.re, z.im) == (re, im)
-    assert (z.real, z.imag) == (re, im)
     assert str(z) == f"({re},{im})"
     assert abs(z) == math.hypot(float(re), float(im))
     assert complex(z) == complex(float(re), float(im))
