@@ -377,13 +377,14 @@ def _comodule_law_defects(co: Coaction) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def derivation_matrix(a: int):
     """Integer matrix M with D_a(x^mu) = sum_nu M[mu][nu] x^nu.
 
     M is the negated right-translation matrix (x -> -x e_a), the sign that
     makes D_1(x1^0) = +x1^1; the joint kernels are insensitive to it.
     """
-    return [[-k for k in row] for row in translation(a, right=True)]
+    return tuple(tuple(-k for k in row) for row in translation(a, right=True))
 
 
 def derivation(alg, a: int, f: NCPoly) -> NCPoly:

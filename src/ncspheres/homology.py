@@ -20,15 +20,16 @@ the projection (even case) or of the coordinate quaternion and its star
 
 with each matrix factored over an echelon basis {f_a} of its entries and
 constant coefficient matrices E_a: the index paths are walked over the few
-constant coordinates, and only the entries of the contracted tensor
-c[a0..an] that are nonzero by the backend's zero test are expanded into
-monomials (561 of the 721 entries of ch2 at 3/5,4/5,0 cancel).  The prune
-keeps every digest: an exact zero adds nothing to a sum; on floats, at the
-catalog points, the pruned ch2 and ch_3half entries are exactly 0, and the
-faces' pruned entries (<= 5e-16) feed only b ch2, whose terms cancel either
-way.  Since the trace map is a chain map, trace_boundary takes b of a trace
-through the matrix faces, traces of one degree less; the report checks
-b ch2 = 0 and b ch_3half = 0 that way, far cheaper than b on the chains' terms.
+constant coordinates into the contracted tensor c, and the trace is kept as
+sum_a c[a] f_a0 x ... x f_an over the c[a] nonzero by the backend's zero test
+(561 of ch2's 721 cancel at 3/5,4/5,0).  One depth-first walk over the slots
+expands it in canonical order, so the ch2 digest hashes the terms as they come
+and ch2 is never built.  The prune keeps every digest: an exact zero adds
+nothing to a sum; on floats, at the catalog points, the pruned ch2 and ch_3half
+entries are exactly 0, and the faces' pruned entries (<= 5e-16) feed only b ch2,
+whose terms cancel either way.  As the trace map is a chain map, trace_boundary
+takes b of a trace through the matrix faces, traces of one degree less, in one
+walk; the report checks b ch2 = 0 and b ch_3half = 0 that way, not on terms.
 """
 
 from __future__ import annotations
@@ -133,12 +134,15 @@ class TensorChain(Sparse):
                             for pos, i in enumerate(key))
 
     def digest(self) -> dict:
-        h = hashlib.sha256()
-        slot = [repr(m).encode() + b"|" for m in self.ctx._monos]
-        for key, coeff in self.canonical_terms():
-            h.update(b"".join([slot[mid] for mid in key]) + str(coeff).encode() + b";")
-        return {"degree": self.degree, "n_terms": len(self.terms),
-                "is_zero": self.is_zero(), "sha256": h.hexdigest()}
+        return digest_terms(self.ctx, self.degree, self.canonical_terms())
+
+
+def digest_terms(ctx: ChainContext, degree: int, terms) -> dict:
+    """Size and sha256 of a chain's (key, coeff) terms, in canonical order."""
+    h, n, slot = hashlib.sha256(), 0, [repr(m).encode() + b"|" for m in ctx._monos]
+    for n, (key, coeff) in enumerate(terms, 1):
+        h.update(b"".join([slot[mid] for mid in key]) + str(coeff).encode() + b";")
+    return {"degree": degree, "n_terms": n, "is_zero": n == 0, "sha256": h.hexdigest()}
 
 
 def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
@@ -191,15 +195,11 @@ def B_boundary(chain: TensorChain) -> TensorChain:
 
 
 def trace_chain(ctx: ChainContext, mats) -> TensorChain:
-    """<M0 x ... x Mn> = sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0].
-
-    Each Mat over NCPoly is factored as sum_a E_a f_a over an echelon basis
-    {f_a} of its entries; the constant E_a are contracted along the cyclic
-    index paths into c[a0..an], and each c[a] != 0 adds c[a] f_a0 x ... x f_an.
-    """
-    out = {}
-    _trace_into(ctx, mats, ctx.backend.one, out)
-    return TensorChain(ctx, len(mats) - 1, out)
+    """<M0 x ... x Mn> = sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0],
+    expanded from its factored form (factored_trace, expand_factored)."""
+    chain = TensorChain(ctx, len(mats) - 1)  # the walk drops zero sums itself
+    chain.terms.update(expand_factored(ctx, factored_trace(ctx, mats, ctx.backend.one)))
+    return chain
 
 
 def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
@@ -217,10 +217,9 @@ def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
         raise DegreeZero("b is undefined on degree-0 chains")
     one = ctx.backend.one
     faces = [mats[:i] + [mats[i] @ mats[i + 1]] + mats[i + 2:] for i in range(n)]
-    out = {}
-    for i, face in enumerate(faces + [[mats[n] @ mats[0]] + mats[1:n]]):
-        _trace_into(ctx, face, one if i % 2 == 0 else -one, out)
-    return TensorChain(ctx, n - 1, out)
+    pure = [t for i, face in enumerate(faces + [[mats[n] @ mats[0]] + mats[1:n]])
+            for t in factored_trace(ctx, face, one if i % 2 == 0 else -one)]
+    return TensorChain(ctx, n - 1, dict(expand_factored(ctx, pure)))
 
 
 def _factor(ctx: ChainContext, m: Mat, normalized: bool):
@@ -247,10 +246,10 @@ def _factor(ctx: ChainContext, m: Mat, normalized: bool):
     return basis, [coords[i * r:(i + 1) * r] for i in range(r)]
 
 
-def _trace_into(ctx: ChainContext, mats, coeff, out: dict) -> None:
-    """out += coeff * <M0 x ... x Mn>, one factorization per distinct matrix
-    and slot kind (slot 0, or slots >= 1 with the unit dropped), expanding only
-    the entries of c nonzero by the backend's zero test (see the module doc)."""
+def factored_trace(ctx: ChainContext, mats, coeff) -> list:
+    """coeff * <M0 x ... x Mn> as its pure tensors ((f_a0, ..., f_an), c[a]) with
+    c[a] nonzero by the backend's zero test, in c's order: independent, as each
+    slot's f_a are; one factorization per matrix and slot kind (0 or >= 1)."""
     if len({len(m.rows) for m in mats}) != 1:
         raise ValueError("matrix sizes differ")
     r, last = len(mats[0].rows), len(mats) - 1
@@ -266,19 +265,40 @@ def _trace_into(ctx: ChainContext, mats, coeff, out: dict) -> None:
             for j in ((i0,) if pos == last else range(r)):
                 for a, e in coords[i][j]:
                     add_into(c, pre + (a,) if pos == last else (i0, j, pre + (a,)), v * e)
-    for a, v in c.items():
-        if ctx.backend.is_zero(v):
+    return [(tuple(factors[pos][0][k] for pos, k in enumerate(a)), v)
+            for a, v in c.items() if not ctx.backend.is_zero(v)]
+
+
+def expand_factored(ctx: ChainContext, pure):
+    """Yield the terms (key, coeff) of a list of pure tensors ((f_0, ..., f_n), c)
+    in canonical order: depth first, the live (f, c cc_0 ... cc_k) at slot k are
+    bucketed by f_k's monomials in mono_key order; a zero sum is dropped."""
+    key_of, is_zero = ctx.mono_keys.__getitem__, ctx.backend.is_zero
+    stack = [((), pure)] if pure else []
+    while stack:
+        prefix, live = stack.pop()
+        pos, buckets = len(prefix), {}
+        if pos < len(live[0][0]) - 1:
+            for f, w in live:
+                for mid, cc in f[pos]:
+                    buckets.setdefault(mid, []).append((f, w * cc))
+            stack.extend((prefix + (mid,), buckets[mid])
+                         for mid in sorted(buckets, key=key_of, reverse=True))
             continue
-        heads = [((), v)]
-        for pos in range(last):
-            heads = [(key + (mid,), w * cc) for key, w in heads
-                     for mid, cc in factors[pos][0][a[pos]]]
-        # the innermost loop runs once per raw term, so add_into is written out
-        for key, w in heads:
-            for mid, cc in factors[last][0][a[last]]:
-                k, x = key + (mid,), w * cc
-                got = out.get(k)
-                out[k] = x if got is None else got + x
+        if len(live) == 1:  # f_n lists its monomials in descending order (_factor)
+            (f, w), = live
+            for mid, cc in reversed(f[pos]):
+                if not is_zero(v := w * cc):
+                    yield prefix + (mid,), v
+            continue
+        # add_into, written out (once per raw term): sums in pure's order from the first
+        for f, w in live:
+            for mid, cc in f[pos]:
+                got = buckets.get(mid)
+                buckets[mid] = w * cc if got is None else got + w * cc
+        for mid in sorted(buckets, key=key_of):
+            if not is_zero(buckets[mid]):
+                yield prefix + (mid,), buckets[mid]
 
 
 def matrix_half_shift(ctx: ChainContext, p: Mat) -> Mat:

@@ -11,8 +11,9 @@ from ncspheres.errors import DegreeZero, NotUnitaryEnough
 from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, TensorChain,
                                 b_boundary, chain_from_slots, chern_even,
                                 chern_even_word, chern_odd,
-                                check_vanzz_equivalence, matrix_half_shift,
-                                trace_boundary, trace_chain, _trace_into)
+                                check_vanzz_equivalence, digest_terms,
+                                expand_factored, factored_trace,
+                                matrix_half_shift, trace_boundary, trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
 from ncspheres.scalars import EXACT, FLOAT, add_into
 from ncspheres.spheres import build_projection, three_sphere_context
@@ -343,15 +344,17 @@ def test_canonical_order_is_the_order_of_the_mono_key_tuples(pyth):
     ("3/5,4/5,0", EXACT, 172032), ("3/5,4/5,0", FLOAT, 172032), ("1/3,2/3,2/3", EXACT, 602112)],
     ids=["exact-3/5,4/5,0", "float-3/5,4/5,0", "exact-1/3,2/3,2/3"])
 def test_trace_expands_only_the_surviving_entries_of_c(label, backend, n_terms):
-    """_trace_into writes exactly the terms of ch2, each of which survives the
-    chain's zero filter; expanding the cancelled entries of c as well would
-    write 783 616 keys at 3/5,4/5,0 and 1 565 952 at 1/3,2/3,2/3."""
+    """factored_trace keeps only the entries of c that survive the zero test,
+    and the walk of ch2 yields exactly its terms, each nonzero; expanding the
+    cancelled entries of c as well would give 783 616 keys at 3/5,4/5,0 and
+    1 565 952 at 1/3,2/3,2/3."""
     _, _, s, _ = make_point(label, backend)
     ctx = ChainContext(s)
-    out = {}
-    _trace_into(ctx, chern_even_word(ctx, build_projection(s), 2), ctx.backend.one, out)
-    assert len(out) == n_terms
-    assert TensorChain(ctx, 4, out).n_terms() == n_terms
+    pure = factored_trace(ctx, chern_even_word(ctx, build_projection(s), 2), ctx.backend.one)
+    assert pure and not any(ctx.backend.is_zero(v) for _, v in pure)
+    terms = list(expand_factored(ctx, pure))
+    assert len(terms) == n_terms
+    assert TensorChain(ctx, 4, dict(terms)).n_terms() == n_terms
 
 
 def _agree_within_tol(got, want):
@@ -386,3 +389,28 @@ def test_float_chern_components_agree_with_the_exact_chains(pyth):
     for got, want in zip(floats, exact):
         assert not want.is_zero()
         _agree_within_tol(got, want)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("label", ["1,0,0", "3/5,4/5,0"])
+def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend):
+    """ch0, ch1, ch2 and the four traces behind ch_half and ch_3half: the
+    walk's (n_terms, sha256) is the digest of the expanded chain, and its keys
+    strictly increase in the canonical order."""
+    _, _, s, ys = make_point(label, backend)
+    ctx, ctx3 = ChainContext(s), ChainContext(three_sphere_context(s, ys))
+    p, U = build_projection(s), embed_M2(ys.Y, backend.i)
+    Ud = U.dagger()
+    words = [(ctx, chern_even_word(ctx, p, k)) for k in range(3)]
+    words += [(ctx3, w) for w in ([U, Ud], [Ud, U], [U, Ud] * 2, [Ud, U] * 2)]
+    sizes = []
+    for c, word in words:
+        terms = list(expand_factored(c, factored_trace(c, word, backend.one)))
+        chain = trace_chain(c, word)
+        assert digest_terms(c, len(word) - 1, terms) == chain.digest()
+        order = chain._order()
+        ranks = [order(t) for t in terms]
+        assert all(x < y for x, y in zip(ranks, ranks[1:]))
+        sizes.append(len(terms))
+    # ch0 and ch1 vanish; ch2 and the four odd traces do not
+    assert sizes[:2] == [0, 0] and min(sizes[2:]) > 1
