@@ -20,8 +20,8 @@ the projection (even case) or of the coordinate quaternion and its star
 
 with each matrix factored over an echelon basis {f_a} of its entries and
 constant coefficient matrices E_a: the index paths are walked over the few
-constant coordinates into the contracted tensor c, and the trace is kept as
-sum_a c[a] f_a0 x ... x f_an over the c[a] nonzero by the backend's zero test
+constant coordinates into the contracted tensor c, and a FactoredTrace keeps
+it as sum_a c[a] f_a0 x ... x f_an over the c[a] nonzero by the zero test
 (561 of ch2's 721 cancel at 3/5,4/5,0).  One depth-first walk over the slots
 expands it in canonical order, so the ch2 digest hashes the terms as they come
 and ch2 is never built.  The prune keeps every digest: an exact zero adds
@@ -195,11 +195,9 @@ def B_boundary(chain: TensorChain) -> TensorChain:
 
 
 def trace_chain(ctx: ChainContext, mats) -> TensorChain:
-    """<M0 x ... x Mn> = sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0],
-    expanded from its factored form (factored_trace, expand_factored)."""
-    chain = TensorChain(ctx, len(mats) - 1)  # the walk drops zero sums itself
-    chain.terms.update(expand_factored(ctx, factored_trace(ctx, mats, ctx.backend.one)))
-    return chain
+    """<M0 x ... x Mn> = sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0], expanded."""
+    pure = FactoredTrace(ctx, mats).pure
+    return TensorChain(ctx, len(mats) - 1, dict(expand_factored(ctx, pure)))
 
 
 def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
@@ -218,7 +216,7 @@ def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
     one = ctx.backend.one
     faces = [mats[:i] + [mats[i] @ mats[i + 1]] + mats[i + 2:] for i in range(n)]
     pure = [t for i, face in enumerate(faces + [[mats[n] @ mats[0]] + mats[1:n]])
-            for t in factored_trace(ctx, face, one if i % 2 == 0 else -one)]
+            for t in FactoredTrace(ctx, face, one if i % 2 == 0 else -one).pure]
     return TensorChain(ctx, n - 1, dict(expand_factored(ctx, pure)))
 
 
@@ -246,29 +244,6 @@ def _factor(ctx: ChainContext, m: Mat, normalized: bool):
     return basis, [coords[i * r:(i + 1) * r] for i in range(r)]
 
 
-def factored_trace(ctx: ChainContext, mats, coeff) -> list:
-    """coeff * <M0 x ... x Mn> as its pure tensors ((f_a0, ..., f_an), c[a]) with
-    c[a] nonzero by the backend's zero test, in c's order: independent, as each
-    slot's f_a are; one factorization per matrix and slot kind (0 or >= 1)."""
-    if len({len(m.rows) for m in mats}) != 1:
-        raise ValueError("matrix sizes differ")
-    r, last = len(mats[0].rows), len(mats) - 1
-    kinds = {(id(m), pos > 0): (m, pos > 0) for pos, m in enumerate(mats)}
-    kinds = {kind: _factor(ctx, m, normalized) for kind, (m, normalized) in kinds.items()}
-    factors = [kinds[id(m), pos > 0] for pos, m in enumerate(mats)]
-    # one state (first index, current index, a0..ak) per partial index path;
-    # closing the paths at the last slot leaves c, keyed by a0..an alone
-    c = {(i, i, ()): coeff for i in range(r)}
-    for pos, (_, coords) in enumerate(factors):
-        c, states = {}, c
-        for (i0, i, pre), v in states.items():
-            for j in ((i0,) if pos == last else range(r)):
-                for a, e in coords[i][j]:
-                    add_into(c, pre + (a,) if pos == last else (i0, j, pre + (a,)), v * e)
-    return [(tuple(factors[pos][0][k] for pos, k in enumerate(a)), v)
-            for a, v in c.items() if not ctx.backend.is_zero(v)]
-
-
 def expand_factored(ctx: ChainContext, pure):
     """Yield the terms (key, coeff) of a list of pure tensors ((f_0, ..., f_n), c)
     in canonical order: depth first, the live (f, c cc_0 ... cc_k) at slot k are
@@ -285,12 +260,6 @@ def expand_factored(ctx: ChainContext, pure):
             stack.extend((prefix + (mid,), buckets[mid])
                          for mid in sorted(buckets, key=key_of, reverse=True))
             continue
-        if len(live) == 1:  # f_n lists its monomials in descending order (_factor)
-            (f, w), = live
-            for mid, cc in reversed(f[pos]):
-                if not is_zero(v := w * cc):
-                    yield prefix + (mid,), v
-            continue
         # add_into, written out (once per raw term): sums in pure's order from the first
         for f, w in live:
             for mid, cc in f[pos]:
@@ -299,6 +268,39 @@ def expand_factored(ctx: ChainContext, pure):
         for mid in sorted(buckets, key=key_of):
             if not is_zero(buckets[mid]):
                 yield prefix + (mid,), buckets[mid]
+
+
+class FactoredTrace:
+    """coeff * <M0 x ... x Mn> as pure = [((f_a0, ..., f_an), c[a])] over the c[a]
+    nonzero by the zero test, in c's order, one factorization per matrix and slot
+    kind (0 or >= 1); digest() hashes the walk of pure, so no term is stored."""
+
+    def __init__(self, ctx: ChainContext, mats, coeff=None):
+        if len({len(m.rows) for m in mats}) != 1:
+            raise ValueError("matrix sizes differ")
+        self.ctx, self.degree = ctx, len(mats) - 1
+        r, last = len(mats[0].rows), self.degree
+        kinds = {(id(m), pos > 0): (m, pos > 0) for pos, m in enumerate(mats)}
+        kinds = {kind: _factor(ctx, m, normalized) for kind, (m, normalized) in kinds.items()}
+        factors = [kinds[id(m), pos > 0] for pos, m in enumerate(mats)]
+        # one state (first index, current index, a0..ak) per partial index path;
+        # closing the paths at the last slot leaves c, keyed by a0..an alone
+        c = {(i, i, ()): ctx.backend.one if coeff is None else coeff for i in range(r)}
+        for pos, (_, coords) in enumerate(factors):
+            c, states = {}, c
+            for (i0, i, pre), v in states.items():
+                for j in ((i0,) if pos == last else range(r)):
+                    for a, e in coords[i][j]:
+                        add_into(c, pre + (a,) if pos == last else (i0, j, pre + (a,)), v * e)
+        self.pure = [(tuple(factors[pos][0][k] for pos, k in enumerate(a)), v)
+                     for a, v in c.items() if not ctx.backend.is_zero(v)]
+
+    def is_zero(self) -> bool:
+        """Each slot's f_a are independent echelon rows, and so are their tensors."""
+        return not self.pure
+
+    def digest(self) -> dict:
+        return digest_terms(self.ctx, self.degree, expand_factored(self.ctx, self.pure))
 
 
 def matrix_half_shift(ctx: ChainContext, p: Mat) -> Mat:

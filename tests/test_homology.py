@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 
 from ncspheres.errors import DegreeZero, NotUnitaryEnough
-from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, TensorChain,
-                                b_boundary, chain_from_slots, chern_even,
-                                chern_even_word, chern_odd,
-                                check_vanzz_equivalence, digest_terms,
-                                expand_factored, factored_trace,
+from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, FactoredTrace,
+                                TensorChain, b_boundary, chain_from_slots,
+                                chern_even, chern_even_word, chern_odd,
+                                check_vanzz_equivalence, expand_factored,
                                 matrix_half_shift, trace_boundary, trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
 from ncspheres.scalars import EXACT, FLOAT, add_into
@@ -344,13 +343,13 @@ def test_canonical_order_is_the_order_of_the_mono_key_tuples(pyth):
     ("3/5,4/5,0", EXACT, 172032), ("3/5,4/5,0", FLOAT, 172032), ("1/3,2/3,2/3", EXACT, 602112)],
     ids=["exact-3/5,4/5,0", "float-3/5,4/5,0", "exact-1/3,2/3,2/3"])
 def test_trace_expands_only_the_surviving_entries_of_c(label, backend, n_terms):
-    """factored_trace keeps only the entries of c that survive the zero test,
+    """FactoredTrace keeps only the entries of c that survive the zero test,
     and the walk of ch2 yields exactly its terms, each nonzero; expanding the
     cancelled entries of c as well would give 783 616 keys at 3/5,4/5,0 and
     1 565 952 at 1/3,2/3,2/3."""
     _, _, s, _ = make_point(label, backend)
     ctx = ChainContext(s)
-    pure = factored_trace(ctx, chern_even_word(ctx, build_projection(s), 2), ctx.backend.one)
+    pure = FactoredTrace(ctx, chern_even_word(ctx, build_projection(s), 2)).pure
     assert pure and not any(ctx.backend.is_zero(v) for _, v in pure)
     terms = list(expand_factored(ctx, pure))
     assert len(terms) == n_terms
@@ -395,8 +394,9 @@ def test_float_chern_components_agree_with_the_exact_chains(pyth):
 @pytest.mark.parametrize("label", ["1,0,0", "3/5,4/5,0"])
 def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend):
     """ch0, ch1, ch2 and the four traces behind ch_half and ch_3half: the
-    walk's (n_terms, sha256) is the digest of the expanded chain, and its keys
-    strictly increase in the canonical order."""
+    walk's (n_terms, sha256) is the digest of the expanded chain, its keys
+    strictly increase in the canonical order, and the factored zero test is the
+    expanded chain's."""
     _, _, s, ys = make_point(label, backend)
     ctx, ctx3 = ChainContext(s), ChainContext(three_sphere_context(s, ys))
     p, U = build_projection(s), embed_M2(ys.Y, backend.i)
@@ -405,9 +405,10 @@ def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend)
     words += [(ctx3, w) for w in ([U, Ud], [Ud, U], [U, Ud] * 2, [Ud, U] * 2)]
     sizes = []
     for c, word in words:
-        terms = list(expand_factored(c, factored_trace(c, word, backend.one)))
-        chain = trace_chain(c, word)
-        assert digest_terms(c, len(word) - 1, terms) == chain.digest()
+        trace, chain = FactoredTrace(c, word), trace_chain(c, word)
+        terms = list(expand_factored(c, trace.pure))
+        assert trace.digest() == chain.digest()
+        assert trace.is_zero() == chain.is_zero() == (not terms)
         order = chain._order()
         ranks = [order(t) for t in terms]
         assert all(x < y for x, y in zip(ranks, ranks[1:]))
