@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import IrrationalEigenvalue, InvalidSpec, NCSpheresError
 from .homology import (B_boundary, ChainContext, FactoredTrace, b_boundary, chern_even,
-                       chern_even_word, chern_odd, check_vanzz_equivalence, trace_boundary)
+                       chern_even_word, chern_odd, check_vanzz_equivalence)
 from .ncalg import DEGREE_CAP, Algebra, basis_size, confluence_check
 from .quatlin import embed_M2
 from .rmatrix import DeformParams, build_R_quaternionic, check_all_conditions
@@ -155,20 +155,17 @@ def _task_chern(spec: RunSpec, state: dict) -> dict:
     ctx, ctx3 = ChainContext(s), ChainContext(state["s3"])
     p = build_projection(s)
     U = embed_M2(ys.Y, s.base.backend.i)
-    Ud = U.dagger()
     ch = {
         "ch0": chern_even(ctx, p, 0),
         "ch1": chern_even(ctx, p, 1),
-        "ch2": FactoredTrace(ctx, chern_even_word(ctx, p, 2)),  # never expanded
+        "ch2": FactoredTrace(ctx, [(1, chern_even_word(ctx, p, 2))]),  # never expanded
         "ch_half": chern_odd(ctx3, U, 0),
         "ch_3half": chern_odd(ctx3, U, 1),
     }
     zero = {"ch0_zero": ch["ch0"], "ch_half_zero": ch["ch_half"], "ch1_zero": ch["ch1"]}
     closing = {
-        # through the matrix faces: about 12x cheaper than b on the chains'
-        # terms; ch_3half is <U x U* x U x U*> - <U* x U x U* x U>
-        "b_ch2_zero": trace_boundary(ctx, chern_even_word(ctx, p, 2)),
-        "b_ch32_zero": trace_boundary(ctx3, [U, Ud] * 2) - trace_boundary(ctx3, [Ud, U] * 2),
+        "b_ch2_zero": b_boundary(ch["ch2"]),
+        "b_ch32_zero": b_boundary(ch["ch_3half"]),
         "B_ch0_equals_b_ch1": B_boundary(ch["ch0"]) - b_boundary(ch["ch1"]),
     }
     top = {"ch2_nonzero": ch["ch2"], "ch_3half_nonzero": ch["ch_3half"]}

@@ -20,22 +20,30 @@ the projection (even case) or of the coordinate quaternion and its star
 
 with each matrix factored over an echelon basis {f_a} of its entries and
 constant coefficient matrices E_a: the index paths are walked over the few
-constant coordinates into the contracted tensor c, and a FactoredTrace keeps
-it as sum_a c[a] f_a0 x ... x f_an over the c[a] nonzero by the zero test
-(561 of ch2's 721 cancel at 3/5,4/5,0).  One depth-first walk over the slots
-expands it in canonical order, so the ch2 digest hashes the terms as they come
-and ch2 is never built.  The prune keeps every digest: an exact zero adds
-nothing to a sum; on floats, at the catalog points, the pruned ch2 and ch_3half
-entries are exactly 0, and the faces' pruned entries (<= 5e-16) feed only b ch2,
-whose terms cancel either way.  As the trace map is a chain map, trace_boundary
-takes b of a trace through the matrix faces, traces of one degree less, in one
-walk; the report checks b ch2 = 0 and b ch_3half = 0 that way, not on terms.
+constant coordinates into the contracted tensor c, kept as sum_a c[a] f_a0 x
+... x f_an over the c[a] nonzero by the zero test (561 of ch2's 721 cancel at
+3/5,4/5,0), and one depth-first walk over the slots expands it in canonical
+order.  The prune keeps every digest: an exact zero adds nothing to a sum; on
+floats, at the catalog points, the pruned ch2 and ch_3half entries are exactly
+0, and the faces' pruned entries (<= 5e-16) feed only b ch2, whose terms cancel
+either way.  A FactoredTrace is a signed sum of such traces, one per word; ch2
+and the odd components stay factored and are never built, and their digests
+hash the terms as they come.  The words' walks merge as streams, with a negative
+word's terms times -1, as TensorChain's - adds them: a sign inside c, or one
+walk of all words, flips the sign of some float zeros, which the digest shows.
+As words may cancel while each has terms, a FactoredTrace is zero when the
+merged stream is empty.  The trace map is a chain map, so b of a FactoredTrace
+is sum_w sign_w trace_boundary(word), taken through the matrix faces.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 from fractions import Fraction
+from functools import reduce
+from itertools import groupby
+from operator import add, itemgetter
 
 from .errors import DegreeZero, NotUnitaryEnough
 from .ncalg import NCPoly, format_poly, mono_key
@@ -128,21 +136,17 @@ class TensorChain(Sparse):
 
     def first_term(self) -> str:
         """The first canonical term as c*m0 (x) m1 (x) ..., each slot by format_poly."""
-        key, coeff = min(self.terms.items(), key=self._order())
+        key, coeff = next(iter(self.canonical_terms()))
         ctx, one = self.ctx, self.ctx.backend.one
         return " (x) ".join(format_poly(NCPoly(ctx.alg, {ctx._monos[i]: one if pos else coeff}))
                             for pos, i in enumerate(key))
 
     def digest(self) -> dict:
-        return digest_terms(self.ctx, self.degree, self.canonical_terms())
-
-
-def digest_terms(ctx: ChainContext, degree: int, terms) -> dict:
-    """Size and sha256 of a chain's (key, coeff) terms, in canonical order."""
-    h, n, slot = hashlib.sha256(), 0, [repr(m).encode() + b"|" for m in ctx._monos]
-    for n, (key, coeff) in enumerate(terms, 1):
-        h.update(b"".join([slot[mid] for mid in key]) + str(coeff).encode() + b";")
-    return {"degree": degree, "n_terms": n, "is_zero": n == 0, "sha256": h.hexdigest()}
+        """Size and sha256 of the (key, coeff) terms, in canonical order."""
+        h, n, slot = hashlib.sha256(), 0, [repr(m).encode() + b"|" for m in self.ctx._monos]
+        for n, (key, coeff) in enumerate(self.canonical_terms(), 1):
+            h.update(b"".join([slot[mid] for mid in key]) + str(coeff).encode() + b";")
+        return {"degree": self.degree, "n_terms": n, "is_zero": n == 0, "sha256": h.hexdigest()}
 
 
 def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
@@ -156,12 +160,18 @@ def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
 # ---------------------------------------------------------------------------
 
 
-def b_boundary(chain: TensorChain) -> TensorChain:
-    """Hochschild boundary; lowers degree by one."""
+def b_boundary(chain) -> TensorChain:
+    """Hochschild boundary; lowers degree by one.  A FactoredTrace's is
+    sum_w sign_w trace_boundary(word), a TensorChain's is taken on its terms."""
     n = chain.degree
     if n < 1:
         raise DegreeZero("b is undefined on degree-0 chains")
     ctx = chain.ctx
+    if isinstance(chain, FactoredTrace):
+        out = TensorChain(ctx, n - 1)
+        for sign, mats, _ in chain.words:
+            out = out + trace_boundary(ctx, mats) if sign > 0 else out - trace_boundary(ctx, mats)
+        return out
     out = {}
     for key, coeff in chain.terms.items():
         for i in range(n):
@@ -196,8 +206,7 @@ def B_boundary(chain: TensorChain) -> TensorChain:
 
 def trace_chain(ctx: ChainContext, mats) -> TensorChain:
     """<M0 x ... x Mn> = sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0], expanded."""
-    pure = FactoredTrace(ctx, mats).pure
-    return TensorChain(ctx, len(mats) - 1, dict(expand_factored(ctx, pure)))
+    return TensorChain(ctx, len(mats) - 1, dict(FactoredTrace(ctx, [(1, mats)]).canonical_terms()))
 
 
 def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
@@ -213,10 +222,12 @@ def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
     n = len(mats) - 1
     if n < 1:
         raise DegreeZero("b is undefined on degree-0 chains")
-    one = ctx.backend.one
-    faces = [mats[:i] + [mats[i] @ mats[i + 1]] + mats[i + 2:] for i in range(n)]
-    pure = [t for i, face in enumerate(faces + [[mats[n] @ mats[0]] + mats[1:n]])
-            for t in FactoredTrace(ctx, face, one if i % 2 == 0 else -one).pure]
+    one, prods = ctx.backend.one, {}
+    for x, y in zip(mats, mats[1:] + mats[:1]):  # each distinct product once
+        prods[id(x), id(y)] = prods.get((id(x), id(y))) or x @ y
+    faces = [mats[:i] + [prods[id(mats[i]), id(mats[i + 1])]] + mats[i + 2:] for i in range(n)]
+    pure = [t for i, face in enumerate(faces + [[prods[id(mats[n]), id(mats[0])]] + mats[1:n]])
+            for t in _contract(ctx, face, one if i % 2 == 0 else -one)]
     return TensorChain(ctx, n - 1, dict(expand_factored(ctx, pure)))
 
 
@@ -242,6 +253,28 @@ def _factor(ctx: ChainContext, m: Mat, normalized: bool):
     coords = [tuple((a, vec[k]) for a, k in enumerate(pivots) if not be.is_zero(vec[k]))
               for vec in vecs]
     return basis, [coords[i * r:(i + 1) * r] for i in range(r)]
+
+
+def _contract(ctx: ChainContext, mats, coeff):
+    """pure = [((f_a0, ..., f_an), c[a])] of coeff * <M0 x ... x Mn> over the c[a]
+    nonzero by the zero test, in c's order; one _factor per matrix and slot kind."""
+    if len({len(m.rows) for m in mats}) != 1:
+        raise ValueError("matrix sizes differ")
+    r, last = len(mats[0].rows), len(mats) - 1
+    kinds = {(id(m), pos > 0): (m, pos > 0) for pos, m in enumerate(mats)}
+    kinds = {kind: _factor(ctx, m, normalized) for kind, (m, normalized) in kinds.items()}
+    factors = [kinds[id(m), pos > 0] for pos, m in enumerate(mats)]
+    # one state (first index, current index, a0..ak) per partial index path;
+    # closing the paths at the last slot leaves c, keyed by a0..an alone
+    c = {(i, i, ()): coeff for i in range(r)}
+    for pos, (_, coords) in enumerate(factors):
+        c, states = {}, c
+        for (i0, i, pre), v in states.items():
+            for j in ((i0,) if pos == last else range(r)):
+                for a, e in coords[i][j]:
+                    add_into(c, pre + (a,) if pos == last else (i0, j, pre + (a,)), v * e)
+    return [(tuple(factors[pos][0][k] for pos, k in enumerate(a)), v)
+            for a, v in c.items() if not ctx.backend.is_zero(v)]
 
 
 def expand_factored(ctx: ChainContext, pure):
@@ -271,36 +304,36 @@ def expand_factored(ctx: ChainContext, pure):
 
 
 class FactoredTrace:
-    """coeff * <M0 x ... x Mn> as pure = [((f_a0, ..., f_an), c[a])] over the c[a]
-    nonzero by the zero test, in c's order, one factorization per matrix and slot
-    kind (0 or >= 1); digest() hashes the walk of pure, so no term is stored."""
+    """sum_w sign_w <word_w> from a list of (sign, mats), sign 1 or -1, kept as
+    words = [(sign, mats, pure)] and no term; each word is factored here, before
+    a walk's or digest's tables read the monomials interned in ctx."""
 
-    def __init__(self, ctx: ChainContext, mats, coeff=None):
-        if len({len(m.rows) for m in mats}) != 1:
-            raise ValueError("matrix sizes differ")
-        self.ctx, self.degree = ctx, len(mats) - 1
-        r, last = len(mats[0].rows), self.degree
-        kinds = {(id(m), pos > 0): (m, pos > 0) for pos, m in enumerate(mats)}
-        kinds = {kind: _factor(ctx, m, normalized) for kind, (m, normalized) in kinds.items()}
-        factors = [kinds[id(m), pos > 0] for pos, m in enumerate(mats)]
-        # one state (first index, current index, a0..ak) per partial index path;
-        # closing the paths at the last slot leaves c, keyed by a0..an alone
-        c = {(i, i, ()): ctx.backend.one if coeff is None else coeff for i in range(r)}
-        for pos, (_, coords) in enumerate(factors):
-            c, states = {}, c
-            for (i0, i, pre), v in states.items():
-                for j in ((i0,) if pos == last else range(r)):
-                    for a, e in coords[i][j]:
-                        add_into(c, pre + (a,) if pos == last else (i0, j, pre + (a,)), v * e)
-        self.pure = [(tuple(factors[pos][0][k] for pos, k in enumerate(a)), v)
-                     for a, v in c.items() if not ctx.backend.is_zero(v)]
+    # these read only ctx, degree and canonical_terms()
+    _order, first_term, digest = TensorChain._order, TensorChain.first_term, TensorChain.digest
+
+    def __init__(self, ctx: ChainContext, words):
+        self.ctx, one = ctx, ctx.backend.one
+        self.words = [(sign, mats, _contract(ctx, mats, one)) for sign, mats in words]
+        (self.degree,) = {len(mats) - 1 for _, mats, _ in self.words}
+
+    def canonical_terms(self):
+        """TensorChain's + and - on the expanded words: the walks, a negative word's
+        terms times convert(-1), merged by rank, a key's terms summed in word order."""
+        ctx, minus = self.ctx, self.ctx.backend.convert(-1)
+        streams = [expand_factored(ctx, pure) if sign > 0 else
+                   ((key, minus * v) for key, v in expand_factored(ctx, pure))
+                   for sign, _, pure in self.words]
+        if len(streams) == 1:  # one walk: its keys are distinct and in order
+            yield from streams[0]
+            return
+        for key, group in groupby(heapq.merge(*streams, key=self._order()), itemgetter(0)):
+            total = reduce(add, (v for _, v in group))
+            if not ctx.backend.is_zero(total):
+                yield key, total
 
     def is_zero(self) -> bool:
-        """Each slot's f_a are independent echelon rows, and so are their tensors."""
-        return not self.pure
-
-    def digest(self) -> dict:
-        return digest_terms(self.ctx, self.degree, expand_factored(self.ctx, self.pure))
+        """The words may cancel: zero iff the merged stream is empty."""
+        return next(self.canonical_terms(), None) is None
 
 
 def matrix_half_shift(ctx: ChainContext, p: Mat) -> Mat:
@@ -331,8 +364,8 @@ def unitarity_report(ctx: ChainContext, U: Mat) -> list:
                       A.rows[a][b] if a != b else A.rows[a][a] - A.rows[0][0])]
 
 
-def chern_odd(ctx: ChainContext, U: Mat, k: int) -> TensorChain:
-    """ch_{k+1/2}(U): alternating U, U* tensor words of length 2k+2, traced.
+def chern_odd(ctx: ChainContext, U: Mat, k: int) -> FactoredTrace:
+    """ch_{k+1/2}(U) = <U x U* x ...> - <U* x U x ...>, words of length 2k+2.
 
     Raises NotUnitaryEnough unless UU* = U*U reduces to a central multiple
     of the identity.
@@ -341,7 +374,7 @@ def chern_odd(ctx: ChainContext, U: Mat, k: int) -> TensorChain:
     if not all_zero(ctx.backend, defects):
         raise NotUnitaryEnough(f"UU* = U*U check failed with residual {max_residual(defects)}")
     Ud = U.dagger()
-    return trace_chain(ctx, [U, Ud] * (k + 1)) - trace_chain(ctx, [Ud, U] * (k + 1))
+    return FactoredTrace(ctx, [(1, [U, Ud] * (k + 1)), (-1, [Ud, U] * (k + 1))])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from ncspheres.homology import trace_chain
 from ncspheres.ncalg import Algebra
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
 from ncspheres.scalars import EXACT
@@ -13,6 +14,12 @@ def make_point(label, backend=EXACT):
     s = build_sphere(alg, "seven_sphere", params=p)
     ys = compute_Y(s)
     return p, alg, s, ys
+
+
+def expanded_odd(ctx3, U, k):
+    """ch_{k+1/2}(U) expanded into terms: the oracle for the factored chern_odd."""
+    Ud = U.dagger()
+    return trace_chain(ctx3, [U, Ud] * (k + 1)) - trace_chain(ctx3, [Ud, U] * (k + 1))
 
 
 @pytest.fixture(scope="session")

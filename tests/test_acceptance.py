@@ -36,7 +36,7 @@ from ncspheres.spheres import (build_projection, check_normality,
                                three_sphere_context, verify_Y_relations,
                                y0_flip_check)
 
-from conftest import make_point
+from conftest import expanded_odd, make_point
 from test_ncalg import word_normal_form
 
 MAIN = "3/5,4/5,0"
@@ -175,14 +175,15 @@ def test_c6_homology_suite_at_main_point(catalog):
     assert not ch32.is_zero()
     b_ch32 = b_boundary(ch32)
     assert b_ch32.is_zero()
-    # the report's route for b(ch_3half), through the faces of both words
-    Ud = U.dagger()
-    assert trace_boundary(ctx3, [U, Ud] * 2) - trace_boundary(ctx3, [Ud, U] * 2) == b_ch32
+    # the report's route for b(ch_3half), through the faces of both words,
+    # against b on the terms of the expanded chain
+    expanded = expanded_odd(ctx3, U, 1)
+    assert b_boundary(expanded) == b_ch32
     d32 = ch32.digest()
     assert (d32["n_terms"], d32["sha256"]) == CH_3HALF_DIGEST
     # negative control: one perturbed coefficient is no longer a cycle
-    bad = TensorChain(ch32.ctx, ch32.degree, dict(ch32.terms))
-    key = ch32.canonical_terms()[0][0]
+    bad = TensorChain(expanded.ctx, expanded.degree, dict(expanded.terms))
+    key = expanded.canonical_terms()[0][0]
     bad.terms[key] = bad.terms[key] + 1
     assert not b_boundary(bad).is_zero()
     # transgression: both sides built from independently computed components

@@ -15,6 +15,7 @@ from ncspheres import cli, spheres
 from ncspheres.cli import (CATALOG, RunSpec, canonical_json, main, run, sweep,
                            sweep_csv)
 from ncspheres.errors import InvalidSpec, ParamsNotOnSphere
+from ncspheres.homology import FactoredTrace, b_boundary, trace_chain
 from ncspheres.quatlin import Mat
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
 from ncspheres.scalars import GaussRational
@@ -401,3 +402,42 @@ def test_perturbed_tensor_fails_the_symmetry_chain_report(
     chain = reports["symmetry_chain"]
     assert not chain["passed"] and chain["max_residual"] > 0
     assert chain["witness"] == "inverse at (2,0,0,2)"
+
+
+
+# odd components that must fail one verdict each, as (sign, word) lists of
+# U, U* and k: the sign-flipped <U x U* x ...> + <U* x U x ...>, whose ch_half
+# does not vanish, and <U x U* x U x U*> - <U x U x U* x U*>, no cycle
+BROKEN_ODD = {
+    "ch_half_zero": lambda U, Ud, k: [(1, [U, Ud] * (k + 1)), (1, [Ud, U] * (k + 1))],
+    "b_ch32_zero": lambda U, Ud, k: [(1, [U, Ud] * (k + 1)), (-1, [U] * (k + 1) + [Ud] * (k + 1))],
+}
+
+
+@pytest.mark.parametrize("verdict", sorted(BROKEN_ODD))
+def test_broken_odd_components_fail_the_chern_task(verdict, monkeypatch, tmp_path, capsys):
+    """chern exits 1 with exactly the one verdict false; its witness is the
+    first term of the expanded chain (of its b for b_ch32_zero), and the
+    factored components' digests are the expanded chains'."""
+    expanded = {}
+
+    def broken(ctx, U, k):
+        words = BROKEN_ODD[verdict](U, U.dagger(), k)
+        (_, first), (sign, second) = words
+        a, b = trace_chain(ctx, first), trace_chain(ctx, second)
+        expanded[k] = a + b if sign > 0 else a - b
+        return FactoredTrace(ctx, words)
+
+    monkeypatch.setattr(cli, "chern_odd", broken)
+    out = tmp_path / "chern.json"
+    assert main(["chern", "--quiet", "--json", str(out)]) == 1
+    capsys.readouterr()
+    chern = json.loads(out.read_text())["tasks"]["chern"]
+    verdicts = {**chern["vanishing"], **chern["closures"]}
+    assert {name for name, ok in verdicts.items() if not ok} == {verdict}
+    want = expanded[0] if verdict == "ch_half_zero" else b_boundary(expanded[1])
+    assert chern["witnesses"] == {verdict: want.first_term()}
+    for k, name in enumerate(("ch_half", "ch_3half")):
+        got = chern["components"][name]
+        assert {key: got[key] for key in ("n_terms", "sha256")} == \
+            {key: expanded[k].digest()[key] for key in ("n_terms", "sha256")}

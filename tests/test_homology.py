@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncspheres.cli import CATALOG
 from ncspheres.errors import DegreeZero, NotUnitaryEnough
 from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, FactoredTrace,
                                 TensorChain, b_boundary, chain_from_slots,
@@ -17,7 +18,7 @@ from ncspheres.quatlin import Mat, embed_M2
 from ncspheres.scalars import EXACT, FLOAT, add_into
 from ncspheres.spheres import build_projection, three_sphere_context
 
-from conftest import make_point
+from conftest import expanded_odd, make_point
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +333,7 @@ def test_canonical_order_is_the_order_of_the_mono_key_tuples(pyth):
     _, _, s, ys = pyth
     ctx, ctx3 = ChainContext(s), ChainContext(three_sphere_context(s, ys))
     chains = [trace_chain(ctx, word) for _, word in _oracle_words(ctx, random.Random(4))]
-    chains.append(chern_odd(ctx3, embed_M2(ys.Y, s.base.backend.i), 1))
+    chains.append(expanded_odd(ctx3, embed_M2(ys.Y, s.base.backend.i), 1))
     for chain in chains:
         keys = chain.ctx.mono_keys
         want = sorted(chain.terms, key=lambda k: tuple(keys[i] for i in k))
@@ -349,7 +350,7 @@ def test_trace_expands_only_the_surviving_entries_of_c(label, backend, n_terms):
     1 565 952 at 1/3,2/3,2/3."""
     _, _, s, _ = make_point(label, backend)
     ctx = ChainContext(s)
-    pure = FactoredTrace(ctx, chern_even_word(ctx, build_projection(s), 2)).pure
+    pure = FactoredTrace(ctx, [(1, chern_even_word(ctx, build_projection(s), 2))]).words[0][2]
     assert pure and not any(ctx.backend.is_zero(v) for _, v in pure)
     terms = list(expand_factored(ctx, pure))
     assert len(terms) == n_terms
@@ -381,7 +382,7 @@ def test_float_chern_components_agree_with_the_exact_chains(pyth):
     def components(s, ys):
         ctx3 = ChainContext(three_sphere_context(s, ys))
         U = embed_M2(ys.Y, s.base.backend.i)
-        return chern_even(ChainContext(s), build_projection(s), 2), chern_odd(ctx3, U, 1)
+        return chern_even(ChainContext(s), build_projection(s), 2), expanded_odd(ctx3, U, 1)
 
     exact = components(*pyth[2:])
     floats = components(*make_point("3/5,4/5,0", FLOAT)[2:])
@@ -405,8 +406,8 @@ def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend)
     words += [(ctx3, w) for w in ([U, Ud], [Ud, U], [U, Ud] * 2, [Ud, U] * 2)]
     sizes = []
     for c, word in words:
-        trace, chain = FactoredTrace(c, word), trace_chain(c, word)
-        terms = list(expand_factored(c, trace.pure))
+        trace, chain = FactoredTrace(c, [(1, word)]), trace_chain(c, word)
+        terms = list(expand_factored(c, trace.words[0][2]))
         assert trace.digest() == chain.digest()
         assert trace.is_zero() == chain.is_zero() == (not terms)
         order = chain._order()
@@ -415,3 +416,22 @@ def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend)
         sizes.append(len(terms))
     # ch0 and ch1 vanish; ch2 and the four odd traces do not
     assert sizes[:2] == [0, 0] and min(sizes[2:]) > 1
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("label", CATALOG)
+def test_factored_odd_components_equal_the_expanded_chains(label, backend):
+    """ch_half and ch_3half as factored combinations: digest, zero test and
+    first term are those of trace_chain(w1) - trace_chain(w2), and exact b of
+    ch_3half through the faces is b on the expanded chain's terms."""
+    _, _, s, ys = make_point(label, backend)
+    ctx3 = ChainContext(three_sphere_context(s, ys))
+    U = embed_M2(ys.Y, backend.i)
+    for k in (0, 1):
+        got, want = chern_odd(ctx3, U, k), expanded_odd(ctx3, U, k)
+        assert got.digest() == want.digest(), k
+        assert got.is_zero() == want.is_zero() == (k == 0)
+        if k:
+            assert got.first_term() == want.first_term()
+    if backend is EXACT and label in ("3/5,4/5,0", "1/3,2/3,2/3"):
+        assert b_boundary(got) == b_boundary(want)
