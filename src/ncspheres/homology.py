@@ -22,28 +22,27 @@ with each matrix factored over an echelon basis {f_a} of its entries and
 constant coefficient matrices E_a: the index paths are walked over the few
 constant coordinates into the contracted tensor c, kept as sum_a c[a] f_a0 x
 ... x f_an over the c[a] nonzero by the zero test (561 of ch2's 721 cancel at
-3/5,4/5,0), and one depth-first walk over the slots expands it in canonical
-order.  The prune keeps every digest: an exact zero adds nothing to a sum; on
-floats, at the catalog points, the pruned ch2 and ch_3half entries are exactly
-0, and the faces' pruned entries (<= 5e-16) feed only b ch2, whose terms cancel
-either way.  A FactoredTrace is a signed sum of such traces, one per word; ch2
-and the odd components stay factored and are never built, and their digests
-hash the terms as they come.  The words' walks merge as streams, with a negative
-word's terms times -1, as TensorChain's - adds them: a sign inside c, or one
-walk of all words, flips the sign of some float zeros, which the digest shows.
-As words may cancel while each has terms, a FactoredTrace is zero when the
-merged stream is empty.  The trace map is a chain map, so b of a FactoredTrace
-is sum_w sign_w trace_boundary(word), taken through the matrix faces.
+3/5,4/5,0).  The prune keeps every digest: an exact zero adds nothing to a sum;
+on floats, at the catalog points, the pruned ch2 and ch_3half entries are
+exactly 0, and the faces' pruned entries (<= 5e-16) feed only b ch2, whose terms
+cancel either way.  A FactoredTrace is a signed sum of such traces, one per word;
+ch2 and the odd components stay factored and are never built.  One depth-first
+walk of all the words yields, in canonical order, each key prefix with its row of
+last-slot terms: each word's sum is kept apart, and the sums are added in word
+order, a negative one times -1, as TensorChain's - adds them (adding the words'
+raw terms flips some float zeros).  A walk computes a row once per distinct
+(last factor, str(weight), word) of its live tensors, so 54 rows serve ch2's
+43 008 leaves at 3/5,4/5,0; the key is str(w), as 4+0j == 4-0j but times 1-0j
+they differ.  The digest encodes each distinct row once and hashes the same
+bytes as the expanded chain's.  Words may cancel, so a FactoredTrace is zero
+when its walk yields no leaf.  The trace map is a chain map, so b of a
+FactoredTrace is sum_w sign_w trace_boundary(word), taken through the matrix faces.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 from fractions import Fraction
-from functools import reduce
-from itertools import groupby
-from operator import add, itemgetter
 
 from .errors import DegreeZero, NotUnitaryEnough
 from .ncalg import NCPoly, format_poly, mono_key
@@ -66,6 +65,7 @@ class ChainContext:
         # mono_key of each interned monomial, by id: the canonical sort key
         self.mono_keys = [mono_key((0,) * 8)]
         self._pair_cache = {}
+        self._mat_cache = {}
 
     def intern(self, mono) -> int:
         got = self._ids.get(mono)
@@ -88,6 +88,14 @@ class ChainContext:
             mono = self.alg.mono_mul(self._monos[i], self._monos[j])
             got = self._pair_cache[i, j] = self.expand_poly(NCPoly(self.alg, mono))
         return got
+
+    def matrix(self, op, *mats) -> Mat:
+        """op(*mats), as Mat.dagger or Mat.__matmul__, formed once per op and
+        matrix objects; an entry holds its operands, so no id is reused."""
+        key = (op, *map(id, mats))
+        if key not in self._mat_cache:
+            self._mat_cache[key] = (op(*mats), mats)
+        return self._mat_cache[key][0]
 
 
 class TensorChain(Sparse):
@@ -134,18 +142,28 @@ class TensorChain(Sparse):
         """Terms sorted by the slot monomials' graded-lex keys."""
         return sorted(self.terms.items(), key=self._order())
 
+    def canonical_rows(self):
+        """The canonical terms as the leaves (key[:-1], ((key[-1], coeff),)) of a walk."""
+        return ((key[:-1], ((key[-1], coeff),)) for key, coeff in self.canonical_terms())
+
     def first_term(self) -> str:
         """The first canonical term as c*m0 (x) m1 (x) ..., each slot by format_poly."""
-        key, coeff = next(iter(self.canonical_terms()))
+        prefix, ((mid, coeff), *_) = next(self.canonical_rows())
         ctx, one = self.ctx, self.ctx.backend.one
         return " (x) ".join(format_poly(NCPoly(ctx.alg, {ctx._monos[i]: one if pos else coeff}))
-                            for pos, i in enumerate(key))
+                            for pos, i in enumerate(prefix + (mid,)))
 
     def digest(self) -> dict:
-        """Size and sha256 of the (key, coeff) terms, in canonical order."""
+        """Size and sha256 of the (key, coeff) terms, in canonical order; a row's
+        bytes are encoded once per row object, held so that no id is reused."""
         h, n, slot = hashlib.sha256(), 0, [repr(m).encode() + b"|" for m in self.ctx._monos]
-        for n, (key, coeff) in enumerate(self.canonical_terms(), 1):
-            h.update(b"".join([slot[mid] for mid in key]) + str(coeff).encode() + b";")
+        encoded = {}
+        for prefix, row in self.canonical_rows():
+            if id(row) not in encoded:
+                encoded[id(row)] = (row, [slot[mid] + str(c).encode() + b";" for mid, c in row])
+            head = b"".join([slot[mid] for mid in prefix])
+            h.update(head + head.join(encoded[id(row)][1]))  # head + t for each term t
+            n += len(row)
         return {"degree": self.degree, "n_terms": n, "is_zero": n == 0, "sha256": h.hexdigest()}
 
 
@@ -204,9 +222,14 @@ def B_boundary(chain: TensorChain) -> TensorChain:
 # ---------------------------------------------------------------------------
 
 
+def _chain(ctx: ChainContext, degree: int, rows) -> TensorChain:
+    """The chain of a walk's leaves (prefix, row)."""
+    return TensorChain(ctx, degree, {prefix + (mid,): c for prefix, row in rows for mid, c in row})
+
+
 def trace_chain(ctx: ChainContext, mats) -> TensorChain:
     """<M0 x ... x Mn> = sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0], expanded."""
-    return TensorChain(ctx, len(mats) - 1, dict(FactoredTrace(ctx, [(1, mats)]).canonical_terms()))
+    return _chain(ctx, len(mats) - 1, FactoredTrace(ctx, [(1, mats)]).canonical_rows())
 
 
 def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
@@ -222,13 +245,12 @@ def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
     n = len(mats) - 1
     if n < 1:
         raise DegreeZero("b is undefined on degree-0 chains")
-    one, prods = ctx.backend.one, {}
-    for x, y in zip(mats, mats[1:] + mats[:1]):  # each distinct product once
-        prods[id(x), id(y)] = prods.get((id(x), id(y))) or x @ y
-    faces = [mats[:i] + [prods[id(mats[i]), id(mats[i + 1])]] + mats[i + 2:] for i in range(n)]
-    pure = [t for i, face in enumerate(faces + [[prods[id(mats[n]), id(mats[0])]] + mats[1:n]])
+    one = ctx.backend.one
+    prods = [ctx.matrix(Mat.__matmul__, x, y) for x, y in zip(mats, mats[1:] + mats[:1])]
+    faces = [mats[:i] + [prods[i]] + mats[i + 2:] for i in range(n)] + [[prods[n]] + mats[1:n]]
+    pure = [t for i, face in enumerate(faces)
             for t in _contract(ctx, face, one if i % 2 == 0 else -one)]
-    return TensorChain(ctx, n - 1, dict(expand_factored(ctx, pure)))
+    return _chain(ctx, n - 1, expand_factored(ctx, [(1, pure)]))
 
 
 def _factor(ctx: ChainContext, m: Mat, normalized: bool):
@@ -277,30 +299,42 @@ def _contract(ctx: ChainContext, mats, coeff):
             for a, v in c.items() if not ctx.backend.is_zero(v)]
 
 
-def expand_factored(ctx: ChainContext, pure):
-    """Yield the terms (key, coeff) of a list of pure tensors ((f_0, ..., f_n), c)
-    in canonical order: depth first, the live (f, c cc_0 ... cc_k) at slot k are
-    bucketed by f_k's monomials in mono_key order; a zero sum is dropped."""
-    key_of, is_zero = ctx.mono_keys.__getitem__, ctx.backend.is_zero
-    stack = [((), pure)] if pure else []
+def expand_factored(ctx: ChainContext, words):
+    """Yield the leaves (prefix, row) of words = [(sign, pure)] in canonical order,
+    pure a list of ((f_0, ..., f_n), c) and row = ((id, coeff), ...) over slot n,
+    nonzero only.  Depth first over all words, the live (f, c cc_0 ... cc_k, word)
+    at slot k are bucketed by f_k's monomials in mono_key order; a leaf sums each
+    word apart, in pure's order, as TensorChain's + and - add the expanded words.
+    A row is computed once per (f_n, str(w), word) of its live tensors."""
+    key_of, be, memo = ctx.mono_keys.__getitem__, ctx.backend, {}
+    is_zero, minus = be.is_zero, be.convert(-1)
+    live = [(f, w, k) for k, (_, pure) in enumerate(words) for f, w in pure]
+    stack = [((), live)] if live else []
     while stack:
         prefix, live = stack.pop()
         pos, buckets = len(prefix), {}
         if pos < len(live[0][0]) - 1:
-            for f, w in live:
+            for f, w, k in live:
                 for mid, cc in f[pos]:
-                    buckets.setdefault(mid, []).append((f, w * cc))
+                    buckets.setdefault(mid, []).append((f, w * cc, k))
             stack.extend((prefix + (mid,), buckets[mid])
                          for mid in sorted(buckets, key=key_of, reverse=True))
             continue
-        # add_into, written out (once per raw term): sums in pure's order from the first
-        for f, w in live:
-            for mid, cc in f[pos]:
-                got = buckets.get(mid)
-                buckets[mid] = w * cc if got is None else got + w * cc
-        for mid in sorted(buckets, key=key_of):
-            if not is_zero(buckets[mid]):
-                yield prefix + (mid,), buckets[mid]
+        key = tuple([(id(f[pos]), str(w), k) for f, w, k in live])
+        row = memo.get(key)
+        if row is None:
+            for f, w, k in live:  # one bucket of sums per word, in word order
+                for mid, cc in f[pos]:
+                    add_into(buckets.setdefault(k, {}), mid, w * cc)
+            total = {}
+            for k, sums in buckets.items():
+                for mid, v in sums.items():
+                    if not is_zero(v):
+                        add_into(total, mid, v if words[k][0] > 0 else minus * v)
+            row = memo[key] = tuple((mid, total[mid]) for mid in sorted(total, key=key_of)
+                                    if not is_zero(total[mid]))
+        if row:
+            yield prefix, row
 
 
 class FactoredTrace:
@@ -308,32 +342,21 @@ class FactoredTrace:
     words = [(sign, mats, pure)] and no term; each word is factored here, before
     a walk's or digest's tables read the monomials interned in ctx."""
 
-    # these read only ctx, degree and canonical_terms()
-    _order, first_term, digest = TensorChain._order, TensorChain.first_term, TensorChain.digest
+    # these read only ctx, degree and canonical_rows()
+    first_term, digest = TensorChain.first_term, TensorChain.digest
 
     def __init__(self, ctx: ChainContext, words):
         self.ctx, one = ctx, ctx.backend.one
         self.words = [(sign, mats, _contract(ctx, mats, one)) for sign, mats in words]
         (self.degree,) = {len(mats) - 1 for _, mats, _ in self.words}
 
-    def canonical_terms(self):
-        """TensorChain's + and - on the expanded words: the walks, a negative word's
-        terms times convert(-1), merged by rank, a key's terms summed in word order."""
-        ctx, minus = self.ctx, self.ctx.backend.convert(-1)
-        streams = [expand_factored(ctx, pure) if sign > 0 else
-                   ((key, minus * v) for key, v in expand_factored(ctx, pure))
-                   for sign, _, pure in self.words]
-        if len(streams) == 1:  # one walk: its keys are distinct and in order
-            yield from streams[0]
-            return
-        for key, group in groupby(heapq.merge(*streams, key=self._order()), itemgetter(0)):
-            total = reduce(add, (v for _, v in group))
-            if not ctx.backend.is_zero(total):
-                yield key, total
+    def canonical_rows(self):
+        """The leaves (prefix, row) of one walk of all the words."""
+        return expand_factored(self.ctx, [(sign, pure) for sign, _, pure in self.words])
 
     def is_zero(self) -> bool:
-        """The words may cancel: zero iff the merged stream is empty."""
-        return next(self.canonical_terms(), None) is None
+        """The words may cancel: zero iff the walk yields no leaf."""
+        return next(self.canonical_rows(), None) is None
 
 
 def matrix_half_shift(ctx: ChainContext, p: Mat) -> Mat:
@@ -356,8 +379,8 @@ def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:
 def unitarity_report(ctx: ChainContext, U: Mat) -> list:
     """The entries of UU* - U*U and of UU* minus a multiple of 1, modulo the
     context ideal: UU* = U*U is a multiple of 1 iff all of them are zero."""
-    Ud = U.dagger()
-    A, Bm, r = U @ Ud, Ud @ U, len(U.rows)
+    Ud = ctx.matrix(Mat.dagger, U)
+    A, Bm, r = ctx.matrix(Mat.__matmul__, U, Ud), ctx.matrix(Mat.__matmul__, Ud, U), len(U.rows)
     # UU* = U*U; off the diagonal UU* is 0, on it every entry equals the first
     return [ctx.sphere.reduce(f) for a in range(r) for b in range(r)
             for f in (A.rows[a][b] - Bm.rows[a][b],
@@ -373,7 +396,7 @@ def chern_odd(ctx: ChainContext, U: Mat, k: int) -> FactoredTrace:
     defects = unitarity_report(ctx, U)
     if not all_zero(ctx.backend, defects):
         raise NotUnitaryEnough(f"UU* = U*U check failed with residual {max_residual(defects)}")
-    Ud = U.dagger()
+    Ud = ctx.matrix(Mat.dagger, U)
     return FactoredTrace(ctx, [(1, [U, Ud] * (k + 1)), (-1, [Ud, U] * (k + 1))])
 
 

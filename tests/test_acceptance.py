@@ -249,6 +249,16 @@ def test_c8_float_backend_reproduces_exact_identities():
     assert components == (GOLDEN / "chern_float_components.json").read_text()
 
 
+def test_float_chern_components_are_pinned_where_u2_is_nonzero():
+    """The float digests at 1/3,2/3,2/3, where 52 224 of ch2's 98 304 walk
+    leaves hold more than one pure tensor (at MAIN every leaf holds one)."""
+    label = "1/3,2/3,2/3"
+    spec = RunSpec(params=DeformParams.parse(label), backend_name="float", tasks=("chern",))
+    report, _ = run(spec)
+    components = canonical_json({label: report["tasks"]["chern"]["components"]})
+    assert components == (GOLDEN / "chern_float_components_u2.json").read_text()
+
+
 @pytest.mark.parametrize("backend_name, golden, golden_csv",
                          [("exact", "sweep.json", "sweep.csv"),
                           ("float", "sweep_float.json", "sweep_float.csv")],

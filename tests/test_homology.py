@@ -352,7 +352,8 @@ def test_trace_expands_only_the_surviving_entries_of_c(label, backend, n_terms):
     ctx = ChainContext(s)
     pure = FactoredTrace(ctx, [(1, chern_even_word(ctx, build_projection(s), 2))]).words[0][2]
     assert pure and not any(ctx.backend.is_zero(v) for _, v in pure)
-    terms = list(expand_factored(ctx, pure))
+    terms = [(prefix + (mid,), v)
+             for prefix, row in expand_factored(ctx, [(1, pure)]) for mid, v in row]
     assert len(terms) == n_terms
     assert TensorChain(ctx, 4, dict(terms)).n_terms() == n_terms
 
@@ -391,6 +392,25 @@ def test_float_chern_components_agree_with_the_exact_chains(pyth):
         _agree_within_tol(got, want)
 
 
+def test_row_memo_tells_signed_zero_weights_apart():
+    """Two leaves share their last factor (coefficient 1-0j) with weights 4+0j
+    and 4-0j, which are == but give 4+0j and 4-0j times 1-0j: the walk's rows
+    print as each leaf's terms computed apart, with no memo."""
+    _, alg, s, _ = make_point("1,0,0", FLOAT)
+    ctx, one = ChainContext(s), complex(1, -0.0)  # the literal 1-0j is 1+0j
+    a, b, c = (ctx.expand_poly(alg.generator(g))[0][0] for g in range(3))
+    last = ((c, one),)
+    pure = [((((x, one),), last), w) for x, w in ((a, 4 + 0j), (b, complex(4, -0.0)))]
+    want = {}
+    for f, w in pure:  # one leaf per tensor here: c0 cc0 cc1, as the walk multiplies
+        for (m0, c0), (m1, c1) in itertools.product(*f):
+            want[m0, m1] = str(w * c0 * c1)
+    got = {prefix + (mid,): str(v) for prefix, row in expand_factored(ctx, [(1, pure)])
+           for mid, v in row}
+    assert got == want
+    assert sorted(want.values()) == ["(4+0j)", "(4-0j)"]
+
+
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
 @pytest.mark.parametrize("label", ["1,0,0", "3/5,4/5,0"])
 def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend):
@@ -407,7 +427,8 @@ def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend)
     sizes = []
     for c, word in words:
         trace, chain = FactoredTrace(c, [(1, word)]), trace_chain(c, word)
-        terms = list(expand_factored(c, trace.words[0][2]))
+        terms = [(prefix + (mid,), v)
+                 for prefix, row in expand_factored(c, [(1, trace.words[0][2])]) for mid, v in row]
         assert trace.digest() == chain.digest()
         assert trace.is_zero() == chain.is_zero() == (not terms)
         order = chain._order()
