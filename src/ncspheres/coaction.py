@@ -60,7 +60,11 @@ def _reduce_hmono(mono, coeff, out):
 
 class CommPoly(Sparse):
     """Element of H^{(x) k}: commutative polynomial in the w0..w3 of each of
-    k factors, modulo the unit norm in each."""
+    k factors, modulo the unit norm in each.
+
+    Keys are normalised where they are formed: the constructor reduces raw
+    terms (products, hand-built keys); ``_new``, for sums, differences and
+    scalings of reduced keys, only prunes zeros."""
 
     __slots__ = ("backend",)
 
@@ -72,7 +76,10 @@ class CommPoly(Sparse):
         self.terms = {m: c for m, c in acc.items() if not backend.is_zero(c)}
 
     def _new(self, terms) -> "CommPoly":
-        return CommPoly(self.backend, terms)
+        new = object.__new__(CommPoly)
+        new.backend = be = self.backend
+        new.terms = {m: c for m, c in terms.items() if not be.is_zero(c)}
+        return new
 
     @classmethod
     def generator(cls, backend, mu: int):
@@ -145,19 +152,12 @@ def hopf_delta(f: CommPoly) -> CommPoly:
 def hopf_counit(f: CommPoly):
     """Evaluation at the identity quaternion: the coefficients of the
     monomials in w0 alone."""
-    total = f.backend.zero
-    for m, c in f.terms.items():
-        if m[1] == m[2] == m[3] == 0:
-            total = total + c
-    return total
+    return sum((c for m, c in f.terms.items() if not any(m[1:])), f.backend.zero)
 
 
 def hopf_antipode(f: CommPoly) -> CommPoly:
-    """Quaternion conjugation: w0 -> w0, w^a -> -w^a."""
-    out = {}
-    for m, c in f.terms.items():
-        add_into(out, m, c if (m[1] + m[2] + m[3]) % 2 == 0 else -c)
-    return CommPoly(f.backend, out)
+    """Quaternion conjugation: w0 -> w0, w^a -> -w^a, a sign on each key."""
+    return f._new({m: -c if (m[1] + m[2] + m[3]) % 2 else c for m, c in f.terms.items()})
 
 
 def check_hopf_axioms(backend: Backend) -> list:
@@ -169,32 +169,58 @@ def check_hopf_axioms(backend: Backend) -> list:
 
 @functools.cache
 def _hopf_axiom_reports(be: Backend) -> tuple:
+    names = ("hopf_coassociativity", "hopf_counit", "hopf_antipode")
+    return tuple(ConditionReport.judge(name, be, [d for _, d in law],
+                                       next((w for w, d in law if not d.is_zero()), None))
+                 for name, law in zip(names, _hopf_axiom_defects(be)))
+
+
+def _hopf_axiom_defects(be: Backend) -> tuple:
+    """(coassociativity, counit, antipode): lists of (witness, difference of
+    the two sides) on the generators and all degree-2 products, left law
+    before right.  Each element's Delta is walked once, each side's terms
+    added into one dict; Delta, eps and S are taken once per monomial, and
+    an element's Delta and eps summed from its monomials'."""
+    images = {}  # monomial -> (Delta, eps, S)
+
+    def image(m):
+        if m not in images:
+            g = CommPoly(be, {m: be.one})
+            images[m] = hopf_delta(g), hopf_counit(g), hopf_antipode(g)
+        return images[m]
+
     w = [CommPoly.generator(be, i) for i in range(4)]
-    elements = list(w) + [w[a] * w[b] for a in range(4) for b in range(a, 4)]
+    elements = [(f"w{a}", w[a]) for a in range(4)]
+    elements += [(f"w{a}*w{b}", w[a] * w[b]) for a in range(4) for b in range(a, 4)]
     coassoc, counit, antipode = [], [], []
-    for f in elements:
-        left = right = lc = rc = sl = sr = CommPoly(be, {})
-        for m, c in hopf_delta(f).terms.items():
-            f1 = CommPoly(be, {m[:4]: be.one})
-            f2 = CommPoly(be, {m[4:]: be.one})
+    for name, f in elements:
+        delta = sum((image(n)[0].scale(c) for n, c in f.terms.items()), CommPoly(be, {}))
+        eps = sum((c * image(n)[1] for n, c in f.terms.items()), be.zero)
+        sides = left, right, lc, rc, sl, sr = {}, {}, {}, {}, {}, {}
+        for m, c in delta.terms.items():
+            m1, m2 = m[:4], m[4:]
+            (d1, e1, s1), (d2, e2, s2) = image(m1), image(m2)
             # (Delta (x) id) Delta = (id (x) Delta) Delta
-            left = left + c * hopf_delta(f1).tensor(f2)
-            right = right + c * f1.tensor(hopf_delta(f2))
+            for k, d in d1.terms.items():
+                add_into(left, k + m2, c * d)
+            for k, d in d2.terms.items():
+                add_into(right, m1 + k, c * d)
             # (eps (x) id) Delta = id = (id (x) eps) Delta
-            lc = lc + CommPoly(be, {m[4:]: c * hopf_counit(f1)})
-            rc = rc + CommPoly(be, {m[:4]: c * hopf_counit(f2)})
+            add_into(lc, m2, c * e1)
+            add_into(rc, m1, c * e2)
             # m (S (x) id) Delta = eps(f) 1 = m (id (x) S) Delta
-            sl = sl + c * (hopf_antipode(f1) * f2)
-            sr = sr + c * (f1 * hopf_antipode(f2))
-        coassoc.append(left - right)
-        counit += [lc - f, rc - f]
-        target = CommPoly(be, {H_ONE: hopf_counit(f)})
-        antipode += [sl - target, sr - target]
-    return (
-        ConditionReport.judge("hopf_coassociativity", be, coassoc, None),
-        ConditionReport.judge("hopf_counit", be, counit, None),
-        ConditionReport.judge("hopf_antipode", be, antipode, None),
-    )
+            for k, d in s1.terms.items():
+                add_into(sl, tuple(map(operator.add, k, m2)), c * d)
+            for k, d in s2.terms.items():
+                add_into(sr, tuple(map(operator.add, m1, k)), c * d)
+        left, right, lc, rc, sl, sr = (CommPoly(be, t) for t in sides)
+        target = CommPoly(be, {H_ONE: eps})
+        coassoc.append((f"{name}: (Delta x id) Delta != (id x Delta) Delta", left - right))
+        counit += [(f"{name}: (eps x id) Delta != id", lc - f),
+                   (f"{name}: (id x eps) Delta != id", rc - f)]
+        antipode += [(f"{name}: m (S x id) Delta != eps 1", sl - target),
+                     (f"{name}: m (id x S) Delta != eps 1", sr - target)]
+    return coassoc, counit, antipode
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +230,7 @@ def _hopf_axiom_reports(be: Backend) -> tuple:
 
 class MixedElement(Sparse):
     """Sparse element of A(S7_R) (x) H; A-slots sphere-reduced, H-slots
-    norm-reduced."""
+    norm-reduced by the constructor, and ``_new`` only prunes zeros."""
 
     __slots__ = ("sphere",)
 
@@ -214,11 +240,19 @@ class MixedElement(Sparse):
         acc = {}
         for (am, hm), c in terms.items():
             for am2, c2 in sphere.context.reduce_mono(am).items():
-                _merge_mixed(acc, am2, hm, c * c2)
+                if hm[3] < 2:  # already norm-reduced, as almost every key is
+                    add_into(acc, (am2, hm), c * c2)
+                    continue
+                for hm2, c3 in _reduce_hmono(hm, c * c2, {}).items():
+                    add_into(acc, (am2, hm2), c3)
         self.terms = {k: v for k, v in acc.items() if not be.is_zero(v)}
 
     def _new(self, terms) -> "MixedElement":
-        return MixedElement(self.sphere, terms)
+        new = object.__new__(MixedElement)
+        new.sphere = sphere = self.sphere
+        be = sphere.base.backend
+        new.terms = {k: v for k, v in terms.items() if not be.is_zero(v)}
+        return new
 
     @classmethod
     def from_poly(cls, sphere, f: NCPoly, h: CommPoly | None = None):
@@ -249,14 +283,6 @@ class MixedElement(Sparse):
             for ak, e in alg.star_mono(am).items():
                 add_into(out, (ak, hm), cc * e)
         return MixedElement(self.sphere, out)
-
-
-def _merge_mixed(acc, am, hm, coeff):
-    if hm[3] < 2:  # already norm-reduced, as almost every key is
-        add_into(acc, (am, hm), coeff)
-        return
-    for hm2, c2 in _reduce_hmono(hm, coeff, {}).items():
-        add_into(acc, (am, hm2), c2)
 
 
 # ---------------------------------------------------------------------------

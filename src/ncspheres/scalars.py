@@ -306,8 +306,9 @@ def add_into(out: dict, key, value) -> None:
 class Sparse:
     """A finite linear combination held as ``terms``, {key: coefficient}.
 
-    Subclasses supply ``_new(terms)``, their own constructor, which
-    normalises the keys and prunes zero coefficients.
+    Subclasses supply ``_new(terms)``, which builds one of their own from
+    the terms of a sum, difference or scaling of their values: the keys are
+    already normal, so it only has to prune zero coefficients.
     """
 
     __slots__ = ("terms",)

@@ -336,6 +336,21 @@ def test_main_report_is_pinned(backend, sha256, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+def test_coaction_task_at_the_generic_point_is_pinned(tmp_path, capsys):
+    """The coaction report at 3615/8243,5082/8243,-5390/8243 (u0, u1 and u2
+    all nonzero) on both backends, byte for byte: tests/golden holds the
+    canonical JSON of {backend: report}."""
+    docs = {}
+    for backend in ("exact", "float"):
+        out = tmp_path / f"{backend}.json"
+        assert main(["coaction", "--backend", backend, "--params",
+                     "3615/8243,5082/8243,-5390/8243", "--quiet", "--json", str(out)]) == 0
+        capsys.readouterr()
+        docs[backend] = json.loads(out.read_text())
+    golden = Path(__file__).parent / "golden" / "coaction_generic.json"
+    assert json.dumps(docs, sort_keys=True, indent=2) + "\n" == golden.read_text()
+
+
 # ch0..ch_3half (n_terms, sha256) of the exact chern task at the catalog
 # points that no byte-for-byte report pins, generated before the factored
 # trace map replaced the index-path walk

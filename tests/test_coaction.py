@@ -140,6 +140,161 @@ def test_mutating_the_returned_reports_leaves_the_next_call_alone():
     assert check_hopf_axioms(be) == kept
 
 
+def _written_out_hopf_defects(be):
+    """Oracle: the (coassociativity, counit, antipode) defects written out
+    term by term, each side summed as CommPolys, with the module's (possibly
+    patched) hopf_delta, hopf_counit and hopf_antipode taken on every factor."""
+    delta, counit_of = coaction.hopf_delta, coaction.hopf_counit
+    antipode_of = coaction.hopf_antipode
+    w = [CommPoly.generator(be, i) for i in range(4)]
+    elements = list(w) + [w[a] * w[b] for a in range(4) for b in range(a, 4)]
+    coassoc, counit, antipode = [], [], []
+    for f in elements:
+        left = right = lc = rc = sl = sr = CommPoly(be, {})
+        for m, c in delta(f).terms.items():
+            f1 = CommPoly(be, {m[:4]: be.one})
+            f2 = CommPoly(be, {m[4:]: be.one})
+            left = left + c * delta(f1).tensor(f2)
+            right = right + c * f1.tensor(delta(f2))
+            lc = lc + CommPoly(be, {m[4:]: c * counit_of(f1)})
+            rc = rc + CommPoly(be, {m[:4]: c * counit_of(f2)})
+            sl = sl + c * (antipode_of(f1) * f2)
+            sr = sr + c * (f1 * antipode_of(f2))
+        coassoc.append(left - right)
+        counit += [lc - f, rc - f]
+        target = CommPoly(be, {coaction.H_ONE: counit_of(f)})
+        antipode += [sl - target, sr - target]
+    return coassoc, counit, antipode
+
+
+W1 = (0, 1, 0, 0)
+
+
+def _flip_one_sign_of_delta_w1(monkeypatch):
+    real = coaction.hopf_delta_gen
+
+    def flipped(backend, mu):
+        d = real(backend, mu)
+        if mu != 1:
+            return d
+        k = min(d.terms)
+        return CommPoly(backend, {**d.terms, k: -d.terms[k]})
+
+    monkeypatch.setattr(coaction, "hopf_delta_gen", flipped)
+    coaction._hopf_gens.cache_clear()
+
+
+def _offset_counit_of_w1(monkeypatch):
+    real = coaction.hopf_counit
+    monkeypatch.setattr(coaction, "hopf_counit",
+                        lambda f: real(f) + f.terms.get(W1, f.backend.zero))
+
+
+def _identity_antipode(monkeypatch):
+    monkeypatch.setattr(coaction, "hopf_antipode", lambda f: f)
+
+
+HOPF_FAULTS = {
+    "hopf_coassociativity": (_flip_one_sign_of_delta_w1,
+                             "w0: (Delta x id) Delta != (id x Delta) Delta"),
+    "hopf_counit": (_offset_counit_of_w1, "w0: (eps x id) Delta != id"),
+    "hopf_antipode": (_identity_antipode, "w0: m (S x id) Delta != eps 1"),
+}
+
+
+@pytest.fixture
+def cold_hopf_caches():
+    """The Hopf caches cleared before and after a test that patches the maps."""
+    for cache in (coaction._hopf_axiom_reports, coaction._hopf_gens):
+        cache.cache_clear()
+    yield
+    for cache in (coaction._hopf_axiom_reports, coaction._hopf_gens):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("fault", [None, *HOPF_FAULTS])
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_hopf_defects_match_the_written_out_check(be, fault, monkeypatch, cold_hopf_caches):
+    if fault:
+        HOPF_FAULTS[fault][0](monkeypatch)
+    got = coaction._hopf_axiom_defects(be)
+    want = _written_out_hopf_defects(be)
+    assert [len(law) for law in got] == [14, 28, 28]
+    for got_law, want_law in zip(got, want):
+        assert [d.terms for _, d in got_law] == [d.terms for d in want_law]
+    if fault:
+        assert any(not d.is_zero() for d in want[list(HOPF_FAULTS).index(fault)])
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("verdict", list(HOPF_FAULTS))
+def test_a_broken_hopf_map_fails_its_verdict(verdict, backend, monkeypatch, tmp_path,
+                                             capsys, cold_hopf_caches):
+    """Negative controls: one sign of Delta(w1) flipped, eps offset by 1 on w1,
+    S the identity; each fails its verdict and names the first failing law."""
+    breaks, witness = HOPF_FAULTS[verdict]
+    breaks(monkeypatch)
+    out = tmp_path / "coaction.json"
+    assert main(["coaction", "--backend", backend, "--quiet", "--json", str(out)]) == 1
+    capsys.readouterr()
+    task = json.loads(out.read_text())["tasks"]["coaction"]
+    assert task["passed"] is False
+    hopf = {r["name"]: r for r in task["hopf"]}
+    assert hopf[verdict]["passed"] is False
+    assert hopf[verdict]["max_residual"] > 0
+    assert hopf[verdict]["witness"] == witness
+
+
+def test_passing_hopf_reports_carry_no_witness():
+    for be in (EXACT, FLOAT):
+        assert all("witness" not in r.to_dict() for r in check_hopf_axioms(be))
+
+
+def test_one_hopf_check_takes_delta_of_each_monomial_once(monkeypatch, cold_hopf_caches):
+    args = []
+    real = coaction.hopf_delta
+
+    def counting(f):
+        args.append(tuple(sorted(f.terms)))
+        return real(f)
+
+    monkeypatch.setattr(coaction, "hopf_delta", counting)
+    assert all(r.passed for r in check_hopf_axioms(EXACT))
+    assert len(args) == len(set(args))
+    assert all(len(a) == 1 for a in args)
+    # 1, the w^mu and the nine norm-reduced degree-2 monomials
+    assert len(args) == 14
+
+
+def _assert_keys_stay_reduced(make, values, be):
+    """Sums, differences and scalings of reduced elements: the full
+    constructor run again on their terms changes nothing."""
+    two = be.convert(2)
+    for x in values:
+        for y in values:
+            for z in (x + y, x - y, x.scale(two), -x, (x + y).scale(two) - y):
+                assert make(z.terms).terms == z.terms
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_linear_operations_keep_hopf_keys_reduced(be):
+    w = [CommPoly.generator(be, i) for i in range(4)]
+    in_h = [w[3] * w[3], w[1] * w[3], hopf_antipode(w[2] * w[3])]
+    in_hh = [w[3].tensor(w[3] * w[3]), hopf_delta(w[3] * w[3]), w[3].tensor(w[1])]
+    for values in (in_h, in_hh):
+        _assert_keys_stay_reduced(lambda t: CommPoly(be, t), values, be)
+
+
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_linear_operations_keep_mixed_keys_reduced(label, be):
+    _, alg, s, _ = make_point(label, be)
+    co = diagonal_coaction(s)
+    x1, x2 = co.images[1], co.images[6]
+    values = [x1, x2, x1 * x2, x2 * x1, x1 * x1, MixedElement.from_poly(s, alg.casimir())]
+    _assert_keys_stay_reduced(lambda t: MixedElement(s, t), values, be)
+
+
 def test_norm_relation_is_built_in():
     w = [CommPoly.generator(EXACT, mu) for mu in range(4)]
     norm = w[0] * w[0] + w[1] * w[1] + w[2] * w[2] + w[3] * w[3]
