@@ -36,7 +36,7 @@ raw terms flips some float zeros).  A walk computes a row once per distinct
 they differ.  The digest encodes each distinct row once and hashes the same
 bytes as the expanded chain's.  Words may cancel, so a FactoredTrace is zero
 when its walk yields no leaf.  The trace map is a chain map, so b of a
-FactoredTrace is sum_w sign_w trace_boundary(word), taken through the matrix faces.
+FactoredTrace is one walk over all its words' signed matrix faces.
 """
 
 from __future__ import annotations
@@ -124,23 +124,10 @@ class TensorChain(Sparse):
         return (self + other.scale(self.ctx.backend.convert(-1))
                 if isinstance(other, TensorChain) else NotImplemented)
 
-    def _order(self):
-        """Sort key of a term: its slots' ranks by the injective mono_key as the
-        digits of one integer, so that, with degree + 1 slots in every key,
-        integers order as the tuples of mono_keys."""
-        keys, base = self.ctx.mono_keys, len(self.ctx.mono_keys)
-        rank = dict(zip(sorted(range(base), key=keys.__getitem__), range(base)))
-
-        def order(item):
-            x = 0
-            for i in item[0]:
-                x = x * base + rank[i]
-            return x
-        return order
-
     def canonical_terms(self):
-        """Terms sorted by the slot monomials' graded-lex keys."""
-        return sorted(self.terms.items(), key=self._order())
+        """Terms sorted by the tuples of their slot monomials' graded-lex keys."""
+        keys = self.ctx.mono_keys
+        return sorted(self.terms.items(), key=lambda t: tuple([keys[i] for i in t[0]]))
 
     def canonical_rows(self):
         """The canonical terms as the leaves (key[:-1], ((key[-1], coeff),)) of a walk."""
@@ -179,17 +166,15 @@ def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
 
 
 def b_boundary(chain) -> TensorChain:
-    """Hochschild boundary; lowers degree by one.  A FactoredTrace's is
-    sum_w sign_w trace_boundary(word), a TensorChain's is taken on its terms."""
+    """Hochschild boundary; lowers degree by one.  A FactoredTrace's is one
+    walk over all its words' signed faces, a TensorChain's is taken on its terms."""
     n = chain.degree
     if n < 1:
         raise DegreeZero("b is undefined on degree-0 chains")
     ctx = chain.ctx
     if isinstance(chain, FactoredTrace):
-        out = TensorChain(ctx, n - 1)
-        for sign, mats, _ in chain.words:
-            out = out + trace_boundary(ctx, mats) if sign > 0 else out - trace_boundary(ctx, mats)
-        return out
+        return _chain(ctx, n - 1, expand_factored(
+            ctx, [(sign, _faces(ctx, mats)) for sign, mats, _ in chain.words]))
     out = {}
     for key, coeff in chain.terms.items():
         for i in range(n):
@@ -232,8 +217,8 @@ def trace_chain(ctx: ChainContext, mats) -> TensorChain:
     return _chain(ctx, len(mats) - 1, FactoredTrace(ctx, [(1, mats)]).canonical_rows())
 
 
-def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
-    """b<M0 x ... x Mn>, summed over matrix faces without building the chain.
+def _faces(ctx: ChainContext, mats):
+    """The pure list of b<M0 x ... x Mn>, n >= 1: its signed matrix faces, contracted.
 
     The trace map is a chain map (Loday, Cyclic Homology, 1.2.2):
         b<M0 x ... x Mn> = sum_{i<n} (-1)^i <M0 x ... x M_i M_{i+1} x ... x Mn>
@@ -241,16 +226,11 @@ def trace_boundary(ctx: ChainContext, mats) -> TensorChain:
     Each face is a degree-(n-1) trace of matrix products, reduced entry by
     entry, so nothing assumes an identity such as p^2 = p.
     """
-    mats = list(mats)
-    n = len(mats) - 1
-    if n < 1:
-        raise DegreeZero("b is undefined on degree-0 chains")
-    one = ctx.backend.one
+    n, one = len(mats) - 1, ctx.backend.one
     prods = [ctx.matrix(Mat.__matmul__, x, y) for x, y in zip(mats, mats[1:] + mats[:1])]
     faces = [mats[:i] + [prods[i]] + mats[i + 2:] for i in range(n)] + [[prods[n]] + mats[1:n]]
-    pure = [t for i, face in enumerate(faces)
+    return [t for i, face in enumerate(faces)
             for t in _contract(ctx, face, one if i % 2 == 0 else -one)]
-    return _chain(ctx, n - 1, expand_factored(ctx, [(1, pure)]))
 
 
 def _factor(ctx: ChainContext, m: Mat, normalized: bool):
@@ -347,7 +327,7 @@ class FactoredTrace:
 
     def __init__(self, ctx: ChainContext, words):
         self.ctx, one = ctx, ctx.backend.one
-        self.words = [(sign, mats, _contract(ctx, mats, one)) for sign, mats in words]
+        self.words = [(sign, list(mats), _contract(ctx, mats, one)) for sign, mats in words]
         (self.degree,) = {len(mats) - 1 for _, mats, _ in self.words}
 
     def canonical_rows(self):
@@ -359,16 +339,11 @@ class FactoredTrace:
         return next(self.canonical_rows(), None) is None
 
 
-def matrix_half_shift(ctx: ChainContext, p: Mat) -> Mat:
-    """p - 1/2 identity over the chain context's algebra."""
-    half = ctx.alg.scalar(Fraction(1, 2))
-    return Mat([[f - half if a == b else f for b, f in enumerate(row)]
-                for a, row in enumerate(p.rows)])
-
-
 def chern_even_word(ctx: ChainContext, p: Mat, k: int) -> list:
     """The matrix word (p - 1/2) x p^{x 2k} whose trace is ch_k(p)."""
-    return [matrix_half_shift(ctx, p)] + [p] * (2 * k)
+    half = ctx.alg.scalar(Fraction(1, 2))
+    return [Mat([[f - half if a == b else f for b, f in enumerate(row)]
+                 for a, row in enumerate(p.rows)])] + [p] * (2 * k)
 
 
 def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:

@@ -225,31 +225,41 @@ def _plus_e00(real, c):
 
 def test_non_idempotent_projection_fails_the_b_ch2_closure(
         monkeypatch, tmp_path, capsys):
-    """Negative control for b(ch2) = 0: p + E_00/3 is not a projection."""
+    """Negative control for ch0 = 0, ch1 = 0, B(ch0) = b(ch1) and b(ch2) = 0,
+    on both backends: p + E_00/3 is not a projection."""
     monkeypatch.setattr(cli, "build_projection",
                         _plus_e00(cli.build_projection, Fraction(1, 3)))
-    out = tmp_path / "chern.json"
-    assert main(["chern", "--backend", "float", "--quiet",
-                 "--json", str(out)]) == 1
-    capsys.readouterr()
-    report = json.loads(out.read_text())
-    chern = report["tasks"]["chern"]
-    assert not chern["passed"]
-    assert chern["closures"]["b_ch2_zero"] is False
-    # every failing zero-verdict, and only those, names the first term of
-    # its chain: for b(ch2), -1/3 (x) x1_0^2 (x) x1_0^2 (x) x1_0^2
-    failing = {name for verdicts in (chern["vanishing"], chern["closures"])
-               for name, ok in verdicts.items() if not ok}
-    assert set(chern["witnesses"]) == failing
-    coeff, *slots = chern["witnesses"]["b_ch2_zero"].split(" (x) ")
-    assert abs(complex(coeff) + 1 / 3) < 1e-9
-    assert slots == ["(1+0j)*x1_0^2"] * 3
-    # B(ch0) = b(ch1) fails too: 1/3 (x) x1_0^2 is left over
-    assert chern["closures"]["B_ch0_equals_b_ch1"] is False
-    coeff, *slots = chern["witnesses"]["B_ch0_equals_b_ch1"].split(" (x) ")
-    assert abs(complex(coeff) - 1 / 3) < 1e-9
-    assert slots == ["(1+0j)*x1_0^2"]
-    jsonschema.validate(report, _schema())
+    exact_witnesses = {
+        "ch0_zero": "(1/3,0)",
+        "ch1_zero": "(1/3,0) (x) (1,0)*x1_0^2 (x) (1,0)*x1_0^2",
+        "B_ch0_equals_b_ch1": "(1/3,0) (x) (1,0)*x1_0^2",
+        "b_ch2_zero": "(-1/3,0) (x) (1,0)*x1_0^2 (x) (1,0)*x1_0^2 (x) (1,0)*x1_0^2",
+    }
+    for backend in ("exact", "float"):
+        out = tmp_path / f"chern_{backend}.json"
+        assert main(["chern", "--backend", backend, "--quiet",
+                     "--json", str(out)]) == 1
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        chern = report["tasks"]["chern"]
+        assert not chern["passed"]
+        # exactly these verdicts fail: the odd components do not read p,
+        # and ch2 stays nonzero
+        failing = {name for verdicts in (chern["vanishing"], chern["closures"])
+                   for name, ok in verdicts.items() if not ok}
+        assert failing == set(exact_witnesses), backend
+        # every failing zero-verdict, and only those, names the first term of
+        # its chain: for b(ch2), -1/3 (x) x1_0^2 (x) x1_0^2 (x) x1_0^2
+        assert set(chern["witnesses"]) == failing
+        if backend == "exact":
+            assert chern["witnesses"] == exact_witnesses
+        else:  # the exact witnesses' terms, each coefficient within 1e-9
+            for name, want in exact_witnesses.items():
+                coeff, *slots = chern["witnesses"][name].split(" (x) ")
+                sign = -1 if want.startswith("(-") else 1
+                assert abs(complex(coeff) - sign / 3) < 1e-9, name
+                assert slots == ["(1+0j)*x1_0^2"] * want.count(" (x) "), name
+        jsonschema.validate(report, _schema())
 
 
 def test_constant_projection_and_unitary_fail_the_nonzero_verdicts(

@@ -13,7 +13,7 @@ from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, FactoredTrace
                                 TensorChain, b_boundary, chain_from_slots,
                                 chern_even, chern_even_word, chern_odd,
                                 check_vanzz_equivalence, expand_factored,
-                                matrix_half_shift, trace_boundary, trace_chain)
+                                trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
 from ncspheres.scalars import EXACT, FLOAT, add_into
 from ncspheres.spheres import build_projection, three_sphere_context
@@ -71,7 +71,7 @@ def test_b_rejects_degree_zero(chain_ctx):
     with pytest.raises(DegreeZero):
         b_boundary(c)
     with pytest.raises(DegreeZero):
-        trace_boundary(chain_ctx, [Mat([[chain_ctx.alg.one()]])])
+        b_boundary(FactoredTrace(chain_ctx, [(1, [Mat([[chain_ctx.alg.one()]])])]))
 
 
 def test_slots_after_first_are_normalized(chain_ctx):
@@ -141,19 +141,19 @@ def test_b_of_trace_contracts_matrix_products(chain_ctx):
         - trace_chain(chain_ctx, [A, B @ C]) \
         + trace_chain(chain_ctx, [C @ A, B])
     assert lhs == rhs
-    assert trace_boundary(chain_ctx, [A, B, C]) == rhs
+    assert b_boundary(FactoredTrace(chain_ctx, [(1, [A, B, C])])) == rhs
 
 
 @pytest.mark.parametrize("length", [2, 3, 4, 5])
 def test_trace_boundary_matches_b_of_the_trace(chain_ctx, length):
-    """The face sum equals b on the expanded chain, degrees 1 to 4."""
+    """b through the faces of one word equals b on the expanded chain, degrees 1 to 4."""
     alg = chain_ctx.alg
     rng = random.Random(100 + length)
     mats = [Mat([[_random_poly(alg, rng, terms=3) for _ in range(2)]
                  for _ in range(2)]) for _ in range(length)]
     want = b_boundary(trace_chain(chain_ctx, mats))
     assert not want.is_zero()
-    got = trace_boundary(chain_ctx, mats)
+    got = b_boundary(FactoredTrace(chain_ctx, [(1, mats)]))
     assert got.degree == want.degree == length - 2
     assert got == want
 
@@ -167,10 +167,10 @@ def test_non_idempotent_projection_is_not_a_cycle(point, request):
     rows = [list(r) for r in p.rows]
     rows[0][1] = rows[0][1] + alg.generator(2) * alg.generator(5)
     word = chern_even_word(ctx, Mat(rows), 1)
-    faces = trace_boundary(ctx, word)
+    faces = b_boundary(FactoredTrace(ctx, [(1, word)]))
     assert not faces.is_zero()
     assert faces == b_boundary(trace_chain(ctx, word))
-    assert trace_boundary(ctx, chern_even_word(ctx, p, 1)).is_zero()
+    assert b_boundary(FactoredTrace(ctx, [(1, chern_even_word(ctx, p, 1))])).is_zero()
 
 
 def test_trace_invariant_under_constant_conjugation(chain_ctx):
@@ -212,7 +212,7 @@ def test_chern_scale_factor_does_not_change_verdict(pyth, chain_ctx):
 def test_half_shift_subtracts_half_on_diagonal(pyth, chain_ctx):
     _, alg, s, _ = pyth
     p = build_projection(s)
-    q = matrix_half_shift(chain_ctx, p)
+    q = chern_even_word(chain_ctx, p, 0)[0]
     half = alg.scalar(Fraction(1, 2))
     for a in range(4):
         for b in range(4):
@@ -313,7 +313,7 @@ def _oracle_words(ctx, rng):
 
 @pytest.mark.parametrize("point", ["pyth", "mixed"])
 def test_factored_trace_equals_the_index_path_walk(point, request):
-    """Exact: trace_chain is the walk and trace_boundary is b of the walk."""
+    """Exact: trace_chain is the walk, and b through the faces is b of the walk."""
     _, _, s, _ = request.getfixturevalue(point)
     ctx = ChainContext(s)
     words = _oracle_words(ctx, random.Random(4))
@@ -323,12 +323,12 @@ def test_factored_trace_equals_the_index_path_walk(point, request):
         assert trace_chain(ctx, word) == want, name
         nonzero += not want.is_zero()
         if len(word) > 1:
-            assert trace_boundary(ctx, word) == b_boundary(want), name
+            assert b_boundary(FactoredTrace(ctx, [(1, word)])) == b_boundary(want), name
     assert nonzero == len(words)
 
 
 def test_canonical_order_is_the_order_of_the_mono_key_tuples(pyth):
-    """The integer rank key sorts as the tuples of slot mono_keys, on every
+    """canonical_terms sorts as the tuples of slot mono_keys, on every
     oracle word and on ch_3half at the main point."""
     _, _, s, ys = pyth
     ctx, ctx3 = ChainContext(s), ChainContext(three_sphere_context(s, ys))
@@ -375,7 +375,7 @@ def test_factored_trace_matches_the_walk_on_floats():
         want = _walk_trace(ctx, word)
         _agree_within_tol(trace_chain(ctx, word), want)
         if len(word) > 1:
-            _agree_within_tol(trace_boundary(ctx, word), b_boundary(want))
+            _agree_within_tol(b_boundary(FactoredTrace(ctx, [(1, word)])), b_boundary(want))
 
 
 def test_float_chern_components_agree_with_the_exact_chains(pyth):
@@ -431,8 +431,8 @@ def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend)
                  for prefix, row in expand_factored(c, [(1, trace.words[0][2])]) for mid, v in row]
         assert trace.digest() == chain.digest()
         assert trace.is_zero() == chain.is_zero() == (not terms)
-        order = chain._order()
-        ranks = [order(t) for t in terms]
+        keys = c.mono_keys
+        ranks = [tuple(keys[i] for i in key) for key, _ in terms]
         assert all(x < y for x, y in zip(ranks, ranks[1:]))
         sizes.append(len(terms))
     # ch0 and ch1 vanish; ch2 and the four odd traces do not
@@ -456,3 +456,30 @@ def test_factored_odd_components_equal_the_expanded_chains(label, backend):
             assert got.first_term() == want.first_term()
     if backend is EXACT and label in ("3/5,4/5,0", "1/3,2/3,2/3"):
         assert b_boundary(got) == b_boundary(want)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_b_of_two_words_is_the_signed_sum_of_each_words_b(label, backend):
+    """b of a two-word FactoredTrace, one walk over both words' faces, against
+    one walk per word with the chains summed by TensorChain's + and -: the same
+    terms and, as the float digest sees signed zeros, the same digest.  U has
+    one perturbed entry, so neither word's b vanishes; k <= 1, as b of k = 2
+    has millions of terms."""
+    _, alg, s, ys = make_point(label, backend)
+    ctx3 = ChainContext(three_sphere_context(s, ys))
+    rows = [list(r) for r in embed_M2(ys.Y, backend.i).rows]
+    rows[0][1] = rows[0][1] + alg.generator(2) * alg.generator(5)
+    U = Mat(rows)
+    Ud = U.dagger()
+    for k in (0, 1):
+        words = [(1, [U, Ud] * (k + 1)), (-1, [Ud, U] * (k + 1))]
+        want = TensorChain(ctx3, 2 * k)
+        for sign, word in words:
+            one = b_boundary(FactoredTrace(ctx3, [(1, word)]))
+            assert not one.is_zero(), k
+            want = want + one if sign > 0 else want - one
+        got = b_boundary(FactoredTrace(ctx3, words))
+        assert not want.is_zero(), k
+        assert got.terms == want.terms, k
+        assert got.digest() == want.digest(), k
