@@ -26,23 +26,20 @@ constant coordinates into the contracted tensor c, kept as sum_a c[a] f_a0 x
 on floats, at the catalog points, the pruned ch2 and ch_3half entries are
 exactly 0, and the faces' pruned entries (<= 5e-16) feed only b ch2, whose terms
 cancel either way.  A FactoredTrace is a signed sum of such traces, one per word;
-ch2 and the odd components stay factored and are never built.  One depth-first
-walk of all the words yields, in canonical order, each key prefix with its row of
-last-slot terms: each word's sum is kept apart, and the sums are added in word
-order, a negative one times -1, as TensorChain's - adds them (adding the words'
-raw terms flips some float zeros).  A walk computes a row once per distinct
-(last factor, str(weight), word) of its live tensors, so 54 rows serve ch2's
-43 008 leaves at 3/5,4/5,0; the key is str(w), as 4+0j == 4-0j but times 1-0j
-they differ.  The digest encodes each distinct row once and hashes the same
-bytes as the expanded chain's.  Words may cancel, so a FactoredTrace is zero
-when its walk yields no leaf.  The trace map is a chain map, so b of a
-FactoredTrace is one walk over all its words' signed matrix faces.
+ch2 and the odd components stay factored and are never built.  One walk of all
+the words builds their tree of key prefixes, each with a row of last-slot terms,
+and each distinct subtree once, keyed by its live (factor suffix, str(weight),
+word): 163 serve ch2's 47 910 walk nodes at 3/5,4/5,0, 289 its 98 304 leaves at
+1/3,2/3,2/3 (exact); str, as 4+0j == 4-0j but times 1-0j they differ.  A
+FactoredTrace builds this shared tree once, and its digest encodes each distinct
+row once.  As the trace map is a chain map, b of it is the tree of its faces.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import DegreeZero, NotUnitaryEnough
 from .ncalg import NCPoly, format_poly, mono_key
@@ -129,29 +126,37 @@ class TensorChain(Sparse):
         keys = self.ctx.mono_keys
         return sorted(self.terms.items(), key=lambda t: tuple([keys[i] for i in t[0]]))
 
-    def canonical_rows(self):
-        """The canonical terms as the leaves (key[:-1], ((key[-1], coeff),)) of a walk."""
-        return ((key[:-1], ((key[-1], coeff),)) for key, coeff in self.canonical_terms())
+    @property
+    def tree(self):
+        """The canonical terms as a tree of expand_factored's form, built on each read."""
+        return _trie(self.canonical_terms(), 0, self.degree)
 
     def first_term(self) -> str:
         """The first canonical term as c*m0 (x) m1 (x) ..., each slot by format_poly."""
-        prefix, ((mid, coeff), *_) = next(self.canonical_rows())
+        prefix, ((mid, coeff), *_) = next(canonical_rows(self.tree, self.degree))
         ctx, one = self.ctx, self.ctx.backend.one
         return " (x) ".join(format_poly(NCPoly(ctx.alg, {ctx._monos[i]: one if pos else coeff}))
                             for pos, i in enumerate(prefix + (mid,)))
 
     def digest(self) -> dict:
-        """Size and sha256 of the (key, coeff) terms, in canonical order; a row's
-        bytes are encoded once per row object, held so that no id is reused."""
+        """Size and sha256 of the (key, coeff) terms, in canonical order; each
+        distinct row of the tree is encoded once, by id, as the tree holds it."""
         h, n, slot = hashlib.sha256(), 0, [repr(m).encode() + b"|" for m in self.ctx._monos]
-        encoded = {}
-        for prefix, row in self.canonical_rows():
-            if id(row) not in encoded:
-                encoded[id(row)] = (row, [slot[mid] + str(c).encode() + b";" for mid, c in row])
-            head = b"".join([slot[mid] for mid in prefix])
-            h.update(head + head.join(encoded[id(row)][1]))  # head + t for each term t
+        tails = {}
+        for head, row in canonical_rows(self.tree, self.degree, b"", slot):
+            if id(row) not in tails:
+                tails[id(row)] = [slot[mid] + str(c).encode() + b";" for mid, c in row]
+            h.update(head + head.join(tails[id(row)]))  # head + t for each term t
             n += len(row)
         return {"degree": self.degree, "n_terms": n, "is_zero": n == 0, "sha256": h.hexdigest()}
+
+
+def _trie(terms, pos: int, n: int):
+    """The tree of canonical terms [(key, coeff)] below a key prefix of length pos."""
+    if pos == n:
+        return tuple((key[n], c) for key, c in terms)
+    return tuple((mid, _trie(list(run), pos + 1, n))
+                 for mid, run in groupby(terms, key=lambda t: t[0][pos]))
 
 
 def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
@@ -166,8 +171,8 @@ def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
 
 
 def b_boundary(chain) -> TensorChain:
-    """Hochschild boundary; lowers degree by one.  A FactoredTrace's is one
-    walk over all its words' signed faces, a TensorChain's is taken on its terms."""
+    """Hochschild boundary; lowers degree by one.  A FactoredTrace's is read off
+    the tree of all its words' signed faces, a TensorChain's off its terms."""
     n = chain.degree
     if n < 1:
         raise DegreeZero("b is undefined on degree-0 chains")
@@ -207,14 +212,15 @@ def B_boundary(chain: TensorChain) -> TensorChain:
 # ---------------------------------------------------------------------------
 
 
-def _chain(ctx: ChainContext, degree: int, rows) -> TensorChain:
-    """The chain of a walk's leaves (prefix, row)."""
-    return TensorChain(ctx, degree, {prefix + (mid,): c for prefix, row in rows for mid, c in row})
+def _chain(ctx: ChainContext, degree: int, tree) -> TensorChain:
+    """The chain of a tree's leaves (prefix, row)."""
+    return TensorChain(ctx, degree, {p + (m,): c for p, row in canonical_rows(tree, degree)
+                                     for m, c in row})
 
 
 def trace_chain(ctx: ChainContext, mats) -> TensorChain:
     """<M0 x ... x Mn> = sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0], expanded."""
-    return _chain(ctx, len(mats) - 1, FactoredTrace(ctx, [(1, mats)]).canonical_rows())
+    return _chain(ctx, len(mats) - 1, FactoredTrace(ctx, [(1, mats)]).tree)
 
 
 def _faces(ctx: ChainContext, mats):
@@ -280,63 +286,72 @@ def _contract(ctx: ChainContext, mats, coeff):
 
 
 def expand_factored(ctx: ChainContext, words):
-    """Yield the leaves (prefix, row) of words = [(sign, pure)] in canonical order,
-    pure a list of ((f_0, ..., f_n), c) and row = ((id, coeff), ...) over slot n,
-    nonzero only.  Depth first over all words, the live (f, c cc_0 ... cc_k, word)
-    at slot k are bucketed by f_k's monomials in mono_key order; a leaf sums each
-    word apart, in pure's order, as TensorChain's + and - add the expanded words.
-    A row is computed once per (f_n, str(w), word) of its live tensors."""
-    key_of, be, memo = ctx.mono_keys.__getitem__, ctx.backend, {}
-    is_zero, minus = be.is_zero, be.convert(-1)
-    live = [(f, w, k) for k, (_, pure) in enumerate(words) for f, w in pure]
-    stack = [((), live)] if live else []
-    while stack:
-        prefix, live = stack.pop()
-        pos, buckets = len(prefix), {}
-        if pos < len(live[0][0]) - 1:
-            for f, w, k in live:
-                for mid, cc in f[pos]:
-                    buckets.setdefault(mid, []).append((f, w * cc, k))
-            stack.extend((prefix + (mid,), buckets[mid])
-                         for mid in sorted(buckets, key=key_of, reverse=True))
-            continue
-        key = tuple([(id(f[pos]), str(w), k) for f, w, k in live])
-        row = memo.get(key)
-        if row is None:
-            for f, w, k in live:  # one bucket of sums per word, in word order
-                for mid, cc in f[pos]:
-                    add_into(buckets.setdefault(k, {}), mid, w * cc)
-            total = {}
-            for k, sums in buckets.items():
-                for mid, v in sums.items():
-                    if not is_zero(v):
-                        add_into(total, mid, v if words[k][0] > 0 else minus * v)
-            row = memo[key] = tuple((mid, total[mid]) for mid in sorted(total, key=key_of)
-                                    if not is_zero(total[mid]))
-        if row:
-            yield prefix, row
+    """The tree of words = [(sign, pure)], pure a list of ((f_0, ..., f_n), c): () if
+    its chain is zero, else at slot n a row ((id, coeff), ...), nonzero only, and at
+    slot k < n the nonempty children ((id, subtree), ...), both in canonical order."""
+    sfx = {}  # each suffix f[p:], p >= 1, by the identity of its factors, as a small int
+    live = [(f, [sfx.setdefault(tuple(map(id, f[p:])), len(sfx)) for p in range(1, len(f))],
+             w, k) for k, (_, pure) in enumerate(words) for f, w in pure]
+    return _subtree(({}, {}, [sign for sign, _ in words], ctx), 0, live) if live else ()
+
+
+def _subtree(walk, pos, live):
+    """The node at slot pos of the live (f, sfx, c cc_0 ... cc_{pos-1}, word), sfx[p]
+    the id of f[p+1:], walk = (memo, weight ids, signs, ctx); a child is built once
+    per key, its live (f[pos+1:], str(w), word) as small ints in one string.  A row
+    sums each word apart, in pure's order, and adds the sums as TensorChain's + and
+    - add the expanded words, a negative one times -1 (raw terms flip float zeros)."""
+    memo, weights, signs, ctx = walk
+    key_of, be, buckets = ctx.mono_keys.__getitem__, ctx.backend, {}
+    if pos == len(live[0][0]) - 1:
+        for f, _, w, k in live:  # one sum per word and monomial, in word order
+            for mid, cc in f[pos]:
+                add_into(buckets, (k, mid), w * cc)
+        total, minus = {}, be.convert(-1)
+        for (k, mid), v in buckets.items():
+            if not be.is_zero(v):
+                add_into(total, mid, v if signs[k] > 0 else minus * v)
+        return tuple((mid, total[mid]) for mid in sorted(total, key=key_of)
+                     if not be.is_zero(total[mid]))
+    for f, sfx, w, k in live:
+        for mid, cc in f[pos]:
+            buckets.setdefault(mid, []).append((f, sfx, w * cc, k))
+    keys = {mid: " ".join([f"{sfx[pos]},{weights.setdefault(str(w), len(weights))},{k}"
+                           for _, sfx, w, k in child]) for mid, child in buckets.items()}
+    for mid, key in keys.items():
+        if key not in memo:
+            memo[key] = _subtree(walk, pos + 1, buckets[mid])
+    return tuple((mid, memo[keys[mid]]) for mid in sorted(keys, key=key_of) if memo[keys[mid]])
+
+
+def canonical_rows(node, depth: int, prefix=(), slot=None):
+    """The leaves (prefix, row) of a tree of the given depth, in canonical order;
+    a prefix is the tuple of its slots' ids or, given slot, the bytes of slot[id]."""
+    if depth:
+        for mid, child in node:
+            yield from canonical_rows(child, depth - 1,
+                                      prefix + (slot[mid] if slot else (mid,)), slot)
+    elif node:
+        yield prefix, node
 
 
 class FactoredTrace:
     """sum_w sign_w <word_w> from a list of (sign, mats), sign 1 or -1, kept as
-    words = [(sign, mats, pure)] and no term; each word is factored here, before
-    a walk's or digest's tables read the monomials interned in ctx."""
+    words = [(sign, mats, pure)] and their tree, no term; each word is factored
+    here, before the digest's tables read the monomials interned in ctx."""
 
-    # these read only ctx, degree and canonical_rows()
+    # these read only ctx, degree and tree
     first_term, digest = TensorChain.first_term, TensorChain.digest
 
     def __init__(self, ctx: ChainContext, words):
         self.ctx, one = ctx, ctx.backend.one
         self.words = [(sign, list(mats), _contract(ctx, mats, one)) for sign, mats in words]
         (self.degree,) = {len(mats) - 1 for _, mats, _ in self.words}
-
-    def canonical_rows(self):
-        """The leaves (prefix, row) of one walk of all the words."""
-        return expand_factored(self.ctx, [(sign, pure) for sign, _, pure in self.words])
+        self.tree = expand_factored(ctx, [(sign, pure) for sign, _, pure in self.words])
 
     def is_zero(self) -> bool:
-        """The words may cancel: zero iff the walk yields no leaf."""
-        return next(self.canonical_rows(), None) is None
+        """The words may cancel: zero iff the tree is empty."""
+        return not self.tree
 
 
 def chern_even_word(ctx: ChainContext, p: Mat, k: int) -> list:

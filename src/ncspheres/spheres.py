@@ -83,11 +83,18 @@ def build_projection(s: SphereAlgebra) -> Mat:
     return Mat(rows)
 
 
+def _first_entry(values) -> str | None:
+    """'entry (a, b)' of the first nonzero of 4x4 row-major values, or None."""
+    bad = next((k for k, r in enumerate(values) if not r.is_zero()), None)
+    return None if bad is None else f"entry {divmod(bad, 4)}"
+
+
 def projection_checks(s: SphereAlgebra) -> list:
     """Hermiticity (exact), idempotency mod ideal, half-trace identity.
 
-    A failing idempotency names the first entry (a, b), in row-major order,
-    whose reduced p^2 - p is nonzero.
+    A failing hermiticity or idempotency names the first entry (a, b), in
+    row-major order, of p - p* or of the reduced p^2 - p that is nonzero; a
+    failing half trace names the leading term of the reduced tr p - 2.
     """
     alg = s.base
     be = alg.backend
@@ -96,13 +103,13 @@ def projection_checks(s: SphereAlgebra) -> list:
     herm = [p.rows[a][b] - pd.rows[a][b] for a in range(4) for b in range(4)]
     p2 = p @ p
     idem = [s.reduce(p2.rows[a][b] - p.rows[a][b]) for a in range(4) for b in range(4)]
-    bad = next((k for k, r in enumerate(idem) if not r.is_zero()), None)
-    idem_at = None if bad is None else f"entry {divmod(bad, 4)}"
     tr = sum((p.rows[a][a] for a in range(4)), alg.zero())
+    trace = s.reduce(tr - 2 * alg.one())
+    lead = None if trace.is_zero() else str(NCPoly(alg, dict(trace.items_sorted()[-1:])))
     return [
-        ConditionReport.judge("projection_hermitian", be, herm, None),
-        ConditionReport.judge("projection_idempotent", be, idem, idem_at),
-        ConditionReport.judge("projection_half_trace", be, [s.reduce(tr - 2 * alg.one())], None),
+        ConditionReport.judge("projection_hermitian", be, herm, _first_entry(herm)),
+        ConditionReport.judge("projection_idempotent", be, idem, _first_entry(idem)),
+        ConditionReport.judge("projection_half_trace", be, [trace], lead),
     ]
 
 

@@ -212,12 +212,13 @@ def _schema():
                       .joinpath("schema/run_report.schema.json").read_text())
 
 
-def _plus_e00(real, c):
-    """A build_projection that returns p + c E_00, which is not a projection."""
+def _plus_entry(real, c, a=0, b=0):
+    """A build_projection that returns p + c E_ab, which is not a projection;
+    c is a number, or 1j for the backend's i."""
     def perturbed(s):
         p = real(s)
         rows = [list(r) for r in p.rows]
-        rows[0][0] = rows[0][0] + s.base.scalar(c)
+        rows[a][b] = rows[a][b] + s.base.scalar(s.base.backend.i if c == 1j else c)
         return Mat(rows)
 
     return perturbed
@@ -228,7 +229,7 @@ def test_non_idempotent_projection_fails_the_b_ch2_closure(
     """Negative control for ch0 = 0, ch1 = 0, B(ch0) = b(ch1) and b(ch2) = 0,
     on both backends: p + E_00/3 is not a projection."""
     monkeypatch.setattr(cli, "build_projection",
-                        _plus_e00(cli.build_projection, Fraction(1, 3)))
+                        _plus_entry(cli.build_projection, Fraction(1, 3)))
     exact_witnesses = {
         "ch0_zero": "(1/3,0)",
         "ch1_zero": "(1/3,0) (x) (1,0)*x1_0^2 (x) (1,0)*x1_0^2",
@@ -300,7 +301,7 @@ def test_non_idempotent_projection_fails_the_idempotency_report(
     the defect, 10^-170, is below what squaring a float could represent."""
     real = spheres.build_projection
     for c in (Fraction(1, 3), Fraction(1, 10**170)):
-        monkeypatch.setattr(spheres, "build_projection", _plus_e00(real, c))
+        monkeypatch.setattr(spheres, "build_projection", _plus_entry(real, c))
         out = tmp_path / "sphere.json"
         assert main(["sphere", "--quiet", "--json", str(out)]) == 1, c
         capsys.readouterr()
@@ -310,6 +311,40 @@ def test_non_idempotent_projection_fails_the_idempotency_report(
         assert idem["passed"] is False
         assert idem["max_residual"] > 0
         assert "(0, 0)" in idem["witness"]
+
+
+def test_broken_projection_fails_hermiticity_and_half_trace_with_witnesses(
+        monkeypatch, tmp_path, capsys):
+    """Negative controls for p = p* and tr p = 2 on both backends: p + i E_01 is
+    not hermitian, first at entry (0, 1), and p + E_00/3 has trace 2 + 1/3, whose
+    reduced defect leads with the constant 1/3 (on floats within 1e-9).  The
+    other verdict passes and, as every passing report, carries no witness."""
+    real = spheres.build_projection
+    cases = [
+        (_plus_entry(real, 1j, 0, 1), "projection_hermitian", "projection_half_trace",
+         {"exact": "entry (0, 1)", "float": "entry (0, 1)"}),
+        (_plus_entry(real, Fraction(1, 3)), "projection_half_trace", "projection_hermitian",
+         {"exact": "(1/3,0)", "float": 1 / 3}),
+    ]
+    for build, broken, intact, witnesses in cases:
+        monkeypatch.setattr(spheres, "build_projection", build)
+        for backend in ("exact", "float"):
+            out = tmp_path / f"sphere_{backend}.json"
+            assert main(["sphere", "--backend", backend, "--quiet",
+                         "--json", str(out)]) == 1, (broken, backend)
+            capsys.readouterr()
+            task = json.loads(out.read_text())["tasks"]["sphere"]
+            assert not task["passed"]
+            reports = {r["name"]: r for r in task["reports"]}
+            assert reports[broken]["passed"] is False
+            assert reports[broken]["max_residual"] > 0
+            got, want = reports[broken]["witness"], witnesses[backend]
+            if isinstance(want, float):
+                assert abs(complex(got) - want) < 1e-9, got
+            else:
+                assert got == want, (broken, backend)
+            assert reports[intact]["passed"] is True
+            assert "witness" not in reports[intact]
 
 
 def test_json_report_validates_against_schema(tmp_path, capsys):

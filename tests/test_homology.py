@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from ncspheres import homology
 from ncspheres.cli import CATALOG
 from ncspheres.errors import DegreeZero, NotUnitaryEnough
 from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, FactoredTrace,
-                                TensorChain, b_boundary, chain_from_slots,
-                                chern_even, chern_even_word, chern_odd,
-                                check_vanzz_equivalence, expand_factored,
-                                trace_chain)
+                                TensorChain, b_boundary, canonical_rows,
+                                chain_from_slots, chern_even, chern_even_word,
+                                chern_odd, check_vanzz_equivalence,
+                                expand_factored, trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
 from ncspheres.scalars import EXACT, FLOAT, add_into
 from ncspheres.spheres import build_projection, three_sphere_context
@@ -353,7 +354,8 @@ def test_trace_expands_only_the_surviving_entries_of_c(label, backend, n_terms):
     pure = FactoredTrace(ctx, [(1, chern_even_word(ctx, build_projection(s), 2))]).words[0][2]
     assert pure and not any(ctx.backend.is_zero(v) for _, v in pure)
     terms = [(prefix + (mid,), v)
-             for prefix, row in expand_factored(ctx, [(1, pure)]) for mid, v in row]
+             for prefix, row in canonical_rows(expand_factored(ctx, [(1, pure)]), 4)
+             for mid, v in row]
     assert len(terms) == n_terms
     assert TensorChain(ctx, 4, dict(terms)).n_terms() == n_terms
 
@@ -393,22 +395,76 @@ def test_float_chern_components_agree_with_the_exact_chains(pyth):
 
 
 def test_row_memo_tells_signed_zero_weights_apart():
-    """Two leaves share their last factor (coefficient 1-0j) with weights 4+0j
-    and 4-0j, which are == but give 4+0j and 4-0j times 1-0j: the walk's rows
-    print as each leaf's terms computed apart, with no memo."""
-    _, alg, s, _ = make_point("1,0,0", FLOAT)
-    ctx, one = ChainContext(s), complex(1, -0.0)  # the literal 1-0j is 1+0j
-    a, b, c = (ctx.expand_poly(alg.generator(g))[0][0] for g in range(3))
-    last = ((c, one),)
-    pure = [((((x, one),), last), w) for x, w in ((a, 4 + 0j), (b, complex(4, -0.0)))]
+    """Float weights 4+0j and 4-0j are == but give 4+0j and 4-0j times 1-0j, so
+    the walk keys a subtree by str(w).  Two slots: two leaves share their last
+    factor.  Three slots: two internal nodes share their suffix, and they share a
+    subtree on the exact backend only.  The walk's terms print as each tensor's
+    computed apart, with no memo."""
+    for backend in (EXACT, FLOAT):
+        _, alg, s, _ = make_point("1,0,0", backend)
+        ctx = ChainContext(s)
+        one = complex(1, -0.0) if backend is FLOAT else backend.one  # the literal 1-0j is 1+0j
+        weights = (4 + 0j, complex(4, -0.0)) if backend is FLOAT else (backend.convert(4),) * 2
+        a, b, x, c = (ctx.expand_poly(alg.generator(g))[0][0] for g in range(4))
+        for slots in (((c, one),),), (((x, one),), ((c, one),)):
+            pure = [((((m, one),), *slots), w) for m, w in zip((a, b), weights)]
+            want = {}
+            for f, w in pure:  # one leaf per tensor here: w cc0 cc1 ..., as the walk multiplies
+                for choice in itertools.product(*f):
+                    v = w
+                    for _, cc in choice:
+                        v = v * cc
+                    want[tuple(mid for mid, _ in choice)] = str(v)
+            tree = expand_factored(ctx, [(1, pure)])
+            got = {prefix + (mid,): str(v) for prefix, row in canonical_rows(tree, len(slots))
+                   for mid, v in row}
+            assert got == want
+            if backend is FLOAT:
+                assert sorted(want.values()) == ["(4+0j)", "(4-0j)"]
+            else:
+                assert set(want.values()) == {str(backend.convert(4))}
+            if len(slots) == 2:  # the internal nodes below a and below b
+                children = dict(tree)
+                assert (children[a] is children[b]) == (backend is EXACT)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_ch2_builds_each_distinct_subtree_once(backend, monkeypatch):
+    """ch2 at 3/5,4/5,0: _subtree builds 163 distinct subtrees, by slot the root,
+    9, 35, 64 and 54 rows, for its 47 910 walk nodes and 43 008 leaves; the shared
+    tree's leaves are the pure tensors' expanded terms, printed alike."""
+    _, _, s, _ = make_point("3/5,4/5,0", backend)
+    ctx = ChainContext(s)
+    word = chern_even_word(ctx, build_projection(s), 2)
+    builds, real = {}, homology._subtree
+
+    def counting(walk, pos, live):
+        builds[pos] = builds.get(pos, 0) + 1
+        return real(walk, pos, live)
+
+    monkeypatch.setattr(homology, "_subtree", counting)
+    trace = FactoredTrace(ctx, [(1, word)])
+    assert builds == {0: 1, 1: 9, 2: 35, 3: 64, 4: 54}
+
+    def walk_nodes(node, depth):
+        return 1 + (sum(walk_nodes(child, depth - 1) for _, child in node) if depth else 0)
+
+    assert walk_nodes(trace.tree, 4) == 47910
+    # the expanded-chain oracle: each pure tensor expanded into its terms, the
+    # products taken slot by slot and summed in pure's order, as the walk does
     want = {}
-    for f, w in pure:  # one leaf per tensor here: c0 cc0 cc1, as the walk multiplies
-        for (m0, c0), (m1, c1) in itertools.product(*f):
-            want[m0, m1] = str(w * c0 * c1)
-    got = {prefix + (mid,): str(v) for prefix, row in expand_factored(ctx, [(1, pure)])
-           for mid, v in row}
-    assert got == want
-    assert sorted(want.values()) == ["(4+0j)", "(4-0j)"]
+    for f, w in trace.words[0][2]:
+        for choice in itertools.product(*f):
+            v = w
+            for _, cc in choice:
+                v = v * cc
+            add_into(want, tuple(mid for mid, _ in choice), v)
+    want = TensorChain(ctx, 4, want)
+    got = [(prefix + (mid,), str(v)) for prefix, row in canonical_rows(trace.tree, 4)
+           for mid, v in row]
+    assert sum(1 for _ in canonical_rows(trace.tree, 4)) == 43008
+    assert got == [(key, str(v)) for key, v in want.canonical_terms()]
+    assert len(got) == 172032
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
@@ -428,7 +484,7 @@ def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend)
     for c, word in words:
         trace, chain = FactoredTrace(c, [(1, word)]), trace_chain(c, word)
         terms = [(prefix + (mid,), v)
-                 for prefix, row in expand_factored(c, [(1, trace.words[0][2])]) for mid, v in row]
+                 for prefix, row in canonical_rows(trace.tree, trace.degree) for mid, v in row]
         assert trace.digest() == chain.digest()
         assert trace.is_zero() == chain.is_zero() == (not terms)
         keys = c.mono_keys
