@@ -340,8 +340,13 @@ class FactoredTrace:
     words = [(sign, mats, pure)] and their tree, no term; each word is factored
     here, before the digest's tables read the monomials interned in ctx."""
 
-    # these read only ctx, degree and tree
-    first_term, digest = TensorChain.first_term, TensorChain.digest
+    # TensorChain's, looked up at each call so that a wrapper installed on them
+    # later sees these chains too; they read only ctx, degree and tree
+    def first_term(self) -> str:
+        return TensorChain.first_term(self)
+
+    def digest(self) -> dict:
+        return TensorChain.digest(self)
 
     def __init__(self, ctx: ChainContext, words):
         self.ctx, one = ctx, ctx.backend.one

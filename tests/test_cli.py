@@ -1,12 +1,10 @@
 """Driver pipeline: spec validation, reports, sweeps, exit codes."""
 
-import hashlib
 import json
 import math
 import random
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -357,61 +355,6 @@ def test_json_report_validates_against_schema(tmp_path, capsys):
     # canonical: sorted keys, trailing newline
     assert text == canonical_json(report)
     assert set(report["tasks"]) == {"conditions", "algebra", "sphere"}
-
-
-def test_exact_chern_report_at_the_commutative_point_is_pinned(tmp_path, capsys):
-    """The whole exact chern report at 1,0,0 (ch2 of 129 024 terms), byte for byte."""
-    out = tmp_path / "chern.json"
-    assert main(["chern", "--params", "1,0,0", "--quiet", "--json", str(out)]) == 0
-    capsys.readouterr()
-    golden = Path(__file__).parent / "golden" / "chern_exact_1_0_0.json"
-    assert out.read_bytes() == golden.read_bytes()
-
-
-@pytest.mark.parametrize("backend, sha256", [
-    ("exact", "5a472b0a26699e0b2539dc8e7e57ba67f392ac8b0190bfc922c16699ba146af3"),
-    ("float", "3214c6724c79fbad9885a50a85fb2a9858e9857449b037ef30a65ebd034cf691"),
-])
-def test_main_report_is_pinned(backend, sha256, tmp_path, capsys):
-    """The whole report at 3/5,4/5,0 on each backend, byte for byte."""
-    out = tmp_path / "report.json"
-    assert main(["report", "--backend", backend, "--params", "3/5,4/5,0", "--quiet",
-                 "--json", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
-
-
-def test_coaction_task_at_the_generic_point_is_pinned(tmp_path, capsys):
-    """The coaction report at 3615/8243,5082/8243,-5390/8243 (u0, u1 and u2
-    all nonzero) on both backends, byte for byte: tests/golden holds the
-    canonical JSON of {backend: report}."""
-    docs = {}
-    for backend in ("exact", "float"):
-        out = tmp_path / f"{backend}.json"
-        assert main(["coaction", "--backend", backend, "--params",
-                     "3615/8243,5082/8243,-5390/8243", "--quiet", "--json", str(out)]) == 0
-        capsys.readouterr()
-        docs[backend] = json.loads(out.read_text())
-    golden = Path(__file__).parent / "golden" / "coaction_generic.json"
-    assert json.dumps(docs, sort_keys=True, indent=2) + "\n" == golden.read_text()
-
-
-# ch0..ch_3half (n_terms, sha256) of the exact chern task at the catalog
-# points that no byte-for-byte report pins, generated before the factored
-# trace map replaced the index-path walk
-CHERN_COMPONENTS = json.loads(
-    (Path(__file__).parent / "golden" / "chern_exact_components.json").read_text())
-
-
-@pytest.mark.parametrize("label", sorted(CHERN_COMPONENTS))
-def test_exact_chern_components_are_pinned(label):
-    """Two points with u2 != 0 and two with u2 = 0; ch2 has up to 602 112 terms."""
-    report, _ = run(_spec(label, tasks=("chern",)))
-    chern = report["tasks"]["chern"]
-    assert chern["passed"]
-    got = {name: {"n_terms": d["n_terms"], "sha256": d["sha256"]}
-           for name, d in chern["components"].items()}
-    assert got == CHERN_COMPONENTS[label]
 
 
 @pytest.mark.parametrize("verb", ["check", "sweep"])

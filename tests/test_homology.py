@@ -253,6 +253,20 @@ def test_digest_is_canonical(chain_ctx):
     assert c1.digest() != (c1 + c1).digest()
 
 
+def test_factored_trace_calls_the_chain_methods_installed_later(pyth, chain_ctx, monkeypatch):
+    """A wrapper put on TensorChain.digest or .first_term after import, as a
+    profiler puts one, sees a FactoredTrace's calls too."""
+    calls = []
+    for name in ("digest", "first_term"):
+        real = getattr(TensorChain, name)
+        monkeypatch.setattr(TensorChain, name,
+                            lambda self, name=name, real=real: calls.append(name) or real(self))
+    p = build_projection(pyth[2])
+    chain = FactoredTrace(chain_ctx, [(1, [p, p])])
+    assert chain.digest()["n_terms"] > 0 and chain.first_term()
+    assert calls == ["digest", "first_term"]
+
+
 def test_vanzz_equivalence_agrees(pyth, classical, chain_ctx):
     _, _, _, ys = pyth
     rep = check_vanzz_equivalence(chain_ctx, ys)
