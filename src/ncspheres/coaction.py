@@ -31,7 +31,7 @@ from .ncalg import NCPoly, basis_monomials, span_solve
 from .quatlin import epsilon, quat_conjugate, quat_multiply, translation
 from .rmatrix import ConditionReport
 from .scalars import Backend, Sparse, add_into, all_zero, max_residual, row_reduce
-from .spheres import SphereAlgebra, quaternion_generators
+from .spheres import SphereAlgebra, lead_witness, quaternion_generators
 
 H_ONE = (0, 0, 0, 0)
 
@@ -170,8 +170,7 @@ def check_hopf_axioms(backend: Backend) -> list:
 @functools.cache
 def _hopf_axiom_reports(be: Backend) -> tuple:
     names = ("hopf_coassociativity", "hopf_counit", "hopf_antipode")
-    return tuple(ConditionReport.judge(name, be, [d for _, d in law],
-                                       next((w for w, d in law if not d.is_zero()), None))
+    return tuple(ConditionReport.judge(name, be, dict(law), lambda w, _: w)
                  for name, law in zip(names, _hopf_axiom_defects(be)))
 
 
@@ -512,9 +511,9 @@ def derivation_reports(s: SphereAlgebra, ys) -> list:
                         rhs = rhs + (-2 * e) * derivation(alg, c, f)
                 su2.append(lhs - rhs)
     return [
-        ConditionReport.judge("derivations_kill_y_system", be, inv, None),
-        ConditionReport.judge("derivation_leibniz", be, leib, None),
-        ConditionReport.judge("derivation_su2_bracket", be, su2, None),
+        ConditionReport.judge("derivations_kill_y_system", be, inv, lead_witness),
+        ConditionReport.judge("derivation_leibniz", be, leib, lead_witness),
+        ConditionReport.judge("derivation_su2_bracket", be, su2, lead_witness),
     ]
 
 

@@ -387,3 +387,8 @@ def format_poly(f: NCPoly) -> str:
                 factors.append(f"{_GEN_NAMES[g]}^{m[g]}")
         parts.append("*".join(factors))
     return " + ".join(parts)
+
+
+def leading_term(f: NCPoly) -> str:
+    """f's last term in monomial order, as format_poly writes it."""
+    return format_poly(NCPoly(f.algebra, dict(f.items_sorted()[-1:])))

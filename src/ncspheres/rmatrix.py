@@ -9,9 +9,9 @@ for the big 64x64 exchange operator on all eight generators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import MalformedNumber, ParamsNotOnSphere
 from .quatlin import translation
@@ -115,21 +115,24 @@ class ConditionReport:
     name: str
     passed: bool
     max_residual: float
-    witness: Optional[str] = None
+    witness: str | None = None
 
     @classmethod
-    def judge(cls, name: str, be: Backend, values, witness: Optional[str]) -> "ConditionReport":
-        """The report on `values`: passed iff every one is zero by the backend's
-        zero test (``all_zero``); ``max_residual`` is only displayed.  A caller
-        that names a witness names the first value that is not zero."""
-        values = list(values)
-        return cls(name, all_zero(be, values), max_residual(values), witness)
+    def judge(cls, name: str, be: Backend, defects, label=None) -> "ConditionReport":
+        """The report on `defects`, {key: value} or a list keyed by position:
+        passed iff every value is zero by ``all_zero``; ``max_residual`` is only
+        displayed.  A failing report's witness is ``label(key, value)`` of the
+        first value that is not zero, by default ``value <key>``."""
+        keyed = list(defects.items() if isinstance(defects, dict) else enumerate(defects))
+        values = [v for _, v in keyed]
+        passed = all_zero(be, values)
+        bad = None if passed else next((k, v) for k, v in keyed if not all_zero(be, (v,)))
+        witness = None if passed else label(*bad) if label else f"value {bad[0]}"
+        return cls(name, passed, max_residual(values), witness)
 
     def to_dict(self) -> dict:
-        d = {"name": self.name, "passed": self.passed, "max_residual": self.max_residual}
-        if self.witness is not None:
-            d["witness"] = self.witness
-        return d
+        """name, passed and max_residual, and the witness if there is one."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _pairs(R: RTensor, left: tuple, right: tuple):
@@ -151,13 +154,11 @@ def _compare(name: str, be: Backend, lhs: dict, rhs: dict, fmt: str) -> Conditio
     """Report on lhs - rhs over the union of keys, in lexicographic key order.
 
     A key on neither side has lhs = rhs = 0 there, so it can neither fail nor
-    raise the residual; the first failing key is the witness.
+    raise the residual; the witness is the first failing key, in `fmt`.
     """
-    keys = sorted(lhs.keys() | rhs.keys())
-    diffs = [lhs.get(key, be.zero) - rhs.get(key, be.zero) for key in keys]
-    witness = next((fmt.format(*key) for key, diff in zip(keys, diffs)
-                    if not be.is_zero(diff)), None)
-    return ConditionReport.judge(name, be, diffs, witness)
+    diffs = {key: lhs.get(key, be.zero) - rhs.get(key, be.zero)
+             for key in sorted(lhs.keys() | rhs.keys())}
+    return ConditionReport.judge(name, be, diffs, lambda key, _: fmt.format(*key))
 
 
 def check_reality(R: RTensor) -> ConditionReport:
@@ -197,24 +198,16 @@ def invert_16x16(R: RTensor):
 
 def check_symmetry_chain(R: RTensor) -> ConditionReport:
     """R^{lb}_{am} = R^{ma}_{bl} = conj(R^{mb}_{al}) = (R^-1)^{bm}_{la}."""
-    be = R.backend
     rinv = invert_16x16(R)
     diffs = {}
-    for lam in range(N):
-        for beta in range(N):
-            for alpha in range(N):
-                for mu in range(N):
-                    v = R.entry(lam, beta, alpha, mu)
-                    others = (
-                        ("exchange", R.entry(mu, alpha, beta, lam)),
-                        ("conjugate", R.entry(mu, beta, alpha, lam).conjugate()),
-                        ("inverse", rinv(beta, mu, lam, alpha)),
-                    )
-                    for tag, w in others:
-                        diffs[tag, lam, beta, alpha, mu] = v - w
-    witness = next(("{} at ({},{},{},{})".format(*key) for key, diff in diffs.items()
-                    if not be.is_zero(diff)), None)
-    return ConditionReport.judge("symmetry_chain", be, diffs.values(), witness)
+    for lam, beta, alpha, mu in itertools.product(range(N), repeat=4):
+        v = R.entry(lam, beta, alpha, mu)
+        for tag, w in (("exchange", R.entry(mu, alpha, beta, lam)),
+                       ("conjugate", R.entry(mu, beta, alpha, lam).conjugate()),
+                       ("inverse", rinv(beta, mu, lam, alpha))):
+            diffs[tag, lam, beta, alpha, mu] = v - w
+    return ConditionReport.judge("symmetry_chain", R.backend, diffs,
+                                 lambda key, _: "{} at ({},{},{},{})".format(*key))
 
 
 def check_quadratic_1(R: RTensor) -> ConditionReport:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidSpec, IrrationalEigenvalue
-from .ncalg import NGEN, Algebra, NCPoly, ReductionContext, span_solve
+from .ncalg import NGEN, Algebra, NCPoly, ReductionContext, leading_term, span_solve
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
 from .scalars import Backend, all_zero
@@ -83,10 +83,14 @@ def build_projection(s: SphereAlgebra) -> Mat:
     return Mat(rows)
 
 
-def _first_entry(values) -> str | None:
-    """'entry (a, b)' of the first nonzero of 4x4 row-major values, or None."""
-    bad = next((k for k, r in enumerate(values) if not r.is_zero()), None)
-    return None if bad is None else f"entry {divmod(bad, 4)}"
+def _entry(key, _) -> str:
+    """The witness at position `key` of a 4x4 matrix read row by row."""
+    return f"entry {divmod(key, 4)}"
+
+
+def lead_witness(key, f: NCPoly) -> str:
+    """The witness of a polynomial value: its position and leading term."""
+    return f"value {key}: {leading_term(f)}"
 
 
 def projection_checks(s: SphereAlgebra) -> list:
@@ -94,8 +98,7 @@ def projection_checks(s: SphereAlgebra) -> list:
 
     A failing hermiticity or idempotency names the first entry (a, b), in
     row-major order, of p - p* or of the reduced p^2 - p that is nonzero; a
-    failing half trace names the leading term of the reduced tr p - 2.
-    """
+    failing half trace names the leading term of the reduced tr p - 2."""
     alg = s.base
     be = alg.backend
     p = build_projection(s)
@@ -105,11 +108,11 @@ def projection_checks(s: SphereAlgebra) -> list:
     idem = [s.reduce(p2.rows[a][b] - p.rows[a][b]) for a in range(4) for b in range(4)]
     tr = sum((p.rows[a][a] for a in range(4)), alg.zero())
     trace = s.reduce(tr - 2 * alg.one())
-    lead = None if trace.is_zero() else str(NCPoly(alg, dict(trace.items_sorted()[-1:])))
     return [
-        ConditionReport.judge("projection_hermitian", be, herm, _first_entry(herm)),
-        ConditionReport.judge("projection_idempotent", be, idem, _first_entry(idem)),
-        ConditionReport.judge("projection_half_trace", be, [trace], lead),
+        ConditionReport.judge("projection_hermitian", be, herm, _entry),
+        ConditionReport.judge("projection_idempotent", be, idem, _entry),
+        ConditionReport.judge("projection_half_trace", be, [trace],
+                              lambda _, f: leading_term(f)),
     ]
 
 
@@ -202,13 +205,12 @@ def lambda_reports(alg: Algebra, ys: YSystem) -> list:
     star = [ys.Ystar[mu] - sum((lam[mu][nu] * ys.Y[nu] for nu in range(4)), alg.zero())
             for mu in range(4)]
     closed = lambda_closed_form(ys.params, be)
+    off = [lam[a][b] - closed[a][b] for a in range(4) for b in range(4)]
     return [
-        ConditionReport.judge("lambda_symmetric", be, sym, None),
-        ConditionReport.judge("lambda_unitary", be, uni, None),
-        ConditionReport.judge("lambda_star_identity", be, star, None),
-        ConditionReport.judge("lambda_closed_form", be,
-                              (lam[a][b] - closed[a][b] for a in range(4) for b in range(4)),
-                              None),
+        ConditionReport.judge("lambda_symmetric", be, sym, _entry),
+        ConditionReport.judge("lambda_unitary", be, uni, _entry),
+        ConditionReport.judge("lambda_star_identity", be, star, lead_witness),
+        ConditionReport.judge("lambda_closed_form", be, off, _entry),
     ]
 
 
@@ -232,8 +234,8 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     gens = [alg.generator(g) for g in range(NGEN)]
     reports = []
 
-    def rep(name, values, witness=None):
-        reports.append(ConditionReport.judge(name, be, values, witness))
+    def rep(name, values, label=lead_witness):
+        reports.append(ConditionReport.judge(name, be, values, label))
 
     def commutators(f):
         """f commutes with every generator iff all of these are zero."""
@@ -303,8 +305,7 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
         u0 * (P[3][0] - P[0][3]) + i * u1 * (P[1][2] + P[2][1]) + i * u2 * (P[2][2] - P[1][1]),
         u0 * (P[2][1] - P[1][2]) + i * u1 * (P[0][3] + P[3][0]) + i * u2 * (P[3][3] - P[0][0]),
     ]
-    rep("family_commutation_relations", rels,
-        next((f"relation {k + 1}" for k, rel in enumerate(rels) if not rel.is_zero()), None))
+    rep("family_commutation_relations", rels, lambda k, _: f"relation {k + 1}")
 
     return reports
 
@@ -355,10 +356,11 @@ def suspension_reports(s3: SphereAlgebra, ys: YSystem) -> list:
     one = s3.base.one()
     be = s3.base.backend
     yy, sy = ys.products
+    y4_squared = s3.reduce(ys.Y4 * ys.Y4)
     return [
         ConditionReport.judge("three_sphere_radius", be,
-                              [s3.reduce(sy[0] - one), s3.reduce(yy[0] - one)], None),
-        ConditionReport.judge("suspension_y4_squared", be, [s3.reduce(ys.Y4 * ys.Y4)], None),
+                              [s3.reduce(sy[0] - one), s3.reduce(yy[0] - one)], lead_witness),
+        ConditionReport.judge("suspension_y4_squared", be, [y4_squared], lead_witness),
     ]
 
 
@@ -376,7 +378,7 @@ def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
     """
     yy, sy = ys.products
     return ConditionReport.judge("y0_flip_variant_relations", s.base.backend,
-                                 yy[1:] + sy[1:], None)
+                                 yy[1:] + sy[1:], lead_witness)
 
 
 # ---------------------------------------------------------------------------

@@ -388,16 +388,18 @@ def test_sphere_report_names_are_unique():
     assert len(names) == len(set(names)), names
 
 
+def _off_by_a_seventh(params, backend):
+    """A build_R_quaternionic whose entry R[2][0][0][2] is off by 1/7."""
+    R = build_R_quaternionic(params, backend)
+    R.data[2][0][0][2] = R.data[2][0][0][2] + GaussRational(Fraction(1, 7), 0)
+    return R
+
+
 def test_perturbed_tensor_fails_the_symmetry_chain_report(
         monkeypatch, tmp_path, capsys):
     """The check verb exits 1 on a tensor with one entry off by 1/7, and the
     symmetry_chain report names that entry."""
-    def perturbed(params, backend):
-        R = build_R_quaternionic(params, backend)
-        R.data[2][0][0][2] = R.data[2][0][0][2] + GaussRational(Fraction(1, 7), 0)
-        return R
-
-    monkeypatch.setattr(cli, "build_R_quaternionic", perturbed)
+    monkeypatch.setattr(cli, "build_R_quaternionic", _off_by_a_seventh)
     out = tmp_path / "check.json"
     assert main(["check", "--quiet", "--json", str(out)]) == 1
     reports = {r["name"]: r for r in

@@ -1,0 +1,293 @@
+"""One witness rule: ``ConditionReport.judge`` names what broke every report.
+
+``REGISTRY`` maps each ``ConditionReport`` of a full report to a negative
+control and to the exact witness that control makes the report name.  A
+control is a builder patched as the other test modules patch it, run
+through ``cli.run`` at ``POINT``; it must fail the run and the report.  The
+coverage test walks a passing full report and fails on any report that the
+registry lacks, so a new check cannot land without a control.
+"""
+
+import ast
+import dataclasses
+import functools
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from ncspheres import cli, coaction, spheres
+from ncspheres.cli import TASKS, RunSpec, run
+from ncspheres.ncalg import Algebra
+from ncspheres.rmatrix import ConditionReport, DeformParams, build_R_quaternionic
+from ncspheres.scalars import EXACT, FLOAT, max_residual
+from ncspheres.spheres import lead_witness
+
+from test_cli import _off_by_a_seventh, _plus_entry
+from test_coaction import HOPF_FAULTS
+from test_spheres import _perturbed
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ncspheres"
+POINT = "1/3,2/3,2/3"
+
+
+# ---------------------------------------------------------------------------
+# judge
+# ---------------------------------------------------------------------------
+
+
+def test_judge_names_the_position_of_the_first_failing_value():
+    r = ConditionReport.judge("c", EXACT, [EXACT.zero, EXACT.convert(Fraction(1, 3)),
+                                           EXACT.convert(2)])
+    assert (r.passed, r.max_residual, r.witness) == (False, 2.0, "value 1")
+
+
+def test_judge_labels_only_the_first_failing_value_of_a_dict():
+    calls = []
+
+    def label(key, value):
+        calls.append((key, value))
+        return f"at {key}"
+
+    third, half = EXACT.convert(Fraction(1, 3)), EXACT.convert(Fraction(1, 2))
+    r = ConditionReport.judge("c", EXACT, {("a", 0): EXACT.zero, ("b", 1): third,
+                                           ("c", 2): half}, label)
+    assert calls == [(("b", 1), third)]
+    assert r.to_dict() == {"name": "c", "passed": False, "max_residual": 0.5,
+                           "witness": "at ('b', 1)"}
+
+
+def test_judge_names_a_polynomial_by_its_leading_term():
+    alg = Algebra(build_R_quaternionic(DeformParams.parse(POINT), EXACT), EXACT)
+    f = alg.x1(0) * alg.x1(2) - alg.x1(0) + alg.one()
+    r = ConditionReport.judge("c", EXACT, [alg.zero(), f], lead_witness)
+    assert r.witness == "value 1: (1,0)*x1_0*x1_2"
+
+
+def test_a_float_below_tol_passes_with_its_residual_and_no_witness():
+    r = ConditionReport.judge("c", FLOAT, [0j, 1e-12, -3e-10 + 1e-10j], lambda k, v: "bad")
+    assert r.passed and r.witness is None
+    assert r.max_residual == abs(-3e-10 + 1e-10j)
+    assert "witness" not in r.to_dict()
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_max_residual_is_the_one_over_the_same_values_in_the_same_order(be):
+    """Bit for bit what scalars.max_residual gives the values in order, from a
+    list, a dict or a generator alike."""
+    alg = Algebra(build_R_quaternionic(DeformParams.parse(POINT), be), be)
+    values = [be.convert(Fraction(1, 3)) * be.i, alg.x1(1) * be.convert(Fraction(-2, 7)),
+              be.convert(Fraction(2, 3)), be.zero]
+    want = max_residual(values).hex()
+    for defects in (values, dict(enumerate(values)), (v for v in values)):
+        assert ConditionReport.judge("c", be, defects).max_residual.hex() == want
+
+
+# ---------------------------------------------------------------------------
+# no report bypasses judge
+# ---------------------------------------------------------------------------
+
+
+def reports_built_outside_judge(sources: dict) -> list:
+    """'file:line' of each ConditionReport built, or given a witness, other
+    than by ``ConditionReport.judge``: a call of ``ConditionReport``, or of
+    ``cls`` or ``type(self)`` in its class, and an assignment to a
+    ``witness`` attribute."""
+    bad = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        inside, judge = set(), set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "ConditionReport":
+                inside.update(id(n) for n in ast.walk(cls))
+                judge.update(id(n) for fn in cls.body if getattr(fn, "name", None) == "judge"
+                             for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                builds = (isinstance(f, ast.Name) and f.id == "ConditionReport"
+                          or id(node) in inside and (
+                              isinstance(f, ast.Name) and f.id == "cls"
+                              or isinstance(f, ast.Call) and getattr(f.func, "id", None) == "type"))
+            else:
+                builds = isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+                    isinstance(t, ast.Attribute) and t.attr == "witness"
+                    for t in getattr(node, "targets", [getattr(node, "target", None)]))
+            if builds and id(node) not in judge:
+                bad.append(f"{name}:{node.lineno}")
+    return bad
+
+
+def test_only_judge_builds_a_condition_report():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert reports_built_outside_judge(sources) == []
+
+
+def test_the_guard_sees_each_way_round_judge():
+    snippet = "\n".join([
+        "r = ConditionReport('x', True, 0.0)",
+        "r.witness = 'w'",
+        "class ConditionReport:",
+        "    def judge(cls): return cls('x', True, 0.0)",
+        "    def other(self): return type(self)('x', True, 0.0)",
+        "    @classmethod",
+        "    def passing(cls): return cls('x', True, 0.0)",
+        "class Other:",
+        "    @classmethod",
+        "    def make(cls): return cls()",
+    ])
+    assert sorted(reports_built_outside_judge({"m.py": snippet})) == \
+        ["m.py:1", "m.py:2", "m.py:5", "m.py:7"]
+
+
+# ---------------------------------------------------------------------------
+# the registry: one negative control and witness per report
+# ---------------------------------------------------------------------------
+
+
+def _projection_plus(c, a=0, b=0):
+    return lambda mp: mp.setattr(spheres, "build_projection",
+                                 _plus_entry(spheres.build_projection, c, a, b))
+
+
+def _y_system(change):
+    """The sphere task's Y system, changed by change(alg, ys), everywhere."""
+    def patch(mp):
+        real = cli.compute_Y
+        mp.setattr(cli, "compute_Y", lambda s: change(s.base, real(s)))
+
+    return patch
+
+
+def _y_relations(change):
+    """The Y system changed for the relation suite and the Y0 flip only: the
+    three-sphere quotient of a changed system would not be central."""
+    def patch(mp):
+        for name in ("verify_Y_relations", "y0_flip_check"):
+            real = getattr(cli, name)
+            mp.setattr(cli, name, lambda s, ys, real=real: real(s, change(s.base, ys)))
+
+    return patch
+
+
+def _negate_lambda(a, b):
+    def change(alg, ys):
+        lam = [row[:] for row in ys.lam]
+        lam[a][b] = -lam[a][b]
+        return dataclasses.replace(ys, lam=lam)
+
+    return change
+
+
+def _derivations_plus_identity(mp):
+    real = coaction.derivation
+    mp.setattr(coaction, "derivation", lambda alg, a, f: real(alg, a, f) + f)
+
+
+# control -> (task, patch); run once each, at POINT on the exact backend
+CONTROLS = {
+    "R[2][0][0][2] + 1/7": (
+        "conditions", lambda mp: mp.setattr(cli, "build_R_quaternionic", _off_by_a_seventh)),
+    "p + E_00/3": ("sphere", _projection_plus(Fraction(1, 3))),
+    "p + i E_01": ("sphere", _projection_plus(1j, 0, 1)),
+    "Y^0 + x1_0 x1_2": ("sphere", _y_relations(lambda alg, ys: dataclasses.replace(
+        ys, Y=(ys.Y[0] + alg.x1(0) * alg.x1(2),) + ys.Y[1:]))),
+    "Ystar[1] + x1_0 x1_2": ("sphere", _y_relations(_perturbed)),
+    "Y4 + x1_0": ("sphere", _y_system(lambda alg, ys: dataclasses.replace(
+        ys, Y4=ys.Y4 + alg.x1(0)))),
+    "Lambda[0][0] negated": ("sphere", _y_system(_negate_lambda(0, 0))),
+    "Lambda[0][3] negated": ("sphere", _y_system(_negate_lambda(0, 3))),
+    "three-sphere without its radius": (
+        "sphere", lambda mp: mp.setattr(cli, "three_sphere_context", lambda s, ys: s)),
+    "D_a + identity": ("coaction", _derivations_plus_identity),
+    "Delta(w1) with one sign flipped": ("coaction", HOPF_FAULTS["hopf_coassociativity"][0]),
+    "eps(w1) + 1": ("coaction", HOPF_FAULTS["hopf_counit"][0]),
+    "S = identity": ("coaction", HOPF_FAULTS["hopf_antipode"][0]),
+}
+
+TENSOR, YSTAR = "R[2][0][0][2] + 1/7", "Ystar[1] + x1_0 x1_2"
+REGISTRY = {  # report -> (control, witness)
+    "reality": (TENSOR, "indices (lam,alpha,gam,nu)=(2,0,0,2)"),
+    "symmetry_chain": (TENSOR, "inverse at (2,0,0,2)"),
+    "quadratic_1": (TENSOR, "(2,0,0,0,1,3)"),
+    "quadratic_2": (TENSOR, "(0,0,1,2,1,2)"),
+    "involutive": (TENSOR, "(2, 4) -> (2, 4)"),
+    "yang_baxter": (TENSOR, "(0, 2, 4) -> (5, 2, 1)"),
+    "projection_hermitian": ("p + i E_01", "entry (0, 1)"),
+    "projection_idempotent": ("p + E_00/3", "entry (0, 0)"),
+    "projection_half_trace": ("p + E_00/3", "(1/3,0)"),
+    "y_closed_form": ("Y^0 + x1_0 x1_2", "value 0: (1,0)*x1_0*x1_2"),
+    "ystar_closed_form": (YSTAR, "value 1: (1,0)*x1_0*x1_2"),
+    "y4_central_hermitian": ("Y4 + x1_0", "value 5: (0,2/3)*x1_1*x2_2"),
+    "cond0_imaginary_parts": (YSTAR, "value 0: (-16/27,32/27)*x1_1*x1_3^2*x2_3"),
+    "cond0_radius": (YSTAR, "value 0: (-16/27,32/27)*x1_1*x1_3^2*x2_2"),
+    "cond0_products_equal": (YSTAR, "value 0: (-16/27,32/27)*x1_1*x1_3^2*x2_2"),
+    "cond00_y4_commutes": ("Y4 + x1_0", "value 0: (16/9,4/9)*x1_1*x1_3*x2_2"),
+    "sp_commutation_1": (YSTAR, "value 0: (-2/3,4/3)*x1_0*x1_2*x1_3*x2_3"),
+    "sp_commutation_2": (YSTAR, "value 0: (-16/27,32/27)*x1_1*x1_3^2*x2_3"),
+    "sp_total_sum": (YSTAR, "value 0: (-16/27,32/27)*x1_1*x1_3^2*x2_2"),
+    "four_sphere_radius": (YSTAR, "value 0: (-16/27,32/27)*x1_1*x1_3^2*x2_2"),
+    "radius_sums_central": (YSTAR, "value 0: (16/9,4/9)*x1_0*x1_1*x1_2*x1_3*x2_3"),
+    "radius_product_identity": (YSTAR, "value 0: (-2/3,4/3)*x1_0*x1_2*x1_3*x2_2"),
+    "family_commutation_relations": ("Y^0 + x1_0 x1_2", "relation 1"),
+    "lambda_symmetric": ("Lambda[0][3] negated", "entry (0, 3)"),
+    "lambda_unitary": ("Lambda[0][0] negated", "entry (0, 3)"),
+    "lambda_star_identity": ("Lambda[0][0] negated", "value 0: (20/9,0)*x1_3*x2_3"),
+    "lambda_closed_form": ("Lambda[0][0] negated", "entry (0, 0)"),
+    "y0_flip_variant_relations": (YSTAR, "value 0: (-16/27,32/27)*x1_1*x1_3^2*x2_3"),
+    "three_sphere_radius": ("three-sphere without its radius", "value 0: (-4,0)*x1_3^4"),
+    "suspension_y4_squared": ("three-sphere without its radius", "value 0: (4,0)*x1_3^4"),
+    "derivations_kill_y_system": ("D_a + identity", "value 0: (2/3,-4/3)*x1_3*x2_3"),
+    "derivation_leibniz": ("D_a + identity", "value 0: (-16/27,64/27)*x1_3^2*x2_3^2"),
+    "derivation_su2_bracket": ("D_a + identity", "value 0: (2,0)*x1_0"),
+    "hopf_coassociativity": ("Delta(w1) with one sign flipped",
+                             "w0: (Delta x id) Delta != (id x Delta) Delta"),
+    "hopf_counit": ("eps(w1) + 1", "w0: (eps x id) Delta != id"),
+    "hopf_antipode": ("S = identity", "w0: m (S x id) Delta != eps 1"),
+}
+
+
+def condition_reports(node) -> list:
+    """Every ConditionReport dict anywhere in a run report, in order."""
+    if isinstance(node, dict):
+        own = [node] if {"name", "passed", "max_residual"} <= node.keys() else []
+        return own + [r for value in node.values() for r in condition_reports(value)]
+    if isinstance(node, list):
+        return [r for value in node for r in condition_reports(value)]
+    return []
+
+
+@functools.cache
+def control_report(control: str) -> dict:
+    """The run report of one control's task, the Hopf caches cold around it."""
+    task, patch = CONTROLS[control]
+    caches = (coaction._hopf_axiom_reports, coaction._hopf_gens)
+    with pytest.MonkeyPatch.context() as mp:
+        for cache in caches:
+            cache.cache_clear()
+        patch(mp)
+        report, _ = run(RunSpec(params=DeformParams.parse(POINT), tasks=(task,)))
+    for cache in caches:
+        cache.cache_clear()
+    return report
+
+
+def test_the_registry_names_every_report_of_a_full_report():
+    report, _ = run(RunSpec(params=DeformParams.parse(POINT), tasks=TASKS))
+    assert report["passed"]
+    reports = condition_reports(report)
+    names = [r["name"] for r in reports]
+    assert len(names) == len(set(names)) == 36
+    assert set(names) == set(REGISTRY)
+    assert all("witness" not in r for r in reports)
+    assert {control for control, _ in REGISTRY.values()} == set(CONTROLS)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_the_control_fails_the_report_and_names_its_witness(name):
+    control, witness = REGISTRY[name]
+    report = control_report(control)
+    assert report["passed"] is False
+    got, = (r for r in condition_reports(report) if r["name"] == name)
+    assert got["passed"] is False and got["max_residual"] > 0
+    assert got["witness"] == witness
