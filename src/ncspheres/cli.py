@@ -10,11 +10,9 @@ runs over the same spec produce byte-identical JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import IrrationalEigenvalue, InvalidSpec, NCSpheresError
@@ -42,13 +40,12 @@ CATALOG = (
     "4/5,3/5,0",
 )
 
-@dataclass
 class RunSpec:
     """One verification run: a parameter point, a backend, and tasks."""
 
-    params: DeformParams
-    backend_name: str = "exact"
-    tasks: tuple = ("conditions",)
+    def __init__(self, params: DeformParams, backend_name: str = "exact",
+                 tasks: tuple = ("conditions",)):
+        self.params, self.backend_name, self.tasks = params, backend_name, tasks
 
     def validate(self) -> None:
         if self.backend_name not in ("exact", "float"):
@@ -334,6 +331,8 @@ def _print_timings(report, timings):
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so that importing the package does not load it
+
     parser = argparse.ArgumentParser(
         prog="ncspheres",
         description="Exact verification of the deformed-sphere algebras.")

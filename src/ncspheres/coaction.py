@@ -416,9 +416,14 @@ def derivation(alg, a: int, f: NCPoly) -> NCPoly:
     """Leibniz extension of the infinitesimal right translation.  D_a turns an
     x^mu into sum_nu M[mu][nu] x^nu of the same family, and each family
     commutes, so each occurrence moves one exponent of a normal monomial."""
+    return NCPoly(alg, _derive(a, f.terms))
+
+
+def _derive(a: int, terms: dict) -> dict:
+    """The terms of D_a applied to the polynomial with these terms."""
     M = derivation_matrix(a)
     out = {}
-    for m, c in f.terms.items():
+    for m, c in terms.items():
         for g in range(8):
             for _ in range(m[g]):
                 for nu, k in enumerate(M[g % 4]):
@@ -427,18 +432,25 @@ def derivation(alg, a: int, f: NCPoly) -> NCPoly:
                         img[g] -= 1
                         img[g - g % 4 + nu] += 1
                         add_into(out, tuple(img), k * c)
-    return NCPoly(alg, out)
+    return out
 
 
 def coinvariants(alg, degree: int) -> list:
     """Basis of the joint kernel of D_1, D_2, D_3 on the degree-n component.
 
     Computed in the graded quadratic algebra (the derivations preserve
-    degree); the quotient sphere algebra inherits each coinvariant.
+    degree); the quotient sphere algebra inherits each coinvariant.  D_a
+    only moves exponents, so the kernel does not depend on the point.
     """
     if degree > 4:
         raise DegreeOverflow("coinvariants limited to degree 4")
-    be = alg.backend
+    return [NCPoly(alg, terms) for terms in _kernel_terms(alg.backend, degree)]
+
+
+@functools.cache
+def _kernel_terms(be: Backend, degree: int) -> tuple:
+    """Each coinvariant as {basis monomial: coefficient}, zeros included,
+    solved once per backend and degree; shared, so never mutated."""
     basis = basis_monomials(degree)
     index = {m: i for i, m in enumerate(basis)}
     # stacked matrix of all three derivations: one column per basis monomial
@@ -446,16 +458,12 @@ def coinvariants(alg, degree: int) -> list:
     for a in (1, 2, 3):
         block = [[be.zero] * len(basis) for _ in range(len(basis))]
         for m in basis:
-            img = derivation(alg, a, NCPoly(alg, {m: be.one}))
             col = index[m]
-            for mm, c in img.terms.items():
+            for mm, c in _derive(a, {m: be.one}).items():
                 block[index[mm]][col] = block[index[mm]][col] + c
         mat.extend(block)
-    kernel = _nullspace(mat, len(basis), be)
-    out = []
-    for vec in kernel:
-        out.append(NCPoly(alg, {basis[i]: v for i, v in enumerate(vec)}))
-    return out
+    return tuple({basis[i]: v for i, v in enumerate(vec)}
+                 for vec in _nullspace(mat, len(basis), be))
 
 
 def _nullspace(rows, ncols, be):

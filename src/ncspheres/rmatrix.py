@@ -10,7 +10,7 @@ for the big 64x64 exchange operator on all eight generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import MalformedNumber, ParamsNotOnSphere
@@ -21,13 +21,11 @@ from .scalars import (EXACT, Backend, add_into, all_zero, max_residual, parse_ra
 N = 4  # generators per family
 
 
-@dataclass(frozen=True)
-class DeformParams:
-    """Point (u0, u1, u2) on the real 2-sphere selecting a deformation."""
+class DeformParams(namedtuple("DeformParams", "u0 u1 u2")):
+    """Point (u0, u1, u2) on the real 2-sphere selecting a deformation:
+    immutable, and equal and hashable by value."""
 
-    u0: Fraction
-    u1: Fraction
-    u2: Fraction
+    __slots__ = ()
 
     @staticmethod
     def parse(text: str) -> "DeformParams":
@@ -110,12 +108,10 @@ def build_R_quaternionic(params: DeformParams, backend: Backend = EXACT) -> RTen
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ConditionReport:
-    name: str
-    passed: bool
-    max_residual: float
-    witness: str | None = None
+    def __init__(self, name: str, passed: bool, max_residual: float, witness: str | None = None):
+        self.name, self.passed = name, passed
+        self.max_residual, self.witness = max_residual, witness
 
     @classmethod
     def judge(cls, name: str, be: Backend, defects, label=None) -> "ConditionReport":

@@ -16,7 +16,6 @@ so the closed-form comparison is a genuine cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,11 +26,11 @@ from .rmatrix import ConditionReport, DeformParams
 from .scalars import Backend, all_zero
 
 
-@dataclass
 class SphereAlgebra:
-    base: Algebra
-    context: ReductionContext
-    params: DeformParams
+    __slots__ = ("base", "context", "params")
+
+    def __init__(self, base: Algebra, context: ReductionContext, params: DeformParams):
+        self.base, self.context, self.params = base, context, params
 
     def reduce(self, f: NCPoly) -> NCPoly:
         return self.context.reduce_fast(f)
@@ -121,13 +120,9 @@ def projection_checks(s: SphereAlgebra) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class YSystem:
-    Y: tuple
-    Ystar: tuple
-    Y4: NCPoly
-    lam: list
-    params: DeformParams
+    def __init__(self, Y: tuple, Ystar: tuple, Y4: NCPoly, lam: list, params: DeformParams):
+        self.Y, self.Ystar, self.Y4, self.lam, self.params = Y, Ystar, Y4, lam, params
 
     @cached_property
     def products(self) -> tuple:

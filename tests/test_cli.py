@@ -3,8 +3,11 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -195,6 +198,17 @@ def test_main_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and why in err
     capsys.readouterr()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_argparse():
+    """Every verb, pin child and benchmark worker pays the package's imports,
+    so the package loads no module its verbs do not run: only main parses."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ncspheres.cli; "
+            "print(sorted({'dataclasses', 'argparse'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_main_returns_one_on_task_failure(monkeypatch, capsys):

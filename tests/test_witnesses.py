@@ -9,7 +9,6 @@ registry lacks, so a new check cannot land without a control.
 """
 
 import ast
-import dataclasses
 import functools
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +20,7 @@ from ncspheres.cli import TASKS, RunSpec, run
 from ncspheres.ncalg import Algebra
 from ncspheres.rmatrix import ConditionReport, DeformParams, build_R_quaternionic
 from ncspheres.scalars import EXACT, FLOAT, max_residual
-from ncspheres.spheres import lead_witness
+from ncspheres.spheres import YSystem, lead_witness
 
 from test_cli import _off_by_a_seventh, _plus_entry
 from test_coaction import HOPF_FAULTS
@@ -174,7 +173,7 @@ def _negate_lambda(a, b):
     def change(alg, ys):
         lam = [row[:] for row in ys.lam]
         lam[a][b] = -lam[a][b]
-        return dataclasses.replace(ys, lam=lam)
+        return YSystem(ys.Y, ys.Ystar, ys.Y4, lam, ys.params)
 
     return change
 
@@ -190,11 +189,11 @@ CONTROLS = {
         "conditions", lambda mp: mp.setattr(cli, "build_R_quaternionic", _off_by_a_seventh)),
     "p + E_00/3": ("sphere", _projection_plus(Fraction(1, 3))),
     "p + i E_01": ("sphere", _projection_plus(1j, 0, 1)),
-    "Y^0 + x1_0 x1_2": ("sphere", _y_relations(lambda alg, ys: dataclasses.replace(
-        ys, Y=(ys.Y[0] + alg.x1(0) * alg.x1(2),) + ys.Y[1:]))),
+    "Y^0 + x1_0 x1_2": ("sphere", _y_relations(lambda alg, ys: YSystem(
+        (ys.Y[0] + alg.x1(0) * alg.x1(2),) + ys.Y[1:], ys.Ystar, ys.Y4, ys.lam, ys.params))),
     "Ystar[1] + x1_0 x1_2": ("sphere", _y_relations(_perturbed)),
-    "Y4 + x1_0": ("sphere", _y_system(lambda alg, ys: dataclasses.replace(
-        ys, Y4=ys.Y4 + alg.x1(0)))),
+    "Y4 + x1_0": ("sphere", _y_system(lambda alg, ys: YSystem(
+        ys.Y, ys.Ystar, ys.Y4 + alg.x1(0), ys.lam, ys.params))),
     "Lambda[0][0] negated": ("sphere", _y_system(_negate_lambda(0, 0))),
     "Lambda[0][3] negated": ("sphere", _y_system(_negate_lambda(0, 3))),
     "three-sphere without its radius": (
