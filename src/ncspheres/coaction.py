@@ -265,12 +265,13 @@ class MixedElement(Sparse):
 
     def __mul__(self, other):
         alg = self.sphere.base
+        products = alg._products
         out = {}
         for (am, hm), c in self.terms.items():
             for (an, hn), d in other.terms.items():
                 cd = c * d
                 hk = (hm[0] + hn[0], hm[1] + hn[1], hm[2] + hn[2], hm[3] + hn[3])
-                for ak, e in alg.mono_mul(am, an).items():
+                for ak, e in products.get((am, an)) or alg.product_terms(am, an):
                     add_into(out, (ak, hk), cd * e)
         return MixedElement(self.sphere, out)
 

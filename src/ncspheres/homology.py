@@ -37,7 +37,6 @@ row once.  As the trace map is a chain map, b of it is the tree of its faces.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from itertools import groupby
 
@@ -141,6 +140,8 @@ class TensorChain(Sparse):
     def digest(self) -> dict:
         """Size and sha256 of the (key, coeff) terms, in canonical order; each
         distinct row of the tree is encoded once, by id, as the tree holds it."""
+        import hashlib  # here, not at the top: it loads OpenSSL, which only digests use
+
         h, n, slot = hashlib.sha256(), 0, [repr(m).encode() + b"|" for m in self.ctx._monos]
         tails = {}
         for head, row in canonical_rows(self.tree, self.degree, b"", slot):

@@ -48,7 +48,8 @@ def mono_word(m):
 
 def mono_key(m):
     """Sort key realizing the graded-then-lex order (bigger key = later)."""
-    return (sum(m), mono_word(m))
+    # as (sum(m), mono_word(m)): in one degree, more copies of a lower generator sort first
+    return (sum(m), *map(operator.neg, m))
 
 
 def mono_unit_vec(g):
@@ -78,6 +79,8 @@ class Algebra:
         # the rewrite rules: x^a x^b -> sum c x^c x^d, read off at each redex
         self.exchange = build_BigR(R)
         self._swap_cache = {}
+        # product_terms' table: polynomial products meet few distinct monomial pairs
+        self._products = {}
 
     # -- monomial multiplication --------------------------------------
 
@@ -115,11 +118,16 @@ class Algebra:
         m1, m2 = m[:4], m[4:]
         n1, n2 = n[:4], n[4:]
         if not any(m2) or not any(n1):
-            return {tuple(a + b for a, b in zip(m, n)): self.backend.one}
+            return {tuple(map(operator.add, m, n)): self.backend.one}
         # distinct (mid1, mid2) give distinct products, so nothing accumulates
         return {(m1[0] + mid1[0], m1[1] + mid1[1], m1[2] + mid1[2], m1[3] + mid1[3],
                  mid2[0] + n2[0], mid2[1] + n2[1], mid2[2] + n2[2], mid2[3] + n2[3]): c
                 for (mid1, mid2), c in self._swap(m2, n1).items()}
+
+    def product_terms(self, m, n):
+        """mono_mul(m, n) as a tuple of (monomial, coeff), kept in _products."""
+        self._products[m, n] = terms = tuple(self.mono_mul(m, n).items())
+        return terms
 
     def star_mono(self, m):
         """Star of a normal monomial: reverse the word, generators hermitian."""
@@ -185,12 +193,13 @@ class NCPoly(Sparse):
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             alg = self.algebra
+            products = alg._products
             out = {}
             for m, c in self.terms.items():
                 for n, d in other.terms.items():
                     cd = c * d
                     # add_into written out: 260 k of 304 k calls in a profiled sphere run
-                    for k, e in alg.mono_mul(m, n).items():
+                    for k, e in products.get((m, n)) or alg.product_terms(m, n):
                         got = out.get(k)
                         out[k] = cd * e if got is None else got + cd * e
             return NCPoly(alg, out)

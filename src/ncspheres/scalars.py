@@ -3,9 +3,11 @@ the sparse-term core that every linear combination in the package uses.
 
 The exact scalar is (a + b*i)/d with a, b, d Python ints (arbitrary
 precision), d > 0 and gcd(a, b, d) == 1, so each value has one
-representation.  Each field operation multiplies ints and normalises once
-by a gcd; no Fraction is built on the arithmetic path.  The float backend
-mirrors the same operations on machine complex numbers with
+representation.  Each field operation multiplies ints and normalises by at
+most one gcd: a product with an exact +-1 factor is the other factor or its
+negation, and a vanishing sum or difference is the shared canonical zero,
+and neither pays a gcd.  No Fraction is built on the arithmetic path.  The
+float backend mirrors the same operations on machine complex numbers with
 tolerance-based zero tests, so every higher layer can run on either backend
 unchanged.  GaussRational deliberately mimics the slice of the builtin
 ``complex`` API that the rest of the package uses (arithmetic, ``abs`` and
@@ -60,8 +62,9 @@ class GaussRational:
 
     The invariants d > 0 and gcd(a, b, d) == 1 make the triple canonical,
     so equality and hashing are structural and values are safe as dict
-    keys.  Every field operation does integer products and then one gcd,
-    in ``_make``; ``re`` and ``im`` are Fractions.
+    keys.  ``+``, ``-`` and ``*`` normalise inline by one gcd, skipped when
+    a factor is exactly +-1 or a sum vanishes; ``/`` normalises in
+    ``_make``.  ``re`` and ``im`` are Fractions.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -97,8 +100,17 @@ class GaussRational:
             return NotImplemented
         d, e = self._d, o._d
         if d == e:
-            return _make(self._a + o._a, self._b + o._b, d)
-        return _make(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
+            a, b = self._a + o._a, self._b + o._b
+        else:
+            a, b, d = self._a * e + o._a * d, self._b * e + o._b * d, d * e
+        if not a and not b:
+            return _ZERO
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        z = _new(GaussRational)
+        z._a, z._b, z._d = a, b, d
+        return z
 
     __radd__ = __add__
 
@@ -107,8 +119,17 @@ class GaussRational:
             return NotImplemented
         d, e = self._d, o._d
         if d == e:
-            return _make(self._a - o._a, self._b - o._b, d)
-        return _make(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
+            a, b = self._a - o._a, self._b - o._b
+        else:
+            a, b, d = self._a * e - o._a * d, self._b * e - o._b * d, d * e
+        if not a and not b:
+            return _ZERO
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        z = _new(GaussRational)
+        z._a, z._b, z._d = a, b, d
+        return z
 
     def __rsub__(self, o):
         o = _coerce(o)
@@ -117,8 +138,17 @@ class GaussRational:
     def __mul__(self, o):
         if type(o) is not GaussRational and (o := _coerce(o)) is None:
             return NotImplemented
-        a, b, c, e = self._a, self._b, o._a, o._b
-        return _make(a * c - b * e, a * e + b * c, self._d * o._d)
+        c, e, f = o._a, o._b, o._d
+        if f == 1 and not e and (c == 1 or c == -1):
+            return self if c == 1 else -self
+        a, b, d = self._a, self._b, self._d * f
+        a, b = a * c - b * e, a * e + b * c
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        z = _new(GaussRational)
+        z._a, z._b, z._d = a, b, d
+        return z
 
     __rmul__ = __mul__
 
@@ -136,7 +166,9 @@ class GaussRational:
         return NotImplemented if o is None else o / self
 
     def __neg__(self):
-        return _raw(-self._a, -self._b, self._d)
+        z = _new(GaussRational)
+        z._a, z._b, z._d = -self._a, -self._b, self._d
+        return z
 
     def __pos__(self):
         return self
@@ -190,6 +222,10 @@ def _make(a: int, b: int, d: int) -> GaussRational:
     return z
 
 
+# the canonical zero, which every vanishing sum and difference returns
+_ZERO = _raw(0, 0, 1)
+
+
 def _coerce(value):
     """An int or Fraction as a GaussRational; None for anything else."""
     if isinstance(value, GaussRational):
@@ -203,7 +239,9 @@ class Backend:
     """A scalar domain: constructors plus the zero test the domain needs.
 
     The float twin of GaussRational is the builtin complex type; ``tol`` is
-    the zero tolerance of the float domain and unused on the exact one.  A
+    the zero tolerance of the float domain and unused on the exact one.
+    ``is_zero(value)`` is one plain function bound here, as it runs once per
+    coefficient: ``GaussRational.is_zero`` or ``abs(value) <= tol``.  A
     verdict passes iff every value it measures is zero by ``is_zero``
     (``all_zero``); ``max_residual`` is reported only.
     """
@@ -216,10 +254,12 @@ class Backend:
             self.zero = GaussRational(0, 0)
             self.one = GaussRational(1, 0)
             self.i = GaussRational(0, 1)
+            self.is_zero = GaussRational.is_zero
         else:
             self.zero = 0j
             self.one = 1 + 0j
             self.i = 1j
+            self.is_zero = lambda v: abs(v) <= tol
 
     def convert(self, value):
         """The one coercion of a number into this backend: an int, a Fraction,
@@ -227,11 +267,6 @@ class Backend:
         if self.exact:
             return value if isinstance(value, GaussRational) else GaussRational(value, 0)
         return complex(value)
-
-    def is_zero(self, value) -> bool:
-        if self.exact:
-            return value.is_zero()
-        return abs(value) <= self.tol
 
     def __repr__(self):
         return f"Backend({self.name!r})"
@@ -338,15 +373,21 @@ class Sparse:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            add_into(out, k, -c)
+            got = out.get(k)
+            # x - y is x + (-y) in IEEE arithmetic too, signed zeros included
+            out[k] = -c if got is None else got - c
         return self._new(out)
 
     def scale(self, c):
         return self._new({k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
+        """Equal terms, or a difference that prunes to zero (on floats, every
+        coefficient within the tolerance).  Equal terms compare by identity
+        first, so a NaN coefficient shared by both sides counts as equal; no
+        validated input produces a NaN."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.terms == other.terms or (self - other).is_zero()
 
     __hash__ = None

@@ -200,12 +200,13 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_argparse():
+def test_importing_the_cli_loads_neither_dataclasses_argparse_nor_hashlib():
     """Every verb, pin child and benchmark worker pays the package's imports,
-    so the package loads no module its verbs do not run: only main parses."""
+    so the package loads no module its verbs do not run: only main parses,
+    and only a chain digest hashes."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import ncspheres.cli; "
-            "print(sorted({'dataclasses', 'argparse'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'argparse', 'hashlib'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncspheres.coaction import span_contains
+from ncspheres.coaction import CommPoly, MixedElement, span_contains
 from ncspheres.errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
 from ncspheres.ncalg import (Algebra, NCPoly, ReductionContext,
                              basis_monomials, basis_size, central_witness,
-                             confluence_check, format_poly, mono_key)
+                             confluence_check, format_poly, mono_key,
+                             mono_word)
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
 from ncspheres.scalars import (EXACT, FLOAT, GaussRational, add_into,
                                parse_rational)
@@ -461,3 +463,58 @@ def test_mono_key_orders_by_degree_first(i, j):
         if i != j else tuple(2 if k == j else 0 for k in range(8))
     if sum(m1) < sum(m2):
         assert mono_key(m1) < mono_key(m2)
+
+
+def test_mono_key_sorts_as_the_graded_word_order():
+    """The key orders every monomial of degree <= 8 as (degree, expanded word)
+    does, and no two monomials share a key."""
+    monos = [m for n in range(9) for m in basis_monomials(n)]
+    assert len(monos) == 12870
+    assert sorted(monos, key=mono_key) == sorted(monos, key=lambda m: (sum(m), mono_word(m)))
+    assert len({mono_key(m) for m in monos}) == len(monos)
+
+
+def _expanded_product(alg, f, g, split):
+    """The product of two sparse values expanded through mono_mul, summed with
+    add_into in the order of the loops: the reference for the product table.
+    split(key) is (A-monomial, rest); the rests of a product add slot by slot."""
+    out = {}
+    for x, c in f.terms.items():
+        m, hm = split(x)
+        for y, d in g.terms.items():
+            n, hn = split(y)
+            hk = tuple(map(operator.add, hm, hn))
+            for k, e in alg.mono_mul(m, n).items():
+                add_into(out, (k, hk) if hk else k, c * d * e)
+    return out
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_products_read_from_the_table_equal_the_direct_expansion(backend):
+    """NCPoly and MixedElement products, on a cold and on a warm table, keep
+    the terms, the key order and (on floats) every bit of the expansion."""
+    _, alg, s, _ = make_point("1/3,2/3,2/3", backend)
+    rng = random.Random(7)
+    h = [CommPoly.generator(backend, a) for a in range(4)]
+    for _ in range(6):
+        f, g = _random_poly(alg, rng, degree=3, terms=4), _random_poly(alg, rng, degree=3, terms=4)
+        a = MixedElement.from_poly(s, f, h[rng.randrange(4)] * h[rng.randrange(4)])
+        b = MixedElement.from_poly(s, g, h[rng.randrange(4)])
+        # both orders twice: the table must give (m, n) and (n, m) their own products
+        for x, y in [(f, g), (g, f)] * 2:
+            want = NCPoly(alg, _expanded_product(alg, x, y, lambda m: (m, ())))
+            assert list((x * y).terms.items()) == list(want.terms.items())
+        for x, y in [(a, b), (b, a)] * 2:
+            want = MixedElement(s, _expanded_product(alg, x, y, lambda key: key))
+            assert list((x * y).terms.items()) == list(want.terms.items())
+
+
+def test_float_equality_follows_the_tolerance_rule():
+    _, alg, _, _ = make_point("3/5,4/5,0", FLOAT)
+    f = alg.x1(0) * alg.x2(1) + alg.one()
+    assert f == f and f == NCPoly(alg, dict(f.terms))
+    near = NCPoly(alg, {m: c + 1e-12 for m, c in f.terms.items()})
+    far = NCPoly(alg, {m: c + 1e-6 for m, c in f.terms.items()})
+    assert near == f and f == near
+    assert far != f and f != far
+    assert NCPoly(alg, {**f.terms, (0, 0, 0, 0, 0, 0, 0, 2): 1e-6 + 0j}) != f

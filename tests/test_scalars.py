@@ -93,6 +93,15 @@ wide_rationals = st.fractions(min_value=-10**6, max_value=10**6,
 wide_gauss = st.builds(GaussRational, wide_rationals, wide_rationals)
 real_operands = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
                           wide_rationals)
+# the operands of the fast paths: 0, +-1 and +-i, and 200-digit parts (each
+# part 0.1 to 10 in size, so that abs and complex neither overflow nor underflow)
+unit_gauss = st.sampled_from([GaussRational(0), GaussRational(1), GaussRational(-1),
+                              GaussRational(0, 1), GaussRational(0, -1)])
+huge = st.builds(operator.mul, st.sampled_from([1, -1]),
+                 st.integers(min_value=10**199, max_value=10**200))
+huge_gauss = st.builds(lambda a, b, d: GaussRational(Fraction(a, d), Fraction(b, d)),
+                       huge, huge, st.integers(min_value=10**199, max_value=10**200))
+gauss_operands = st.one_of(wide_gauss, unit_gauss, huge_gauss)
 
 
 def _pair(z):
@@ -115,7 +124,7 @@ def _assert_matches(z, pair):
     assert hash(z) == hash(GaussRational(re, im))
 
 
-@given(wide_gauss, st.one_of(wide_gauss, real_operands),
+@given(gauss_operands, st.one_of(gauss_operands, real_operands),
        st.sampled_from(sorted(ORACLE, key=lambda f: f.__name__)))
 def test_gauss_kernel_matches_fraction_pair_oracle(x, y, op):
     """Both operand orders, with a GaussRational, int or Fraction on the
@@ -143,6 +152,21 @@ def test_gauss_unary_ops_match_fraction_pair_oracle(x):
     else:
         n = re * re + im * im
         _assert_matches(1 / x, (re / n, -im / n))
+
+
+@given(gauss_operands, st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=-3, max_value=3))
+def test_equal_denominators_and_vanishing_sums_are_canonical(x, k, j):
+    """Operands on one denominator take the d == e branch of + and -, and
+    every vanishing sum or difference is the canonical zero (0, 0, 1)."""
+    y = x + GaussRational(k, j)
+    assert y._d == x._d
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((x, y), (y, x)):
+            _assert_matches(op(left, right), ORACLE[op](_pair(left), _pair(right)))
+    zero = GaussRational(0)
+    for z in (x - x, x + (-x), -x + x, y - y):
+        assert z == zero and hash(z) == hash(zero) and (z._a, z._b, z._d) == (0, 0, 1)
 
 
 @given(wide_gauss, wide_gauss)
@@ -216,6 +240,14 @@ def test_float_backend_tolerance():
     be = FLOAT
     assert be.is_zero(1e-12 + 0j)
     assert not be.is_zero(1e-6 + 0j)
+    # the rule is abs(v) <= tol, at the tolerance and just above it
+    above = math.nextafter(be.tol, math.inf)
+    for v in (be.tol, -be.tol, -1j * be.tol, above, -above, 1j * above,
+              complex(0.6 * above, 0.8 * above)):
+        assert be.is_zero(v) == (abs(v) <= be.tol)
+    assert be.is_zero(-be.tol) and not be.is_zero(above)
+    fine = Backend("float", exact=False, tol=1e-15)
+    assert fine.is_zero(1e-15) and not fine.is_zero(1e-12)
     assert be.convert(GaussRational(Fraction(1, 2), Fraction(-1, 4))) == 0.5 - 0.25j
 
 
