@@ -190,7 +190,7 @@ def _task_coaction(spec: RunSpec, state: dict) -> dict:
     from .coaction import (canonical_witness, check_comodule_algebra,
                            check_hopf_axioms, coinvariant_report,
                            derivation_reports, diagonal_coaction,
-                           one_sided_left_coaction)
+                           one_sided_left_coaction, relation_report)
 
     s = state["sphere"]
     ys = state["ys"]
@@ -201,7 +201,7 @@ def _task_coaction(spec: RunSpec, state: dict) -> dict:
     derivs = derivation_reports(s, ys)
     coinv = coinvariant_report(s, ys, co)
     witness = canonical_witness(co)
-    fault = check_comodule_algebra(one_sided_left_coaction(s))
+    fault = relation_report(one_sided_left_coaction(s))
     passed = (all(r.passed for r in hopf) and comodule["passed"]
               and all(r.passed for r in derivs)
               and coinv["dim_degree_2"] == 6 and coinv["equals_y_span"]
@@ -214,10 +214,7 @@ def _task_coaction(spec: RunSpec, state: dict) -> dict:
         "derivations": _report_list(derivs),
         "coinvariants": coinv,
         "canonical_witness": witness,
-        "one_sided_fault": {
-            "relations_preserved": fault["relations_preserved"],
-            "failures": fault["failures"],
-        },
+        "one_sided_fault": {k: fault[k] for k in ("relations_preserved", "failures")},
     }
 
 
@@ -317,8 +314,8 @@ def _emit_report(report, timings, args):
         print(f"point {spec['params']}  backend {spec['backend']}")
         for task, entry in report["tasks"].items():
             status = _status(entry)
-            detail = {"skipped": f" ({entry.get('reason')})",
-                      "fail": " " + entry.get("error", {}).get("detail", "")}.get(status, "")
+            detail = (f" ({entry['reason']})" if status == "skipped"
+                      else f" {entry['error']['detail']}" if "error" in entry else "")
             print(f"  {task}: {status.upper()}{detail}")
         print("PASS" if report["passed"] else "FAIL")
     _print_timings(report, timings)

@@ -89,6 +89,16 @@ def test_failing_task_skips_downstream(monkeypatch, capsys):
         "FAIL\n")
 
 
+def test_a_failed_verdict_prints_fail_without_a_detail(monkeypatch, capsys):
+    """A task that fails a verdict, not by an error, prints a bare FAIL."""
+    monkeypatch.setattr(cli, "build_R_quaternionic", _off_by_a_seventh)
+    assert main(["check", "--params", "1/3,2/3,2/3"]) == 1
+    assert capsys.readouterr().out == (
+        "point 1/3,2/3,2/3  backend exact\n"
+        "  conditions: FAIL\n"
+        "FAIL\n")
+
+
 def test_negative_first_coordinate_runs_in_the_equals_form(capsys):
     """argparse reads a bare -1,0,0 as a flag; --params=-1,0,0 is the point."""
     assert main(["sphere", "--params=-1,0,0", "--quiet"]) == 0

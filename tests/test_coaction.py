@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ncspheres import coaction
-from ncspheres.cli import main, sweep
+from ncspheres.cli import RunSpec, main, run, sweep
 from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 check_comodule_algebra, check_hopf_axioms,
                                 coinvariant_report, coinvariants, corep_matrix,
@@ -536,6 +536,24 @@ def test_coinvariant_span_of_the_wrong_size_fails_the_report(
     assert sorted(coinv) == ["contains_y_span", "delta_fixes_kernel",
                              "dim_degree_1", "dim_degree_2", "equals_y_span"]
     assert task["comodule"]["passed"] and task["canonical_witness"]["passed"]
+
+
+def test_one_coaction_task_takes_each_star_and_table_law_once(monkeypatch):
+    """With the Hopf caches warm, one exact coaction task takes the star of
+    the diagonal coaction's eight generator images once, and forms the 64
+    tensor products of the comodule law once on the table that both its
+    families share; the one-sided control runs its relation check alone."""
+    check_hopf_axioms(EXACT)
+    calls = {"star": 0, "tensor": 0}
+    for cls, name in ((MixedElement, "star"), (CommPoly, "tensor")):
+        def counting(*args, real=getattr(cls, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+    report, _ = run(RunSpec(params=DeformParams.parse("3/5,4/5,0"), tasks=("coaction",)))
+    assert report["tasks"]["coaction"]["passed"]
+    assert calls == {"star": 8, "tensor": 64}
 
 
 def test_one_sided_action_breaks_relations(pyth):

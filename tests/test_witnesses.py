@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ncspheres import cli, coaction, spheres
+from ncspheres import cli, coaction, homology, spheres
 from ncspheres.cli import TASKS, RunSpec, run
 from ncspheres.ncalg import Algebra
 from ncspheres.rmatrix import ConditionReport, DeformParams, build_R_quaternionic
@@ -290,3 +290,103 @@ def test_the_control_fails_the_report_and_names_its_witness(name):
     got, = (r for r in condition_reports(report) if r["name"] == name)
     assert got["passed"] is False and got["max_residual"] > 0
     assert got["witness"] == witness
+
+
+# ---------------------------------------------------------------------------
+# verdicts outside the registry: one negative control each
+# ---------------------------------------------------------------------------
+
+
+def _run_patched(task: str, patch, label: str = POINT) -> dict:
+    """The exact run report of one task, with patch(monkeypatch) applied."""
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp)
+        report, _ = run(RunSpec(params=DeformParams.parse(label), tasks=(task,)))
+    assert report["passed"] is False
+    return report
+
+
+class _DoubledExchange(Algebra):
+    """The algebra with the first coefficient of the rule x2_0 x1_0 -> ... doubled."""
+
+    def __init__(self, R, backend):
+        super().__init__(R, backend)
+        (key, c), *rest = self.exchange[(4, 0)]
+        self.exchange[(4, 0)] = [(key, c + c), *rest]
+
+
+@pytest.mark.parametrize("label", [POINT, "3/5,4/5,0"])
+def test_a_doubled_exchange_coefficient_fails_confluence(label):
+    report = _run_patched("algebra", lambda mp: mp.setattr(cli, "Algebra", _DoubledExchange),
+                          label)
+    algebra = report["tasks"]["algebra"]
+    assert algebra["passed"] is False and algebra["confluent"] is False
+    assert algebra["witness"] == "word (4, 1, 0)"
+    assert report["tasks"]["conditions"]["passed"]
+
+
+def _corep_times_i(mp):
+    """The right-multiplication table with entry [0][0] multiplied by i."""
+    real = coaction.corep_matrix
+
+    def corep(backend, *, right):
+        h = real(backend, right=right)
+        if right:
+            h[0][0] = h[0][0].scale(backend.i)
+        return h
+
+    mp.setattr(coaction, "corep_matrix", corep)
+
+
+def test_a_corepresentation_entry_times_i_fails_the_comodule_and_canonical_checks():
+    task = _run_patched("coaction", _corep_times_i)["tasks"]["coaction"]
+    assert task["passed"] is False
+    comodule = task["comodule"]
+    assert [comodule[k] for k in ("relations_preserved", "star_compatible", "coassociative",
+                                  "counit_law", "passed")] == [False] * 5
+    assert comodule["failures"] and comodule["max_residual"] > 0
+    assert task["canonical_witness"]["passed"] is False
+    assert task["canonical_witness"]["max_residual"] > 0
+
+
+def _coinvariants_plus_x1_0_x2_0(mp):
+    """Degree-2 coinvariants with x1_0 x2_0, which D_a does not kill, appended."""
+    real = coaction.coinvariants
+
+    def coinvariants(alg, degree):
+        vecs = real(alg, degree)
+        return vecs + [alg.x1(0) * alg.x2(0)] if degree == 2 else vecs
+
+    mp.setattr(coaction, "coinvariants", coinvariants)
+
+
+def test_a_coinvariant_that_delta_moves_fails_delta_fixes_kernel():
+    task = _run_patched("coaction", _coinvariants_plus_x1_0_x2_0)["tasks"]["coaction"]
+    assert task["passed"] is False
+    coinv = task["coinvariants"]
+    assert coinv["dim_degree_2"] == 7
+    assert coinv["equals_y_span"] is False
+    assert coinv["delta_fixes_kernel"] is False
+    assert task["comodule"]["passed"] and task["canonical_witness"]["passed"]
+
+
+def _lambda_defect(mp):
+    """homology's Lambda defects with the first symmetry entry set to 1."""
+    real = homology.lambda_defects
+
+    def defects(lam, be):
+        sym, uni = real(lam, be)
+        return [be.one] + sym[1:], uni
+
+    mp.setattr(homology, "lambda_defects", defects)
+
+
+def test_a_lambda_defect_without_a_chain_defect_fails_the_star_chain_equivalence():
+    report = _run_patched("chern", _lambda_defect)
+    chern = report["tasks"]["chern"]
+    assert chern["passed"] is False
+    vanzz = chern["star_chain_equivalence"]
+    assert vanzz["chain_vanishes"] is True
+    assert vanzz["lambda_symmetric_unitary"] is False
+    assert vanzz["agree"] is False
+    assert all(chern["vanishing"].values()) and all(chern["closures"].values())
