@@ -18,21 +18,21 @@ the projection (even case) or of the coordinate quaternion and its star
 
     (E_0 f_0) x ... x (E_n f_n) -> tr(E_0 ... E_n) f_0 x ... x f_n,
 
-with each matrix factored over an echelon basis {f_a} of its entries and
-constant coefficient matrices E_a: the index paths are walked over the few
-constant coordinates into the contracted tensor c, kept as sum_a c[a] f_a0 x
-... x f_an over the c[a] nonzero by the zero test (561 of ch2's 721 cancel at
-3/5,4/5,0).  The prune keeps every digest: an exact zero adds nothing to a sum;
+with each matrix factored, once per context, over an echelon basis {f_a} of its
+entries and constant coefficient matrices E_a: the index paths are walked over
+the few constant coordinates into the contracted tensor c, kept as sum_a c[a]
+f_a0 x ... x f_an over the c[a] nonzero by the zero test (561 of ch2's 721
+cancel at 3/5,4/5,0).  The prune keeps every digest: an exact zero adds nothing to a sum;
 on floats, at the catalog points, the pruned ch2 and ch_3half entries are
 exactly 0, and the faces' pruned entries (<= 5e-16) feed only b ch2, whose terms
 cancel either way.  A FactoredTrace is a signed sum of such traces, one per word;
 ch2 and the odd components stay factored and are never built.  One walk of all
 the words builds their tree of key prefixes, each with a row of last-slot terms,
-and each distinct subtree once, keyed by its live (factor suffix, str(weight),
-word): 163 serve ch2's 47 910 walk nodes at 3/5,4/5,0, 289 its 98 304 leaves at
-1/3,2/3,2/3 (exact); str, as 4+0j == 4-0j but times 1-0j they differ.  A
-FactoredTrace builds this shared tree once, and its digest encodes each distinct
-row once.  As the trace map is a chain map, b of it is the tree of its faces.
+and each distinct subtree once, keyed by its live (factor suffix, weight, word):
+163 serve ch2's 47 910 walk nodes at 3/5,4/5,0, 289 its 98 304 leaves at
+1/3,2/3,2/3 (exact); a weight by value_key, as 4+0j == 4-0j but times 1-0j they
+differ.  A FactoredTrace builds this tree once; its digest encodes each distinct
+node at slot n-1 once.  As the trace map is a chain map, b of it is its faces' tree.
 """
 
 from __future__ import annotations
@@ -93,6 +93,13 @@ class ChainContext:
             self._mat_cache[key] = (op(*mats), mats)
         return self._mat_cache[key][0]
 
+    def factor(self, m: Mat, normalized: bool):
+        """_factor(self, m, normalized), once per matrix and slot kind, held as in matrix."""
+        key = (_factor, id(m), normalized)
+        if key not in self._mat_cache:
+            self._mat_cache[key] = (_factor(self, m, normalized), m)
+        return self._mat_cache[key][0]
+
 
 class TensorChain(Sparse):
     """Sparse normalized chain; backed by a ChainContext."""
@@ -138,17 +145,21 @@ class TensorChain(Sparse):
                             for pos, i in enumerate(prefix + (mid,)))
 
     def digest(self) -> dict:
-        """Size and sha256 of the (key, coeff) terms, in canonical order; each
-        distinct row of the tree is encoded once, by id, as the tree holds it."""
+        """Size and sha256 of the terms in canonical order, each its slots' repr(mono)
+        + "|", then str(coeff) + ";".  Each distinct node at slot n-1 (n = 0: the row)
+        is encoded once, by id, and hashed in one chunk under each prefix."""
         import hashlib  # here, not at the top: it loads OpenSSL, which only digests use
 
         h, n, slot = hashlib.sha256(), 0, [repr(m).encode() + b"|" for m in self.ctx._monos]
-        tails = {}
-        for head, row in canonical_rows(self.tree, self.degree, b"", slot):
-            if id(row) not in tails:
-                tails[id(row)] = [slot[mid] + str(c).encode() + b";" for mid, c in row]
-            h.update(head + head.join(tails[id(row)]))  # head + t for each term t
-            n += len(row)
+        last, chunks = min(self.degree, 1), {}  # the walk holds the tree, so no id is reused
+        for prefix, node in canonical_rows(self.tree, self.degree - last):
+            if id(node) not in chunks:
+                rows = [(slot[mid], row) for mid, row in node] if last else [(b"", node)]
+                chunks[id(node)] = [head + slot[mid] + str(c).encode() + b";"
+                                    for head, row in rows for mid, c in row]
+            h.update(head := b"".join([slot[i] for i in prefix]))
+            h.update(head.join(chunks[id(node)]))  # head + x for each further suffix x
+            n += len(chunks[id(node)])
         return {"degree": self.degree, "n_terms": n, "is_zero": n == 0, "sha256": h.hexdigest()}
 
 
@@ -266,13 +277,11 @@ def _factor(ctx: ChainContext, m: Mat, normalized: bool):
 
 def _contract(ctx: ChainContext, mats, coeff):
     """pure = [((f_a0, ..., f_an), c[a])] of coeff * <M0 x ... x Mn> over the c[a]
-    nonzero by the zero test, in c's order; one _factor per matrix and slot kind."""
+    nonzero by the zero test, in c's order; ctx.factor factors each matrix."""
     if len({len(m.rows) for m in mats}) != 1:
         raise ValueError("matrix sizes differ")
     r, last = len(mats[0].rows), len(mats) - 1
-    kinds = {(id(m), pos > 0): (m, pos > 0) for pos, m in enumerate(mats)}
-    kinds = {kind: _factor(ctx, m, normalized) for kind, (m, normalized) in kinds.items()}
-    factors = [kinds[id(m), pos > 0] for pos, m in enumerate(mats)]
+    factors = [ctx.factor(m, pos > 0) for pos, m in enumerate(mats)]
     # one state (first index, current index, a0..ak) per partial index path;
     # closing the paths at the last slot leaves c, keyed by a0..an alone
     c = {(i, i, ()): coeff for i in range(r)}
@@ -299,7 +308,7 @@ def expand_factored(ctx: ChainContext, words):
 def _subtree(walk, pos, live):
     """The node at slot pos of the live (f, sfx, c cc_0 ... cc_{pos-1}, word), sfx[p]
     the id of f[p+1:], walk = (memo, weight ids, signs, ctx); a child is built once
-    per key, its live (f[pos+1:], str(w), word) as small ints in one string.  A row
+    per key, its live (f[pos+1:], value_key(w), word) as small ints in one string.  A row
     sums each word apart, in pure's order, and adds the sums as TensorChain's + and
     - add the expanded words, a negative one times -1 (raw terms flip float zeros)."""
     memo, weights, signs, ctx = walk
@@ -317,7 +326,7 @@ def _subtree(walk, pos, live):
     for f, sfx, w, k in live:
         for mid, cc in f[pos]:
             buckets.setdefault(mid, []).append((f, sfx, w * cc, k))
-    keys = {mid: " ".join([f"{sfx[pos]},{weights.setdefault(str(w), len(weights))},{k}"
+    keys = {mid: " ".join([f"{sfx[pos]},{weights.setdefault(be.value_key(w), len(weights))},{k}"
                            for _, sfx, w, k in child]) for mid, child in buckets.items()}
     for mid, key in keys.items():
         if key not in memo:
@@ -325,13 +334,12 @@ def _subtree(walk, pos, live):
     return tuple((mid, memo[keys[mid]]) for mid in sorted(keys, key=key_of) if memo[keys[mid]])
 
 
-def canonical_rows(node, depth: int, prefix=(), slot=None):
+def canonical_rows(node, depth: int, prefix=()):
     """The leaves (prefix, row) of a tree of the given depth, in canonical order;
-    a prefix is the tuple of its slots' ids or, given slot, the bytes of slot[id]."""
+    a prefix is the tuple of its slots' ids."""
     if depth:
         for mid, child in node:
-            yield from canonical_rows(child, depth - 1,
-                                      prefix + (slot[mid] if slot else (mid,)), slot)
+            yield from canonical_rows(child, depth - 1, prefix + (mid,))
     elif node:
         yield prefix, node
 
@@ -360,11 +368,15 @@ class FactoredTrace:
         return not self.tree
 
 
+def _minus_half(p: Mat) -> Mat:
+    half = p.rows[0][0].algebra.scalar(Fraction(1, 2))
+    return Mat([[f - half if a == b else f for b, f in enumerate(row)]
+                for a, row in enumerate(p.rows)])
+
+
 def chern_even_word(ctx: ChainContext, p: Mat, k: int) -> list:
-    """The matrix word (p - 1/2) x p^{x 2k} whose trace is ch_k(p)."""
-    half = ctx.alg.scalar(Fraction(1, 2))
-    return [Mat([[f - half if a == b else f for b, f in enumerate(row)]
-                 for a, row in enumerate(p.rows)])] + [p] * (2 * k)
+    """The matrix word (p - 1/2) x p^{x 2k} whose trace is ch_k(p), p - 1/2 once per ctx."""
+    return [ctx.matrix(_minus_half, p)] + [p] * (2 * k)
 
 
 def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:

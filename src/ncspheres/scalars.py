@@ -243,7 +243,8 @@ class Backend:
     ``is_zero(value)`` is one plain function bound here, as it runs once per
     coefficient: ``GaussRational.is_zero`` or ``abs(value) <= tol``.  A
     verdict passes iff every value it measures is zero by ``is_zero``
-    (``all_zero``); ``max_residual`` is reported only.
+    (``all_zero``); ``max_residual`` is reported only.  ``value_key`` tells values
+    apart as ``str`` does: an exact value, or a complex and its parts' signs.
     """
 
     def __init__(self, name: str, exact: bool, tol: float = 0.0):
@@ -255,11 +256,13 @@ class Backend:
             self.one = GaussRational(1, 0)
             self.i = GaussRational(0, 1)
             self.is_zero = GaussRational.is_zero
+            self.value_key = lambda v: v
         else:
             self.zero = 0j
             self.one = 1 + 0j
             self.i = 1j
             self.is_zero = lambda v: abs(v) <= tol
+            self.value_key = lambda v: (v, math.copysign(1, v.real), math.copysign(1, v.imag))
 
     def convert(self, value):
         """The one coercion of a number into this backend: an int, a Fraction,

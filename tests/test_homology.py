@@ -1,14 +1,16 @@
 """Chain complex sanity: boundary identities, traces, Chern components."""
 
+import hashlib
 import itertools
 import operator
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
 from ncspheres import homology
-from ncspheres.cli import CATALOG
+from ncspheres.cli import CATALOG, RunSpec, run
 from ncspheres.errors import DegreeZero, NotUnitaryEnough
 from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, FactoredTrace,
                                 TensorChain, b_boundary, canonical_rows,
@@ -16,6 +18,7 @@ from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, FactoredTrace
                                 chern_odd, check_vanzz_equivalence,
                                 expand_factored, trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
+from ncspheres.rmatrix import DeformParams
 from ncspheres.scalars import EXACT, FLOAT, add_into
 from ncspheres.spheres import build_projection, three_sphere_context
 
@@ -221,6 +224,44 @@ def test_half_shift_subtracts_half_on_diagonal(pyth, chain_ctx):
             assert (q.rows[a][b] - want).is_zero()
 
 
+def test_the_even_words_share_one_shifted_projection(pyth, chain_ctx):
+    """ch0, ch1 and ch2 start with the one p - 1/2 of the context, so it is
+    factored once."""
+    p = build_projection(pyth[2])
+    first = [chern_even_word(chain_ctx, p, k)[0] for k in range(3)]
+    assert first[0] is first[1] is first[2]
+
+
+def test_one_chern_task_factors_each_matrix_and_slot_kind_once(monkeypatch):
+    """An exact chern task at 3/5,4/5,0 factors 29 matrix objects and slot
+    kinds, each once (the shifted p once for ch0, ch1 and ch2)."""
+    calls, real = [], homology._factor
+    monkeypatch.setattr(homology, "_factor",
+                        lambda ctx, m, normalized: calls.append((m, normalized)) or
+                        real(ctx, m, normalized))
+    rep, _ = run(RunSpec(DeformParams.parse("3/5,4/5,0"), "exact", ("chern",)))
+    assert rep["passed"]
+    assert len({(id(m), normalized) for m, normalized in calls}) == len(calls) == 29
+
+
+def test_a_dropped_matrix_leaves_no_factors_to_a_new_one(pyth):
+    """Temporary matrices factored one after another, each dropped before the
+    next is built, as chain_from_slots builds them: each gets its own factors,
+    even where a new matrix could take a dropped one's id."""
+    _, alg, s, _ = pyth
+    ctx = ChainContext(s)
+    polys = [alg.generator(g) * alg.generator(h) + alg.generator(h)
+             for g in range(8) for h in range(8)]
+    for f in polys:
+        for normalized in (False, True):
+            assert ctx.factor(Mat([[f]]), normalized) == \
+                homology._factor(ctx, Mat([[f]]), normalized), (f, normalized)
+    for f, g in zip(polys, polys[1:]):
+        want = {(i, j): a * b for i, a in ctx.expand_poly(f)
+                for j, b in ctx.expand_poly(g) if j != UNIT_ID}
+        assert chain_from_slots(ctx, [f, g]).terms == want
+
+
 def test_chern_odd_rejects_triangular_matrix(pyth, chain_ctx):
     _, alg, _, _ = pyth
     U = Mat([[alg.x1(0), alg.x2(0)], [alg.zero(), alg.x1(0)]])
@@ -409,16 +450,19 @@ def test_float_chern_components_agree_with_the_exact_chains(pyth):
 
 
 def test_row_memo_tells_signed_zero_weights_apart():
-    """Float weights 4+0j and 4-0j are == but give 4+0j and 4-0j times 1-0j, so
-    the walk keys a subtree by str(w).  Two slots: two leaves share their last
-    factor.  Three slots: two internal nodes share their suffix, and they share a
-    subtree on the exact backend only.  The walk's terms print as each tensor's
-    computed apart, with no memo."""
-    for backend in (EXACT, FLOAT):
+    """Float weights 4+0j and 4-0j are == but give 4+0j and 4-0j times 1-0j, and
+    -0+4j and 4j are == but stay apart times 1+0j, so the walk keys a subtree by
+    Backend.value_key(w), which keeps the sign of each zero part.  Two slots: two
+    leaves share their last factor.  Three slots: two internal nodes share their
+    suffix, and they share a subtree on the exact backend only.  The walk's terms
+    print as each tensor's computed apart, with no memo."""
+    cases = [(EXACT, (EXACT.convert(4),) * 2, EXACT.one, {str(EXACT.convert(4))}),
+             # the literal 1-0j is 1+0j
+             (FLOAT, (4 + 0j, complex(4, -0.0)), complex(1, -0.0), ["(4+0j)", "(4-0j)"]),
+             (FLOAT, (4j, complex(-0.0, 4)), complex(1, 0.0), ["(-0+4j)", "4j"])]
+    for backend, weights, one, printed in cases:
         _, alg, s, _ = make_point("1,0,0", backend)
         ctx = ChainContext(s)
-        one = complex(1, -0.0) if backend is FLOAT else backend.one  # the literal 1-0j is 1+0j
-        weights = (4 + 0j, complex(4, -0.0)) if backend is FLOAT else (backend.convert(4),) * 2
         a, b, x, c = (ctx.expand_poly(alg.generator(g))[0][0] for g in range(4))
         for slots in (((c, one),),), (((x, one),), ((c, one),)):
             pure = [((((m, one),), *slots), w) for m, w in zip((a, b), weights)]
@@ -434,9 +478,9 @@ def test_row_memo_tells_signed_zero_weights_apart():
                    for mid, v in row}
             assert got == want
             if backend is FLOAT:
-                assert sorted(want.values()) == ["(4+0j)", "(4-0j)"]
+                assert sorted(want.values()) == printed
             else:
-                assert set(want.values()) == {str(backend.convert(4))}
+                assert set(want.values()) == printed
             if len(slots) == 2:  # the internal nodes below a and below b
                 children = dict(tree)
                 assert (children[a] is children[b]) == (backend is EXACT)
@@ -481,11 +525,51 @@ def test_ch2_builds_each_distinct_subtree_once(backend, monkeypatch):
     assert len(got) == 172032
 
 
+def _oracle_digest(chain):
+    """The digest by its definition: for each term of canonical_terms() in order,
+    each slot's repr(monomial) + "|", then str(coeff) + ";", one update each."""
+    h, terms = hashlib.sha256(), chain.canonical_terms()
+    for key, coeff in terms:
+        for i in key:
+            h.update((repr(chain.ctx._monos[i]) + "|").encode())
+        h.update((str(coeff) + ";").encode())
+    return {"degree": chain.degree, "n_terms": len(terms), "is_zero": not terms,
+            "sha256": h.hexdigest()}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_digest_is_the_hash_of_its_definition(backend):
+    """Degree 0 and 1 chains, empty chains, and a hand-built degree-2 tree in
+    which one node at slot 1 sits under two prefixes: the digest hashes each
+    term's slots and coefficient in canonical order, as the oracle does."""
+    _, alg, s, _ = make_point("3/5,4/5,0", backend)
+    ctx = ChainContext(s)
+    x = [alg.generator(g) for g in range(8)]
+    f = x[0] * x[1] + x[2].scale(3) + alg.scalar(Fraction(1, 3))
+    g = x[3] * x[4] - x[5]
+    chains = [chain_from_slots(ctx, [f]), chain_from_slots(ctx, [f, g]),
+              chain_from_slots(ctx, [g, f]) - chain_from_slots(ctx, [f, g]).scale(2)]
+    chains += [TensorChain(ctx, n, {}) for n in range(3)]
+    for chain in chains:
+        assert chain.digest() == _oracle_digest(chain)
+    assert [c.digest()["is_zero"] for c in chains] == [False] * 3 + [True] * 3
+    # both heads carry the same tail f (x) g, so one node object can serve both
+    chain = chain_from_slots(ctx, [x[6] + x[7], f, g]) + chain_from_slots(ctx, [x[0], g, f])
+    tree = chain.tree
+    shared = dict(tree)[ctx.expand_poly(x[6])[0][0]]
+    assert dict(tree)[ctx.expand_poly(x[7])[0][0]] == shared
+    hand = tuple((mid, shared if node == shared else node) for mid, node in tree)
+    assert sum(node is shared for _, node in hand) == 2
+    built = types.SimpleNamespace(ctx=ctx, degree=2, tree=hand)
+    assert TensorChain.digest(built) == chain.digest() == _oracle_digest(chain)
+
+
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
 @pytest.mark.parametrize("label", ["1,0,0", "3/5,4/5,0"])
 def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend):
     """ch0, ch1, ch2 and the four traces behind ch_half and ch_3half: the
-    walk's (n_terms, sha256) is the digest of the expanded chain, its keys
+    walk's (n_terms, sha256) is the digest of the expanded chain and of the
+    oracle that hashes its definition, its keys
     strictly increase in the canonical order, and the factored zero test is the
     expanded chain's."""
     _, _, s, ys = make_point(label, backend)
@@ -499,7 +583,7 @@ def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend)
         trace, chain = FactoredTrace(c, [(1, word)]), trace_chain(c, word)
         terms = [(prefix + (mid,), v)
                  for prefix, row in canonical_rows(trace.tree, trace.degree) for mid, v in row]
-        assert trace.digest() == chain.digest()
+        assert trace.digest() == chain.digest() == _oracle_digest(chain)
         assert trace.is_zero() == chain.is_zero() == (not terms)
         keys = c.mono_keys
         ranks = [tuple(keys[i] for i in key) for key, _ in terms]
