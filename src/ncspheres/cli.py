@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except NCSpheresError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.json:
+    if args.json is not None:
         try:
             with open(args.json, "w") as fh:
                 fh.write(canonical_json(payload))

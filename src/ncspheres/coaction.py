@@ -86,16 +86,12 @@ class CommPoly(Sparse):
         m = tuple(1 if i == mu else 0 for i in range(4))
         return cls(backend, {m: backend.one})
 
-    def __mul__(self, other):
-        if isinstance(other, CommPoly):
-            out = {}
-            for m, c in self.terms.items():
-                for n, d in other.terms.items():
-                    add_into(out, tuple(map(operator.add, m, n)), c * d)
-            return CommPoly(self.backend, out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "CommPoly") -> "CommPoly":
+        out = {}
+        for m, c in self.terms.items():
+            for n, d in other.terms.items():
+                add_into(out, tuple(map(operator.add, m, n)), c * d)
+        return CommPoly(self.backend, out)
 
     def tensor(self, other: "CommPoly") -> "CommPoly":
         """self (x) other: each pair of keys concatenated."""

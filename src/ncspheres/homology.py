@@ -31,8 +31,9 @@ the words builds their tree of key prefixes, each with a row of last-slot terms,
 and each distinct subtree once, keyed by its live (factor suffix, weight, word):
 163 serve ch2's 47 910 walk nodes at 3/5,4/5,0, 289 its 98 304 leaves at
 1/3,2/3,2/3 (exact); a weight by value_key, as 4+0j == 4-0j but times 1-0j they
-differ.  A FactoredTrace builds this tree once; its digest encodes each distinct
-node at slot n-1 once.  As the trace map is a chain map, b of it is its faces' tree.
+differ.  A FactoredTrace builds this tree once and is a TensorChain whose terms are
+its leaves; its digest encodes each distinct node at slot n-1 once.  As the trace
+map is a chain map, b of it is its faces' tree; b of a TensorChain reads its terms.
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ def b_boundary(chain) -> TensorChain:
         raise DegreeZero("b is undefined on degree-0 chains")
     ctx = chain.ctx
     if isinstance(chain, FactoredTrace):
-        return _chain(ctx, n - 1, expand_factored(
-            ctx, [(sign, _faces(ctx, mats)) for sign, mats, _ in chain.words]))
+        return TensorChain(ctx, n - 1, _leaves(expand_factored(
+            ctx, [(sign, _faces(ctx, mats)) for sign, mats, _ in chain.words]), n - 1))
     out = {}
     for key, coeff in chain.terms.items():
         for i in range(n):
@@ -224,15 +225,14 @@ def B_boundary(chain: TensorChain) -> TensorChain:
 # ---------------------------------------------------------------------------
 
 
-def _chain(ctx: ChainContext, degree: int, tree) -> TensorChain:
-    """The chain of a tree's leaves (prefix, row)."""
-    return TensorChain(ctx, degree, {p + (m,): c for p, row in canonical_rows(tree, degree)
-                                     for m, c in row})
+def _leaves(tree, degree: int) -> dict:
+    """The terms {prefix + (id,): coeff} of a tree's leaves (prefix, row)."""
+    return {p + (m,): c for p, row in canonical_rows(tree, degree) for m, c in row}
 
 
 def trace_chain(ctx: ChainContext, mats) -> TensorChain:
     """<M0 x ... x Mn> = sum_{i0..in} M0[i0,i1] x M1[i1,i2] x ... x Mn[in,i0], expanded."""
-    return _chain(ctx, len(mats) - 1, FactoredTrace(ctx, [(1, mats)]).tree)
+    return TensorChain(ctx, len(mats) - 1, FactoredTrace(ctx, [(1, mats)]).terms)
 
 
 def _faces(ctx: ChainContext, mats):
@@ -344,18 +344,12 @@ def canonical_rows(node, depth: int, prefix=()):
         yield prefix, node
 
 
-class FactoredTrace:
+class FactoredTrace(TensorChain):
     """sum_w sign_w <word_w> from a list of (sign, mats), sign 1 or -1, kept as
-    words = [(sign, mats, pure)] and their tree, no term; each word is factored
-    here, before the digest's tables read the monomials interned in ctx."""
+    words = [(sign, mats, pure)] and their tree, whose leaves are its terms;
+    each word is factored here, before the digest's tables read ctx's monomials."""
 
-    # TensorChain's, looked up at each call so that a wrapper installed on them
-    # later sees these chains too; they read only ctx, degree and tree
-    def first_term(self) -> str:
-        return TensorChain.first_term(self)
-
-    def digest(self) -> dict:
-        return TensorChain.digest(self)
+    __slots__ = ("words", "tree")
 
     def __init__(self, ctx: ChainContext, words):
         self.ctx, one = ctx, ctx.backend.one
@@ -363,8 +357,12 @@ class FactoredTrace:
         (self.degree,) = {len(mats) - 1 for _, mats, _ in self.words}
         self.tree = expand_factored(ctx, [(sign, pure) for sign, _, pure in self.words])
 
+    @property
+    def terms(self) -> dict:
+        return _leaves(self.tree, self.degree)
+
     def is_zero(self) -> bool:
-        """The words may cancel: zero iff the tree is empty."""
+        """The words may cancel: zero iff the tree is empty, read without its terms."""
         return not self.tree
 
 

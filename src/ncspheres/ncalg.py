@@ -24,7 +24,7 @@ import itertools
 import operator
 
 from .errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
-from .rmatrix import RTensor, build_BigR
+from .rmatrix import ConditionReport, RTensor, build_BigR
 from .scalars import Backend, Sparse, add_into, row_reduce
 
 NGEN = 8
@@ -50,10 +50,6 @@ def mono_key(m):
     """Sort key realizing the graded-then-lex order (bigger key = later)."""
     # as (sum(m), mono_word(m)): in one degree, more copies of a lower generator sort first
     return (sum(m), *map(operator.neg, m))
-
-
-def mono_unit_vec(g):
-    return tuple(1 if i == g else 0 for i in range(NGEN))
 
 
 def basis_monomials(n: int):
@@ -145,7 +141,7 @@ class Algebra:
     def generator(self, g: int) -> "NCPoly":
         if not 0 <= g < NGEN:
             raise ValueError(f"generator id {g} out of range")
-        return NCPoly(self, {mono_unit_vec(g): self.backend.one})
+        return NCPoly(self, {tuple(1 if i == g else 0 for i in range(NGEN)): self.backend.one})
 
     def x1(self, k: int) -> "NCPoly":
         return self.generator(k)
@@ -277,10 +273,10 @@ def confluence_check(alg: Algebra) -> dict:
     """
     x = [alg.generator(g) for g in range(NGEN)]
     xx = [[xa * xb for xb in x] for xa in x]
-    for a, b, c in itertools.product(range(NGEN), repeat=3):
-        if xx[a][b] * x[c] != x[a] * xx[b][c]:
-            return {"passed": False, "witness": f"word {(a, b, c)}"}
-    return {"passed": True, "witness": None}
+    defects = {(a, b, c): xx[a][b] * x[c] - x[a] * xx[b][c]
+               for a, b, c in itertools.product(range(NGEN), repeat=3)}
+    r = ConditionReport.judge("confluence", alg.backend, defects, lambda w, _: f"word {w}")
+    return {"passed": r.passed, "witness": r.witness}
 
 
 # ---------------------------------------------------------------------------

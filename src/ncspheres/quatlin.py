@@ -89,9 +89,6 @@ class Mat:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __matmul__(self, other):
         n, k = self.shape
         k2, m = other.shape
@@ -110,17 +107,6 @@ class Mat:
     def dagger(self):
         """Conjugate transpose: the transpose of the entries' star()."""
         return Mat([[r[j].star() for r in self.rows] for j in range(self.shape[1])])
-
-    def entries(self):
-        for r in self.rows:
-            yield from r
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat) or self.shape != other.shape:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.entries(), other.entries()))
-
-    __hash__ = None  # mutable container
 
     def __repr__(self):
         return f"Mat({self.rows!r})"

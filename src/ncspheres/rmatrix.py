@@ -114,16 +114,16 @@ class ConditionReport:
         self.max_residual, self.witness = max_residual, witness
 
     @classmethod
-    def judge(cls, name: str, be: Backend, defects, label=None) -> "ConditionReport":
+    def judge(cls, name: str, be: Backend, defects, label) -> "ConditionReport":
         """The report on `defects`, {key: value} or a list keyed by position:
         passed iff every value is zero by ``all_zero``; ``max_residual`` is only
         displayed.  A failing report's witness is ``label(key, value)`` of the
-        first value that is not zero, by default ``value <key>``."""
+        first value that is not zero."""
         keyed = list(defects.items() if isinstance(defects, dict) else enumerate(defects))
         values = [v for _, v in keyed]
         passed = all_zero(be, values)
-        bad = None if passed else next((k, v) for k, v in keyed if not all_zero(be, (v,)))
-        witness = None if passed else label(*bad) if label else f"value {bad[0]}"
+        witness = None if passed else label(*next((k, v) for k, v in keyed
+                                                  if not all_zero(be, (v,))))
         return cls(name, passed, max_residual(values), witness)
 
     def to_dict(self) -> dict:

@@ -131,10 +131,6 @@ class GaussRational:
         z._a, z._b, z._d = a, b, d
         return z
 
-    def __rsub__(self, o):
-        o = _coerce(o)
-        return NotImplemented if o is None else o - self
-
     def __mul__(self, o):
         if type(o) is not GaussRational and (o := _coerce(o)) is None:
             return NotImplemented
@@ -169,9 +165,6 @@ class GaussRational:
         z = _new(GaussRational)
         z._a, z._b, z._d = -self._a, -self._b, self._d
         return z
-
-    def __pos__(self):
-        return self
 
     def __eq__(self, o):
         if type(o) is not GaussRational and (o := _coerce(o)) is None:
@@ -228,8 +221,6 @@ _ZERO = _raw(0, 0, 1)
 
 def _coerce(value):
     """An int or Fraction as a GaussRational; None for anything else."""
-    if isinstance(value, GaussRational):
-        return value
     if isinstance(value, (int, Fraction)):
         return _raw(value.numerator, 0, value.denominator)
     return None
@@ -346,13 +337,11 @@ class Sparse:
 
     Subclasses supply ``_new(terms)``, which builds one of their own from
     the terms of a sum, difference or scaling of their values: the keys are
-    already normal, so it only has to prune zero coefficients.
+    already normal, so it only has to prune zero coefficients.  Two values
+    combine when either's type is the other's or derives from it.
     """
 
     __slots__ = ("terms",)
-
-    def _new(self, terms: dict):
-        raise NotImplementedError
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -361,7 +350,7 @@ class Sparse:
         return max_residual(self.terms.values())
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -372,7 +361,7 @@ class Sparse:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -389,7 +378,7 @@ class Sparse:
         coefficient within the tolerance).  Equal terms compare by identity
         first, so a NaN coefficient shared by both sides counts as equal; no
         validated input produces a NaN."""
-        if not isinstance(other, type(self)):
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
             return NotImplemented
         return self.terms == other.terms or (self - other).is_zero()
 

@@ -154,12 +154,12 @@ def _written_out_hopf_defects(be):
         for m, c in delta(f).terms.items():
             f1 = CommPoly(be, {m[:4]: be.one})
             f2 = CommPoly(be, {m[4:]: be.one})
-            left = left + c * delta(f1).tensor(f2)
-            right = right + c * f1.tensor(delta(f2))
+            left = left + delta(f1).tensor(f2).scale(c)
+            right = right + f1.tensor(delta(f2)).scale(c)
             lc = lc + CommPoly(be, {m[4:]: c * counit_of(f1)})
             rc = rc + CommPoly(be, {m[:4]: c * counit_of(f2)})
-            sl = sl + c * (antipode_of(f1) * f2)
-            sr = sr + c * (f1 * antipode_of(f2))
+            sl = sl + (antipode_of(f1) * f2).scale(c)
+            sr = sr + (f1 * antipode_of(f2)).scale(c)
         coassoc.append(left - right)
         counit += [lc - f, rc - f]
         target = CommPoly(be, {coaction.H_ONE: counit_of(f)})
@@ -322,7 +322,7 @@ def test_tensor_product_multiplies_factorwise():
     for be in (EXACT, FLOAT):
         w = [CommPoly.generator(be, mu) for mu in range(4)]
         f, g = w[3] + w[1] * w[2], w[0] - w[3]
-        f2, g2 = w[3] * w[0], w[3] + w[2] * be.convert(Fraction(1, 2))
+        f2, g2 = w[3] * w[0], w[3] + w[2].scale(be.convert(Fraction(1, 2)))
         assert f.tensor(g) * f2.tensor(g2) == (f * f2).tensor(g * g2)
 
 

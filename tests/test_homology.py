@@ -613,6 +613,26 @@ def test_factored_odd_components_equal_the_expanded_chains(label, backend):
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_a_factored_trace_is_a_tensor_chain(backend):
+    """ch_half and ch_3half at 3/5,4/5,0 as FactoredTraces: TensorChains whose
+    terms, read off the tree, n_terms, +, - and == are those of trace_chain of
+    the same words, with a factored or an expanded chain on either side."""
+    _, _, s, ys = make_point("3/5,4/5,0", backend)
+    ctx3 = ChainContext(three_sphere_context(s, ys))
+    U = embed_M2(ys.Y, backend.i)
+    for k in (0, 1):
+        got, want = chern_odd(ctx3, U, k), expanded_odd(ctx3, U, k)
+        assert isinstance(got, TensorChain) and got.degree == want.degree == 2 * k + 1
+        assert got.terms == want.terms and got.n_terms() == want.n_terms()
+        assert (got.n_terms() == 0) == (k == 0)
+        for x, y in ((got, got), (got, want), (want, got)):
+            assert (x + y).terms == (want + want).terms, k
+            assert (x - y).terms == (want - want).terms == {}, k
+            assert x == y and x + y == want + want, k
+        assert got != got + got or k == 0
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
 @pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
 def test_b_of_two_words_is_the_signed_sum_of_each_words_b(label, backend):
     """b of a two-word FactoredTrace, one walk over both words' faces, against

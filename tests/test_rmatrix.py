@@ -167,8 +167,8 @@ def _abcd_entries(A, B, C, D):
     i = EXACT.i
     out = {}
     for lam, al, bt, mu in product(range(4), repeat=4):
-        val = sum((a[lam, mu] * b[al, bt] for a, b in zip(A, B)), EXACT.zero)
-        val += sum((i * c[lam, mu] * d[al, bt] for c, d in zip(C, D)), EXACT.zero)
+        val = sum((a.rows[lam][mu] * b.rows[al][bt] for a, b in zip(A, B)), EXACT.zero)
+        val += sum((i * c.rows[lam][mu] * d.rows[al][bt] for c, d in zip(C, D)), EXACT.zero)
         out[lam, al, bt, mu] = val
     return out
 

@@ -269,8 +269,8 @@ def test_projection_entries_generate_y(pyth):
     p = build_projection(s)
     # the 2x2 embedding doubles scalar parts, so the difference of the two
     # diagonal block traces is 2 Y4
-    diag = sum((p[k, k] for k in range(2)), alg.zero()) \
-        - sum((p[k, k] for k in range(2, 4)), alg.zero())
+    diag = sum((p.rows[k][k] for k in range(2)), alg.zero()) \
+        - sum((p.rows[k][k] for k in range(2, 4)), alg.zero())
     assert s.reduce(diag - ys.Y4 * 2).is_zero()
 
 

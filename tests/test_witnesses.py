@@ -37,7 +37,7 @@ POINT = "1/3,2/3,2/3"
 
 def test_judge_names_the_position_of_the_first_failing_value():
     r = ConditionReport.judge("c", EXACT, [EXACT.zero, EXACT.convert(Fraction(1, 3)),
-                                           EXACT.convert(2)])
+                                           EXACT.convert(2)], lambda k, _: f"value {k}")
     assert (r.passed, r.max_residual, r.witness) == (False, 2.0, "value 1")
 
 
@@ -79,7 +79,7 @@ def test_max_residual_is_the_one_over_the_same_values_in_the_same_order(be):
               be.convert(Fraction(2, 3)), be.zero]
     want = max_residual(values).hex()
     for defects in (values, dict(enumerate(values)), (v for v in values)):
-        assert ConditionReport.judge("c", be, defects).max_residual.hex() == want
+        assert ConditionReport.judge("c", be, defects, lambda k, _: k).max_residual.hex() == want
 
 
 # ---------------------------------------------------------------------------
