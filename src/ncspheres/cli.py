@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import IrrationalEigenvalue, InvalidSpec, NCSpheresError
+from .errors import InvalidSpec, NCSpheresError
 from .homology import (B_boundary, ChainContext, FactoredTrace, b_boundary, chern_even,
                        chern_even_word, chern_odd, check_vanzz_equivalence)
 from .ncalg import DEGREE_CAP, Algebra, basis_size, confluence_check
@@ -131,20 +131,15 @@ def _task_sphere(spec: RunSpec, state: dict) -> dict:
     norm_ok = (norm["lambda_diagonal"] == u2_zero
                and norm["all_normal"] == u2_zero
                and norm["all_non_normal"] == (not u2_zero))
-    out = {
+    theta = diagonalize_lambda(ys, spec.backend())
+    return {
         "passed": all(r.passed for r in reports) and norm_ok,
         "reports": _report_list(reports),
         "normality": norm,
         "normality_matches_boundary": norm_ok,
+        "theta": theta,
+        "theta_note": None if theta is not None else "eigenphase irrational at this point",
     }
-    try:
-        diag = diagonalize_lambda(ys, spec.backend())
-        out["theta"] = diag["theta"]
-        out["theta_note"] = None
-    except IrrationalEigenvalue:
-        out["theta"] = None
-        out["theta_note"] = "eigenphase irrational at this point"
-    return out
 
 
 def _task_chern(spec: RunSpec, state: dict) -> dict:

@@ -86,20 +86,20 @@ class CommPoly(Sparse):
         m = tuple(1 if i == mu else 0 for i in range(4))
         return cls(backend, {m: backend.one})
 
-    def __mul__(self, other: "CommPoly") -> "CommPoly":
+    def _product(self, other: "CommPoly", join) -> "CommPoly":
+        """The sum of c d at join(m, n) over the terms (m, c) of self and (n, d) of other."""
         out = {}
         for m, c in self.terms.items():
             for n, d in other.terms.items():
-                add_into(out, tuple(map(operator.add, m, n)), c * d)
+                add_into(out, join(m, n), c * d)
         return CommPoly(self.backend, out)
+
+    def __mul__(self, other: "CommPoly") -> "CommPoly":
+        return self._product(other, lambda m, n: tuple(map(operator.add, m, n)))
 
     def tensor(self, other: "CommPoly") -> "CommPoly":
         """self (x) other: each pair of keys concatenated."""
-        out = {}
-        for m, c in self.terms.items():
-            for n, d in other.terms.items():
-                add_into(out, m + n, c * d)
-        return CommPoly(self.backend, out)
+        return self._product(other, operator.add)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class DegreeOverflow(NCSpheresError):
     """A computation exceeded the configured total-degree cap."""
 
 
-class IrrationalEigenvalue(NCSpheresError):
-    """Exact diagonalization hit a square root that is not rational."""
-
-
 class NotUnitaryEnough(NCSpheresError):
     """A matrix fails its unitarity check: UU* = U*U is not a multiple of 1."""
 

@@ -62,7 +62,7 @@ class ChainContext:
         # mono_key of each interned monomial, by id: the canonical sort key
         self.mono_keys = [mono_key((0,) * 8)]
         self._pair_cache = {}
-        self._mat_cache = {}
+        self._memo = {}
 
     def intern(self, mono) -> int:
         got = self._ids.get(mono)
@@ -86,20 +86,14 @@ class ChainContext:
             got = self._pair_cache[i, j] = self.expand_poly(NCPoly(self.alg, mono))
         return got
 
-    def matrix(self, op, *mats) -> Mat:
-        """op(*mats), as Mat.dagger or Mat.__matmul__, formed once per op and
-        matrix objects; an entry holds its operands, so no id is reused."""
-        key = (op, *map(id, mats))
-        if key not in self._mat_cache:
-            self._mat_cache[key] = (op(*mats), mats)
-        return self._mat_cache[key][0]
-
-    def factor(self, m: Mat, normalized: bool):
-        """_factor(self, m, normalized), once per matrix and slot kind, held as in matrix."""
-        key = (_factor, id(m), normalized)
-        if key not in self._mat_cache:
-            self._mat_cache[key] = (_factor(self, m, normalized), m)
-        return self._mat_cache[key][0]
+    def once(self, op, *args):
+        """op(*args), as Mat.dagger, Mat.__matmul__, _minus_half or _factor, formed
+        once per op and argument objects.  An entry holds its arguments other than
+        this context, so no id is reused and the context is not in its own memo."""
+        key = (op, *map(id, args))
+        if key not in self._memo:
+            self._memo[key] = (op(*args), [a for a in args if a is not self])
+        return self._memo[key][0]
 
 
 class TensorChain(Sparse):
@@ -245,7 +239,7 @@ def _faces(ctx: ChainContext, mats):
     entry, so nothing assumes an identity such as p^2 = p.
     """
     n, one = len(mats) - 1, ctx.backend.one
-    prods = [ctx.matrix(Mat.__matmul__, x, y) for x, y in zip(mats, mats[1:] + mats[:1])]
+    prods = [ctx.once(Mat.__matmul__, x, y) for x, y in zip(mats, mats[1:] + mats[:1])]
     faces = [mats[:i] + [prods[i]] + mats[i + 2:] for i in range(n)] + [[prods[n]] + mats[1:n]]
     return [t for i, face in enumerate(faces)
             for t in _contract(ctx, face, one if i % 2 == 0 else -one)]
@@ -277,11 +271,11 @@ def _factor(ctx: ChainContext, m: Mat, normalized: bool):
 
 def _contract(ctx: ChainContext, mats, coeff):
     """pure = [((f_a0, ..., f_an), c[a])] of coeff * <M0 x ... x Mn> over the c[a]
-    nonzero by the zero test, in c's order; ctx.factor factors each matrix."""
+    nonzero by the zero test, in c's order; ctx.once(_factor, ...) factors each matrix."""
     if len({len(m.rows) for m in mats}) != 1:
         raise ValueError("matrix sizes differ")
     r, last = len(mats[0].rows), len(mats) - 1
-    factors = [ctx.factor(m, pos > 0) for pos, m in enumerate(mats)]
+    factors = [ctx.once(_factor, ctx, m, pos > 0) for pos, m in enumerate(mats)]
     # one state (first index, current index, a0..ak) per partial index path;
     # closing the paths at the last slot leaves c, keyed by a0..an alone
     c = {(i, i, ()): coeff for i in range(r)}
@@ -374,7 +368,7 @@ def _minus_half(p: Mat) -> Mat:
 
 def chern_even_word(ctx: ChainContext, p: Mat, k: int) -> list:
     """The matrix word (p - 1/2) x p^{x 2k} whose trace is ch_k(p), p - 1/2 once per ctx."""
-    return [ctx.matrix(_minus_half, p)] + [p] * (2 * k)
+    return [ctx.once(_minus_half, p)] + [p] * (2 * k)
 
 
 def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:
@@ -385,8 +379,8 @@ def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:
 def unitarity_report(ctx: ChainContext, U: Mat) -> list:
     """The entries of UU* - U*U and of UU* minus a multiple of 1, modulo the
     context ideal: UU* = U*U is a multiple of 1 iff all of them are zero."""
-    Ud = ctx.matrix(Mat.dagger, U)
-    A, Bm, r = ctx.matrix(Mat.__matmul__, U, Ud), ctx.matrix(Mat.__matmul__, Ud, U), len(U.rows)
+    Ud = ctx.once(Mat.dagger, U)
+    A, Bm, r = ctx.once(Mat.__matmul__, U, Ud), ctx.once(Mat.__matmul__, Ud, U), len(U.rows)
     # UU* = U*U; off the diagonal UU* is 0, on it every entry equals the first
     return [ctx.sphere.reduce(f) for a in range(r) for b in range(r)
             for f in (A.rows[a][b] - Bm.rows[a][b],
@@ -402,7 +396,7 @@ def chern_odd(ctx: ChainContext, U: Mat, k: int) -> FactoredTrace:
     defects = unitarity_report(ctx, U)
     if not all_zero(ctx.backend, defects):
         raise NotUnitaryEnough(f"UU* = U*U check failed with residual {max_residual(defects)}")
-    Ud = ctx.matrix(Mat.dagger, U)
+    Ud = ctx.once(Mat.dagger, U)
     return FactoredTrace(ctx, [(1, [U, Ud] * (k + 1)), (-1, [Ud, U] * (k + 1))])
 
 

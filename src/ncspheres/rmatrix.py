@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
+from operator import itemgetter
 
 from .errors import MalformedNumber, ParamsNotOnSphere
 from .quatlin import translation
@@ -206,6 +206,18 @@ def check_symmetry_chain(R: RTensor) -> ConditionReport:
                                  lambda key, _: "{} at ({},{},{},{})".format(*key))
 
 
+def _quadratic(name: str, R: RTensor, join: tuple, lhs_at: tuple, rhs_at: tuple):
+    """Report on an identity whose sides sum the same products: each pair R[idx] R[jdx]
+    of _pairs(R, *join) adds to the lhs at the positions lhs_at of the eight indices
+    idx + jdx (0-3 from idx, 4-7 from jdx), then to the rhs at rhs_at."""
+    lhs, rhs, lkey, rkey = {}, {}, itemgetter(*lhs_at), itemgetter(*rhs_at)
+    for idx, c, jdx, d in _pairs(R, *join):
+        ij, prod = idx + jdx, c * d
+        add_into(lhs, lkey(ij), prod)
+        add_into(rhs, rkey(ij), prod)
+    return _compare(name, R.backend, lhs, rhs, "({},{},{},{},{},{})")
+
+
 def check_quadratic_1(R: RTensor) -> ConditionReport:
     """R^{lb}_{ar} R^{rd}_{gm} = R^{ld}_{gr} R^{rb}_{am} (contraction over r).
 
@@ -215,13 +227,7 @@ def check_quadratic_1(R: RTensor) -> ConditionReport:
     witness is the first failing (lam, beta, alpha, delta, gam, mu) in
     lexicographic order.
     """
-    be = R.backend
-    lhs, rhs = {}, {}
-    for (p, q, r, _), c, (_, t, u, v), d in _pairs(R, (3,), (0,)):
-        prod = c * d
-        add_into(lhs, (p, q, r, t, u, v), prod)
-        add_into(rhs, (p, t, u, q, r, v), prod)
-    return _compare("quadratic_1", be, lhs, rhs, "({},{},{},{},{},{})")
+    return _quadratic("quadratic_1", R, ((3,), (0,)), (0, 1, 2, 5, 6, 7), (0, 5, 6, 1, 2, 7))
 
 
 def check_quadratic_2(R: RTensor) -> ConditionReport:
@@ -233,13 +239,7 @@ def check_quadratic_2(R: RTensor) -> ConditionReport:
     witness is the first failing (lam, beta, nu, mu, alpha, rho) in
     lexicographic order.
     """
-    be = R.backend
-    lhs, rhs = {}, {}
-    for (p, q, _, s), c, (t, _, u, v), d in _pairs(R, (2,), (1,)):
-        prod = c * d
-        add_into(lhs, (p, q, s, t, u, v), prod)
-        add_into(rhs, (t, q, v, p, u, s), prod)
-    return _compare("quadratic_2", be, lhs, rhs, "({},{},{},{},{},{})")
+    return _quadratic("quadratic_2", R, ((2,), (1,)), (0, 1, 3, 4, 6, 7), (4, 1, 7, 0, 6, 3))
 
 
 def build_BigR(R: RTensor) -> dict:

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvalidSpec, IrrationalEigenvalue
+from .errors import InvalidSpec
 from .ncalg import NGEN, Algebra, NCPoly, ReductionContext, leading_term, span_solve
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
@@ -381,21 +381,19 @@ def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def diagonalize_lambda(ys: YSystem, backend: Backend) -> dict:
-    """Eigenvalues and deformation phase of Lambda'.
+def diagonalize_lambda(ys: YSystem, backend: Backend):
+    """The deformation phase theta of Lambda', or None where it is not exact.
 
     Lambda' = u0 + i(u1 sigma-like block + u2 off-block) has eigenvalues
     u0 +- i s with s = sqrt((u1)^2 + (u2)^2); after normalizing the first
     eigenvalue to 1 the remaining phase is e^{i theta} = (u0 + i s)^2.
-    The exact backend requires s rational and raises IrrationalEigenvalue
-    otherwise.
+    The exact backend needs s rational and returns None otherwise.
     """
     params = ys.params
     s2 = params.u1 * params.u1 + params.u2 * params.u2
     root = Fraction(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
     if backend.exact and root * root != s2:
-        raise IrrationalEigenvalue(f"sqrt({s2}) is irrational; no exact eigenvalue at this point")
+        return None
     s = root if backend.exact else math.sqrt(s2)
-    u0, i_s = backend.convert(params.u0), backend.i * backend.convert(s)
-    lam_plus = u0 + i_s
-    return {"eigenvalues": (lam_plus, u0 - i_s), "theta": lam_plus * lam_plus}
+    lam_plus = backend.convert(params.u0) + backend.i * backend.convert(s)
+    return lam_plus * lam_plus

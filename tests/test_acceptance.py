@@ -125,8 +125,7 @@ def test_c5_y_system_star_structure_and_eigenphase(catalog):
         assert norm["all_non_normal"] == (not u2_zero), label
         assert norm["sum_vanishes"], label
     _, _, _, ys = catalog[MAIN]
-    theta = diagonalize_lambda(ys, EXACT)["theta"]
-    assert theta == GaussRational(Fraction(-7, 25), Fraction(24, 25))
+    assert diagonalize_lambda(ys, EXACT) == GaussRational(Fraction(-7, 25), Fraction(24, 25))
 
 
 def _random_poly(alg, rng):

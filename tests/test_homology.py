@@ -254,12 +254,32 @@ def test_a_dropped_matrix_leaves_no_factors_to_a_new_one(pyth):
              for g in range(8) for h in range(8)]
     for f in polys:
         for normalized in (False, True):
-            assert ctx.factor(Mat([[f]]), normalized) == \
+            assert ctx.once(homology._factor, ctx, Mat([[f]]), normalized) == \
                 homology._factor(ctx, Mat([[f]]), normalized), (f, normalized)
     for f, g in zip(polys, polys[1:]):
         want = {(i, j): a * b for i, a in ctx.expand_poly(f)
                 for j, b in ctx.expand_poly(g) if j != UNIT_ID}
         assert chain_from_slots(ctx, [f, g]).terms == want
+
+
+def test_a_context_is_freed_without_the_cycle_collector(pyth):
+    """The memo holds each entry's arguments but not the context itself, so a
+    context that has factored, multiplied and shifted matrices dies with its
+    last reference."""
+    import gc
+    import weakref
+
+    _, alg, s, ys = pyth
+    gc.disable()
+    try:
+        ctx, ctx3 = ChainContext(s), ChainContext(three_sphere_context(s, ys))
+        chern_even(ctx, build_projection(s), 1).digest()
+        chern_odd(ctx3, embed_M2(ys.Y, alg.backend.i), 1).digest()
+        refs = [weakref.ref(ctx), weakref.ref(ctx3)]
+        del ctx, ctx3
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_chern_odd_rejects_triangular_matrix(pyth, chain_ctx):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncspheres.errors import InvalidSpec, IrrationalEigenvalue
+from ncspheres.errors import InvalidSpec
 from ncspheres.ncalg import Algebra
 from ncspheres.quatlin import epsilon
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
@@ -87,23 +87,13 @@ EXACT_THETAS = {
 def test_exact_eigenphases_at_pythagorean_points():
     for label, want in EXACT_THETAS.items():
         _, _, _, ys = make_point(label)
-        got = diagonalize_lambda(ys, EXACT)
-        assert got["theta"] == want
-        lam_plus, lam_minus = got["eigenvalues"]
-        # theta is the square of the normalized eigenvalue, which is unimodular
-        assert lam_plus * lam_plus == want
-        assert (lam_plus * lam_plus.conjugate()).re == 1
-        assert lam_minus == lam_plus.conjugate()
+        assert diagonalize_lambda(ys, EXACT) == want, label
 
 
-def test_irrational_point_raises_exact_but_works_float(mixed):
+def test_irrational_point_has_no_exact_theta_but_a_float_one(mixed):
     _, _, _, ys = mixed
-    with pytest.raises(IrrationalEigenvalue):
-        diagonalize_lambda(ys, EXACT)
-    got = diagonalize_lambda(ys, FLOAT)
-    assert abs(abs(got["theta"]) - 1.0) < 1e-12
-    lam_plus, lam_minus = got["eigenvalues"]
-    assert lam_minus == lam_plus.conjugate()
+    assert diagonalize_lambda(ys, EXACT) is None
+    assert abs(abs(diagonalize_lambda(ys, FLOAT)) - 1.0) < 1e-12
 
 
 def _at(u0, u1, u2) -> YSystem:
@@ -122,10 +112,8 @@ def test_exact_eigenvalues_where_u1_u2_radius_is_a_rational_square(t, r):
     (u1)^2 + (u2)^2 = s^2 and the eigenvalues u0 +- i|s| are exact."""
     u0, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
     u1, u2 = s * (1 - r * r) / (1 + r * r), s * 2 * r / (1 + r * r)
-    got = diagonalize_lambda(_at(u0, u1, u2), EXACT)
     lam_plus = GaussRational(u0, abs(s))
-    assert got["eigenvalues"] == (lam_plus, lam_plus.conjugate())
-    assert got["theta"] == lam_plus * lam_plus
+    assert diagonalize_lambda(_at(u0, u1, u2), EXACT) == lam_plus * lam_plus
 
 
 @given(st.integers(min_value=1, max_value=10**6))
@@ -137,9 +125,8 @@ def test_irrational_eigenvalue_where_u1_u2_radius_is_not_a_square(k):
     m = n * n // 2 + 1
     ys = _at(Fraction(n * n // 2, m), Fraction(n, m), Fraction(1, m))
     assert ys.params.u1 ** 2 + ys.params.u2 ** 2 == Fraction(n * n + 1, m * m)
-    with pytest.raises(IrrationalEigenvalue):
-        diagonalize_lambda(ys, EXACT)
-    assert abs(abs(diagonalize_lambda(ys, FLOAT)["theta"]) - 1.0) < 1e-12
+    assert diagonalize_lambda(ys, EXACT) is None
+    assert abs(abs(diagonalize_lambda(ys, FLOAT)) - 1.0) < 1e-12
 
 
 def test_normality_boundary():
