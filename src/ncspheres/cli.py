@@ -199,7 +199,8 @@ def _task_coaction(spec: RunSpec, state: dict) -> dict:
     fault = relation_report(one_sided_left_coaction(s))
     passed = (all(r.passed for r in hopf) and comodule["passed"]
               and all(r.passed for r in derivs)
-              and coinv["dim_degree_2"] == 6 and coinv["equals_y_span"]
+              and coinv["dim_degree_1"] == 0 and coinv["dim_degree_2"] == 6
+              and coinv["equals_y_span"]
               and coinv["delta_fixes_kernel"]
               and witness["passed"])
     return {

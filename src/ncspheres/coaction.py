@@ -446,39 +446,25 @@ def coinvariants(alg, degree: int) -> list:
 
 @functools.cache
 def _kernel_terms(be: Backend, degree: int) -> tuple:
-    """Each coinvariant as {basis monomial: coefficient}, zeros included,
-    solved once per backend and degree; shared, so never mutated."""
-    basis = basis_monomials(degree)
-    index = {m: i for i, m in enumerate(basis)}
-    # stacked matrix of all three derivations: one column per basis monomial
-    mat = []
-    for a in (1, 2, 3):
-        block = [[be.zero] * len(basis) for _ in range(len(basis))]
-        for m in basis:
-            col = index[m]
-            for mm, c in _derive(a, {m: be.one}).items():
-                block[index[mm]][col] = block[index[mm]][col] + c
-        mat.extend(block)
-    return tuple({basis[i]: v for i, v in enumerate(vec)}
-                 for vec in _nullspace(mat, len(basis), be))
+    """Each coinvariant as {basis monomial: coefficient}, solved once per
+    backend and degree; shared, so never mutated.
 
-
-def _nullspace(rows, ncols, be):
-    """Exact nullspace basis vectors of a dense matrix over the backend.
-
-    One vector per free column fc of the reduced matrix, in increasing fc:
-    1 at fc and minus the pivot rows' fc entries at the pivot columns.
+    One row_reduce of the stacked images of D_1, D_2, D_3: a row per
+    derivation and image monomial, keyed by the basis monomial it comes
+    from.  One kernel vector per free monomial fc, in basis order: 1 at fc
+    and minus the pivot rows' fc entries at their pivots.
     """
-    rows = list(rows)
-    pivots = row_reduce(rows, ncols, be)
-    out = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [be.zero] * ncols
-        vec[fc] = be.one
-        for row, col in zip(rows, pivots):
-            vec[col] = -row[fc]
-        out.append(vec)
-    return out
+    basis = basis_monomials(degree)
+    rows = {(a, mm): {} for a in (1, 2, 3) for mm in basis}
+    for a in (1, 2, 3):
+        for m in basis:
+            for mm, c in _derive(a, {m: be.one}).items():
+                rows[a, mm][m] = c
+    rows = list(rows.values())
+    pivot_rows = dict(zip(row_reduce(rows, basis, be), rows))
+    return tuple({m: be.one if m == fc else -pivot_rows[m][fc] for m in basis
+                  if m == fc or fc in pivot_rows.get(m, ())}
+                 for fc in basis if fc not in pivot_rows)
 
 
 def span_contains(alg, basis_polys, targets) -> bool:
@@ -491,17 +477,16 @@ def derivation_reports(s: SphereAlgebra, ys) -> list:
     alg = s.base
     be = alg.backend
     inv = [derivation(alg, a, f) for a in (1, 2, 3) for f in list(ys.Y) + [ys.Y4]]
-    # Leibniz on a pair of quadratic elements
-    f, g = ys.Y[1], ys.Y[2]
-    fg = f * g
-    leib = [derivation(alg, a, fg) - (derivation(alg, a, f) * g + f * derivation(alg, a, g))
-            for a in (1, 2, 3)]
+    # Leibniz on the 64 ordered pairs of generators, which every D_a moves
+    gens = [alg.generator(g) for g in range(8)]
+    leib = [derivation(alg, a, f * g) - (derivation(alg, a, f) * g + f * derivation(alg, a, g))
+            for a in (1, 2, 3) for f in gens for g in gens]
     # operator bracket [D_a, D_b] against the quaternion prediction.
     # On coefficient vectors D_a D_b acts as M_b M_a (reversed order), and
     # with the negated right translations [M_b, M_a] = -2 eps_{abc} M_c,
     # so the operator bracket is -2 eps_{abc} D_c.
     su2 = []
-    probes = [alg.generator(g) for g in range(8)] + [ys.Y[0], ys.Y[3]]
+    probes = gens + [ys.Y[0], ys.Y[3]]
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             if a == b:

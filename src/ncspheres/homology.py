@@ -249,23 +249,24 @@ def _factor(ctx: ChainContext, m: Mat, normalized: bool):
     """(basis, coords): m[i][j] = sum_a E_a[i, j] f_a, with basis[a] = f_a as
     ((id, coeff), ...) and coords[i][j] = ((a, E_a[i, j]), ...), nonzero only.
 
-    {f_a} is the echelon basis of one row_reduce over the entries' coefficient
-    vectors, columns in descending monomial order, and an entry's coordinates
-    are its values at the pivot columns.  normalized drops the unit first.
+    {f_a} is the echelon basis of one row_reduce over the entries, each a row
+    {monomial id: coeff}, with pivots sought in descending monomial order; an
+    entry's coordinates are its values at the pivot columns.  normalized
+    drops the unit first.
     """
     be, r = ctx.backend, len(m.rows)
-    cells = [ctx.expand_poly(f) for row in m.rows for f in row]
+    cells = [dict(ctx.expand_poly(f)) for row in m.rows for f in row]
     if normalized:
-        cells = [tuple(e for e in cell if e[0] != UNIT_ID) for cell in cells]
-    cols = sorted({mid for cell in cells for mid, _ in cell},
+        for cell in cells:
+            cell.pop(UNIT_ID, None)
+    cols = sorted({mid for cell in cells for mid in cell},
                   key=ctx.mono_keys.__getitem__, reverse=True)
-    vecs = [[dict(cell).get(mid, be.zero) for mid in cols] for cell in cells]
-    rows = [list(vec) for vec in vecs]
-    pivots = row_reduce(rows, len(cols), be)
-    basis = [tuple((mid, c) for mid, c in zip(cols, row) if not be.is_zero(c))
+    rows = [dict(cell) for cell in cells]
+    pivots = row_reduce(rows, cols, be)
+    basis = [tuple((mid, row[mid]) for mid in cols if mid in row and not be.is_zero(row[mid]))
              for row in rows[:len(pivots)]]
-    coords = [tuple((a, vec[k]) for a, k in enumerate(pivots) if not be.is_zero(vec[k]))
-              for vec in vecs]
+    coords = [tuple((a, cell[mid]) for a, mid in enumerate(pivots)
+                    if mid in cell and not be.is_zero(cell[mid])) for cell in cells]
     return basis, [coords[i * r:(i + 1) * r] for i in range(r)]
 
 

@@ -178,9 +178,6 @@ class NCPoly(Sparse):
     def _new(self, terms) -> "NCPoly":
         return NCPoly(self.algebra, terms)
 
-    def coefficient(self, m):
-        return self.terms.get(tuple(m), self.algebra.backend.zero)
-
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
@@ -238,17 +235,23 @@ def central_witness(alg: Algebra, f: NCPoly):
 
 
 def span_solve(alg: Algebra, basis, targets) -> tuple:
-    """(pivots, coords) of one row_reduce of [basis | targets] over the sorted
-    union of their monomials; pivots lie in basis columns and each column is
-    updated alone, so coords[t] depends on target t's own column only: its
-    coefficients on basis[pivots[r]], or None outside the span."""
+    """(pivots, coords) of one row_reduce of [basis | targets]: a row per
+    monomial of their union, in sorted order, keyed by polynomial position.
+    Pivots lie in basis positions and each column is updated alone, so
+    coords[t] depends on target t's own column only: its coefficients on
+    basis[pivots[r]], or None outside the span."""
     be, n = alg.backend, len(basis)
     polys = list(basis) + list(targets)
-    monos = sorted({m for p in polys for m in p.terms}, key=mono_key)
-    rows = [[p.coefficient(m) for p in polys] for m in monos]
-    pivots = row_reduce(rows, n, be)
-    return pivots, [None if any(not be.is_zero(row[t]) for row in rows[len(pivots):])
-                    else [row[t] for row in rows[:len(pivots)]] for t in range(n, len(polys))]
+    rows = {m: {} for m in sorted({m for p in polys for m in p.terms}, key=mono_key)}
+    for k, p in enumerate(polys):
+        for m, c in p.terms.items():
+            rows[m][k] = c
+    rows = list(rows.values())
+    pivots = row_reduce(rows, range(n), be)
+    rank = len(pivots)
+    return pivots, [None if any(not be.is_zero(row.get(t, be.zero)) for row in rows[rank:])
+                    else [row.get(t, be.zero) for row in rows[:rank]]
+                    for t in range(n, len(polys))]
 
 
 # ---------------------------------------------------------------------------

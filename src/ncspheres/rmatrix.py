@@ -175,19 +175,15 @@ def check_reality(R: RTensor) -> ConditionReport:
 
 def invert_16x16(R: RTensor):
     """Contraction inverse of R viewed as a 16x16 matrix over its backend."""
-    be = R.backend
-    idx = [(b, m) for b in range(N) for m in range(N)]
-    pos = {p: k for k, p in enumerate(idx)}
-    n = len(idx)
-    aug = [[R.entry(lam, alpha, beta, mu) for (beta, mu) in idx]
-           + [be.one if i == j else be.zero for j in range(n)]
-           for i, (lam, alpha) in enumerate(idx)]
-    if len(row_reduce(aug, n, be)) < n:
+    be, n = R.backend, N * N
+    rows = [{n + k: be.one} for k in range(n)]
+    for (lam, alpha, beta, mu), c in R.items():
+        rows[lam * N + alpha][beta * N + mu] = c
+    if len(row_reduce(rows, range(n), be)) < n:
         raise ZeroDivisionError("R tensor is singular as a 16x16 matrix")
-    inv_rows = [row[n:] for row in aug]
 
     def rinv(beta, mu, lam, alpha):
-        return inv_rows[pos[(beta, mu)]][pos[(lam, alpha)]]
+        return rows[beta * N + mu].get(n + lam * N + alpha, be.zero)
 
     return rinv
 

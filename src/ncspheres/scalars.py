@@ -270,36 +270,41 @@ EXACT = Backend("exact", exact=True)
 FLOAT = Backend("float", exact=False, tol=1e-9)
 
 
-def row_reduce(rows: list, ncols: int, be: Backend) -> list:
-    """Gauss-Jordan elimination of `rows` in place on the first `ncols` columns.
+def row_reduce(rows: list, cols, be: Backend) -> list:
+    """Gauss-Jordan elimination, in place, of sparse `rows`: each row is a
+    {column: value} dict, and a column it lacks holds zero.
 
-    Columns past `ncols` (augmented right-hand sides) are carried along.
-    Each pivot is the entry of largest magnitude among the entries of its
-    column, below the pivots found so far, that are not ``be.is_zero``; a
-    column without one is skipped.  The pivot row is scaled to a leading 1
-    and its column is cleared in every other row.
+    Pivots are sought in the columns of `cols`, in that order; any other key
+    is an augmented column, carried along.  Each pivot is the first entry of
+    largest magnitude among the entries of its column, below the pivots
+    found so far, that are not ``be.is_zero``; a column without one is
+    skipped.  The pivot row is scaled to a leading 1 and its column is
+    cleared in every other row.  A row is updated only where the pivot row
+    has an entry, as ``row.get(c, be.zero) - f * b``, and no computed entry
+    is dropped, so the row dicts passed in are changed.
 
-    Returns the pivot columns in increasing order: rows[r] is the pivot row
-    of pivots[r], and every row past len(pivots) is zero, by ``be.is_zero``,
-    on the first `ncols` columns.
+    Returns the pivot columns in `cols` order: rows[r] is the pivot row of
+    pivots[r], and every row past len(pivots) is zero, by ``be.is_zero``, on
+    `cols`.
     """
-    pivots = []
-    for col in range(ncols):
+    zero, is_zero, pivots = be.zero, be.is_zero, []
+    for col in cols:
         rank = len(pivots)
         piv, best = None, -1.0
         for r in range(rank, len(rows)):
-            v = rows[r][col]
-            if not be.is_zero(v) and abs(v) > best:
+            v = rows[r].get(col)
+            if v is not None and not is_zero(v) and abs(v) > best:
                 piv, best = r, abs(v)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = 1 / rows[rank][col]
-        prow = rows[rank] = [inv * v for v in rows[rank]]
-        for r in range(len(rows)):
-            f = rows[r][col]
-            if r != rank and not be.is_zero(f):
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        prow = rows[rank] = {c: inv * v for c, v in rows[rank].items()}
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            if r != rank and f is not None and not is_zero(f):
+                for c, b in prow.items():
+                    row[c] = row.get(c, zero) - f * b
         pivots.append(col)
     return pivots
 

@@ -538,6 +538,37 @@ def test_coinvariant_span_of_the_wrong_size_fails_the_report(
     assert task["comodule"]["passed"] and task["canonical_witness"]["passed"]
 
 
+def test_a_degree_one_coinvariant_fails_the_coaction_task(monkeypatch, tmp_path, capsys):
+    """Negative control for dim_degree_1: the degree-1 coinvariants made
+    nonempty fail the task, while every other coaction verdict passes."""
+    real = coaction.coinvariants
+
+    def with_x1_0(alg, degree):
+        vecs = real(alg, degree)
+        return vecs + [alg.x1(0)] if degree == 1 else vecs
+
+    monkeypatch.setattr(coaction, "coinvariants", with_x1_0)
+    out = tmp_path / "coaction.json"
+    assert main(["coaction", "--quiet", "--json", str(out)]) == 1
+    capsys.readouterr()
+    task = json.loads(out.read_text())["tasks"]["coaction"]
+    assert task["passed"] is False
+    coinv = task["coinvariants"]
+    assert coinv["dim_degree_1"] == 1 and coinv["dim_degree_2"] == 6
+    assert coinv["equals_y_span"] and coinv["delta_fixes_kernel"]
+    assert all(r["passed"] for r in task["hopf"] + task["derivations"])
+    assert task["comodule"]["passed"] and task["canonical_witness"]["passed"]
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_the_degree_four_coinvariants_are_twenty_vectors_each_d_a_kills(be):
+    kernel = coaction._kernel_terms(be, 4)
+    assert len(kernel) == 20
+    for terms in kernel:
+        for a in (1, 2, 3):
+            assert all(be.is_zero(c) for c in coaction._derive(a, terms).values()), a
+
+
 def test_one_coaction_task_takes_each_star_and_table_law_once(monkeypatch):
     """With the Hopf caches warm, one exact coaction task takes the star of
     the diagonal coaction's eight generator images once, and forms the 64

@@ -271,12 +271,12 @@ def test_row_reduce_inverts_exactly():
          [g(0, 1), g(3), g(1)],
          [g(1), g(0), g(Fraction(1, 2))]]
     n = len(A)
-    rows = [A[i] + [EXACT.one if i == j else EXACT.zero for j in range(n)]
+    rows = [dict(enumerate(A[i] + [EXACT.one if i == j else EXACT.zero for j in range(n)]))
             for i in range(n)]
-    assert row_reduce(rows, n, EXACT) == [0, 1, 2]
+    assert row_reduce(rows, range(n), EXACT) == [0, 1, 2]
     for i in range(n):
-        assert rows[i][:n] == [1 if i == j else 0 for j in range(n)]
-    inv = [row[n:] for row in rows]
+        assert [rows[i][j] for j in range(n)] == [1 if i == j else 0 for j in range(n)]
+    inv = [[row[n + j] for j in range(n)] for row in rows]
     for i in range(n):
         for j in range(n):
             prod = sum((A[i][k] * inv[k][j] for k in range(n)), EXACT.zero)
@@ -285,27 +285,37 @@ def test_row_reduce_inverts_exactly():
 
 def test_row_reduce_rank_deficient():
     g = GaussRational
-    rows = [[g(1), g(2), g(3), g(1)],
-            [g(2), g(4), g(6), g(2)],
-            [g(0), g(1), g(1), g(0)]]
-    assert row_reduce(rows, 3, EXACT) == [0, 1]
-    assert rows[0] == [1, 0, 1, 1]
-    assert rows[1] == [0, 1, 1, 0]
-    assert rows[2] == [0, 0, 0, 0]
+    # the zeros are left out: a missing column holds zero
+    rows = [{0: g(1), 1: g(2), 2: g(3), 3: g(1)},
+            {0: g(2), 1: g(4), 2: g(6), 3: g(2)},
+            {1: g(1), 2: g(1)}]
+    assert row_reduce(rows, range(3), EXACT) == [0, 1]
+    assert [rows[0].get(c, 0) for c in range(4)] == [1, 0, 1, 1]
+    assert [rows[1].get(c, 0) for c in range(4)] == [0, 1, 1, 0]
+    assert [rows[2].get(c, 0) for c in range(4)] == [0, 0, 0, 0]
 
 
 def test_row_reduce_skips_float_entries_below_tol():
     def rows():
-        return [[1e-12 + 0j, 1 + 0j], [0j, 2 + 0j]]
+        return [{0: 1e-12 + 0j, 1: 1 + 0j}, {0: 0j, 1: 2 + 0j}]
 
     coarse = rows()
     # column 0 holds only 1e-12 <= tol: no pivot there; column 1 pivots on
     # its largest entry, 2, and leaves the tiny entry where it was
-    assert row_reduce(coarse, 2, FLOAT) == [1]
-    assert coarse == [[0, 1], [1e-12, 0]]
+    assert row_reduce(coarse, range(2), FLOAT) == [1]
+    assert coarse == [{0: 0, 1: 1}, {0: 1e-12, 1: 0}]
     fine = rows()
-    assert row_reduce(fine, 2, Backend("float", exact=False, tol=1e-15)) == [0, 1]
-    assert fine == [[1, 0], [0, 1]]
+    assert row_reduce(fine, range(2), Backend("float", exact=False, tol=1e-15)) == [0, 1]
+    assert fine == [{0: 1, 1: 0}, {0: 0, 1: 1}]
+
+
+def test_row_reduce_fills_a_missing_entry_from_zero():
+    # row 1 lacks column 1, where the pivot row holds 1j: its entry there is
+    # zero - 1j, whose real part is +0.0, as a dense row's would be; the
+    # negation -(1j) would print as (-0-1j)
+    rows = [{0: 1 + 0j, 1: 1j}, {0: 1 + 0j}]
+    assert row_reduce(rows, [0], FLOAT) == [0]
+    assert str(rows[1][1]) == "-1j"
 
 
 def test_add_into_inserts_the_value_itself():

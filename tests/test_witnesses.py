@@ -17,7 +17,7 @@ import pytest
 
 from ncspheres import cli, coaction, homology, spheres
 from ncspheres.cli import TASKS, RunSpec, run
-from ncspheres.ncalg import Algebra
+from ncspheres.ncalg import Algebra, NCPoly
 from ncspheres.rmatrix import ConditionReport, DeformParams, build_R_quaternionic
 from ncspheres.scalars import EXACT, FLOAT, max_residual
 from ncspheres.spheres import YSystem, lead_witness
@@ -237,7 +237,7 @@ REGISTRY = {  # report -> (control, witness)
     "three_sphere_radius": ("three-sphere without its radius", "value 0: (-4,0)*x1_3^4"),
     "suspension_y4_squared": ("three-sphere without its radius", "value 0: (4,0)*x1_3^4"),
     "derivations_kill_y_system": ("D_a + identity", "value 0: (2/3,-4/3)*x1_3*x2_3"),
-    "derivation_leibniz": ("D_a + identity", "value 0: (-16/27,64/27)*x1_3^2*x2_3^2"),
+    "derivation_leibniz": ("D_a + identity", "value 0: (-1,0)*x1_0^2"),
     "derivation_su2_bracket": ("D_a + identity", "value 0: (2,0)*x1_0"),
     "hopf_coassociativity": ("Delta(w1) with one sign flipped",
                              "w0: (Delta x id) Delta != (id x Delta) Delta"),
@@ -368,6 +368,28 @@ def test_a_coinvariant_that_delta_moves_fails_delta_fixes_kernel():
     assert coinv["equals_y_span"] is False
     assert coinv["delta_fixes_kernel"] is False
     assert task["comodule"]["passed"] and task["canonical_witness"]["passed"]
+
+
+def _twice_d_a_on_degree_two(mp):
+    """D_a with its degree-2 terms doubled: still zero on the Y system, but
+    D_a(f g) != D_a(f) g + f D_a(g) on a pair of generators it moves."""
+    real = coaction.derivation
+
+    def derivation(alg, a, f):
+        return NCPoly(alg, {m: c + c if sum(m) == 2 else c
+                            for m, c in real(alg, a, f).terms.items()})
+
+    mp.setattr(coaction, "derivation", derivation)
+
+
+def test_twice_d_a_on_degree_two_fails_the_leibniz_rule_alone():
+    task = _run_patched("coaction", _twice_d_a_on_degree_two)["tasks"]["coaction"]
+    assert task["passed"] is False
+    kill_y, leibniz, su2 = task["derivations"]
+    assert kill_y["name"] == "derivations_kill_y_system" and kill_y["passed"]
+    assert su2["name"] == "derivation_su2_bracket" and su2["passed"]
+    assert leibniz["name"] == "derivation_leibniz" and leibniz["passed"] is False
+    assert leibniz["witness"] == "value 0: (2,0)*x1_0*x1_1"
 
 
 def _lambda_defect(mp):
