@@ -121,9 +121,11 @@ def _task_sphere(spec: RunSpec, state: dict) -> dict:
     reports.extend(verify_Y_relations(s, ys))
     reports.extend(lambda_reports(alg, ys))
     reports.append(y0_flip_check(s, ys))
-    s3 = three_sphere_context(s, ys)
-    state["s3"] = s3
-    reports.extend(suspension_reports(s3, ys))
+    # the three-sphere divides by the radius sum, which must be central; if it
+    # is not, that report fails with its witness and the suspension is left out
+    if next(r for r in reports if r.name == "radius_sums_central").passed:
+        state["s3"] = three_sphere_context(s, ys)
+        reports.extend(suspension_reports(state["s3"], ys))
     norm = check_normality(s, ys)
     # sharp boundary: the generators are normal exactly when Lambda is
     # diagonal, which happens exactly at u2 = 0

@@ -26,12 +26,11 @@ from __future__ import annotations
 import functools
 import operator
 
-from .errors import DegreeOverflow
-from .ncalg import NCPoly, basis_monomials, span_solve
+from .ncalg import NCPoly, ReductionContext, basis_monomials, span_solve
 from .quatlin import epsilon, quat_conjugate, quat_multiply, translation
 from .rmatrix import ConditionReport
 from .scalars import Backend, Sparse, add_into, all_zero, max_residual, row_reduce
-from .spheres import SphereAlgebra, lead_witness, quaternion_generators
+from .spheres import lead_witness, quaternion_generators
 
 H_ONE = (0, 0, 0, 0)
 
@@ -229,12 +228,12 @@ class MixedElement(Sparse):
 
     __slots__ = ("sphere",)
 
-    def __init__(self, sphere: SphereAlgebra, terms):
+    def __init__(self, sphere: ReductionContext, terms):
         self.sphere = sphere
         be = sphere.base.backend
         acc = {}
         for (am, hm), c in terms.items():
-            for am2, c2 in sphere.context.reduce_mono(am).items():
+            for am2, c2 in sphere.reduce_mono(am).items():
                 if hm[3] < 2:  # already norm-reduced, as almost every key is
                     add_into(acc, (am2, hm), c * c2)
                     continue
@@ -305,7 +304,7 @@ def _identity_table(backend: Backend) -> list:
             for mu in range(4)]
 
 
-def _family_images(s: SphereAlgebra, h, family: int) -> list:
+def _family_images(s: ReductionContext, h, family: int) -> list:
     """delta(x^mu) = sum_nu x^nu (x) h^mu_nu on the generators of one family."""
     images = []
     for mu in range(4):
@@ -320,7 +319,7 @@ class Coaction:
     """Algebra map A -> A (x) H fixed by one corepresentation table per
     generator family: delta(x_i^mu) = sum_nu x_i^nu (x) h_i^mu_nu."""
 
-    def __init__(self, sphere: SphereAlgebra, tables):
+    def __init__(self, sphere: ReductionContext, tables):
         self.sphere = sphere
         self.tables = tables  # (h_1, h_2), 4x4 tables of CommPoly
         self.images = [img for family, h in enumerate(tables)
@@ -331,13 +330,13 @@ class Coaction:
         return _extend(f.terms, self.images, MixedElement.from_poly(sphere, sphere.base.one()))
 
 
-def diagonal_coaction(s: SphereAlgebra) -> Coaction:
+def diagonal_coaction(s: ReductionContext) -> Coaction:
     """x_i -> x_i w on both quaternions: the bundle's structure coaction."""
     h = corep_matrix(s.base.backend, right=True)
     return Coaction(s, (h, h))
 
 
-def one_sided_left_coaction(s: SphereAlgebra) -> Coaction:
+def one_sided_left_coaction(s: ReductionContext) -> Coaction:
     """x1 -> w x1, x2 -> x2: generally fails to preserve the relations."""
     be = s.base.backend
     return Coaction(s, (corep_matrix(be, right=False), _identity_table(be)))
@@ -439,8 +438,6 @@ def coinvariants(alg, degree: int) -> list:
     degree); the quotient sphere algebra inherits each coinvariant.  D_a
     only moves exponents, so the kernel does not depend on the point.
     """
-    if degree > 4:
-        raise DegreeOverflow("coinvariants limited to degree 4")
     return [NCPoly(alg, terms) for terms in _kernel_terms(alg.backend, degree)]
 
 
@@ -472,7 +469,7 @@ def span_contains(alg, basis_polys, targets) -> bool:
     return None not in span_solve(alg, basis_polys, targets)[1]
 
 
-def derivation_reports(s: SphereAlgebra, ys) -> list:
+def derivation_reports(s: ReductionContext, ys) -> list:
     """Invariance of the Y system, the Leibniz rule, and the su(2) bracket."""
     alg = s.base
     be = alg.backend
@@ -507,7 +504,7 @@ def derivation_reports(s: SphereAlgebra, ys) -> list:
     ]
 
 
-def coinvariant_report(s: SphereAlgebra, ys, co: Coaction) -> dict:
+def coinvariant_report(s: ReductionContext, ys, co: Coaction) -> dict:
     """Degree-1 and degree-2 coinvariants, matched against the Y span and the coaction."""
     alg = s.base
     k1 = coinvariants(alg, 1)

@@ -42,10 +42,10 @@ from fractions import Fraction
 from itertools import groupby
 
 from .errors import DegreeZero, NotUnitaryEnough
-from .ncalg import NCPoly, format_poly, mono_key
+from .ncalg import NCPoly, ReductionContext, format_poly, mono_key
 from .quatlin import Mat
 from .scalars import Sparse, add_into, all_zero, max_residual, row_reduce
-from .spheres import SphereAlgebra, lambda_defects
+from .spheres import lambda_defects
 
 UNIT_ID = 0
 
@@ -53,7 +53,7 @@ UNIT_ID = 0
 class ChainContext:
     """Interning tables and product caches bound to one sphere quotient."""
 
-    def __init__(self, sphere: SphereAlgebra):
+    def __init__(self, sphere: ReductionContext):
         self.sphere = sphere
         self.alg = sphere.base
         self.backend = sphere.base.backend

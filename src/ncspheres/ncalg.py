@@ -13,9 +13,11 @@ confluence_check certifies that its normal monomials are a basis by checking
 associativity on every generator triple (Bergman's diamond lemma).  Normal
 forms, the star operation and ideal reduction are all exact over the
 algebra's scalar backend; the float backend reuses the same code paths with
-tolerance-based pruning.  Reduction modulo central relations (x^2 = 1, and
-the three-sphere radius on top of it) is division by the monic relations,
-whose pairwise coprime leads make them a Groebner basis.
+tolerance-based pruning.  ReductionContext is the one quotient type: the
+algebra at a parameter point, to which quotient() adds one central relation
+at a time (x^2 = 1 gives the seven-sphere, and the three-sphere radius on top
+of it the three-sphere).  Reduction is division by the monic relations, whose
+pairwise coprime leads make them a Groebner basis.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import operator
 
 from .errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
-from .rmatrix import ConditionReport, RTensor, build_BigR
+from .rmatrix import ConditionReport, DeformParams, RTensor, build_BigR
 from .scalars import Backend, Sparse, add_into, row_reduce
 
 NGEN = 8
@@ -34,7 +36,7 @@ X2 = range(4, 8)
 ZERO8 = (0,) * 8
 _UNIT4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
-# reduce_fast refuses monomials above this degree; the tasks reduce at most degree 4
+# reduce refuses monomials above this degree; the tasks reduce at most degree 4
 DEGREE_CAP = 12
 
 
@@ -288,9 +290,12 @@ def confluence_check(alg: Algebra) -> dict:
 
 
 class ReductionContext:
-    """Normal forms modulo the ideal generated by c_j - 1, c_j central.
+    """The algebra at one parameter point, modulo c_j - 1 for central c_j.
 
-    Each c_j must be homogeneous and central.  Relation c_j - 1 is reduced
+    ReductionContext(base, params) holds no relation yet: it is the algebra
+    itself.  quotient(c) adds one relation, so the seven-sphere is the
+    algebra modulo x^2 - 1 and the three-sphere is the seven-sphere modulo
+    its radius.  Each c_j must be homogeneous and central; c_j - 1 is reduced
     modulo relations 0..j-1 and made monic.  The algebra is of solvable type
     (Kandri-Rody and Weispfenning, J. Symbolic Comput. 9, 1990), so
     lead(q * g) = q * lead(g); with pairwise coprime leads the monic
@@ -301,32 +306,38 @@ class ReductionContext:
     not the divided monomial with coefficient 1, raise NotAGroebnerBasis.
     """
 
-    def __init__(self, alg: Algebra, relations):
-        self.alg = alg
-        be = alg.backend
-        self._relations = []  # (lead, monic terms), normal modulo the earlier ones
-        self._memo = [{}]  # [k]: {monomial: normal form modulo the first k relations}
-        for c in relations:
-            wit = central_witness(alg, c)
-            if wit is not None:
-                raise NotCentral(f"relation element not central, generator {wit[0]}")
-            if len({sum(m) for m in c.terms}) != 1:
-                raise ValueError("relation element must be homogeneous")
-            g = self._reduce_terms({**c.terms, ZERO8: -be.one}, len(self._relations))
-            lead = max(g, key=mono_key, default=ZERO8)
-            if lead == ZERO8:
-                raise NotAGroebnerBasis("relation keeps no lead modulo the earlier ones")
-            for earlier, _ in self._relations:
-                if any(a and b for a, b in zip(lead, earlier)):
-                    raise NotAGroebnerBasis(
-                        f"leads {mono_word(earlier)} and {mono_word(lead)} share a generator")
-            inv = 1 / g[lead]
-            self._relations.append((lead, {m: inv * c for m, c in g.items()} | {lead: be.one}))
-            self._memo.append({})
+    def __init__(self, base: Algebra, params: DeformParams):
+        self.base, self.params = base, params
+        self._relations = ()  # (lead, monic terms), normal modulo the earlier ones
+        self._memo = ({},)  # [k]: {monomial: normal form modulo the first k relations}
+
+    def quotient(self, c: NCPoly) -> "ReductionContext":
+        """This quotient modulo c - 1 as well.  The new context shares this
+        one's relations and memos by identity: a later relation changes
+        neither the earlier relations nor the normal forms modulo them."""
+        be = self.base.backend
+        wit = central_witness(self.base, c)
+        if wit is not None:
+            raise NotCentral(f"relation element not central, generator {wit[0]}")
+        if len({sum(m) for m in c.terms}) != 1:
+            raise ValueError("relation element must be homogeneous")
+        g = self._reduce_terms({**c.terms, ZERO8: -be.one}, len(self._relations))
+        lead = max(g, key=mono_key, default=ZERO8)
+        if lead == ZERO8:
+            raise NotAGroebnerBasis("relation keeps no lead modulo the earlier ones")
+        for earlier, _ in self._relations:
+            if any(a and b for a, b in zip(lead, earlier)):
+                raise NotAGroebnerBasis(
+                    f"leads {mono_word(earlier)} and {mono_word(lead)} share a generator")
+        inv = 1 / g[lead]
+        monic = {m: inv * c for m, c in g.items()} | {lead: be.one}
+        q = ReductionContext(self.base, self.params)
+        q._relations, q._memo = self._relations + ((lead, monic),), self._memo + ({},)
+        return q
 
     def _reduce_terms(self, terms: dict, k: int) -> dict:
         """Normal form of {monomial: coeff} modulo the first k relations."""
-        be = self.alg.backend
+        be = self.base.backend
         if k:
             out = {}
             for m, c in terms.items():
@@ -338,7 +349,7 @@ class ReductionContext:
     def _divide(self, m, k):
         """The lower terms of m - q * g_j for the first of the first k relations
         whose lead divides m = q * lead(g_j); None if m is normal."""
-        alg = self.alg
+        alg = self.base
         for j, (lead, g) in enumerate(self._relations[:k]):
             q = tuple(a - b for a, b in zip(m, lead))
             if min(q) < 0:
@@ -361,7 +372,7 @@ class ReductionContext:
         hit = memo.get(m)
         if hit is None:
             step = self._divide(m, k)
-            hit = {m: self.alg.backend.one} if step is None else self._reduce_terms(step, k)
+            hit = {m: self.base.backend.one} if step is None else self._reduce_terms(step, k)
             memo[m] = hit
         return hit
 
@@ -369,12 +380,12 @@ class ReductionContext:
         """Cached canonical form of a single monomial as {monomial: coeff}."""
         return self._normal_form(m, len(self._relations))
 
-    def reduce_fast(self, f: NCPoly) -> NCPoly:
-        """Canonical representative of f modulo the ideal, via the monomial cache."""
+    def reduce(self, f: NCPoly) -> NCPoly:
+        """Canonical representative of f modulo the ideal, via the monomial memos."""
         for m in f.terms:
             if sum(m) > DEGREE_CAP:
                 raise DegreeOverflow(f"degree {sum(m)} exceeds reduction cap {DEGREE_CAP}")
-        return NCPoly(self.alg, self._reduce_terms(f.terms, len(self._relations)))
+        return NCPoly(self.base, self._reduce_terms(f.terms, len(self._relations)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,27 +26,16 @@ from .rmatrix import ConditionReport, DeformParams
 from .scalars import Backend, all_zero
 
 
-class SphereAlgebra:
-    __slots__ = ("base", "context", "params")
+def build_sphere(alg: Algebra, kind: str, params: DeformParams) -> ReductionContext:
+    """The seven-sphere, alg modulo x^2 = 1 ('seven_sphere', the one kind
+    there is), at the parameter point that built alg's exchange tensor.
 
-    def __init__(self, base: Algebra, context: ReductionContext, params: DeformParams):
-        self.base, self.context, self.params = base, context, params
-
-    def reduce(self, f: NCPoly) -> NCPoly:
-        return self.context.reduce_fast(f)
-
-
-def build_sphere(alg: Algebra, kind: str, params: DeformParams) -> SphereAlgebra:
-    """Quotient context for 'seven_sphere' (x^2 = 1), the one kind there is,
-    at the parameter point that built alg's exchange tensor.
-
-    Raises NotCentral if a relation element fails to commute with every
-    generator (possible for fault-injected exchange tensors).
+    Raises NotCentral if the casimir fails to commute with every generator
+    (possible for fault-injected exchange tensors).
     """
     if kind != "seven_sphere":
         raise InvalidSpec(f"unknown sphere kind {kind!r}")
-    ctx = ReductionContext(alg, [alg.casimir()])
-    return SphereAlgebra(alg, ctx, params)
+    return ReductionContext(alg, params).quotient(alg.casimir())
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +50,7 @@ def quaternion_generators(alg: Algebra):
     return x1, x2
 
 
-def build_projection(s: SphereAlgebra) -> Mat:
+def build_projection(s: ReductionContext) -> Mat:
     """p = |psi><psi| for psi = (x2, x1), as a 4x4 matrix over the algebra.
 
     Quaternion blocks x_i x_j^* are embedded into 2x2 complex blocks, so p
@@ -92,7 +81,7 @@ def lead_witness(key, f: NCPoly) -> str:
     return f"value {key}: {leading_term(f)}"
 
 
-def projection_checks(s: SphereAlgebra) -> list:
+def projection_checks(s: ReductionContext) -> list:
     """Hermiticity (exact), idempotency mod ideal, half-trace identity.
 
     A failing hermiticity or idempotency names the first entry (a, b), in
@@ -138,7 +127,7 @@ class YSystem:
         return quat_multiply(self.Y, ybar), quat_multiply(ybar, self.Y)
 
 
-def compute_Y(s: SphereAlgebra) -> YSystem:
+def compute_Y(s: ReductionContext) -> YSystem:
     """Coordinate functions and their star structure.
 
     Lambda is solved exactly from Y^{mu*} = Lambda^mu_nu Y^nu as an
@@ -214,7 +203,7 @@ def lambda_reports(alg: Algebra, ys: YSystem) -> list:
 # ---------------------------------------------------------------------------
 
 
-def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
+def verify_Y_relations(s: ReductionContext, ys: YSystem) -> list:
     """All defining identities of the two spheres, each as a ConditionReport.
 
     Lambda's own reports are not among them; lambda_reports gives those.
@@ -305,7 +294,7 @@ def verify_Y_relations(s: SphereAlgebra, ys: YSystem) -> list:
     return reports
 
 
-def check_normality(s: SphereAlgebra, ys: YSystem) -> dict:
+def check_normality(s: ReductionContext, ys: YSystem) -> dict:
     """Star-commutator census of the four coordinate functions.
 
     When the off-diagonal entries of Lambda vanish each Y^mu is a scalar
@@ -332,21 +321,18 @@ def check_normality(s: SphereAlgebra, ys: YSystem) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def three_sphere_context(s: SphereAlgebra, ys: YSystem) -> SphereAlgebra:
-    """Quotient by x^2 = 1 together with sum Y^{mu*} Y^mu = 1.
+def three_sphere_context(s: ReductionContext, ys: YSystem) -> ReductionContext:
+    """The seven-sphere s modulo sum Y^{mu*} Y^mu = 1 as well.
 
     The radius sum is central and homogeneous of degree 4; reduced modulo
     x^2 = 1 its lead is (x1_3)^4, coprime to the casimir's (x2_3)^2, so the
     same division applies.  The central coordinate Y4 becomes nilpotent
     (its square lies in the ideal) which realizes the equatorial sphere.
     """
-    alg = s.base
-    s_star_y = sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())
-    ctx = ReductionContext(alg, [alg.casimir(), s_star_y])
-    return SphereAlgebra(alg, ctx, s.params)
+    return s.quotient(sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), s.base.zero()))
 
 
-def suspension_reports(s3: SphereAlgebra, ys: YSystem) -> list:
+def suspension_reports(s3: ReductionContext, ys: YSystem) -> list:
     """Three-sphere radius in both orderings, and Y4^2 -> 0."""
     one = s3.base.one()
     be = s3.base.backend
@@ -359,7 +345,7 @@ def suspension_reports(s3: SphereAlgebra, ys: YSystem) -> list:
     ]
 
 
-def y0_flip_check(s: SphereAlgebra, ys: YSystem) -> ConditionReport:
+def y0_flip_check(s: ReductionContext, ys: YSystem) -> ConditionReport:
     """The flip Y0 -> -Y0 carries the commutation identities into the
     variant with the opposite sign on the 0-component terms.
 

@@ -16,7 +16,6 @@ from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 hopf_antipode, hopf_counit,
                                 hopf_delta, one_sided_left_coaction,
                                 span_contains)
-from ncspheres.errors import DegreeOverflow
 from ncspheres.ncalg import NCPoly, basis_monomials, span_solve
 from ncspheres.quatlin import epsilon
 from ncspheres.rmatrix import DeformParams
@@ -507,12 +506,6 @@ def test_coinvariants_match_y_span(pyth, diag):
     assert rep["dim_degree_2"] == 6
     assert rep["contains_y_span"] and rep["equals_y_span"]
     assert rep["delta_fixes_kernel"]
-
-
-def test_coinvariants_refuse_large_degrees(pyth):
-    _, alg, _, _ = pyth
-    with pytest.raises(DegreeOverflow):
-        coinvariants(alg, 5)
 
 
 def test_coinvariant_span_of_the_wrong_size_fails_the_report(

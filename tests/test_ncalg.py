@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncspheres import ncalg
 from ncspheres.coaction import CommPoly, MixedElement, span_contains
 from ncspheres.errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
 from ncspheres.ncalg import (Algebra, NCPoly, ReductionContext,
@@ -194,9 +195,9 @@ def test_single_generator_not_central(pyth):
 
 
 def test_reduction_context_rejects_noncentral():
-    _, alg, _, _ = make_point("3/5,4/5,0")
+    p, alg, _, _ = make_point("3/5,4/5,0")
     with pytest.raises(NotCentral):
-        ReductionContext(alg, [alg.x1(0) * alg.x1(0)])
+        ReductionContext(alg, p).quotient(alg.x1(0) * alg.x1(0))
 
 
 def test_reduction_kills_ideal_elements(pyth):
@@ -206,8 +207,8 @@ def test_reduction_kills_ideal_elements(pyth):
     rel = alg.casimir() - alg.one()
     for _ in range(20):
         cof = _random_poly(alg, rng, degree=2, terms=2)
-        assert s.context.reduce_fast(rel * cof).is_zero()
-        assert s.context.reduce_fast(cof * rel).is_zero()
+        assert s.reduce(rel * cof).is_zero()
+        assert s.reduce(cof * rel).is_zero()
 
 
 def test_reduce_is_idempotent_and_linear(pyth):
@@ -216,18 +217,18 @@ def test_reduce_is_idempotent_and_linear(pyth):
     for _ in range(10):
         f = _random_poly(alg, rng, degree=3)
         g = _random_poly(alg, rng, degree=3)
-        rf = s.context.reduce_fast(f)
-        assert (s.context.reduce_fast(rf) - rf).is_zero()
-        lhs = s.context.reduce_fast(f + g)
-        rhs = s.context.reduce_fast(f) + s.context.reduce_fast(g)
+        rf = s.reduce(f)
+        assert (s.reduce(rf) - rf).is_zero()
+        lhs = s.reduce(f + g)
+        rhs = s.reduce(f) + s.reduce(g)
         assert (lhs - rhs).is_zero()
 
 
 def test_reduction_subtracts_only_ideal_elements(pyth):
-    """f - reduce_fast(f) lies in the span of (x^2 - 1) m, deg m <= deg f - 2.
+    """f - reduce(f) lies in the span of (x^2 - 1) m, deg m <= deg f - 2.
 
     The span is built from products in the algebra alone, without the
-    reduction code, so it checks reduce_fast rather than its cache.  The
+    reduction code, so it checks reduce rather than its cache.  The
     x^2 factor in f makes sure that reduction has work to do.
     """
     _, alg, s, _ = pyth
@@ -235,8 +236,8 @@ def test_reduction_subtracts_only_ideal_elements(pyth):
     rel = alg.casimir() - alg.one()
     for _ in range(10):
         f = _random_poly(alg, rng) * alg.casimir() + _random_poly(alg, rng, degree=4)
-        rf = s.context.reduce_fast(f)
-        assert (s.context.reduce_fast(rf) - rf).is_zero()
+        rf = s.reduce(f)
+        assert (s.reduce(rf) - rf).is_zero()
         ideal = [rel * NCPoly(alg, {m: EXACT.one})
                  for k in range(max(map(sum, f.terms)) - 1)
                  for m in basis_monomials(k)]
@@ -245,12 +246,12 @@ def test_reduction_subtracts_only_ideal_elements(pyth):
 
 def test_degree_cap_enforced(pyth):
     p, alg, _, _ = pyth
-    ctx = ReductionContext(alg, [alg.casimir()])
+    ctx = ReductionContext(alg, p).quotient(alg.casimir())
     f = alg.one()
     for _ in range(13):
         f = f * alg.x1(1)
     with pytest.raises(DegreeOverflow):
-        ctx.reduce_fast(f)
+        ctx.reduce(f)
 
 
 class EchelonOracle:
@@ -341,7 +342,7 @@ def _sphere_relations(s, ys):
     alg = s.base
     s7 = [alg.casimir()]
     s3 = s7 + [sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())]
-    return [("S7", s.context, s7), ("S3", three_sphere_context(s, ys).context, s3)]
+    return [("S7", s, s7), ("S3", three_sphere_context(s, ys), s3)]
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -385,41 +386,75 @@ def test_normal_monomials_follow_the_leads(label, backend):
             assert (s3.reduce_mono(m) == {m: be.one}) == (m[7] <= 1 and m[3] <= 3), m
 
 
+def test_the_three_sphere_is_the_seven_sphere_modulo_one_more_relation(monkeypatch):
+    """quotient keeps the seven-sphere's relation and its memos by identity and
+    adds one relation: the radius sum is the only element checked for
+    centrality, so x^2 - 1 is neither checked nor reduced again."""
+    _, alg, s, ys = make_point("1/3,2/3,2/3")
+    checked = []
+    real = ncalg.central_witness
+    monkeypatch.setattr(ncalg, "central_witness", lambda a, f: checked.append(f) or real(a, f))
+    s3 = three_sphere_context(s, ys)
+    assert checked == [sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())]
+    assert (s3.base, s3.params) == (s.base, s.params)
+    assert len(s._relations) == 1 and len(s3._relations) == 2
+    assert s3._relations[0] is s._relations[0]
+    assert s3._memo[0] is s._memo[0] and s3._memo[1] is s._memo[1]
+
+
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_the_three_sphere_leaves_the_seven_spheres_normal_forms(be):
+    """Degree-4 polynomials, x1_3^4 among them (the three-sphere's lead), have
+    the same seven-sphere normal forms, term by term, before the three-sphere
+    is built, after it has reduced them too, and in a fresh seven-sphere."""
+    p, alg, s, ys = make_point("1/3,2/3,2/3", be)
+    rng = random.Random(29)
+    x13 = alg.x1(3)
+    polys = [_random_poly(alg, rng, degree=4, terms=4) for _ in range(12)]
+    polys += [x13 * x13 * x13 * x13, ys.Y4 * ys.Y4, alg.casimir() * alg.casimir()]
+    before = [s.reduce(f).terms for f in polys]
+    s3 = three_sphere_context(s, ys)
+    assert [s3.reduce(f).terms for f in polys] != before
+    fresh = ReductionContext(alg, p).quotient(alg.casimir())
+    assert [s.reduce(f).terms for f in polys] == before == [fresh.reduce(f).terms for f in polys]
+
+
 def test_degree_twelve_reduces_and_is_idempotent(pyth):
     """x2_3^12 divides down through long chains of lower monomials."""
-    _, alg, _, _ = pyth
-    ctx = ReductionContext(alg, [alg.casimir()])
+    p, alg, _, _ = pyth
+    ctx = ReductionContext(alg, p).quotient(alg.casimir())
     m = (0,) * 7 + (12,)
     nf = NCPoly(alg, ctx.reduce_mono(m))
     assert max(map(sum, nf.terms)) == 12 and m not in nf.terms
     assert all(n[7] <= 1 for n in nf.terms)
-    assert ctx.reduce_fast(nf) == nf
+    assert ctx.reduce(nf) == nf
 
 
 def test_relation_that_keeps_no_lead_is_rejected(pyth):
     """The casimir passed twice, or its square, adds nothing new: refused,
     never a normal form."""
-    _, alg, _, _ = pyth
+    _, alg, s, _ = pyth
     for again in (alg.casimir(), alg.casimir() * alg.casimir()):
         with pytest.raises(NotAGroebnerBasis, match="no lead"):
-            ReductionContext(alg, [alg.casimir(), again])
+            s.quotient(again)
 
 
 def test_leads_that_share_a_generator_are_rejected(classical):
     """At the commutative point every element is central; x1_0 x2_3 has a lead
     that shares x2_3 with the casimir's lead x2_3^2."""
-    _, alg, _, _ = classical
+    _, alg, s, _ = classical
     rel = alg.x1(0) * alg.x2(3)
     assert central_witness(alg, rel) is None
     with pytest.raises(NotAGroebnerBasis, match="share a generator"):
-        ReductionContext(alg, [alg.casimir(), rel])
+        s.quotient(rel)
 
 
 def test_product_with_a_wrong_lead_is_rejected():
     """Products whose lead coefficient is not 1 raise, never a normal form."""
     be = EXACT
-    alg = Algebra(build_R_quaternionic(DeformParams.parse("3/5,4/5,0"), be), be)
-    ctx = ReductionContext(alg, [alg.casimir()])
+    p = DeformParams.parse("3/5,4/5,0")
+    alg = Algebra(build_R_quaternionic(p, be), be)
+    ctx = ReductionContext(alg, p).quotient(alg.casimir())
     plain = alg.mono_mul
     alg.mono_mul = lambda m, n: {k: 2 * c for k, c in plain(m, n).items()}
     with pytest.raises(NotAGroebnerBasis, match="lead of the product"):

@@ -10,6 +10,7 @@ registry lacks, so a new check cannot land without a control.
 
 import ast
 import functools
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,14 +160,19 @@ def _y_system(change):
 
 
 def _y_relations(change):
-    """The Y system changed for the relation suite and the Y0 flip only: the
-    three-sphere quotient of a changed system would not be central."""
+    """The Y system changed for the relation suite and the Y0 flip only, so
+    that Lambda's reports, which read compute_Y's system, still pass."""
     def patch(mp):
         for name in ("verify_Y_relations", "y0_flip_check"):
             real = getattr(cli, name)
             mp.setattr(cli, name, lambda s, ys, real=real: real(s, change(s.base, ys)))
 
     return patch
+
+
+def _y0_plus_x1_0_x1_2(alg, ys):
+    return YSystem((ys.Y[0] + alg.x1(0) * alg.x1(2),) + ys.Y[1:], ys.Ystar, ys.Y4, ys.lam,
+                   ys.params)
 
 
 def _negate_lambda(a, b):
@@ -189,8 +195,7 @@ CONTROLS = {
         "conditions", lambda mp: mp.setattr(cli, "build_R_quaternionic", _off_by_a_seventh)),
     "p + E_00/3": ("sphere", _projection_plus(Fraction(1, 3))),
     "p + i E_01": ("sphere", _projection_plus(1j, 0, 1)),
-    "Y^0 + x1_0 x1_2": ("sphere", _y_relations(lambda alg, ys: YSystem(
-        (ys.Y[0] + alg.x1(0) * alg.x1(2),) + ys.Y[1:], ys.Ystar, ys.Y4, ys.lam, ys.params))),
+    "Y^0 + x1_0 x1_2": ("sphere", _y_relations(_y0_plus_x1_0_x1_2)),
     "Ystar[1] + x1_0 x1_2": ("sphere", _y_relations(_perturbed)),
     "Y4 + x1_0": ("sphere", _y_system(lambda alg, ys: YSystem(
         ys.Y, ys.Ystar, ys.Y4 + alg.x1(0), ys.lam, ys.params))),
@@ -290,6 +295,29 @@ def test_the_control_fails_the_report_and_names_its_witness(name):
     got, = (r for r in condition_reports(report) if r["name"] == name)
     assert got["passed"] is False and got["max_residual"] > 0
     assert got["witness"] == witness
+
+
+def test_no_sphere_control_ends_the_task_in_error():
+    for control, (task, _) in CONTROLS.items():
+        if task == "sphere":
+            assert "error" not in control_report(control)["tasks"]["sphere"], control
+
+
+def test_a_radius_sum_that_is_not_central_fails_its_report_and_keeps_the_others(
+        monkeypatch, tmp_path, capsys):
+    """Y^0 + x1_0 x1_2 in the whole Y system: the three-sphere cannot divide
+    by a radius sum that is not central, so its two suspension reports are
+    left out, and the task fails through radius_sums_central, not an error."""
+    _y_system(_y0_plus_x1_0_x1_2)(monkeypatch)
+    out = tmp_path / "out.json"
+    assert cli.main(["sphere", "--params", POINT, "--quiet", "--json", str(out)]) == 1
+    sphere = json.loads(out.read_text())["tasks"]["sphere"]
+    assert sphere["passed"] is False and "error" not in sphere
+    reports = {r["name"]: r for r in sphere["reports"]}
+    assert len(sphere["reports"]) == len(reports) == 22
+    assert not {"three_sphere_radius", "suspension_y4_squared"} & reports.keys()
+    assert reports["radius_sums_central"]["witness"] == \
+        "value 0: (0,32/27)*x1_1^2*x1_3^2*x2_2"
 
 
 # ---------------------------------------------------------------------------
