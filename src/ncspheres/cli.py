@@ -148,7 +148,7 @@ def _task_chern(spec: RunSpec, state: dict) -> dict:
     s, ys = state["sphere"], state["ys"]
     ctx, ctx3 = ChainContext(s), ChainContext(state["s3"])
     p = build_projection(s)
-    U = embed_M2(ys.Y, s.base.backend.i)
+    U = embed_M2(ys.Y, spec.backend().i)
     ch = {
         "ch0": chern_even(ctx, p, 0),
         "ch1": chern_even(ctx, p, 1),

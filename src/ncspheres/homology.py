@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .errors import DegreeZero, NotUnitaryEnough
-from .ncalg import NCPoly, ReductionContext, format_poly, mono_key
+from .ncalg import NCPoly, ReductionContext, commutators, format_poly, mono_key
 from .quatlin import Mat
 from .scalars import Sparse, add_into, all_zero, max_residual, row_reduce
 from .spheres import lambda_defects
@@ -378,21 +378,24 @@ def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:
 
 
 def unitarity_report(ctx: ChainContext, U: Mat) -> list:
-    """The entries of UU* - U*U and of UU* minus a multiple of 1, modulo the
-    context ideal: UU* = U*U is a multiple of 1 iff all of them are zero."""
+    """The entries of UU* - U*U and of UU* minus a multiple of 1, then the
+    commutators of that multiple, all modulo the context ideal: UU* = U*U is
+    a central multiple of 1 iff all of them are zero."""
     Ud = ctx.once(Mat.dagger, U)
     A, Bm, r = ctx.once(Mat.__matmul__, U, Ud), ctx.once(Mat.__matmul__, Ud, U), len(U.rows)
-    # UU* = U*U; off the diagonal UU* is 0, on it every entry equals the first
-    return [ctx.sphere.reduce(f) for a in range(r) for b in range(r)
+    reduce = ctx.sphere.reduce
+    # UU* = U*U; off the diagonal UU* is 0, on it every entry equals the central first
+    return [reduce(f) for a in range(r) for b in range(r)
             for f in (A.rows[a][b] - Bm.rows[a][b],
-                      A.rows[a][b] if a != b else A.rows[a][a] - A.rows[0][0])]
+                      A.rows[a][b] if a != b else A.rows[a][a] - A.rows[0][0])
+            ] + [reduce(f) for f in commutators(reduce(A.rows[0][0]))]
 
 
 def chern_odd(ctx: ChainContext, U: Mat, k: int) -> FactoredTrace:
     """ch_{k+1/2}(U) = <U x U* x ...> - <U* x U x ...>, words of length 2k+2.
 
     Raises NotUnitaryEnough unless UU* = U*U reduces to a central multiple
-    of the identity.
+    of the identity: every defect of unitarity_report is zero.
     """
     defects = unitarity_report(ctx, U)
     if not all_zero(ctx.backend, defects):

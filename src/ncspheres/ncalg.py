@@ -222,18 +222,13 @@ class NCPoly(Sparse):
         return f"NCPoly({format_poly(self)})"
 
 
-def central_witness(alg: Algebra, f: NCPoly):
-    """(generator id, commutator) for the first generator that f does not
-    commute with, or None.
+def commutators(f: NCPoly) -> list:
+    """[f, x_g] for the eight generators g = 0..7 of f's algebra, in order.
 
-    Generators generate, so commuting with all eight of them is sufficient
-    for centrality: f is central iff this returns None.
+    Generators generate, so f is central iff every one of these is zero.
     """
-    for g in range(NGEN):
-        comm = f.commutator(alg.generator(g))
-        if not comm.is_zero():
-            return g, comm
-    return None
+    alg = f.algebra
+    return [f.commutator(alg.generator(g)) for g in range(NGEN)]
 
 
 def span_solve(alg: Algebra, basis, targets) -> tuple:
@@ -314,11 +309,13 @@ class ReductionContext:
     def quotient(self, c: NCPoly) -> "ReductionContext":
         """This quotient modulo c - 1 as well.  The new context shares this
         one's relations and memos by identity: a later relation changes
-        neither the earlier relations nor the normal forms modulo them."""
+        neither the earlier relations nor the normal forms modulo them.
+        Raises NotCentral naming the first generator of commutators(c) that
+        is not zero, and ValueError unless c is homogeneous."""
         be = self.base.backend
-        wit = central_witness(self.base, c)
-        if wit is not None:
-            raise NotCentral(f"relation element not central, generator {wit[0]}")
+        r = ConditionReport.judge("central", be, commutators(c), lambda g, _: f"generator {g}")
+        if not r.passed:
+            raise NotCentral(f"relation element not central, {r.witness}")
         if len({sum(m) for m in c.terms}) != 1:
             raise ValueError("relation element must be homogeneous")
         g = self._reduce_terms({**c.terms, ZERO8: -be.one}, len(self._relations))

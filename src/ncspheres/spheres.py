@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidSpec
-from .ncalg import NGEN, Algebra, NCPoly, ReductionContext, leading_term, span_solve
+from .ncalg import Algebra, NCPoly, ReductionContext, commutators, leading_term, span_solve
 from .quatlin import Mat, embed_M2, epsilon, quat_conjugate, quat_multiply
 from .rmatrix import ConditionReport, DeformParams
 from .scalars import Backend, all_zero
@@ -209,21 +209,17 @@ def verify_Y_relations(s: ReductionContext, ys: YSystem) -> list:
     Lambda's own reports are not among them; lambda_reports gives those.
 
     Identities that hold in the quadratic algebra itself (the star forms,
-    the commutation relations) are checked without any quotient; only the
-    radius conditions use the sphere ideal.
+    the commutation relations, centrality) are checked without any quotient;
+    only the radius conditions use the sphere ideal.  Centrality is judged
+    on ncalg.commutators, the test that quotient puts to its relations.
     """
     alg = s.base
     be = alg.backend
     one = alg.one()
-    gens = [alg.generator(g) for g in range(NGEN)]
     reports = []
 
     def rep(name, values, label=lead_witness):
         reports.append(ConditionReport.judge(name, be, values, label))
-
-    def commutators(f):
-        """f commutes with every generator iff all of these are zero."""
-        return [f.commutator(g) for g in gens]
 
     x1, x2 = quaternion_generators(alg)
 

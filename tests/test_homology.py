@@ -131,6 +131,12 @@ def test_trace_of_one_matrix_is_its_diagonal_sum(chain_ctx):
         chain_ctx, [A.rows[0][0] + A.rows[1][1] + A.rows[2][2]])
 
 
+def test_trace_chain_refuses_matrices_of_different_sizes(chain_ctx):
+    one = chain_ctx.alg.one()
+    with pytest.raises(ValueError, match="matrix sizes differ"):
+        trace_chain(chain_ctx, [Mat([[one]]), Mat([[one, one], [one, one]])])
+
+
 def test_b_of_trace_contracts_matrix_products(chain_ctx):
     """b<A x B x C> = <AB x C> - <A x BC> + <CA x B>."""
     alg = chain_ctx.alg
@@ -287,6 +293,14 @@ def test_chern_odd_rejects_triangular_matrix(pyth, chain_ctx):
     U = Mat([[alg.x1(0), alg.x2(0)], [alg.zero(), alg.x1(0)]])
     with pytest.raises(NotUnitaryEnough):
         chern_odd(chain_ctx, U, 0)
+
+
+def test_chern_odd_requires_a_central_multiple_of_one(pyth, chain_ctx3):
+    """U = (x1_0) has UU* = U*U = x1_0^2, a multiple of the 1x1 identity
+    that is not central on the three-sphere: refused."""
+    _, alg, _, _ = pyth
+    with pytest.raises(NotUnitaryEnough):
+        chern_odd(chain_ctx3, Mat([[alg.x1(0)]]), 0)
 
 
 def test_chern_odd_unit_requirement_is_stricter(pyth, chain_ctx):

@@ -12,7 +12,7 @@ from ncspheres import ncalg
 from ncspheres.coaction import CommPoly, MixedElement, span_contains
 from ncspheres.errors import DegreeOverflow, NotAGroebnerBasis, NotCentral
 from ncspheres.ncalg import (Algebra, NCPoly, ReductionContext,
-                             basis_monomials, basis_size, central_witness,
+                             basis_monomials, basis_size, commutators,
                              confluence_check, format_poly, mono_key,
                              mono_word)
 from ncspheres.rmatrix import DeformParams, build_R_quaternionic
@@ -174,6 +174,13 @@ def test_star_is_an_antihomomorphism(pyth):
         assert (f.star().star() - f).is_zero()
 
 
+def test_generator_ids_outside_0_to_7_are_refused(pyth):
+    _, alg, _, _ = pyth
+    for g in (8, -1):
+        with pytest.raises(ValueError, match=f"generator id {g} out of range"):
+            alg.generator(g)
+
+
 def test_generators_are_hermitian(pyth):
     _, alg, _, _ = pyth
     for g in range(8):
@@ -184,20 +191,31 @@ def test_generators_are_hermitian(pyth):
 def test_casimirs_are_central(pyth, mixed, classical):
     for point in (pyth, mixed, classical):
         _, alg, _, _ = point
-        assert central_witness(alg, alg.casimir()) is None
-        assert central_witness(alg, alg.family_casimir(1)) is None
-        assert central_witness(alg, alg.family_casimir(2)) is None
+        for f in (alg.casimir(), alg.family_casimir(1), alg.family_casimir(2)):
+            assert all(x.is_zero() for x in commutators(f))
 
 
 def test_single_generator_not_central(pyth):
     _, alg, _, _ = pyth
-    assert central_witness(alg, alg.x1(0)) is not None
+    assert not all(x.is_zero() for x in commutators(alg.x1(0)))
 
 
-def test_reduction_context_rejects_noncentral():
-    p, alg, _, _ = make_point("3/5,4/5,0")
-    with pytest.raises(NotCentral):
+def test_reduction_context_rejects_noncentral(pyth):
+    """The message names the first generator that the relation does not
+    commute with, on the algebra and on the seven-sphere alike."""
+    p, alg, s, ys = pyth
+    with pytest.raises(NotCentral, match="^relation element not central, generator 4$"):
         ReductionContext(alg, p).quotient(alg.x1(0) * alg.x1(0))
+    with pytest.raises(NotCentral, match="^relation element not central, generator 0$"):
+        s.quotient(ys.Y[0] * ys.Y[0])
+
+
+def test_reduction_context_rejects_a_relation_that_is_not_homogeneous(pyth):
+    """c + c*c is central, c the casimir, but has degrees 2 and 4."""
+    p, alg, _, _ = pyth
+    c = alg.casimir()
+    with pytest.raises(ValueError, match="relation element must be homogeneous"):
+        ReductionContext(alg, p).quotient(c + c * c)
 
 
 def test_reduction_kills_ideal_elements(pyth):
@@ -392,8 +410,8 @@ def test_the_three_sphere_is_the_seven_sphere_modulo_one_more_relation(monkeypat
     centrality, so x^2 - 1 is neither checked nor reduced again."""
     _, alg, s, ys = make_point("1/3,2/3,2/3")
     checked = []
-    real = ncalg.central_witness
-    monkeypatch.setattr(ncalg, "central_witness", lambda a, f: checked.append(f) or real(a, f))
+    real = ncalg.commutators
+    monkeypatch.setattr(ncalg, "commutators", lambda f: checked.append(f) or real(f))
     s3 = three_sphere_context(s, ys)
     assert checked == [sum((ys.Ystar[m] * ys.Y[m] for m in range(4)), alg.zero())]
     assert (s3.base, s3.params) == (s.base, s.params)
@@ -444,7 +462,7 @@ def test_leads_that_share_a_generator_are_rejected(classical):
     that shares x2_3 with the casimir's lead x2_3^2."""
     _, alg, s, _ = classical
     rel = alg.x1(0) * alg.x2(3)
-    assert central_witness(alg, rel) is None
+    assert all(x.is_zero() for x in commutators(rel))
     with pytest.raises(NotAGroebnerBasis, match="share a generator"):
         s.quotient(rel)
 

@@ -7,7 +7,9 @@ own body.  Dunder methods are exempt, since the language calls them.  A
 definition that only tests reach fails here: delete it, or give the
 verifier a use for it.  An import counts as referenced when the name it
 binds appears as a ``Name`` in the module that imports it; ``from
-__future__ import annotations`` binds no name and is exempt.
+__future__ import annotations`` binds no name and is exempt.  Every
+parameter of a function, method or lambda is read in its body; ``self``,
+``cls`` and names that start with ``_`` are exempt.
 """
 
 import ast
@@ -70,3 +72,26 @@ def unused_imports() -> list:
 
 def test_every_module_level_import_is_referenced_in_its_module():
     assert unused_imports() == []
+
+
+def unused_parameters() -> list:
+    """module:line name for each parameter of a package function, method or
+    lambda that its body never reads."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unused.extend(f"{path.stem}:{node.lineno} {p.arg}" for p in params
+                          if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+                          and p.arg not in read)
+    return unused
+
+
+def test_every_parameter_is_read_in_its_body():
+    assert unused_parameters() == []
