@@ -16,8 +16,8 @@ import time
 
 from . import __version__
 from .errors import InvalidSpec, NCSpheresError
-from .homology import (B_boundary, ChainContext, FactoredTrace, b_boundary, chern_even,
-                       chern_even_word, chern_odd, check_vanzz_equivalence)
+from .homology import (B_boundary, ChainContext, b_boundary, chern_even, chern_odd,
+                       check_vanzz_equivalence)
 from .ncalg import DEGREE_CAP, Algebra, basis_size, confluence_check
 from .quatlin import embed_M2
 from .rmatrix import DeformParams, build_R_quaternionic, check_all_conditions
@@ -152,7 +152,7 @@ def _task_chern(spec: RunSpec, state: dict) -> dict:
     ch = {
         "ch0": chern_even(ctx, p, 0),
         "ch1": chern_even(ctx, p, 1),
-        "ch2": FactoredTrace(ctx, [(1, chern_even_word(ctx, p, 2))]),  # never expanded
+        "ch2": chern_even(ctx, p, 2),
         "ch_half": chern_odd(ctx3, U, 0),
         "ch_3half": chern_odd(ctx3, U, 1),
     }

@@ -26,7 +26,7 @@ cancel at 3/5,4/5,0).  The prune keeps every digest: an exact zero adds nothing 
 on floats, at the catalog points, the pruned ch2 and ch_3half entries are
 exactly 0, and the faces' pruned entries (<= 5e-16) feed only b ch2, whose terms
 cancel either way.  A FactoredTrace is a signed sum of such traces, one per word;
-ch2 and the odd components stay factored and are never built.  One walk of all
+every Chern component is one, built by FactoredTrace alone.  One walk of all
 the words builds their tree of key prefixes, each with a row of last-slot terms,
 and each distinct subtree once, keyed by its live (factor suffix, weight, word):
 163 serve ch2's 47 910 walk nodes at 3/5,4/5,0, 289 its 98 304 leaves at
@@ -34,6 +34,7 @@ and each distinct subtree once, keyed by its live (factor suffix, weight, word):
 differ.  A FactoredTrace builds this tree once and is a TensorChain whose terms are
 its leaves; its digest encodes each distinct node at slot n-1 once.  As the trace
 map is a chain map, b of it is its faces' tree; b of a TensorChain reads its terms.
+b is linear, so b of a zero chain is zero.
 """
 
 from __future__ import annotations
@@ -178,12 +179,15 @@ def chain_from_slots(ctx: ChainContext, slots) -> TensorChain:
 
 
 def b_boundary(chain) -> TensorChain:
-    """Hochschild boundary; lowers degree by one.  A FactoredTrace's is read off
-    the tree of all its words' signed faces, a TensorChain's off its terms."""
+    """Hochschild boundary, lowering degree by one: zero on a zero chain, before any
+    face or term is read; else read off the tree of a FactoredTrace's signed faces,
+    or off a TensorChain's terms."""
     n = chain.degree
     if n < 1:
         raise DegreeZero("b is undefined on degree-0 chains")
     ctx = chain.ctx
+    if chain.is_zero():
+        return TensorChain(ctx, n - 1)
     if isinstance(chain, FactoredTrace):
         return TensorChain(ctx, n - 1, _leaves(expand_factored(
             ctx, [(sign, _faces(ctx, mats)) for sign, mats, _ in chain.words]), n - 1))
@@ -367,14 +371,9 @@ def _minus_half(p: Mat) -> Mat:
                 for a, row in enumerate(p.rows)])
 
 
-def chern_even_word(ctx: ChainContext, p: Mat, k: int) -> list:
-    """The matrix word (p - 1/2) x p^{x 2k} whose trace is ch_k(p), p - 1/2 once per ctx."""
-    return [ctx.once(_minus_half, p)] + [p] * (2 * k)
-
-
-def chern_even(ctx: ChainContext, p: Mat, k: int) -> TensorChain:
-    """ch_k(p) = <(p - 1/2) x p^{x 2k}>, a degree-2k chain."""
-    return trace_chain(ctx, chern_even_word(ctx, p, k))
+def chern_even(ctx: ChainContext, p: Mat, k: int) -> FactoredTrace:
+    """ch_k(p) = <(p - 1/2) x p^{x 2k}> of degree 2k, p - 1/2 formed once per ctx."""
+    return FactoredTrace(ctx, [(1, [ctx.once(_minus_half, p)] + [p] * (2 * k))])
 
 
 def unitarity_report(ctx: ChainContext, U: Mat) -> list:

@@ -21,9 +21,8 @@ from ncspheres.coaction import (canonical_witness, check_comodule_algebra,
                                 coinvariant_report, derivation,
                                 derivation_reports, diagonal_coaction,
                                 one_sided_left_coaction)
-from ncspheres.homology import (B_boundary, ChainContext, FactoredTrace,
-                                TensorChain, b_boundary, chain_from_slots,
-                                chern_even, chern_even_word, chern_odd)
+from ncspheres.homology import (B_boundary, ChainContext, TensorChain,
+                                b_boundary, chain_from_slots, chern_even, chern_odd)
 from ncspheres.ncalg import basis_size, commutators, confluence_check
 from ncspheres.quatlin import embed_M2
 from ncspheres.rmatrix import (DeformParams, build_R_quaternionic,
@@ -157,10 +156,10 @@ def test_c6_homology_suite_at_main_point(catalog):
     ch2 = chern_even(ctx, p_mat, 2)
     assert ch0.is_zero() and ch1.is_zero()
     assert not ch2.is_zero()
-    b_ch2 = b_boundary(ch2)
+    b_ch2 = b_boundary(TensorChain(ctx, 4, ch2.terms))
     assert b_ch2.is_zero()
-    # the report's route, through the matrix faces, against b on ch2 itself
-    assert b_boundary(FactoredTrace(ctx, [(1, chern_even_word(ctx, p_mat, 2))])) == b_ch2
+    # the report's route, through the matrix faces, against b on ch2's terms
+    assert b_boundary(ch2) == b_ch2
     d2 = ch2.digest()
     assert (d2["n_terms"], d2["sha256"]) == CH2_DIGEST
     ctx3 = ChainContext(three_sphere_context(s, ys))

@@ -286,22 +286,26 @@ def test_non_idempotent_projection_fails_the_b_ch2_closure(
         jsonschema.validate(report, _schema())
 
 
+def _e00(s):
+    """A build_projection that returns the constant idempotent E_00."""
+    return Mat([[s.base.one() if a == b == 0 else s.base.zero() for b in range(4)]
+                for a in range(4)])
+
+
+def _unitary_one(Y, i):
+    """An embed_M2 that returns the constant unitary 1."""
+    alg = Y[0].algebra
+    return Mat([[alg.one() if a == b else alg.zero() for b in range(2)] for a in range(2)])
+
+
 def test_constant_projection_and_unitary_fail_the_nonzero_verdicts(
         monkeypatch, tmp_path, capsys):
     """Negative controls for ch2 != 0 and ch_3half != 0: the constant
     idempotent E_00 and the constant unitary 1 have no component of degree
     >= 1 in normalized chains, so both verdicts are false, each with a
     witness that says its chain is empty, and chern exits 1."""
-    def e00(s):
-        return Mat([[s.base.one() if a == b == 0 else s.base.zero() for b in range(4)]
-                    for a in range(4)])
-
-    def identity(Y, i):
-        alg = Y[0].algebra
-        return Mat([[alg.one() if a == b else alg.zero() for b in range(2)] for a in range(2)])
-
-    monkeypatch.setattr(cli, "build_projection", e00)
-    monkeypatch.setattr(cli, "embed_M2", identity)
+    monkeypatch.setattr(cli, "build_projection", _e00)
+    monkeypatch.setattr(cli, "embed_M2", _unitary_one)
     out = tmp_path / "chern.json"
     assert main(["chern", "--quiet", "--json", str(out)]) == 1
     capsys.readouterr()

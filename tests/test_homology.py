@@ -14,8 +14,7 @@ from ncspheres.cli import CATALOG, RunSpec, run
 from ncspheres.errors import DegreeZero, NotUnitaryEnough
 from ncspheres.homology import (UNIT_ID, B_boundary, ChainContext, FactoredTrace,
                                 TensorChain, b_boundary, canonical_rows,
-                                chain_from_slots, chern_even, chern_even_word,
-                                chern_odd, check_vanzz_equivalence,
+                                chain_from_slots, chern_even, chern_odd, check_vanzz_equivalence,
                                 expand_factored, trace_chain)
 from ncspheres.quatlin import Mat, embed_M2
 from ncspheres.rmatrix import DeformParams
@@ -176,11 +175,11 @@ def test_non_idempotent_projection_is_not_a_cycle(point, request):
     p = build_projection(s)
     rows = [list(r) for r in p.rows]
     rows[0][1] = rows[0][1] + alg.generator(2) * alg.generator(5)
-    word = chern_even_word(ctx, Mat(rows), 1)
-    faces = b_boundary(FactoredTrace(ctx, [(1, word)]))
+    ch1 = chern_even(ctx, Mat(rows), 1)
+    faces = b_boundary(ch1)
     assert not faces.is_zero()
-    assert faces == b_boundary(trace_chain(ctx, word))
-    assert b_boundary(FactoredTrace(ctx, [(1, chern_even_word(ctx, p, 1))])).is_zero()
+    assert faces == b_boundary(trace_chain(ctx, ch1.words[0][1]))
+    assert b_boundary(chern_even(ctx, p, 1)).is_zero()
 
 
 def test_trace_invariant_under_constant_conjugation(chain_ctx):
@@ -209,6 +208,45 @@ def test_low_chern_components_vanish(pyth, chain_ctx, chain_ctx3):
     assert chern_odd(chain_ctx3, U, 0).is_zero()
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_b_of_a_zero_chain_is_zero_without_forming_a_face(backend, monkeypatch):
+    """b is linear: the zero factored trace of [p - 1/2, p, p] at 3/5,4/5,0
+    has the zero b of degree 1, formed before any matrix face."""
+    _, alg, s, _ = make_point("3/5,4/5,0", backend)
+    ctx, p = ChainContext(s), build_projection(s)
+    half = alg.scalar(Fraction(1, 2))
+    q = Mat([[f - half if a == b else f for b, f in enumerate(row)]
+             for a, row in enumerate(p.rows)])
+    ch1 = FactoredTrace(ctx, [(1, [q, p, p])])
+    assert ch1.is_zero()
+
+    def no_faces(ctx, mats):
+        raise AssertionError("b formed the faces of a zero chain")
+
+    monkeypatch.setattr(homology, "_faces", no_faces)
+    got = b_boundary(ch1)
+    assert got.degree == 1 and got.is_zero()
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_factored_even_components_read_as_their_expansions(label, backend):
+    """Under p + E_00/3, which makes ch0 and ch1 nonzero, the factored
+    chern_even has the digest, size and first term of trace_chain of its word."""
+    _, alg, s, _ = make_point(label, backend)
+    ctx = ChainContext(s)
+    rows = [list(r) for r in build_projection(s).rows]
+    rows[0][0] = rows[0][0] + alg.scalar(Fraction(1, 3))
+    p = Mat(rows)
+    for k in (0, 1):
+        got = chern_even(ctx, p, k)
+        want = trace_chain(ctx, got.words[0][1])
+        assert isinstance(got, FactoredTrace) and not want.is_zero()
+        assert got.digest() == want.digest(), k
+        assert got.n_terms() == want.n_terms(), k
+        assert got.first_term() == want.first_term(), k
+
+
 def test_chern_scale_factor_does_not_change_verdict(pyth, chain_ctx):
     _, _, s, _ = pyth
     p = build_projection(s)
@@ -222,7 +260,7 @@ def test_chern_scale_factor_does_not_change_verdict(pyth, chain_ctx):
 def test_half_shift_subtracts_half_on_diagonal(pyth, chain_ctx):
     _, alg, s, _ = pyth
     p = build_projection(s)
-    q = chern_even_word(chain_ctx, p, 0)[0]
+    q = chern_even(chain_ctx, p, 0).words[0][1][0]
     half = alg.scalar(Fraction(1, 2))
     for a in range(4):
         for b in range(4):
@@ -234,7 +272,7 @@ def test_the_even_words_share_one_shifted_projection(pyth, chain_ctx):
     """ch0, ch1 and ch2 start with the one p - 1/2 of the context, so it is
     factored once."""
     p = build_projection(pyth[2])
-    first = [chern_even_word(chain_ctx, p, k)[0] for k in range(3)]
+    first = [chern_even(chain_ctx, p, k).words[0][1][0] for k in range(3)]
     assert first[0] is first[1] is first[2]
 
 
@@ -397,7 +435,7 @@ def _oracle_words(ctx, rng):
     return words + [
         ("dependent entries, one object thrice", [dependent] * 3),
         ("units and zeros", [units, rand(2, 2), units, units, rand(2, 2)]),
-        ("p + E_00/3", chern_even_word(ctx, Mat(rows), 1)),
+        ("p + E_00/3", chern_even(ctx, Mat(rows), 1).words[0][1]),
     ]
 
 
@@ -440,7 +478,7 @@ def test_trace_expands_only_the_surviving_entries_of_c(label, backend, n_terms):
     1 565 952 at 1/3,2/3,2/3."""
     _, _, s, _ = make_point(label, backend)
     ctx = ChainContext(s)
-    pure = FactoredTrace(ctx, [(1, chern_even_word(ctx, build_projection(s), 2))]).words[0][2]
+    pure = chern_even(ctx, build_projection(s), 2).words[0][2]
     assert pure and not any(ctx.backend.is_zero(v) for _, v in pure)
     terms = [(prefix + (mid,), v)
              for prefix, row in canonical_rows(expand_factored(ctx, [(1, pure)]), 4)
@@ -527,7 +565,6 @@ def test_ch2_builds_each_distinct_subtree_once(backend, monkeypatch):
     tree's leaves are the pure tensors' expanded terms, printed alike."""
     _, _, s, _ = make_point("3/5,4/5,0", backend)
     ctx = ChainContext(s)
-    word = chern_even_word(ctx, build_projection(s), 2)
     builds, real = {}, homology._subtree
 
     def counting(walk, pos, live):
@@ -535,7 +572,7 @@ def test_ch2_builds_each_distinct_subtree_once(backend, monkeypatch):
         return real(walk, pos, live)
 
     monkeypatch.setattr(homology, "_subtree", counting)
-    trace = FactoredTrace(ctx, [(1, word)])
+    trace = chern_even(ctx, build_projection(s), 2)
     assert builds == {0: 1, 1: 9, 2: 35, 3: 64, 4: 54}
 
     def walk_nodes(node, depth):
@@ -610,7 +647,7 @@ def test_streamed_digest_equals_the_digest_of_the_expanded_chain(label, backend)
     ctx, ctx3 = ChainContext(s), ChainContext(three_sphere_context(s, ys))
     p, U = build_projection(s), embed_M2(ys.Y, backend.i)
     Ud = U.dagger()
-    words = [(ctx, chern_even_word(ctx, p, k)) for k in range(3)]
+    words = [(ctx, chern_even(ctx, p, k).words[0][1]) for k in range(3)]
     words += [(ctx3, w) for w in ([U, Ud], [Ud, U], [U, Ud] * 2, [Ud, U] * 2)]
     sizes = []
     for c, word in words:

@@ -6,6 +6,8 @@ control is a builder patched as the other test modules patch it, run
 through ``cli.run`` at ``POINT``; it must fail the run and the report.  The
 coverage test walks a passing full report and fails on any report that the
 registry lacks, so a new check cannot land without a control.
+``CHERN_REGISTRY`` does the same for the eight ``vanishing`` and
+``closures`` verdicts of the chern task, with the controls of test_cli.
 """
 
 import ast
@@ -23,7 +25,7 @@ from ncspheres.rmatrix import ConditionReport, DeformParams, build_R_quaternioni
 from ncspheres.scalars import EXACT, FLOAT, max_residual
 from ncspheres.spheres import YSystem, lead_witness
 
-from test_cli import _off_by_a_seventh, _plus_entry
+from test_cli import BROKEN_ODD, _e00, _off_by_a_seventh, _plus_entry, _unitary_one
 from test_coaction import HOPF_FAULTS
 from test_spheres import _perturbed
 
@@ -276,8 +278,15 @@ def control_report(control: str) -> dict:
     return report
 
 
-def test_the_registry_names_every_report_of_a_full_report():
+@functools.cache
+def full_report() -> dict:
+    """The passing run report of every task at POINT, exact."""
     report, _ = run(RunSpec(params=DeformParams.parse(POINT), tasks=TASKS))
+    return report
+
+
+def test_the_registry_names_every_report_of_a_full_report():
+    report = full_report()
     assert report["passed"]
     reports = condition_reports(report)
     names = [r["name"] for r in reports]
@@ -295,6 +304,71 @@ def test_the_control_fails_the_report_and_names_its_witness(name):
     got, = (r for r in condition_reports(report) if r["name"] == name)
     assert got["passed"] is False and got["max_residual"] > 0
     assert got["witness"] == witness
+
+
+# ---------------------------------------------------------------------------
+# the Chern verdicts: one negative control and witness each
+# ---------------------------------------------------------------------------
+
+
+def _chern_odd_words(verdict):
+    """A chern_odd that returns test_cli's broken odd words for one verdict."""
+    return lambda mp: mp.setattr(cli, "chern_odd", lambda ctx, U, k: homology.FactoredTrace(
+        ctx, BROKEN_ODD[verdict](U, U.dagger(), k)))
+
+
+def _constant_e00_and_one(mp):
+    mp.setattr(cli, "build_projection", _e00)
+    mp.setattr(cli, "embed_M2", _unitary_one)
+
+
+# control -> patch; run once each through the chern task, at POINT on the exact backend
+CHERN_CONTROLS = {
+    "p + E_00/3": lambda mp: mp.setattr(
+        cli, "build_projection", _plus_entry(cli.build_projection, Fraction(1, 3))),
+    "constant E_00 and unitary 1": _constant_e00_and_one,
+    "odd words of one sign": _chern_odd_words("ch_half_zero"),
+    "second odd word U x U x U* x U*": _chern_odd_words("b_ch32_zero"),
+}
+
+P_E00, EMPTY = "p + E_00/3", "the chain has no terms"
+CHERN_REGISTRY = {  # vanishing or closures verdict -> (control, witness)
+    "ch0_zero": (P_E00, "(1/3,0)"),
+    "ch_half_zero": ("odd words of one sign", "(16/3,-32/3)*x1_0*x2_0 (x) (1,0)*x1_0*x2_0"),
+    "ch1_zero": (P_E00, "(1/3,0) (x) (1,0)*x1_0^2 (x) (1,0)*x1_0^2"),
+    "ch2_nonzero": ("constant E_00 and unitary 1", EMPTY),
+    "ch_3half_nonzero": ("constant E_00 and unitary 1", EMPTY),
+    "b_ch2_zero": (P_E00, "(-1/3,0) (x) (1,0)*x1_0^2 (x) (1,0)*x1_0^2 (x) (1,0)*x1_0^2"),
+    "b_ch32_zero": ("second odd word U x U x U* x U*",
+                    "(64/9,-224/27) (x) (1,0)*x1_0*x2_0 (x) (1,0)*x1_0*x2_0"),
+    "B_ch0_equals_b_ch1": (P_E00, "(1/3,0) (x) (1,0)*x1_0^2"),
+}
+
+
+@functools.cache
+def chern_control_task(control: str) -> dict:
+    """The chern task of one Chern control's run report."""
+    with pytest.MonkeyPatch.context() as mp:
+        CHERN_CONTROLS[control](mp)
+        report, _ = run(RunSpec(params=DeformParams.parse(POINT), tasks=("chern",)))
+    return report["tasks"]["chern"]
+
+
+def test_the_chern_registry_names_every_verdict_of_a_full_report():
+    chern = full_report()["tasks"]["chern"]
+    verdicts = {**chern["vanishing"], **chern["closures"]}
+    assert all(verdicts.values()) and "witnesses" not in chern
+    assert verdicts.keys() == CHERN_REGISTRY.keys()
+    assert {control for control, _ in CHERN_REGISTRY.values()} == set(CHERN_CONTROLS)
+
+
+@pytest.mark.parametrize("name", list(CHERN_REGISTRY))
+def test_the_chern_control_fails_the_verdict_and_names_its_witness(name):
+    control, witness = CHERN_REGISTRY[name]
+    chern = chern_control_task(control)
+    assert chern["passed"] is False
+    assert {**chern["vanishing"], **chern["closures"]}[name] is False
+    assert chern["witnesses"][name] == witness
 
 
 def test_no_sphere_control_ends_the_task_in_error():
