@@ -15,9 +15,9 @@ The mutations: swap + and -, * becomes +, flip == and !=, < and <=, > and >=,
 `and` and `or`, and raise an int constant 0..4 by one.  Run by hand, stdlib
 only, not part of tier-1:
 
-    python tests/mutants.py [--seed 11] [--sample 500] [--timeout 20]
+    python tests/mutants.py [--sample 500]
 
-The sample is the --sample sites whose sha256 of (seed, module, line text,
+The sample is the --sample sites whose sha256 of (SEED, module, line text,
 mutation, occurrence) is smallest, so an edit re-draws only the sites on the
 lines it changes, and two versions of the code compare mutant by mutant.  It
 prints the three counts and every survivor (same or changed bytes) as
@@ -38,6 +38,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = ("cli", "coaction", "homology", "ncalg", "quatlin", "rmatrix", "scalars", "spheres")
 REPORTS = (("exact", "1/3,2/3,2/3"), ("exact", "3/5,4/5,0"), ("float", "3/5,4/5,0"))
+SEED = 11
+TIMEOUT = 20.0  # seconds per report
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
         ast.GtE: ast.Gt, ast.And: ast.Or, ast.Or: ast.And}
@@ -74,9 +76,9 @@ def mutant_source(module: str, k: int) -> str:
     return ast.unparse(tree)
 
 
-def run_reports(src: Path, work: Path, timeout: float):
+def run_reports(src: Path, work: Path):
     """The report bytes in REPORTS' order, or None at the first that a verdict,
-    a crash or the timeout kills."""
+    a crash or TIMEOUT kills."""
     out, got = work / "out.json", []
     for backend, params in REPORTS:
         out.unlink(missing_ok=True)
@@ -84,7 +86,7 @@ def run_reports(src: Path, work: Path, timeout: float):
             code = subprocess.run(
                 [sys.executable, "-B", "-m", "ncspheres.cli", "report", "--backend", backend,
                  "--params", params, "--quiet", "--json", str(out)],
-                cwd=work, env={**os.environ, "PYTHONPATH": str(src)}, timeout=timeout,
+                cwd=work, env={**os.environ, "PYTHONPATH": str(src)}, timeout=TIMEOUT,
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
         except subprocess.TimeoutExpired:
             return None
@@ -96,16 +98,14 @@ def run_reports(src: Path, work: Path, timeout: float):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--sample", type=int, default=500)
-    ap.add_argument("--timeout", type=float, default=20.0, help="seconds per report")
     args = ap.parse_args(argv)
     every = []
     for m in MODULES:
         source, seen = (SRC / "ncspheres" / f"{m}.py").read_text(), {}
         lines = source.splitlines()
         for k, (line, what, _) in enumerate(sites(ast.parse(source))):
-            tag = f"{args.seed}|{m}|{lines[line - 1].strip()}|{what}"
+            tag = f"{SEED}|{m}|{lines[line - 1].strip()}|{what}"
             seen[tag] = seen.get(tag, 0) + 1
             key = hashlib.sha256(f"{tag}|{seen[tag]}".encode()).digest()
             every.append((key, m, k, line, what))
@@ -116,14 +116,14 @@ def main(argv=None) -> int:
         src, work = Path(tmp) / "src", Path(tmp) / "work"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
         work.mkdir()
-        want = run_reports(src, work, args.timeout)
+        want = run_reports(src, work)
         if want is None:
             print("the unmutated copy fails a report", file=sys.stderr)
             return 2
         for n, (module, k, line, what) in enumerate(chosen, 1):
             path = src / "ncspheres" / f"{module}.py"
             path.write_text(mutant_source(module, k))
-            got = run_reports(src, work, args.timeout)
+            got = run_reports(src, work)
             shutil.copyfile(SRC / "ncspheres" / f"{module}.py", path)
             if got is None:
                 killed += 1
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
             if n % 50 == 0:
                 print(f"[{n}/{len(chosen)}] {time.monotonic() - start:.0f} s", file=sys.stderr)
     total = len(chosen)
-    print(f"mutants: {total} of {len(every)} sites (seed {args.seed}); reports: "
+    print(f"mutants: {total} of {len(every)} sites (seed {SEED}); reports: "
           + ", ".join(f"{b} {p}" for b, p in REPORTS))
     print(f"killed: {killed} ({100 * killed / max(total, 1):.1f} %)")
     print(f"same bytes: {len(same)}")
