@@ -207,7 +207,9 @@ def _hopf_axiom_defects(be: Backend) -> tuple:
                 add_into(sl, tuple(map(operator.add, k, m2)), c * d)
             for k, d in s2.terms.items():
                 add_into(sr, tuple(map(operator.add, m1, k)), c * d)
-        left, right, lc, rc, sl, sr = (CommPoly(be, t) for t in sides)
+        # only the antipode keys add exponents (making w3^2): the others join reduced blocks
+        left, right, lc, rc = (f._new(t) for t in sides[:4])
+        sl, sr = (CommPoly(be, t) for t in sides[4:])
         target = CommPoly(be, {H_ONE: eps})
         coassoc.append((f"{name}: (Delta x id) Delta != (id x Delta) Delta", left - right))
         counit += [(f"{name}: (eps x id) Delta != id", lc - f),
@@ -474,28 +476,29 @@ def derivation_reports(s: ReductionContext, ys) -> list:
     alg = s.base
     be = alg.backend
     inv = [derivation(alg, a, f) for a in (1, 2, 3) for f in list(ys.Y) + [ys.Y4]]
-    # Leibniz on the 64 ordered pairs of generators, which every D_a moves
     gens = [alg.generator(g) for g in range(8)]
-    leib = [derivation(alg, a, f * g) - (derivation(alg, a, f) * g + f * derivation(alg, a, g))
-            for a in (1, 2, 3) for f in gens for g in gens]
+    probes = gens + [ys.Y[0], ys.Y[3]]
+    D = [{a: derivation(alg, a, f) for a in (1, 2, 3)} for f in probes]
+    # Leibniz on the 64 ordered pairs of generators, which every D_a moves
+    fg = [[f * g for g in gens] for f in gens]
+    leib = [derivation(alg, a, fg[i][j]) - (D[i][a] * g + f * D[j][a])
+            for a in (1, 2, 3) for i, f in enumerate(gens) for j, g in enumerate(gens)]
     # operator bracket [D_a, D_b] against the quaternion prediction.
     # On coefficient vectors D_a D_b acts as M_b M_a (reversed order), and
     # with the negated right translations [M_b, M_a] = -2 eps_{abc} M_c,
     # so the operator bracket is -2 eps_{abc} D_c.
     su2 = []
-    probes = gens + [ys.Y[0], ys.Y[3]]
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             if a == b:
                 continue
-            for f in probes:
-                lhs = derivation(alg, a, derivation(alg, b, f)) - \
-                    derivation(alg, b, derivation(alg, a, f))
+            for Df in D:
+                lhs = derivation(alg, a, Df[b]) - derivation(alg, b, Df[a])
                 rhs = alg.zero()
                 for c in (1, 2, 3):
                     e = epsilon(a, b, c)
                     if e:
-                        rhs = rhs + (-2 * e) * derivation(alg, c, f)
+                        rhs = rhs + (-2 * e) * Df[c]
                 su2.append(lhs - rhs)
     return [
         ConditionReport.judge("derivations_kill_y_system", be, inv, lead_witness),

@@ -10,8 +10,8 @@ casimir x^2 is (x2_3)^2.
 
 Products go through one normal-ordering recursion (mono_mul), and
 confluence_check certifies that its normal monomials are a basis by checking
-associativity on every generator triple (Bergman's diamond lemma).  Normal
-forms, the star operation and ideal reduction are all exact over the
+associativity on its 56 overlap ambiguities (Bergman's diamond lemma).
+Normal forms, the star operation and ideal reduction are all exact over the
 algebra's scalar backend; the float backend reuses the same code paths with
 tolerance-based pruning.  ReductionContext is the one quotient type: the
 algebra at a parameter point, to which quotient() adds one central relation
@@ -262,19 +262,21 @@ def confluence_check(alg: Algebra) -> dict:
     mono_mul rewrites a word only by the rules in alg.exchange (x2^a x1^l to
     x1 x2 terms) and the flips within a family, under one fixed strategy.
     Each rewrite strictly lowers (cross inversions, in-family inversions) in
-    lexicographic order, so rewriting terminates.  (x_a x_b) x_c reduces the
-    redex ab first and x_a (x_b x_c) the redex bc, so equality on all 512
-    generator triples resolves every overlap ambiguity.  By Bergman's diamond
-    lemma (Adv. Math. 29, 1978) the system is then confluent: the normal
-    monomials are a basis, the graded dimensions are the stars-and-bars
-    counts, and mono_mul computes the unique normal form in every degree.
-    The witness is the first failing triple in lexicographic order.  The 64
-    pair products x_a x_b are formed once and shared by both sides.
+    lexicographic order, so rewriting terminates.  The rules' words x_a x_b
+    (a > b) have length 2, so no ambiguity is an inclusion and the overlaps
+    are the 56 words x_a x_b x_c, a > b > c: (x_a x_b) x_c reduces ab first,
+    x_a (x_b x_c) reduces bc.  On the other 456 generator triples both sides
+    take the same steps, so their defect is identically zero.  By Bergman's
+    diamond lemma (Adv. Math. 29, 1978) the system is then confluent: the
+    normal monomials are a basis, the graded dimensions are the
+    stars-and-bars counts, and mono_mul computes the unique normal form in
+    every degree.  The witness is the first failing triple in lexicographic
+    order; the 28 products x_a x_b, a > b, are formed once.
     """
     x = [alg.generator(g) for g in range(NGEN)]
-    xx = [[xa * xb for xb in x] for xa in x]
-    defects = {(a, b, c): xx[a][b] * x[c] - x[a] * xx[b][c]
-               for a, b, c in itertools.product(range(NGEN), repeat=3)}
+    xx = {(a, b): x[a] * x[b] for a in range(NGEN) for b in range(a)}
+    defects = {(a, b, c): xx[a, b] * x[c] - x[a] * xx[b, c]
+               for a in range(NGEN) for b in range(a) for c in range(b)}
     r = ConditionReport.judge("confluence", alg.backend, defects, lambda w, _: f"word {w}")
     return {"passed": r.passed, "witness": r.witness}
 

@@ -302,14 +302,19 @@ def _lift(rows: dict, slot: int) -> dict:
 def check_yang_baxter(R: RTensor) -> ConditionReport:
     """(BigR x 1)(1 x BigR)(BigR x 1) = (1 x BigR)(BigR x 1)(1 x BigR).
 
-    The witness is the first failing (word, image) pair in lexicographic order.
+    Both sides share r12 after r01, composed once: three compositions in
+    all.  The witness is the first failing (word, image) pair in
+    lexicographic order.  Each composed map is released after its last use.
     """
     be = R.backend
     rows = build_BigR(R)
-    r01 = _lift(rows, 0)
-    r12 = _lift(rows, 1)
-    lhs = _flat(_compose_rows(_compose_rows(r01, r12, be), r01, be))
-    rhs = _flat(_compose_rows(_compose_rows(r12, r01, be), r12, be))
+    r01, r12 = _lift(rows, 0), _lift(rows, 1)
+    mid = _compose_rows(r01, r12, be)
+    lhs = _flat(_compose_rows(mid, r01, be))
+    del r01
+    rhs = _compose_rows(r12, mid, be)
+    del r12, mid
+    rhs = _flat(rhs)
     return _compare("yang_baxter", be, lhs, rhs, "{} -> {}")
 
 

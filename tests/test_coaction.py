@@ -18,8 +18,9 @@ from ncspheres.coaction import (CommPoly, MixedElement, canonical_witness,
                                 span_contains)
 from ncspheres.ncalg import NCPoly, basis_monomials, span_solve
 from ncspheres.quatlin import epsilon
-from ncspheres.rmatrix import DeformParams
+from ncspheres.rmatrix import ConditionReport, DeformParams
 from ncspheres.scalars import EXACT, FLOAT
+from ncspheres.spheres import lead_witness
 
 from conftest import make_point
 
@@ -191,6 +192,11 @@ def _offset_counit_of_w1(monkeypatch):
 
 def _identity_antipode(monkeypatch):
     monkeypatch.setattr(coaction, "hopf_antipode", lambda f: f)
+
+
+def _derivations_plus_identity(mp):
+    real = coaction.derivation
+    mp.setattr(coaction, "derivation", lambda alg, a, f: real(alg, a, f) + f)
 
 
 HOPF_FAULTS = {
@@ -425,6 +431,38 @@ def test_derivation_reports_pass(pyth):
         "derivation_su2_bracket"]
     for rep in reps:
         assert rep.passed and rep.max_residual == 0.0
+
+
+def _derivation_reports_per_triple(s, ys) -> list:
+    """derivation_reports by the per-triple formulas, each product and each
+    D_c formed again where it is used: the oracle for the shared values."""
+    alg, D = s.base, coaction.derivation  # read when called, so a patched D is used
+    inv = [D(alg, a, f) for a in (1, 2, 3) for f in list(ys.Y) + [ys.Y4]]
+    gens = [alg.generator(g) for g in range(8)]
+    leib = [D(alg, a, f * g) - (D(alg, a, f) * g + f * D(alg, a, g))
+            for a in (1, 2, 3) for f in gens for g in gens]
+    su2 = [D(alg, a, D(alg, b, f)) - D(alg, b, D(alg, a, f))
+           - sum(((-2 * epsilon(a, b, c)) * D(alg, c, f) for c in (1, 2, 3)
+                  if epsilon(a, b, c)), alg.zero())
+           for a in (1, 2, 3) for b in (1, 2, 3) if a != b
+           for f in gens + [ys.Y[0], ys.Y[3]]]
+    names = ("derivations_kill_y_system", "derivation_leibniz", "derivation_su2_bracket")
+    return [ConditionReport.judge(name, alg.backend, values, lead_witness).to_dict()
+            for name, values in zip(names, (inv, leib, su2))]
+
+
+@pytest.mark.parametrize("control", [None, _derivations_plus_identity],
+                         ids=["as_built", "D_a_plus_identity"])
+@pytest.mark.parametrize("be", [EXACT, FLOAT], ids=["exact", "float"])
+def test_derivation_reports_equal_the_per_triple_formulas(be, control, monkeypatch):
+    """Each product and each D_c(f) formed once gives the same name, verdict,
+    residual and witness as the formulas that form them per use."""
+    _, _, s, ys = make_point("1/3,2/3,2/3", backend=be)
+    if control:
+        control(monkeypatch)
+    got = [r.to_dict() for r in derivation_reports(s, ys)]
+    assert got == _derivation_reports_per_triple(s, ys)
+    assert [r["passed"] for r in got] == [control is None] * 3
 
 
 def test_derivation_on_first_family_is_pinned(pyth):

@@ -139,6 +139,34 @@ def test_perturbed_tensor_fails_the_confluence_certificate(label, entry, witness
     assert rep == {"passed": False, "witness": f"word {witness}"}
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("label, entry", [
+    ("1,0,0", None), ("3/5,4/5,0", None), ("1/3,2/3,2/3", None),
+    ("3/5,4/5,0", (0, 0, 0, 0)), ("3/5,4/5,0", (1, 2, 3, 0)), ("3/5,4/5,0", (2, 3, 1, 0)),
+    ("1/3,2/3,2/3", (0, 0, 0, 0)), ("1/3,2/3,2/3", (1, 2, 3, 0)),
+    ("1/3,2/3,2/3", (2, 3, 1, 0)),
+])
+def test_the_ambiguities_decide_confluence(label, entry, backend):
+    """The 56 ambiguities a > b > c decide the certificate: on every other
+    generator triple both sides rewrite alike, so the defect has no terms,
+    and judging all 512 triples gives confluence_check's verdict and witness.
+    Run at each point as built and under each perturbation above."""
+    be = EXACT if backend == "exact" else FLOAT
+    R = build_R_quaternionic(DeformParams.parse(label), be)
+    if entry is not None:
+        lam, alpha, beta, mu = entry
+        R.data[lam][alpha][beta][mu] += be.convert(Fraction(1, 7))
+    alg = Algebra(R, be)
+    x = [alg.generator(g) for g in range(8)]
+    defects = {w: (x[w[0]] * x[w[1]]) * x[w[2]] - x[w[0]] * (x[w[1]] * x[w[2]])
+               for w in itertools.product(range(8), repeat=3)}
+    assert [w for w, d in defects.items() if not w[0] > w[1] > w[2] and d.terms] == []
+    failing = [w for w, d in defects.items() if d.terms]
+    assert bool(failing) == (entry is not None)
+    assert confluence_check(alg) == {"passed": not failing,
+                                     "witness": f"word {failing[0]}" if failing else None}
+
+
 def test_reduction_order_agreement(pyth):
     """Leftmost and rightmost rewriting agree with the product on random words."""
     _, alg, _, _ = pyth

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncspheres import rmatrix
 from ncspheres.cli import CATALOG
 from ncspheres.errors import MalformedNumber, ParamsNotOnSphere
 from ncspheres.quatlin import Mat, translation
@@ -213,6 +214,27 @@ def test_perturbed_tensor_fails_yang_baxter():
     assert not ybe.passed
     assert ybe.witness is not None
     assert ybe.max_residual > 0
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["as_built", "R1221_plus_1_7"])
+def test_yang_baxter_sides_equal_the_four_composition_sides(perturbed, monkeypatch):
+    """check_yang_baxter composes r12 after r01 once and shares it; the sides
+    it compares equal, as (word, image) maps, the sides composed four times."""
+    R = build_R_quaternionic(DeformParams.parse("1/3,2/3,2/3"), EXACT)
+    if perturbed:
+        R.data[1][2][2][1] = R.data[1][2][2][1] + GaussRational(Fraction(1, 7), 0)
+    compared, real = [], rmatrix._compare
+    monkeypatch.setattr(rmatrix, "_compare", lambda name, be, lhs, rhs, fmt: (
+        compared.append((lhs, rhs)) or real(name, be, lhs, rhs, fmt)))
+    assert check_yang_baxter(R).passed is not perturbed
+    rows = build_BigR(R)
+    r01, r12 = rmatrix._lift(rows, 0), rmatrix._lift(rows, 1)
+
+    def compose(first, second, third):
+        inner = rmatrix._compose_rows(first, second, EXACT)
+        return rmatrix._flat(rmatrix._compose_rows(inner, third, EXACT))
+
+    assert compared == [(compose(r01, r12, r01), compose(r12, r01, r12))]
 
 
 @pytest.mark.parametrize("idx, was_zero", [((0, 1, 2, 3), True),

@@ -26,7 +26,7 @@ from ncspheres.scalars import EXACT, FLOAT, max_residual
 from ncspheres.spheres import YSystem, lead_witness
 
 from test_cli import BROKEN_ODD, _e00, _off_by_a_seventh, _plus_entry, _unitary_one
-from test_coaction import HOPF_FAULTS
+from test_coaction import HOPF_FAULTS, _derivations_plus_identity
 from test_spheres import _perturbed
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncspheres"
@@ -184,11 +184,6 @@ def _negate_lambda(a, b):
         return YSystem(ys.Y, ys.Ystar, ys.Y4, lam, ys.params)
 
     return change
-
-
-def _derivations_plus_identity(mp):
-    real = coaction.derivation
-    mp.setattr(coaction, "derivation", lambda alg, a, f: real(alg, a, f) + f)
 
 
 # control -> (task, patch); run once each, at POINT on the exact backend
