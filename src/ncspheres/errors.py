@@ -37,10 +37,6 @@ class NotUnitaryEnough(NCSpheresError):
     """A matrix fails its unitarity check: UU* = U*U is not a multiple of 1."""
 
 
-class DegreeZero(NCSpheresError):
-    """A boundary operator was applied below its minimum chain degree."""
-
-
 class InvalidSpec(NCSpheresError):
     """A run request (CLI or library) is malformed."""
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import DegreeZero, NotUnitaryEnough
+from .errors import NotUnitaryEnough
 from .ncalg import NCPoly, ReductionContext, commutators, format_poly, mono_key
 from .quatlin import Mat
 from .scalars import Sparse, add_into, all_zero, max_residual, row_reduce
@@ -184,7 +184,7 @@ def b_boundary(chain) -> TensorChain:
     or off a TensorChain's terms."""
     n = chain.degree
     if n < 1:
-        raise DegreeZero("b is undefined on degree-0 chains")
+        raise ValueError("b is undefined on degree-0 chains")
     ctx = chain.ctx
     if chain.is_zero():
         return TensorChain(ctx, n - 1)

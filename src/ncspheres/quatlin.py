@@ -1,13 +1,17 @@
-"""Quaternion linear algebra: the translation table, embeddings, Mat helper.
+"""Quaternion linear algebra: the Hamilton product, translations, embeddings, Mat.
 
 Conventions fixed here and relied on everywhere else:
 
 * basis e0 = 1, e1, e2, e3 with e_a e_b = -delta_ab + eps_abc e_c and
   eps_123 = +1 (so e1 e2 = e3);
-* ``translation(a)`` is the matrix of left multiplication by e_a on
-  component columns, ``translation(a, right=True)`` that of right
-  multiplication; the exchange tensor, the corepresentation, the
-  derivations and the coproduct are all read off this one table;
+* ``quat_multiply`` is the one Hamilton product.  ``translation(a)`` is
+  the matrix of left multiplication by e_a on component columns,
+  ``translation(a, right=True)`` that of right multiplication, both read
+  off ``quat_multiply``; the exchange tensor, the corepresentation, the
+  derivations and the coproduct are all read off these matrices;
+* ``epsilon`` is written out by hand, independently of ``quat_multiply``,
+  so the closed forms of Y and Y* and the su(2) bracket that use it
+  cross-check the product;
 * J+_a = translation(a) for a in 1..3.  The family is real antisymmetric
   and satisfies J_a J_b = -delta_ab + eps_abc J_c with the same eps
   orientation as the quaternions themselves.  (A popular closed formula for
@@ -28,34 +32,6 @@ def epsilon(a: int, b: int, c: int) -> int:
     return 0
 
 
-def quat_basis_product(a: int, b: int):
-    """(coeff, index) of e_a * e_b in the e basis; coeff is a plain int."""
-    if a not in range(4) or b not in range(4):
-        raise ValueError(f"quaternion basis index out of 0..3 in e_{a!r} e_{b!r}")
-    if a == 0:
-        return 1, b
-    if b == 0:
-        return 1, a
-    if a == b:
-        return -1, 0
-    for c in range(1, 4):
-        s = epsilon(a, b, c)
-        if s:
-            return s, c
-
-
-def translation(a: int, right: bool = False) -> list:
-    """Integer 4x4 matrix of q -> e_a q, or of q -> q e_a when `right` is set.
-
-    Column nu holds the components of e_a e_nu (of e_nu e_a when right).
-    """
-    M = [[0] * 4 for _ in range(4)]
-    for nu in range(4):
-        coeff, mu = quat_basis_product(nu, a) if right else quat_basis_product(a, nu)
-        M[mu][nu] = coeff
-    return M
-
-
 def quat_multiply(p, q):
     """Componentwise quaternion product of two 4-sequences.
 
@@ -70,6 +46,19 @@ def quat_multiply(p, q):
         p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3,
         p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1,
     )
+
+
+def translation(a: int, right: bool = False) -> list:
+    """Integer 4x4 matrix of q -> e_a q, or of q -> q e_a when `right` is set.
+
+    Column nu holds the components of e_a e_nu (of e_nu e_a when right),
+    read off ``quat_multiply``.
+    """
+    if a not in range(4):
+        raise ValueError(f"quaternion basis index out of 0..3: {a!r}")
+    unit = [tuple(int(k == nu) for k in range(4)) for nu in range(4)]
+    cols = [quat_multiply(e, unit[a]) if right else quat_multiply(unit[a], e) for e in unit]
+    return [[col[mu] for col in cols] for mu in range(4)]
 
 
 def quat_conjugate(q):

@@ -63,8 +63,9 @@ class GaussRational:
     The invariants d > 0 and gcd(a, b, d) == 1 make the triple canonical,
     so equality and hashing are structural and values are safe as dict
     keys.  ``+``, ``-`` and ``*`` normalise inline by one gcd, skipped when
-    a factor is exactly +-1 or a sum vanishes; ``/`` normalises in
-    ``_make``.  ``re`` and ``im`` are Fractions.
+    a factor is exactly +-1 or a sum vanishes.  The one division is an int
+    or Fraction over a value, as ``1 / x``; a value over anything raises
+    TypeError.  ``re`` and ``im`` are Fractions.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -148,18 +149,18 @@ class GaussRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o):
-        if type(o) is not GaussRational and (o := _coerce(o)) is None:
+    def __rtruediv__(self, o):
+        """o / self for an int or Fraction o = p/q, the one division: with
+        self = (c + ei)/f it is p f (c - ei) / (q (c^2 + e^2)), by one gcd."""
+        if not isinstance(o, (int, Fraction)):
             return NotImplemented
-        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
-        a, b, c, e, f = self._a, self._b, o._a, o._b, o._d
+        c, e, f = self._a, self._b, self._d
         if not c and not e:
             raise ZeroDivisionError("division by zero GaussRational")
-        return _make((a * c + b * e) * f, (b * c - a * e) * f, self._d * (c * c + e * e))
-
-    def __rtruediv__(self, o):
-        o = _coerce(o)
-        return NotImplemented if o is None else o / self
+        p = o.numerator * f
+        a, b, d = p * c, -p * e, o.denominator * (c * c + e * e)
+        g = math.gcd(a, b, d)
+        return _raw(a // g, b // g, d // g)
 
     def __neg__(self):
         z = _new(GaussRational)
@@ -200,16 +201,6 @@ _new = object.__new__
 
 def _raw(a: int, b: int, d: int) -> GaussRational:
     """A GaussRational from a triple that already meets the invariants."""
-    z = _new(GaussRational)
-    z._a, z._b, z._d = a, b, d
-    return z
-
-
-def _make(a: int, b: int, d: int) -> GaussRational:
-    """A GaussRational from any triple with d > 0: one gcd normalisation."""
-    g = math.gcd(a, b, d)
-    if g != 1:
-        a, b, d = a // g, b // g, d // g
     z = _new(GaussRational)
     z._a, z._b, z._d = a, b, d
     return z

@@ -4,24 +4,31 @@ Each sampled mutant changes one AST site of one of the eight modules below,
 in a temporary copy of src/ (the checkout is never written).  It then runs,
 one fresh interpreter at a time and each under a timeout, the canonical
 `report --json` exact at 1/3,2/3,2/3 and 3/5,4/5,0 and on floats at
-3/5,4/5,0, and is counted as
+3/5,4/5,0.  A mutant that every report passes then runs the registered
+negative controls, `tests/test_witnesses.py`, against the mutated copy.
+Each mutant is counted as
 
     killed          a report exits nonzero (a failed verdict, a crash) or
                     times out, as a wrong sign can make a reduction loop;
-    same bytes      every report exits 0 with the unmutated report's bytes;
-    changed bytes   every report exits 0, and some report's bytes differ.
+    control fails   every report exits 0, but a registered control fails
+                    or times out, as when a check becomes a tautology;
+    same bytes      every report and control passes, with the unmutated
+                    report's bytes;
+    changed bytes   every report and control passes, and some report's
+                    bytes differ.
 
 The mutations: swap + and -, * becomes +, flip == and !=, < and <=, > and >=,
-`and` and `or`, and raise an int constant 0..4 by one.  Run by hand, stdlib
-only, not part of tier-1:
+`and` and `or`, and raise an int constant 0..4 by one.  Run by hand, with
+pytest for the controls, not part of tier-1:
 
     python tests/mutants.py [--sample 500]
 
 The sample is the --sample sites whose sha256 of (SEED, module, line text,
 mutation, occurrence) is smallest, so an edit re-draws only the sites on the
 lines it changes, and two versions of the code compare mutant by mutant.  It
-prints the three counts and every survivor (same or changed bytes) as
-module:line and its mutation, and exits 0 unless the unmutated copy fails.
+prints the four counts and every mutant that survived the reports as
+module:line and its mutation, and exits 0 unless the unmutated copy fails a
+report or a control.
 """
 
 import argparse
@@ -35,11 +42,14 @@ import tempfile
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = ("cli", "coaction", "homology", "ncalg", "quatlin", "rmatrix", "scalars", "spheres")
 REPORTS = (("exact", "1/3,2/3,2/3"), ("exact", "3/5,4/5,0"), ("float", "3/5,4/5,0"))
 SEED = 11
 TIMEOUT = 20.0  # seconds per report
+CONTROLS = "tests/test_witnesses.py"
+CONTROL_TIMEOUT = 120.0  # seconds for all the registered controls
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
         ast.GtE: ast.Gt, ast.And: ast.Or, ast.Or: ast.And}
@@ -96,6 +106,18 @@ def run_reports(src: Path, work: Path):
     return got
 
 
+def controls_pass(src: Path) -> bool:
+    """Whether every registered control, run against src, passes in time."""
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", CONTROLS],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            timeout=CONTROL_TIMEOUT, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL).returncode == 0
+    except subprocess.TimeoutExpired:
+        return False
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sample", type=int, default=500)
@@ -111,33 +133,40 @@ def main(argv=None) -> int:
             every.append((key, m, k, line, what))
     chosen = sorted((s[1:] for s in sorted(every)[:args.sample]),
                     key=lambda s: (MODULES.index(s[0]), s[2], s[1]))
-    start, killed, same, changed = time.monotonic(), 0, [], []
+    start, killed, same, changed, control = time.monotonic(), 0, [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         src, work = Path(tmp) / "src", Path(tmp) / "work"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
         work.mkdir()
         want = run_reports(src, work)
-        if want is None:
-            print("the unmutated copy fails a report", file=sys.stderr)
+        if want is None or not controls_pass(src):
+            print("the unmutated copy fails a report or a control", file=sys.stderr)
             return 2
         for n, (module, k, line, what) in enumerate(chosen, 1):
             path = src / "ncspheres" / f"{module}.py"
             path.write_text(mutant_source(module, k))
             got = run_reports(src, work)
-            shutil.copyfile(SRC / "ncspheres" / f"{module}.py", path)
             if got is None:
                 killed += 1
             else:
-                (same if got == want else changed).append(f"{module}.py:{line}  {what}")
+                kind = "same bytes" if got == want else "changed bytes"
+                row = f"{module}.py:{line}  {what}"
+                if controls_pass(src):
+                    (same if got == want else changed).append(row)
+                else:
+                    control.append(f"{row}  ({kind})")
+            shutil.copyfile(SRC / "ncspheres" / f"{module}.py", path)
             if n % 50 == 0:
                 print(f"[{n}/{len(chosen)}] {time.monotonic() - start:.0f} s", file=sys.stderr)
     total = len(chosen)
     print(f"mutants: {total} of {len(every)} sites (seed {SEED}); reports: "
-          + ", ".join(f"{b} {p}" for b, p in REPORTS))
+          + ", ".join(f"{b} {p}" for b, p in REPORTS) + f"; controls: {CONTROLS}")
     print(f"killed: {killed} ({100 * killed / max(total, 1):.1f} %)")
+    print(f"survived the reports, but a registered control fails: {len(control)}")
     print(f"same bytes: {len(same)}")
     print(f"passed with changed bytes: {len(changed)}")
-    for kind, rows in (("changed bytes", changed), ("same bytes", same)):
+    for kind, rows in (("control fails", control), ("changed bytes", changed),
+                       ("same bytes", same)):
         for row in rows:
             print(f"  {kind:13}  {row}")
     print(f"time: {time.monotonic() - start:.0f} s")

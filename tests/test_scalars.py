@@ -129,9 +129,12 @@ def _assert_matches(z, pair):
 def test_gauss_kernel_matches_fraction_pair_oracle(x, y, op):
     """Both operand orders, with a GaussRational, int or Fraction on the
     other side, so __radd__, __rmul__ and __rtruediv__ run too; the package
-    never subtracts a GaussRational from an int or Fraction."""
+    never subtracts a GaussRational from an int or Fraction, and divides
+    only an int or Fraction by a GaussRational."""
     for left, right in ((x, y), (y, x)):
         if op is operator.sub and not isinstance(left, GaussRational):
+            continue
+        if op is operator.truediv and isinstance(left, GaussRational):
             continue
         try:
             want = ORACLE[op](_pair(left), _pair(right))
@@ -176,7 +179,7 @@ def test_equal_values_hash_equal(x, y):
     z = (x + y) - y
     assert z == x and hash(z) == hash(x)
     if not y.is_zero():
-        w = (x * y) / y
+        w = (x * y) * (1 / y)
         assert w == x and hash(w) == hash(x)
 
 
@@ -185,7 +188,16 @@ def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         1 / zero
     with pytest.raises(ZeroDivisionError):
-        GaussRational(1, 1) / zero
+        Fraction(1, 3) / zero
+
+
+@given(wide_gauss, st.one_of(wide_gauss, real_operands))
+def test_only_a_number_divides_an_exact_value(x, y):
+    """The one exact division is an int or Fraction over a value: x / y,
+    x / 2 and x / (1/2) raise TypeError."""
+    for divisor in (y, 2, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            x / divisor
 
 
 @pytest.mark.parametrize("re, im", [(0.1, 0), (0, 0.5), (1j, 0), (0, "1/2")])
