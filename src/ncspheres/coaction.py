@@ -1,15 +1,15 @@
 """The classical SU(2) symmetry of the seven-sphere quotient.
 
 H is the commutative *-algebra of polynomial functions on unit quaternions,
-in the four real coordinates w0..w3 modulo sum (w^mu)^2 = 1.  Its Hopf
-structure is dual to quaternion multiplication.  One class, CommPoly, holds
-H and its tensor powers H^{(x) k}: a key lists the exponents of w0..w3 of
-each of the k factors, one block of four after another, so the product
-adds keys position by position and the tensor product concatenates them.
+in the four real coordinates w0..w3 modulo sum (w^mu)^2 = 1.  Its coproduct
+is the left-multiplication table, Delta(w^mu) = sum_nu (w e_nu)^mu (x) w^nu.
+One class, CommPoly, holds H and its tensor powers H^{(x) k}: a key lists
+the exponents of w0..w3 of each of the k factors, one block of four after
+another, so the product adds keys position by position and the tensor
+product concatenates them.
 
 The sphere algebra carries the right coaction induced by x_i -> x_i w on
-both generator quaternions; the corepresentation matrix is built directly
-from the quaternion product,
+both generator quaternions; its table is the right-multiplication one,
 
     h^mu_nu = (e_nu w)^mu  in H,   delta(x_i^mu) = sum_nu x_i^nu (x) h^mu_nu,
 
@@ -106,17 +106,26 @@ class CommPoly(Sparse):
 # ---------------------------------------------------------------------------
 
 
-def hopf_delta_gen(backend, mu: int) -> CommPoly:
-    """Coproduct of w^mu, dual to the quaternion product: the sum of
-    +-w^a (x) w^b over the (a, b) with e_a e_b = +-e_mu: row mu of the
-    left translations."""
-    unit = [tuple(int(i == a) for i in range(4)) for a in range(4)]
-    terms = {}
+def corep_matrix(backend: Backend, *, right: bool) -> list:
+    """h^mu_nu = (e_nu w)^mu in H, the right-multiplication table: the bundle
+    coaction's corepresentation.  With right=False, (w e_nu)^mu, the left
+    table: H's coproduct, which the one-sided control applies to x1."""
+    h = [[None] * 4 for _ in range(4)]
     for a in range(4):
-        for b, k in enumerate(translation(a)[mu]):
-            if k:
-                terms[unit[a] + unit[b]] = backend.one if k > 0 else -backend.one
-    return CommPoly(backend, terms)
+        w = CommPoly.generator(backend, a)
+        for mu, row in enumerate(translation(a, right)):
+            for nu, k in enumerate(row):
+                if k:
+                    h[mu][nu] = w if k > 0 else -w
+    return h
+
+
+def hopf_delta_gen(backend, mu: int) -> CommPoly:
+    """Coproduct of w^mu, dual to the quaternion product: row mu of the left
+    table, Delta(w^mu) = sum_nu (w e_nu)^mu (x) w^nu."""
+    row = corep_matrix(backend, right=False)[mu]
+    return sum((row[nu].tensor(CommPoly.generator(backend, nu)) for nu in range(4)),
+               CommPoly(backend, {}))
 
 
 @functools.cache
@@ -155,15 +164,11 @@ def hopf_antipode(f: CommPoly) -> CommPoly:
     return f._new({m: -c if (m[1] + m[2] + m[3]) % 2 else c for m, c in f.terms.items()})
 
 
-def check_hopf_axioms(backend: Backend) -> list:
+@functools.cache
+def check_hopf_axioms(be: Backend) -> tuple:
     """Coassociativity, counit and antipode laws on generators and on all
     degree-2 products.  H does not depend on the point, so the reports are
-    computed once per backend; each call returns a fresh list."""
-    return list(_hopf_axiom_reports(backend))
-
-
-@functools.cache
-def _hopf_axiom_reports(be: Backend) -> tuple:
+    computed once per backend and shared, as a tuple no caller can reorder."""
     names = ("hopf_coassociativity", "hopf_counit", "hopf_antipode")
     return tuple(ConditionReport.judge(name, be, dict(law), lambda w, _: w)
                  for name, law in zip(names, _hopf_axiom_defects(be)))
@@ -285,19 +290,6 @@ class MixedElement(Sparse):
 # ---------------------------------------------------------------------------
 # the coaction
 # ---------------------------------------------------------------------------
-
-
-def corep_matrix(backend: Backend, *, right: bool) -> list:
-    """h^mu_nu = (e_nu w)^mu in H, the right-multiplication corepresentation,
-    or with right=False (w e_nu)^mu, used only as the faulty one-sided variant."""
-    h = [[None] * 4 for _ in range(4)]
-    for a in range(4):
-        w = CommPoly.generator(backend, a)
-        for mu, row in enumerate(translation(a, right)):
-            for nu, k in enumerate(row):
-                if k:
-                    h[mu][nu] = w if k > 0 else -w
-    return h
 
 
 def _identity_table(backend: Backend) -> list:

@@ -5,7 +5,9 @@ in a temporary copy of src/ (the checkout is never written).  It then runs,
 one fresh interpreter at a time and each under a timeout, the canonical
 `report --json` exact at 1/3,2/3,2/3 and 3/5,4/5,0 and on floats at
 3/5,4/5,0.  A mutant that every report passes then runs the registered
-negative controls, `tests/test_witnesses.py`, against the mutated copy.
+controls, the pytest node ids in CONTROLS, in one pytest call against the
+mutated copy: the negative controls of `tests/test_witnesses.py`, and the
+tier-1 tests that kill mutants no report sees.
 Each mutant is counted as
 
     killed          a report exits nonzero (a failed verdict, a crash) or
@@ -48,7 +50,11 @@ MODULES = ("cli", "coaction", "homology", "ncalg", "quatlin", "rmatrix", "scalar
 REPORTS = (("exact", "1/3,2/3,2/3"), ("exact", "3/5,4/5,0"), ("float", "3/5,4/5,0"))
 SEED = 11
 TIMEOUT = 20.0  # seconds per report
-CONTROLS = "tests/test_witnesses.py"
+CONTROLS = (
+    "tests/test_witnesses.py",
+    "tests/test_homology.py::test_chern_odd_requires_a_central_multiple_of_one",
+    "tests/test_cli.py::test_sweep_preserves_order_and_flags",
+)
 CONTROL_TIMEOUT = 120.0  # seconds for all the registered controls
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE,
@@ -110,7 +116,7 @@ def controls_pass(src: Path) -> bool:
     """Whether every registered control, run against src, passes in time."""
     try:
         return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", CONTROLS],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *CONTROLS],
             cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
             timeout=CONTROL_TIMEOUT, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL).returncode == 0
@@ -160,7 +166,7 @@ def main(argv=None) -> int:
                 print(f"[{n}/{len(chosen)}] {time.monotonic() - start:.0f} s", file=sys.stderr)
     total = len(chosen)
     print(f"mutants: {total} of {len(every)} sites (seed {SEED}); reports: "
-          + ", ".join(f"{b} {p}" for b, p in REPORTS) + f"; controls: {CONTROLS}")
+          + ", ".join(f"{b} {p}" for b, p in REPORTS) + "; controls: " + ", ".join(CONTROLS))
     print(f"killed: {killed} ({100 * killed / max(total, 1):.1f} %)")
     print(f"survived the reports, but a registered control fails: {len(control)}")
     print(f"same bytes: {len(same)}")

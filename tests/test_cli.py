@@ -144,6 +144,20 @@ def test_sweep_preserves_order_and_flags():
     assert lines[3].startswith('"-1,0,0",,pass,pass,pass,pass')
 
 
+# stereographic (s, t) = (1e-5, 0): a valid point where the float backend
+# prunes a coefficient near its 1e-9 tolerance in one product and keeps it in another
+NEAR_TOLERANCE = "9999999999/10000000001,200000/10000000001,0"
+
+
+@pytest.mark.parametrize("backend", [
+    "exact",
+    pytest.param("float", marks=pytest.mark.xfail(
+        strict=True, reason="the float backend prunes coefficients near its tolerance")),
+])
+def test_sphere_passes_near_the_float_tolerance(backend, capsys):
+    assert main(["sphere", "--backend", backend, "--params", NEAR_TOLERANCE, "--quiet"]) == 0
+
+
 def _is_rational_square(q: Fraction) -> bool:
     return all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
 

@@ -53,7 +53,7 @@ def test_hopf_generators_are_built_once_per_backend(monkeypatch):
 
     monkeypatch.setattr(coaction, "hopf_delta_gen", counting)
     coaction._hopf_gens.cache_clear()
-    coaction._hopf_axiom_reports.cache_clear()
+    coaction.check_hopf_axioms.cache_clear()
     be = FLOAT
     first = check_hopf_axioms(be)
     assert check_hopf_axioms(be) == first
@@ -102,14 +102,14 @@ def _sweep_counting_hopf_checks(monkeypatch, backend_name, be):
         built.append(mu)
         return gen(be, mu)
 
-    coaction._hopf_axiom_reports.cache_clear()
+    coaction.check_hopf_axioms.cache_clear()
     coaction._hopf_gens.cache_clear()
     monkeypatch.setattr(coaction, "hopf_delta_gen", counting_gen)
     points = [DeformParams.parse(p) for p in ("1,0,0", "3/5,4/5,0", "1/3,2/3,2/3")]
     results = sweep(points, backend_name=backend_name)
-    runs = coaction._hopf_axiom_reports.cache_info().misses
+    runs = coaction.check_hopf_axioms.cache_info().misses
     check_hopf_axioms(be)
-    assert coaction._hopf_axiom_reports.cache_info().misses == runs
+    assert coaction.check_hopf_axioms.cache_info().misses == runs
     return results, runs, built
 
 
@@ -132,12 +132,9 @@ def test_hopf_axioms_are_checked_once_across_a_sweep(monkeypatch):
 
 
 def test_mutating_the_returned_reports_leaves_the_next_call_alone():
-    be = FLOAT
-    first = check_hopf_axioms(be)
-    kept = list(first)
-    first.reverse()
-    first.pop()
-    assert check_hopf_axioms(be) == kept
+    first = check_hopf_axioms(FLOAT)
+    assert isinstance(first, tuple)
+    assert check_hopf_axioms(FLOAT) is first
 
 
 def _written_out_hopf_defects(be):
@@ -210,10 +207,10 @@ HOPF_FAULTS = {
 @pytest.fixture
 def cold_hopf_caches():
     """The Hopf caches cleared before and after a test that patches the maps."""
-    for cache in (coaction._hopf_axiom_reports, coaction._hopf_gens):
+    for cache in (coaction.check_hopf_axioms, coaction._hopf_gens):
         cache.cache_clear()
     yield
-    for cache in (coaction._hopf_axiom_reports, coaction._hopf_gens):
+    for cache in (coaction.check_hopf_axioms, coaction._hopf_gens):
         cache.cache_clear()
 
 

@@ -122,6 +122,7 @@ def _assert_matches(z, pair):
     assert complex(z) == complex(float(re), float(im))
     assert z == GaussRational(re, im)
     assert hash(z) == hash(GaussRational(re, im))
+    assert bool(z) == (not z.is_zero()) == (re != 0 or im != 0)
 
 
 @given(gauss_operands, st.one_of(gauss_operands, real_operands),
@@ -181,6 +182,12 @@ def test_equal_values_hash_equal(x, y):
     if not y.is_zero():
         w = (x * y) * (1 / y)
         assert w == x and hash(w) == hash(x)
+
+
+def test_a_value_is_true_unless_zero():
+    for x, truth in ((GaussRational(0), False), (GaussRational(0, 1), True),
+                     (GaussRational(Fraction(1, 3)), True)):
+        assert bool(x) is truth and bool(x) == (not x.is_zero())
 
 
 def test_inverse_of_zero_raises():

@@ -13,6 +13,8 @@ registry lacks, so a new check cannot land without a control.
 import ast
 import functools
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from ncspheres.rmatrix import ConditionReport, DeformParams, build_R_quaternioni
 from ncspheres.scalars import EXACT, FLOAT, max_residual
 from ncspheres.spheres import YSystem, lead_witness
 
+import mutants
 from test_cli import BROKEN_ODD, _e00, _off_by_a_seventh, _plus_entry, _unitary_one
 from test_coaction import HOPF_FAULTS, _derivations_plus_identity
 from test_spheres import _perturbed
@@ -262,7 +265,7 @@ def condition_reports(node) -> list:
 def control_report(control: str) -> dict:
     """The run report of one control's task, the Hopf caches cold around it."""
     task, patch = CONTROLS[control]
-    caches = (coaction._hopf_axiom_reports, coaction._hopf_gens)
+    caches = (coaction.check_hopf_axioms, coaction._hopf_gens)
     with pytest.MonkeyPatch.context() as mp:
         for cache in caches:
             cache.cache_clear()
@@ -509,3 +512,13 @@ def test_a_lambda_defect_without_a_chain_defect_fails_the_star_chain_equivalence
     assert vanzz["lambda_symmetric_unitary"] is False
     assert vanzz["agree"] is False
     assert all(chern["vanishing"].values()) and all(chern["closures"].values())
+
+
+def test_every_census_control_is_collected():
+    """tests/mutants.py counts a survivor as killed when its one pytest call
+    on mutants.CONTROLS exits nonzero, as it does on a node id that no longer
+    exists."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *mutants.CONTROLS], cwd=mutants.ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
