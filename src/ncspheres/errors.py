@@ -26,7 +26,8 @@ class NotCentral(NCSpheresError):
 
 
 class NotAGroebnerBasis(NCSpheresError):
-    """Central relations whose monic leads do not divide to a unique normal form."""
+    """A relation that quotient() refuses: it keeps no lead modulo the earlier
+    relations, or its lead shares a generator with an earlier lead."""
 
 
 class DegreeOverflow(NCSpheresError):

@@ -16,8 +16,8 @@ algebra's scalar backend; the float backend reuses the same code paths with
 tolerance-based pruning.  ReductionContext is the one quotient type: the
 algebra at a parameter point, to which quotient() adds one central relation
 at a time (x^2 = 1 gives the seven-sphere, and the three-sphere radius on top
-of it the three-sphere).  Reduction is division by the monic relations, whose
-pairwise coprime leads make them a Groebner basis.
+of it the three-sphere).  Reduction divides by the monic relations two-sided,
+whose pairwise coprime leads make its normal form unique.
 """
 
 from __future__ import annotations
@@ -293,14 +293,13 @@ class ReductionContext:
     itself.  quotient(c) adds one relation, so the seven-sphere is the
     algebra modulo x^2 - 1 and the three-sphere is the seven-sphere modulo
     its radius.  Each c_j must be homogeneous and central; c_j - 1 is reduced
-    modulo relations 0..j-1 and made monic.  The algebra is of solvable type
-    (Kandri-Rody and Weispfenning, J. Symbolic Comput. 9, 1990), so
-    lead(q * g) = q * lead(g); with pairwise coprime leads the monic
-    relations are a Groebner basis (Bergman's diamond lemma), and dividing a
-    monomial by the first relation whose lead divides it, recursing on the
-    lower terms, gives the unique normal form.  A relation that keeps no lead
-    or shares a generator with an earlier lead, and a product whose lead is
-    not the divided monomial with coefficient 1, raise NotAGroebnerBasis.
+    modulo relations 0..j-1 and made monic.  A monomial is divided by the
+    first relation whose lead divides it, two-sided (_divide), recursing on
+    the lower terms.  The algebra is of solvable type (Kandri-Rody and
+    Weispfenning, J. Symbolic Comput. 9, 1990), so with pairwise coprime
+    leads the monic relations are a Groebner basis (Bergman's diamond lemma)
+    and this normal form is unique.  A relation that keeps no lead or shares
+    a generator with an earlier lead raises NotAGroebnerBasis.
     """
 
     def __init__(self, base: Algebra, params: DeformParams):
@@ -346,23 +345,14 @@ class ReductionContext:
         return {m: c for m, c in terms.items() if not be.is_zero(c)}
 
     def _divide(self, m, k):
-        """The lower terms of m - q * g_j for the first of the first k relations
-        whose lead divides m = q * lead(g_j); None if m is normal."""
-        alg = self.base
-        for j, (lead, g) in enumerate(self._relations[:k]):
-            q = tuple(a - b for a, b in zip(m, lead))
-            if min(q) < 0:
-                continue
-            prod = {}
-            for n, c in g.items():
-                for n2, e in alg.mono_mul(q, n).items():
-                    add_into(prod, n2, c * e)
-            prod = self._reduce_terms(prod, j)  # g_j is central only modulo 0..j-1
-            top = max(prod, key=mono_key, default=None)
-            if top != m or not alg.backend.is_zero(prod.pop(m) - 1):
-                raise NotAGroebnerBasis(
-                    f"lead of the product for {mono_word(m)} is not that monomial")
-            return {n: -c for n, c in prod.items()}
+        """The lower terms of m - x1^a g_j x2^b for the first of the first k
+        relations whose lead divides m = x1^a lead(g_j) x2^b; None if m is
+        normal.  Each family commutes, so x1^a n x2^b is the normal word
+        m - lead + n for every term n of g_j: the step shifts exponents."""
+        for lead, g in self._relations[:k]:
+            q = tuple(map(operator.sub, m, lead))
+            if min(q) >= 0:
+                return {tuple(map(operator.add, q, n)): -c for n, c in g.items() if n != lead}
         return None
 
     def _normal_form(self, m, k: int) -> dict:

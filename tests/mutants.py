@@ -54,6 +54,11 @@ CONTROLS = (
     "tests/test_witnesses.py",
     "tests/test_homology.py::test_chern_odd_requires_a_central_multiple_of_one",
     "tests/test_cli.py::test_sweep_preserves_order_and_flags",
+    "tests/test_scalars.py::test_a_value_is_true_unless_zero",
+    "tests/test_quatlin.py::test_translation_validates_arguments",
+    "tests/test_homology.py::test_boundary_identities_on_random_chains",
+    "tests/test_ncalg.py::test_division_never_reads_the_product",
+    "tests/test_ncalg.py::test_division_step_equals_the_one_sided_product",
 )
 CONTROL_TIMEOUT = 120.0  # seconds for all the registered controls
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.Eq: ast.NotEq,

@@ -495,16 +495,53 @@ def test_leads_that_share_a_generator_are_rejected(classical):
         s.quotient(rel)
 
 
-def test_product_with_a_wrong_lead_is_rejected():
-    """Products whose lead coefficient is not 1 raise, never a normal form."""
+def test_division_never_reads_the_product():
+    """After quotient(), a mono_mul that doubles every product leaves the
+    normal forms alone: a division step shifts exponents, it forms no product."""
     be = EXACT
     p = DeformParams.parse("3/5,4/5,0")
     alg = Algebra(build_R_quaternionic(p, be), be)
     ctx = ReductionContext(alg, p).quotient(alg.casimir())
+    m, q, lead = (0, 1, 0, 0, 0, 0, 0, 2), (0, 1, 0, 0, 0, 0, 0, 0), (0,) * 7 + (2,)
+    want = ReductionContext(alg, p).quotient(alg.casimir()).reduce_mono(m)
+    assert want != {m: be.one}
     plain = alg.mono_mul
-    alg.mono_mul = lambda m, n: {k: 2 * c for k, c in plain(m, n).items()}
-    with pytest.raises(NotAGroebnerBasis, match="lead of the product"):
-        ctx.reduce_mono((0, 1, 0, 0, 0, 0, 0, 2))
+    alg.mono_mul = lambda a, b: {k: 2 * c for k, c in plain(a, b).items()}
+    assert alg.mono_mul(q, lead) != plain(q, lead)
+    assert ctx.reduce_mono(m) == want
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("label", ["3/5,4/5,0", "1/3,2/3,2/3"])
+def test_division_step_equals_the_one_sided_product(label, backend, request):
+    """For both three-sphere relations g_j and every monomial q through degree
+    2, q * g_j formed by mono_mul and the exponent-shifted terms q + n of g_j
+    have one normal form modulo relations 0..j-1: by == on the exact backend;
+    on the float backend with the same keys and every coefficient within tol."""
+    if backend == "exact":
+        be = EXACT
+        _, alg, s, ys = request.getfixturevalue(
+            "pyth" if label == "3/5,4/5,0" else "mixed")
+    else:
+        be = FLOAT
+        _, alg, s, ys = make_point(label, be)
+    ctx = three_sphere_context(s, ys)
+    qs = [q for k in range(3) for q in basis_monomials(k)]
+    assert len(qs) == 45 and len(ctx._relations) == 2
+    for j, (_, g) in enumerate(ctx._relations):
+        for q in qs:
+            prod = {}
+            for n, c in g.items():
+                for k, e in alg.mono_mul(q, n).items():
+                    add_into(prod, k, c * e)
+            got = ctx._reduce_terms(prod, j)
+            want = ctx._reduce_terms({tuple(map(operator.add, q, n)): c
+                                      for n, c in g.items()}, j)
+            if be.exact:
+                assert got == want, (j, q)
+            else:
+                assert got.keys() == want.keys(), (j, q)
+                assert all(abs(got[n] - want[n]) <= be.tol for n in got), (j, q)
 
 
 def _read_poly(alg, text):
